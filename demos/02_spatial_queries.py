@@ -1,7 +1,8 @@
-"""k-d tree queries: nearest neighbors and radius search.
+"""Spatial index queries: nearest neighbors and radius search.
 
-Shows that tree queries return exactly what a brute-force scan would, and
-how the tree pays off once the cloud is large.
+Shows that index queries return exactly what a brute-force scan would, and
+how the index pays off once the cloud is large, most of all when many
+queries go in one batched call.
 """
 
 import time
@@ -34,11 +35,15 @@ for q in queries:
 tree_ms = 1000 * (time.perf_counter() - t0)
 
 t0 = time.perf_counter()
+tree.knn(queries, k=10)
+batch_ms = 1000 * (time.perf_counter() - t0)
+
+t0 = time.perf_counter()
 for q in queries:
     d = ((points - q) ** 2).sum(axis=1)
     np.argsort(d)[:10]
 scan_ms = 1000 * (time.perf_counter() - t0)
-print(f"200 x knn(10): tree {tree_ms:.0f} ms vs full scan {scan_ms:.0f} ms")
+print(f"200 x knn(10): one at a time {tree_ms:.0f} ms, batched {batch_ms:.1f} ms, full scan {scan_ms:.0f} ms")
 
 # agreement with the scan on a random query
 q = queries[0]

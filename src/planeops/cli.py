@@ -1,19 +1,22 @@
 """Command-line interface: synth, detect, gt, eval, bench.
 
 Every parameter is a flag; a JSON config file can pre-fill them and explicit
-flags win. Exit codes: 0 success, 2 parse error, 3 empty result where a
+flags win. Exit codes: 0 success, 2 bad input (an unparsable file, an
+invalid config or flag value, a cloud without points), 3 empty result where a
 nonempty one was required.
 """
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
 from pathlib import Path
 
 from .io import ParseError, load_cloud, load_labeling, save_labeled, save_labeling
+from .kdtree import EmptyCloud
 from .metrics import SizeMismatch, classification_accuracy, segmentation_accuracy
-from .pipeline import RunConfig, bench_table, run_bench, run_detect
+from .pipeline import ConfigError, RunConfig, bench_table, run_bench, run_detect
 from .synthetic import InvalidSpec, box_room_scene, gen_synthetic
 from .truth import GtParams, generate_ground_truth
 
@@ -88,45 +91,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _detect_config(args) -> RunConfig:
-    base = {}
-    if args.config:
-        base = json.loads(args.config.read_text())
-    config = RunConfig.from_dict(base) if base else RunConfig()
-    if args.detector:
-        config.detector = args.detector
-    if args.seed is not None:
-        config.seed = args.seed
+def _given(values: dict) -> dict:
+    return {name: value for name, value in values.items() if value is not None}
 
-    ops_flags = {
+
+def _detect_config(args) -> RunConfig:
+    """The config file's RunConfig (or the default) with the flags applied.
+
+    Every params object is rebuilt, so its validation sees the flag values;
+    an invalid value raises ConfigError.
+    """
+    config = RunConfig.from_dict(json.loads(args.config.read_text())) if args.config else RunConfig()
+    top = {"detector": args.detector, "seed": args.seed, "orientation_tol_degrees": args.orientation_tol}
+    ops = {
         "sampling_rate": args.sampling_rate, "k": args.knn, "dist_threshold": args.dist_threshold,
         "min_inliers": args.min_inliers, "probability": args.probability, "grouping": args.grouping,
-        "sigma": args.sigma,
+        "sigma": args.sigma, "orientation_tol_degrees": args.orientation_tol,
     }
-    fspf_flags = {
+    fspf = {
         "r1": args.r1, "r2": args.r2, "local_samples": args.n_loc,
         "min_inlier_fraction": args.alpha_min, "max_iterations": args.k_max,
         "max_inlier_points": args.n_max, "dist_threshold": args.dist_threshold,
         "claim_full_sphere": args.claim_full_sphere,
     }
-    for name, value in ops_flags.items():
-        if value is not None:
-            setattr(config.ops, name, value)
-    for name, value in fspf_flags.items():
-        if value is not None:
-            setattr(config.fspf, name, value)
-    if args.merge_angle is not None:
-        config.merge.angle_degrees = args.merge_angle
-    if args.merge_offset is not None:
-        config.merge.offset = args.merge_offset
-    if args.orientation_tol is not None:
-        config.orientation_tol_degrees = args.orientation_tol
-        config.ops.orientation_tol_degrees = args.orientation_tol
-    if args.up is not None:
-        up = tuple(float(v) for v in args.up.split(","))
-        config.up = up
-        config.ops.up = up
-    return config
+    merge = {"angle_degrees": args.merge_angle, "offset": args.merge_offset}
+    try:
+        if args.up is not None:
+            top["up"] = ops["up"] = tuple(float(v) for v in args.up.split(","))
+        return dataclasses.replace(
+            config, **_given(top),
+            ops=dataclasses.replace(config.ops, **_given(ops)),
+            fspf=dataclasses.replace(config.fspf, **_given(fspf)),
+            merge=dataclasses.replace(config.merge, **_given(merge)),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid flag value: {exc}") from exc
 
 
 def _cmd_synth(args) -> int:
@@ -168,11 +167,14 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_gt(args) -> int:
+    try:
+        params = GtParams(
+            dist_threshold=args.gt_dist, normal_angle_degrees=args.gt_angle,
+            min_plane_size=args.min_plane_size, k=args.gt_knn,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid flag value: {exc}") from exc
     points = load_cloud(args.input)
-    params = GtParams(
-        dist_threshold=args.gt_dist, normal_angle_degrees=args.gt_angle,
-        min_plane_size=args.min_plane_size, k=args.gt_knn,
-    )
     labeling = generate_ground_truth(points, params)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_labeling(labeling, args.out)
@@ -230,13 +232,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return COMMANDS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (InvalidSpec, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (ParseError, ConfigError, EmptyCloud, InvalidSpec, json.JSONDecodeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

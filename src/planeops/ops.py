@@ -73,6 +73,8 @@ class OpsParams:
             raise ValueError("dist_threshold must be positive")
         if self.min_inliers < 3:
             raise ValueError("min_inliers must be >= 3")
+        if self.k < 3:
+            raise ValueError("k must be >= 3")
         if self.grouping not in ("group_first", "detect_first"):
             raise ValueError(f"unknown grouping {self.grouping!r}")
         if self.outlier_denominator not in ("samples", "cloud"):

@@ -27,6 +27,7 @@ from .truth import GtParams, SegmentLabeling, generate_ground_truth
 
 __all__ = [
     "BenchRow",
+    "ConfigError",
     "DetectionReport",
     "RunConfig",
     "assign_to_planes",
@@ -38,6 +39,10 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 STAGES = ("sampling", "normals", "detection", "merging")
+
+
+class ConfigError(ValueError):
+    """A run configuration, from a config file or from flags, is invalid."""
 
 
 @dataclass
@@ -83,22 +88,32 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        kwargs = {
-            "detector": d.get("detector", "ops"),
-            "seed": int(d.get("seed", 0)),
-            "name": d.get("name"),
-        }
-        if "up" in d:
-            kwargs["up"] = tuple(d["up"])
-        if "orientation_tol_degrees" in d:
-            kwargs["orientation_tol_degrees"] = float(d["orientation_tol_degrees"])
-        for key, klass in (("ops", OpsParams), ("fspf", FspfParams), ("merge", MergeParams), ("gt", GtParams)):
-            if key in d and d[key] is not None:
-                params = dict(d[key])
-                if "up" in params:
-                    params["up"] = tuple(params["up"])
-                kwargs[key] = klass(**params)
-        return cls(**kwargs)
+        """Build from a :meth:`to_dict`-style dict; raises ConfigError on an
+        unknown parameter name or an invalid value."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"a run config must be a JSON object, got {type(d).__name__}")
+        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        try:
+            kwargs = {
+                "detector": d.get("detector", "ops"),
+                "seed": int(d.get("seed", 0)),
+                "name": d.get("name"),
+            }
+            if "up" in d:
+                kwargs["up"] = tuple(d["up"])
+            if "orientation_tol_degrees" in d:
+                kwargs["orientation_tol_degrees"] = float(d["orientation_tol_degrees"])
+            for key, klass in (("ops", OpsParams), ("fspf", FspfParams), ("merge", MergeParams), ("gt", GtParams)):
+                if key in d and d[key] is not None:
+                    params = dict(d[key])
+                    if "up" in params:
+                        params["up"] = tuple(params["up"])
+                    kwargs[key] = klass(**params)
+            return cls(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid config: {exc}") from exc
 
 
 def _params_dict(params) -> dict:

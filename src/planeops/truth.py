@@ -99,10 +99,7 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
     kd = KdTree(points)
     all_idx = np.arange(n, dtype=np.int64)
     normals, curvature, valid = estimate_normals(points, kd, all_idx, params.k, params.sigma)
-    k_eff = min(params.k, n - 1)
-    adjacency = np.empty((n, k_eff), dtype=np.int64)
-    for i in range(n):
-        _, adjacency[i] = kd.knn(points[i], k_eff, exclude_index=i)
+    _, adjacency = kd.knn(points, params.k, exclude_index=all_idx)
 
     cos_tol = np.cos(np.radians(params.normal_angle_degrees))
     visited = ~valid  # degenerate points never seed or join

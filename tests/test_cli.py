@@ -97,6 +97,39 @@ def test_detect_parse_error_exit_code(tmp_path):
     bad.write_bytes(b"ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nend_header\n1\n")
     code = main(["detect", "--input", str(bad), "--out", str(tmp_path / "o")])
     assert code == EXIT_PARSE
+    empty = tmp_path / "empty.xyz"
+    empty.write_text("")
+    code = main(["detect", "--input", str(empty), "--out", str(tmp_path / "o")])
+    assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize("command, flags, config", [
+    ("detect", ["--merge-angle", "-1"], None),
+    ("detect", ["--dist-threshold", "-1"], None),
+    ("detect", ["--knn", "2"], None),
+    ("detect", ["--sampling-rate", "2"], None),
+    ("detect", ["--up", "0,0,2"], None),
+    ("detect", ["--up", "0,x,1"], None),
+    ("detect", ["--detector", "fspf", "--r1", "-1"], None),
+    ("detect", [], {"ops": {"no_such_param": 1}}),
+    ("detect", [], {"sampling_rate": 0.1}),
+    ("detect", [], {"merge": {"angle_degrees": 0}}),
+    ("detect", [], [1, 2]),
+    ("gt", ["--gt-knn", "2"], None),
+], ids=["merge-angle", "dist-threshold", "knn", "sampling-rate", "up-not-unit", "up-not-number", "fspf-r1",
+        "unknown-key", "unknown-top-key", "config-merge-angle", "config-not-object", "gt-knn"])
+def test_invalid_config_exit_code(tmp_path, capsys, command, flags, config):
+    rng = np.random.default_rng(0)
+    cloud = tmp_path / "cloud.xyz"
+    cloud.write_text("\n".join(f"{x} {y} {z}" for x, y, z in rng.uniform(0, 1, size=(200, 3))) + "\n")
+    argv = [command, "--input", str(cloud), "--out", str(tmp_path / "o"), *flags]
+    if config is not None:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        argv += ["--config", str(config_path)]
+    assert main(argv) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_detect_empty_result_exit_code(tmp_path):

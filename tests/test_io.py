@@ -130,6 +130,26 @@ class TestPlyBinary:
             load_cloud(path)
 
 
+@pytest.mark.parametrize("binary", [True, False])
+def test_element_before_vertex_unsupported(tmp_path, binary):
+    # One camera record precedes the vertex data; reading past it
+    # unannounced would shift every coordinate.
+    vertices = [(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)]
+    if binary:
+        arr = np.array(vertices, dtype=[(c, "<f8") for c in "xyz"])
+        data = _binary_ply(arr, ("double x", "double y", "double z"))
+        camera = np.float64(0.5).tobytes()
+    else:
+        data = _ascii_ply(vertices)
+        camera = b"0.5\n"
+    data = data.replace(b"element vertex", b"element camera 1\nproperty double f\nelement vertex")
+    data = data.replace(b"end_header\n", b"end_header\n" + camera)
+    path = tmp_path / "c.ply"
+    path.write_bytes(data)
+    with pytest.raises(UnsupportedFormat, match="camera"):
+        load_cloud(path)
+
+
 def _room_labeling(n=60):
     ids = np.repeat(np.arange(6), n // 6 - 1).astype(np.int32)
     ids = np.concatenate([ids, np.full(n - ids.size, -1, dtype=np.int32)])

@@ -2,9 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_force_knn, brute_force_radius
 from planeops import EmptyCloud, KdTree
+
+
+def assert_batch_matches_singles(tree, queries, k, exclude=None):
+    """One batched knn call must equal the single-point calls, stacked."""
+    queries = np.asarray(queries, dtype=np.float64)
+    rows = [None] * len(queries) if exclude is None else np.broadcast_to(exclude, len(queries)).tolist()
+    singles = [tree.knn(q, k, exclude_index=e) for q, e in zip(queries, rows)]
+    d, i = tree.knn(queries, k, exclude_index=exclude)
+    np.testing.assert_array_equal(d, np.stack([sd for sd, _ in singles]))
+    np.testing.assert_array_equal(i, np.stack([si for _, si in singles]))
 
 
 def test_empty_cloud_raises():
@@ -30,12 +42,16 @@ def test_saturation_returns_all():
     d, i = tree.knn((0, 0, 0), k=5)
     assert len(i) == 3
     assert sorted(i.tolist()) == [0, 1, 2]
+    assert_batch_matches_singles(tree, [(0, 0, 0), (2, 0, 0)], k=5)
+    assert_batch_matches_singles(tree, [(0, 0, 0), (2, 0, 0)], k=5, exclude=[0, 1])
 
 
 def test_exclude_index():
     tree = KdTree([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
     _, i = tree.knn((0, 0, 0), k=1, exclude_index=0)
     assert i.tolist() == [1]
+    assert_batch_matches_singles(tree, tree.points, k=2, exclude=0)
+    assert_batch_matches_singles(tree, tree.points, k=2, exclude=[0, 1, 2])
 
 
 def test_tie_break_by_lower_index():
@@ -44,6 +60,7 @@ def test_tie_break_by_lower_index():
     tree = KdTree(pts)
     _, i = tree.knn((0, 0, 0), k=2)
     assert i.tolist() == [0, 1]
+    assert_batch_matches_singles(tree, [(0, 0, 0), (0, 0, 1), (1, 0, 0)], k=2)
 
 
 def test_knn_matches_brute_force(rng):
@@ -56,6 +73,7 @@ def test_knn_matches_brute_force(rng):
             bd, bi = brute_force_knn(pts, q, k)
             np.testing.assert_array_equal(i, bi)
             np.testing.assert_array_equal(d, bd)
+        assert_batch_matches_singles(tree, queries, k)
 
 
 def test_knn_prefix_property(rng):
@@ -65,6 +83,29 @@ def test_knn_prefix_property(rng):
         _, i_small = tree.knn(q, 7)
         _, i_big = tree.knn(q, 12)
         np.testing.assert_array_equal(i_small, i_big[:7])
+
+
+grid_points = st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=8, max_size=60)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(points=grid_points, data=st.data())
+def test_knn_batch_on_integer_grid_matches_brute_force(points, data):
+    # Duplicates and equidistant grid points tie heavily, so some rows settle
+    # from cKDTree's candidates and others need the exact tie re-ranking.
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    k = data.draw(st.one_of(st.integers(1, 3), st.integers(1, n + 3)), label="k")
+    queries = np.asarray(data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * 3), min_size=1, max_size=20),
+                                   label="queries"), dtype=np.float64) / 2.0
+    exclude = data.draw(st.lists(st.integers(0, n - 1), min_size=len(queries), max_size=len(queries)),
+                        label="exclude")
+    tree = KdTree(pts)
+    d, i = tree.knn(queries, k, exclude_index=exclude)
+    for row, (q, e) in enumerate(zip(queries, exclude)):
+        bd, bi = brute_force_knn(pts, q, k, exclude_index=e)
+        np.testing.assert_array_equal(i[row], bi)
+        np.testing.assert_array_equal(d[row], bd)
 
 
 def test_radius_simple():
@@ -107,6 +148,8 @@ def test_duplicate_points(rng):
         d, i = tree.knn(q, 5)
         bd, bi = brute_force_knn(pts, q, 5)
         np.testing.assert_array_equal(i, bi)
+    assert_batch_matches_singles(tree, rng.uniform(0, 1, size=(10, 3)), 5)
+    assert_batch_matches_singles(tree, pts, 5, exclude=np.arange(pts.shape[0]))
 
 
 def test_invalid_arguments():
