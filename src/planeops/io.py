@@ -292,10 +292,20 @@ def save_labeled(
 
 
 def save_labeling(labeling: SegmentLabeling, path) -> None:
-    """Write the text sidecar: one ``planeId orientationChar`` line per point."""
+    """Write the text sidecar: one ``planeId orientationChar`` line per point.
+
+    Each distinct (planeId, orientation) pair is formatted once and the
+    lines are gathered per point.
+    """
+    n_codes = len(Orientation)
+    codes = labeling.orientations.astype(np.int64)
+    bad = codes[(codes < 0) | (codes >= n_codes)]
+    if bad.size:
+        raise ValueError(f"{int(bad[0])} is not a valid Orientation")
+    keys, per_point = np.unique(labeling.plane_ids.astype(np.int64) * n_codes + codes, return_inverse=True)
+    lines = np.array([f"{key // n_codes} {Orientation(key % n_codes).char}\n" for key in keys.tolist()], dtype=object)
     with open(path, "w", encoding="ascii") as fh:
-        for pid, code in zip(labeling.plane_ids.tolist(), labeling.orientations.tolist()):
-            fh.write(f"{pid} {Orientation(code).char}\n")
+        fh.write("".join(lines[per_point].tolist()))
 
 
 def load_labeling(path) -> SegmentLabeling:

@@ -4,13 +4,17 @@ Two planes merge when their normals agree within an angular threshold and
 each centroid lies close to the other plane. Merging repeats greedily,
 largest pair first, until no pair passes the test, so the output is a
 fixpoint of the coplanarity relation.
+
+The pair test runs once over all planes; after each merge only the merged
+plane is tested against the survivors, so a merge costs O(P) pair tests
+rather than a fresh O(P^2) matrix.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DegenerateInput, PlaneModel, fit_plane, plane_distances, point_plane_distance
+from .geometry import DegenerateInput, PlaneModel, fit_plane, plane_distances
 
 __all__ = ["MergeParams", "coplanar", "dedupe_inliers", "merge_all"]
 
@@ -27,15 +31,28 @@ class MergeParams:
             raise ValueError("merge thresholds must be positive")
 
 
+def _coplanar_mask(normals_a, centroids_a, normals_b, centroids_b, params: MergeParams) -> np.ndarray:
+    """Elementwise three-part coplanarity test between broadcast plane arrays.
+
+    The dot products are spelled out per component, so a pair gets the same
+    bits whichever batch it is tested in, and the test is symmetric.
+    """
+
+    def dot(u, v):
+        return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+
+    cos_tol = np.cos(np.radians(params.angle_degrees))
+    sep = centroids_b - centroids_a
+    return (
+        (np.abs(dot(normals_a, normals_b)) >= cos_tol)
+        & (np.abs(dot(sep, normals_a)) <= params.offset)  # centroid b against plane a
+        & (np.abs(dot(sep, normals_b)) <= params.offset)  # centroid a against plane b
+    )
+
+
 def coplanar(a: PlaneModel, b: PlaneModel, params: MergeParams) -> bool:
     """Three-part test: normal angle plus both centroid-to-plane offsets."""
-    cos_tol = np.cos(np.radians(params.angle_degrees))
-    if abs(float(np.dot(a.normal, b.normal))) < cos_tol:
-        return False
-    return (
-        point_plane_distance(b.centroid, a) <= params.offset
-        and point_plane_distance(a.centroid, b) <= params.offset
-    )
+    return bool(_coplanar_mask(a.normal, a.centroid, b.normal, b.centroid, params))
 
 
 def dedupe_inliers(planes: list[PlaneModel], points: np.ndarray) -> list[PlaneModel]:
@@ -47,33 +64,29 @@ def dedupe_inliers(planes: list[PlaneModel], points: np.ndarray) -> list[PlaneMo
     """
     if not planes:
         return []
-    all_claims = np.concatenate([p.inliers for p in planes]) if planes else np.empty(0)
-    if np.unique(all_claims).size == all_claims.size:
+    claims = np.concatenate([p.inliers for p in planes])
+    if not (np.bincount(claims) > 1).any():
         return [p for p in planes if p.inlier_count > 0]
-    claimed: dict[int, int] = {}
-    best_dist: dict[int, float] = {}
-    for pi, plane in enumerate(planes):
-        if plane.inlier_count == 0:
-            continue
-        dists = plane_distances(points[plane.inliers], plane.centroid, plane.normal)
-        for idx, d in zip(plane.inliers.tolist(), dists.tolist()):
-            if idx not in claimed or d < best_dist[idx]:
-                claimed[idx] = pi
-                best_dist[idx] = d
-    buckets: list[list[int]] = [[] for _ in planes]
-    for idx, pi in claimed.items():
-        buckets[pi].append(idx)
-    out = []
-    for plane, bucket in zip(planes, buckets):
-        if not bucket:
-            continue
-        inliers = np.sort(np.asarray(bucket, dtype=np.int64))
-        out.append(PlaneModel(centroid=plane.centroid, normal=plane.normal, inliers=inliers))
-    return out
+    owner = np.repeat(np.arange(len(planes)), [p.inlier_count for p in planes])
+    dists = np.concatenate(
+        [plane_distances(points[p.inliers], p.centroid, p.normal) for p in planes]
+    )
+    order = np.lexsort((owner, dists, claims))  # by point, then distance, then plane
+    claims, owner = claims[order], owner[order]
+    first = np.ones(claims.size, dtype=bool)
+    first[1:] = claims[1:] != claims[:-1]
+    claims, owner = claims[first], owner[first]
+    by_plane = np.argsort(owner, kind="stable")  # keeps each plane's points ascending
+    buckets = np.split(claims[by_plane], np.cumsum(np.bincount(owner, minlength=len(planes)))[:-1])
+    return [
+        PlaneModel(centroid=plane.centroid, normal=plane.normal, inliers=bucket)
+        for plane, bucket in zip(planes, buckets)
+        if bucket.size
+    ]
 
 
 def _refit_union(points: np.ndarray, a: PlaneModel, b: PlaneModel) -> PlaneModel:
-    union = np.union1d(a.inliers, b.inliers)
+    union = np.sort(np.concatenate((a.inliers, b.inliers)))  # deduped sets are disjoint
     if union.size >= 3:
         try:
             return fit_plane(points[union], inliers=union)
@@ -88,32 +101,68 @@ def merge_all(planes: list[PlaneModel], points: np.ndarray, params: MergeParams)
 
     Overlapping inlier sets are deduplicated first (nearest plane wins), then
     the coplanar pair with the largest combined size merges repeatedly: union
-    the inliers, refit by least squares, rescan. The result has no coplanar
-    pair left, preserves the total (deduplicated) inlier count, and is sorted
-    by descending inlier count.
+    the inliers, refit by least squares, rescan. Ties go to the pair earliest
+    in list order, where the merged plane replaces its two parts at the end of
+    the list. The result has no coplanar pair left, preserves the total
+    (deduplicated) inlier count, and is sorted by descending inlier count.
+
+    Planes live in slots numbered in list order: the P inputs, then one new
+    slot per merge. Each row caches its best partner (largest, then earliest
+    slot). A merge tests only the merged plane against the survivors, and
+    rescans only the rows whose partner it consumed and that are not
+    coplanar with the merged plane.
     """
     current = dedupe_inliers(planes, points)
-    if len(current) <= 1:
+    p = len(current)
+    if p <= 1:
         return current
 
-    cos_tol = np.cos(np.radians(params.angle_degrees))
-    while len(current) > 1:
-        normals = np.array([p.normal for p in current])
-        centroids = np.array([p.centroid for p in current])
-        sizes = np.array([p.inlier_count for p in current])
-        angle_ok = np.abs(normals @ normals.T) >= cos_tol
-        sep = centroids[None, :, :] - centroids[:, None, :]
-        dist_to = np.abs(np.einsum("abj,aj->ab", sep, normals))  # centroid b against plane a
-        ok = angle_ok & (dist_to <= params.offset) & (dist_to.T <= params.offset)
-        np.fill_diagonal(ok, False)
-        if not ok.any():
-            break
-        combined = np.where(ok, sizes[:, None] + sizes[None, :], -1)
-        a, b = np.unravel_index(int(np.argmax(combined)), combined.shape)
-        a, b = (int(a), int(b)) if a < b else (int(b), int(a))
-        merged = _refit_union(points, current[a], current[b])
-        current = [p for i, p in enumerate(current) if i not in (a, b)]
-        current.append(merged)
+    cap = 2 * p - 1  # every merge consumes two slots and fills one new one
+    slots: list[PlaneModel | None] = current + [None] * (p - 1)
+    normals = np.zeros((cap, 3))
+    centroids = np.zeros((cap, 3))
+    sizes = np.full(cap, -1, dtype=np.int64)  # -1 marks an empty or consumed slot
+    normals[:p] = [pl.normal for pl in current]
+    centroids[:p] = [pl.centroid for pl in current]
+    sizes[:p] = [pl.inlier_count for pl in current]
+    ok = np.zeros((cap, cap), dtype=bool)
+    ok[:p, :p] = _coplanar_mask(normals[:p, None], centroids[:p, None], normals[None, :p], centroids[None, :p], params)
+    np.fill_diagonal(ok, False)
 
-    order = sorted(range(len(current)), key=lambda i: -current[i].inlier_count)
-    return [current[i] for i in order]
+    best = np.zeros(cap, dtype=np.int64)  # each row's partner of largest size, earliest slot on ties
+    best_size = np.full(cap, -1, dtype=np.int64)  # -1: no coplanar partner
+
+    def rescan(rows):
+        cand = np.where(ok[rows], sizes, -1)
+        best[rows] = np.argmax(cand, axis=1)
+        best_size[rows] = cand[np.arange(len(rows)), best[rows]]
+
+    rescan(np.arange(p))
+    for m in range(p, cap):
+        score = np.where(best_size >= 0, sizes + best_size, -1)
+        a = int(np.argmax(score))  # earliest row of the largest pair; its partner comes later
+        if score[a] < 0:
+            break
+        b = int(best[a])
+        merged = _refit_union(points, slots[a], slots[b])
+        slots[a] = slots[b] = None
+        slots[m] = merged
+        sizes[[a, b]] = -1  # rescans read consumed columns as non-partners
+        best_size[[a, b]] = -1
+
+        alive = np.flatnonzero(sizes >= 0)
+        normals[m], centroids[m], sizes[m] = merged.normal, merged.centroid, merged.inlier_count
+        row = _coplanar_mask(normals[m], centroids[m], normals[alive], centroids[alive], params)
+        ok[m, alive] = row
+        ok[alive, m] = row
+        # No surviving pair outweighed (a, b), so m is larger than any row's
+        # partner, consumed or not, and wins wherever it is coplanar. Rows
+        # that lost their partner to the merge and are not coplanar with m
+        # need a rescan.
+        best[alive[row]] = m
+        best_size[alive[row]] = sizes[m]
+        lost = ~row & ((best[alive] == a) | (best[alive] == b))
+        rescan(np.append(alive[lost], m))
+
+    survivors = [pl for pl in slots if pl is not None]
+    return sorted(survivors, key=lambda pl: -pl.inlier_count)

@@ -23,6 +23,7 @@ __all__ = [
     "build_sample_set",
     "estimate_normal",
     "estimate_normals",
+    "normals_from_neighbors",
     "sample_indices",
 ]
 
@@ -101,7 +102,17 @@ def estimate_normals(points: np.ndarray, kd: KdTree, indices, k: int, sigma: flo
             np.zeros(m, dtype=bool),
         )
     nbr_dist, nbr_idx = kd.knn(points[idx], k, exclude_index=idx)
+    return normals_from_neighbors(points, idx, nbr_dist, nbr_idx, sigma)
 
+
+def normals_from_neighbors(points: np.ndarray, idx: np.ndarray, nbr_dist: np.ndarray, nbr_idx: np.ndarray,
+                           sigma: float | None = None):
+    """Normals (and curvature) from precomputed neighborhoods.
+
+    ``nbr_dist`` and ``nbr_idx`` are the (m, k) result of ``KdTree.knn`` for
+    the reference points ``idx``; returns what :func:`estimate_normals` does.
+    """
+    m = idx.size
     diff = points[nbr_idx] - points[idx][:, None, :]
     usable = nbr_dist > 0.0
     safe = np.where(usable, nbr_dist, 1.0)

@@ -327,7 +327,7 @@ def run_bench(dataset_dir, configs: list[RunConfig], gt_dir=None, generate_gt: b
                         report.post_merge_count,
                     )
                 )
-        except Exception as exc:  # noqa: BLE001 - skip-and-count is the contract
+        except (OSError, ValueError) as exc:  # unreadable, unparsable or mis-sized input
             skipped += 1
             logger.warning("skipping %s: %s", path, exc)
             continue

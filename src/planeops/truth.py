@@ -13,7 +13,9 @@ import numpy as np
 
 from .geometry import DegenerateInput, Orientation, as_unit_vector, classify_orientation, fit_plane
 from .kdtree import KdTree
-from .normals import estimate_normals
+# estimate_normals is unused here but stays importable as truth.estimate_normals,
+# a name perfbench/spans.py wraps.
+from .normals import estimate_normals, normals_from_neighbors  # noqa: F401
 
 __all__ = ["GtParams", "SegmentLabeling", "generate_ground_truth"]
 
@@ -98,8 +100,8 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
 
     kd = KdTree(points)
     all_idx = np.arange(n, dtype=np.int64)
-    normals, curvature, valid = estimate_normals(points, kd, all_idx, params.k, params.sigma)
-    _, adjacency = kd.knn(points, params.k, exclude_index=all_idx)
+    nbr_dist, adjacency = kd.knn(points, params.k, exclude_index=all_idx)
+    normals, curvature, valid = normals_from_neighbors(points, all_idx, nbr_dist, adjacency, params.sigma)
 
     cos_tol = np.cos(np.radians(params.normal_angle_degrees))
     visited = ~valid  # degenerate points never seed or join

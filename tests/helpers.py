@@ -8,7 +8,8 @@ import itertools
 
 import numpy as np
 
-from planeops import fit_plane
+from planeops import PlaneModel, fit_plane
+from planeops.geometry import DegenerateInput, plane_distances
 
 
 def random_plane_soup(rng, n_base=4):
@@ -73,3 +74,70 @@ def exhaustive_assignment_max(matrix: np.ndarray) -> int:
         total = sum(m[r, c] for r, c in enumerate(perm))
         best = max(best, total)
     return int(best)
+
+
+def reference_dedupe_inliers(planes, points):
+    """Nearest plane wins each multiply-claimed point, by a per-point dict walk.
+
+    Planes are visited in order and a claim only moves on a strictly smaller
+    distance, so ties stay with the earlier plane.
+    """
+    if not planes:
+        return []
+    all_claims = np.concatenate([p.inliers for p in planes])
+    if np.unique(all_claims).size == all_claims.size:
+        return [p for p in planes if p.inlier_count > 0]
+    claimed: dict[int, int] = {}
+    best_dist: dict[int, float] = {}
+    for pi, plane in enumerate(planes):
+        dists = plane_distances(points[plane.inliers], plane.centroid, plane.normal)
+        for idx, d in zip(plane.inliers.tolist(), dists.tolist()):
+            if idx not in claimed or d < best_dist[idx]:
+                claimed[idx] = pi
+                best_dist[idx] = d
+    buckets: list[list[int]] = [[] for _ in planes]
+    for idx, pi in claimed.items():
+        buckets[pi].append(idx)
+    return [
+        PlaneModel(centroid=plane.centroid, normal=plane.normal, inliers=np.sort(np.asarray(bucket, dtype=np.int64)))
+        for plane, bucket in zip(planes, buckets)
+        if bucket
+    ]
+
+
+def reference_merge_all(planes, points, params):
+    """Greedy coplanarity merging that rebuilds the full pair test after every merge.
+
+    O(P^3): each round tests all P x P pairs, merges the coplanar pair of
+    largest combined size (the lowest (a, b) in list order on ties), removes
+    both parts and appends the refit union last.
+    """
+    current = reference_dedupe_inliers(planes, points)
+    cos_tol = np.cos(np.radians(params.angle_degrees))
+    while len(current) > 1:
+        normals = np.array([p.normal for p in current])
+        centroids = np.array([p.centroid for p in current])
+        sizes = np.array([p.inlier_count for p in current])
+        angle_ok = np.abs(normals @ normals.T) >= cos_tol
+        sep = centroids[None, :, :] - centroids[:, None, :]
+        dist_to = np.abs(np.einsum("abj,aj->ab", sep, normals))  # centroid b against plane a
+        ok = angle_ok & (dist_to <= params.offset) & (dist_to.T <= params.offset)
+        np.fill_diagonal(ok, False)
+        if not ok.any():
+            break
+        combined = np.where(ok, sizes[:, None] + sizes[None, :], -1)
+        a, b = sorted(np.unravel_index(int(np.argmax(combined)), combined.shape))
+        pa, pb = current[a], current[b]
+        union = np.union1d(pa.inliers, pb.inliers)
+        merged = None
+        if union.size >= 3:
+            try:
+                merged = fit_plane(points[union], inliers=union)
+            except DegenerateInput:
+                pass
+        if merged is None:
+            keep = pa if pa.inlier_count >= pb.inlier_count else pb
+            merged = PlaneModel(centroid=keep.centroid, normal=keep.normal, inliers=union)
+        current = [p for i, p in enumerate(current) if i not in (a, b)]
+        current.append(merged)
+    return sorted(current, key=lambda p: -p.inlier_count)

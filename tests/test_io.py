@@ -220,6 +220,24 @@ class TestLabeledOutput:
         np.testing.assert_array_equal(loaded.plane_ids, labeling.plane_ids)
         np.testing.assert_array_equal(loaded.orientations, labeling.orientations)
 
+    def test_save_labeling_matches_reference(self, tmp_path, rng):
+        """Same bytes as a per-line writer, for -1 ids, all three orientations and no points."""
+        ids = rng.integers(-1, 40, size=500).astype(np.int32)
+        codes = rng.integers(0, 3, size=500).astype(np.int8)
+        ids[:3], codes[:3] = -1, [0, 1, 2]
+        for labeling in (SegmentLabeling(ids, codes), SegmentLabeling(ids[:0], codes[:0]), _room_labeling()):
+            path = tmp_path / "lab.labels.txt"
+            save_labeling(labeling, path)
+            expected = "".join(
+                f"{pid} {Orientation(code).char}\n"
+                for pid, code in zip(labeling.plane_ids.tolist(), labeling.orientations.tolist())
+            )
+            assert path.read_bytes() == expected.encode("ascii")
+
+    def test_save_labeling_rejects_unknown_orientation(self, tmp_path):
+        with pytest.raises(ValueError):
+            save_labeling(SegmentLabeling([0, 1], [0, 3]), tmp_path / "lab.labels.txt")
+
     def test_size_mismatch_rejected(self, tmp_path, rng):
         with pytest.raises(ValueError):
             save_labeled(rng.normal(size=(5, 3)), SegmentLabeling.all_other(4), tmp_path / "x.ply")

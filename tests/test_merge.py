@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_plane_soup
+from helpers import random_plane_soup, reference_dedupe_inliers, reference_merge_all
 from planeops import MergeParams, PlaneModel, coplanar, fit_plane, merge_all
 from planeops.merge import dedupe_inliers
 
@@ -136,3 +138,109 @@ class TestMergeAll:
         merged = merge_all(planes, points, MergeParams())
         sizes = [p.inlier_count for p in merged]
         assert sizes == sorted(sizes, reverse=True)
+
+
+def _assert_same_planes(got, want):
+    """Bit-identical plane lists: order, inliers, normals and centroids."""
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        np.testing.assert_array_equal(x.inliers, y.inliers)
+        assert x.normal.tobytes() == y.normal.tobytes()
+        assert x.centroid.tobytes() == y.centroid.tobytes()
+
+
+# Multiples of a merge threshold straddling 1, so pairs land just inside and
+# just outside the angle and offset tests.
+NEAR_THRESHOLD = [0.0, 0.3, 0.97, 0.999, 1.001, 1.03, 2.0]
+
+
+@st.composite
+def fragment_sets(draw):
+    """Fragments of a few base planes, with ties, near-threshold pairs and chains.
+
+    Each fragment is a small patch tilted and shifted off its base plane by a
+    multiple of the merge thresholds, stepped along the plane so merges chain.
+    Sizes come from a short list so combined sizes tie; some patches lie on
+    one shared line, so their unions cannot be refit; some fragments claim
+    points of others, so deduplication runs first.
+    """
+    angle = draw(st.sampled_from([5.0, 7.0, 10.0]), label="angle")
+    offset = draw(st.sampled_from([0.02, 0.05, 0.075]), label="offset")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    chunks, planes, start = [], [], 0
+    for _ in range(draw(st.integers(1, 3), label="bases")):
+        base = rng.normal(size=3)
+        base /= np.linalg.norm(base)
+        u = np.cross(base, [1.0, 0.0, 0.0] if abs(base[0]) < 0.9 else [0.0, 1.0, 0.0])
+        u /= np.linalg.norm(u)
+        v = np.cross(base, u)
+        origin = rng.uniform(-2, 2, size=3)
+        step = draw(st.sampled_from([0.1, 0.4, 1.0]), label="step")
+        for k in range(draw(st.integers(1, 8), label="fragments")):
+            size = draw(st.sampled_from([3, 4, 6, 6, 10]), label="size")
+            tilt = np.radians(angle * draw(st.sampled_from(NEAR_THRESHOLD)) * draw(st.sampled_from([-1, 1])))
+            shift = offset * draw(st.sampled_from(NEAR_THRESHOLD)) * draw(st.sampled_from([-1, 1]))
+            normal = np.cos(tilt) * base + np.sin(tilt) * u
+            along = np.cos(tilt) * u - np.sin(tilt) * base
+            coords = rng.uniform(-0.3, 0.3, size=(size, 2))
+            if draw(st.integers(0, 3), label="collinear") == 0:  # on the base plane's u axis
+                pts = origin + (k * step + coords[:, :1]) * u
+            else:
+                pts = origin + k * step * u + shift * base + coords[:, :1] * along + coords[:, 1:] * v
+            chunks.append(pts)
+            planes.append(PlaneModel(centroid=pts.mean(axis=0), normal=normal,
+                                     inliers=np.arange(start, start + size)))
+            start += size
+    for plane in planes:
+        if draw(st.integers(0, 3), label="steal") == 0:
+            plane.inliers = np.union1d(plane.inliers, rng.choice(start, size=3))
+    return np.vstack(chunks), planes, MergeParams(angle_degrees=angle, offset=offset)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=fragment_sets())
+def test_merge_all_matches_full_rescan_reference(case):
+    points, planes, params = case
+    _assert_same_planes(merge_all(planes, points, params), reference_merge_all(planes, points, params))
+
+
+def test_merge_all_matches_reference_on_size_ties():
+    """Six equal fragments of one wall: every pair ties, so list order decides."""
+    x = np.repeat(np.arange(6.0), 4) + np.tile([0.0, 0.5, 0.0, 0.5], 6)
+    z = np.tile([0.0, 0.0, 0.5, 0.5], 6)
+    points = np.column_stack([x, np.zeros(24), z])
+    planes = [fit_plane(points[i:i + 4], inliers=np.arange(i, i + 4)) for i in range(0, 24, 4)]
+    for params in (MergeParams(), MergeParams(angle_degrees=10.0, offset=0.075)):
+        _assert_same_planes(merge_all(planes, points, params), reference_merge_all(planes, points, params))
+    assert len(merge_all(planes, points, MergeParams())) == 1
+
+
+claim_sets = st.lists(st.lists(st.integers(0, 11), max_size=12, unique=True), min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(claims=claim_sets, data=st.data())
+def test_dedupe_matches_dict_reference(claims, data):
+    """Grid points and axis planes at half-integer heights make equal distances common."""
+    points = np.array([[i % 3, (i // 3) % 2, i // 6] for i in range(12)], dtype=float)
+    planes = []
+    for inliers in claims:
+        axis = data.draw(st.integers(0, 2), label="axis")
+        height = data.draw(st.sampled_from([0.0, 0.5, 1.0, 1.5]), label="height")
+        normal = np.eye(3)[axis]
+        planes.append(PlaneModel(centroid=normal * height, normal=normal, inliers=np.sort(inliers)))
+    _assert_same_planes(dedupe_inliers(planes, points), reference_dedupe_inliers(planes, points))
+
+
+def test_dedupe_three_claimants_and_losers():
+    """A point claimed three times at equal distance stays with the first claimant;
+    a plane that loses every point is dropped."""
+    points = np.array([[0, 0, 0.5], [0, 0, 2.0], [0, 0, 0.1]])
+    low = _plane((0, 0, 0), (0, 0, 1), inliers=[0, 2])
+    high = _plane((0, 0, 1), (0, 0, 1), inliers=[0, 1])
+    loser = _plane((0, 0, 1), (0, 0, 1), inliers=[0, 2])
+    top = _plane((0, 0, 2), (0, 0, 1), inliers=[1])
+    out = dedupe_inliers([low, high, loser, top], points)
+    _assert_same_planes(out, reference_dedupe_inliers([low, high, loser, top], points))
+    assert [p.inliers.tolist() for p in out] == [[0, 2], [1]]
+    assert out[1].centroid[2] == 2.0

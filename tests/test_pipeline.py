@@ -148,6 +148,15 @@ class TestRunBench:
         assert rows[0].n_clouds == 2
         assert rows[0].n_skipped == 1
 
+    def test_programming_error_propagates(self, dataset, monkeypatch):
+        """Only load, parse and size errors count as unreadable clouds."""
+        def broken(points, config):
+            raise IndexError("bug")
+
+        monkeypatch.setattr("planeops.pipeline.run_detect", broken)
+        with pytest.raises(IndexError):
+            run_bench(dataset, [_ops_config()])
+
     def test_empty_directory_fails(self, tmp_path):
         with pytest.raises(ValueError):
             run_bench(tmp_path, [_ops_config()])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from planeops import GtParams, Orientation, SegmentLabeling, gen_synthetic, generate_ground_truth
+from planeops import GtParams, KdTree, Orientation, SegmentLabeling, gen_synthetic, generate_ground_truth
 
 
 class TestSegmentLabeling:
@@ -70,3 +70,16 @@ class TestGenerateGroundTruth:
         labeling = generate_ground_truth(points, GtParams())
         assert labeling.segment_ids().size == 2
         assert (labeling.orientations[labeling.plane_ids >= 0] == int(Orientation.HORIZONTAL)).all()
+
+    def test_one_knn_query(self, clean_room, monkeypatch):
+        """Normals and the region-growing adjacency share one batched k-NN query."""
+        calls = []
+        original = KdTree.knn
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(KdTree, "knn", counting)
+        generate_ground_truth(clean_room[0], GtParams())
+        assert len(calls) == 1
