@@ -44,10 +44,9 @@ class Orientation(IntEnum):
 
     @classmethod
     def from_char(cls, c: str) -> "Orientation":
-        try:
-            return cls("HVO".index(c))
-        except ValueError:
-            raise ValueError(f"unknown orientation character {c!r}") from None
+        if c not in ("H", "V", "O"):
+            raise ValueError(f"unknown orientation character {c!r}")
+        return cls("HVO".index(c))
 
 
 def as_points(points) -> np.ndarray:

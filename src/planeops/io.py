@@ -308,23 +308,92 @@ def save_labeling(labeling: SegmentLabeling, path) -> None:
         fh.write("".join(lines[per_point].tolist()))
 
 
+# Whitespace and line breaks for the vectorized sidecar parse. Any other
+# separator that str.split or str.splitlines knows lands inside a token,
+# which fails that parse and leaves the file to the line-by-line one.
+_IS_SPACE = np.zeros(256, dtype=bool)
+_IS_SPACE[list(b" \t\r\n")] = True
+_IS_BREAK = np.zeros(256, dtype=bool)
+_IS_BREAK[list(b"\r\n")] = True
+_ORIENTATION_CODE = np.full(256, -1, dtype=np.int8)
+_ORIENTATION_CODE[[ord(o.char) for o in Orientation]] = list(Orientation)
+_MAX_ID = np.iinfo(np.int32).max
+
+
 def load_labeling(path) -> SegmentLabeling:
-    """Read a labeling sidecar written by :func:`save_labeling`."""
+    """Read a labeling sidecar written by :func:`save_labeling`.
+
+    Every nonblank line holds a plane id and an orientation character,
+    separated by any whitespace; blank lines are skipped, and CRLF line ends
+    and a missing final newline are accepted. Ids must lie in [-1, 2**31 - 1]
+    and the labeling must pass :meth:`SegmentLabeling.validate`. Malformed
+    input raises ParseError, naming the first bad line where there is one.
+    """
     path = Path(path)
-    ids = []
-    codes = []
-    for lineno, raw in enumerate(path.read_text(encoding="ascii").splitlines(), start=1):
+    data = path.read_bytes()
+    rows = _parse_plain(data)
+    if rows is None:
+        rows = _parse_lines(data, path)
+    labeling = SegmentLabeling(*rows)
+    try:
+        labeling.validate()
+    except ValueError as exc:
+        raise ParseError(str(exc), path=path) from None
+    return labeling
+
+
+def _parse_plain(data: bytes):
+    """Ids and class codes of a sidecar in the form save_labeling writes, or None.
+
+    Vectorized over the bytes, without a Python object per line: every
+    nonblank line must hold an id of 1 to 10 decimal digits, with an
+    optional '-', in [-1, 2**31 - 1], and a one-letter class. Anything
+    else, valid or not, is left to :func:`_parse_lines`.
+    """
+    buf = np.frombuffer(b" " + data + b" ", dtype=np.uint8)
+    space = _IS_SPACE[buf]
+    starts = np.flatnonzero(space[:-1] & ~space[1:]) + 1
+    ends = np.flatnonzero(~space[:-1] & space[1:]) + 1
+    line = np.cumsum(_IS_BREAK[buf], dtype=np.int32)[starts]  # line breaks before each token
+    # Two tokens per nonblank line: each pair on one line, the next pair on a later one.
+    if line.size % 2 or (line[0::2] != line[1::2]).any() or (line[2::2] == line[1:-1:2]).any():
+        return None
+    if (ends[1::2] - starts[1::2] != 1).any():
+        return None
+    codes = _ORIENTATION_CODE[buf[starts[1::2]]]
+    negative = buf[starts[0::2]] == ord("-")
+    first = starts[0::2] + negative
+    width = ends[0::2] - first
+    ids = np.empty(first.size, dtype=np.int64)
+    for w in np.unique(width).tolist():
+        if not 1 <= w <= 10:
+            return None
+        rows = np.flatnonzero(width == w)
+        digits = buf[first[rows, None] + np.arange(w)] - ord("0")  # bytes below '0' wrap past 9
+        if (digits > 9).any():
+            return None
+        ids[rows] = digits @ 10 ** np.arange(w - 1, -1, -1)
+    ids[negative] *= -1
+    if (codes < 0).any() or (ids < -1).any() or (ids > _MAX_ID).any():
+        return None
+    return ids, codes
+
+
+def _parse_lines(data: bytes, path):
+    """Ids and class codes, line by line; raises ParseError at the first bad line."""
+    ids, codes = [], []
+    for lineno, raw in enumerate(data.decode("ascii", errors="replace").splitlines(), start=1):
         tokens = raw.split()
         if not tokens:
             continue
         if len(tokens) != 2:
             raise ParseError(f"expected 'planeId orientation', got {raw!r}", path=path, line=lineno)
         try:
-            ids.append(int(tokens[0]))
+            plane_id = int(tokens[0])
             codes.append(int(Orientation.from_char(tokens[1])))
         except ValueError as exc:
             raise ParseError(str(exc), path=path, line=lineno) from None
-    return SegmentLabeling(
-        plane_ids=np.asarray(ids, dtype=np.int32),
-        orientations=np.asarray(codes, dtype=np.int8),
-    )
+        if not -1 <= plane_id <= _MAX_ID:
+            raise ParseError(f"plane id {plane_id} outside [-1, {_MAX_ID}]", path=path, line=lineno)
+        ids.append(plane_id)
+    return np.asarray(ids, dtype=np.int64), np.asarray(codes, dtype=np.int8)

@@ -6,7 +6,6 @@ agrees with the region plane and whose distance to it is small. Regions that
 stay under the minimum size are folded into the catch-all "other" label.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .normals import estimate_normals, normals_from_neighbors  # noqa: F401
 __all__ = ["GtParams", "SegmentLabeling", "generate_ground_truth"]
 
 REFIT_INTERVAL = 64  # points accepted between region-plane refits
+DOT_SLACK = 1e-14  # relative margin around a threshold inside which np.dot decides
 
 
 @dataclass
@@ -44,11 +44,16 @@ class SegmentLabeling:
 
     def validate(self) -> None:
         """Check the labeling invariants; raises ValueError on violation."""
-        if not np.all(self.orientations[self.plane_ids < 0] == int(Orientation.OTHER)):
+        segmented = self.plane_ids >= 0
+        if not np.all(self.orientations[~segmented] == int(Orientation.OTHER)):
             raise ValueError("unsegmented points must be labeled OTHER")
-        for pid in np.unique(self.plane_ids[self.plane_ids >= 0]):
-            if np.unique(self.orientations[self.plane_ids == pid]).size != 1:
-                raise ValueError(f"segment {pid} mixes orientation labels")
+        # One key per distinct (id, orientation) pair, sorted by id: a segment
+        # that mixes labels shows up as the same id on two neighbouring keys.
+        pair_ids = np.unique(self.plane_ids[segmented].astype(np.int64) * 256
+                             + self.orientations[segmented].view(np.uint8)) >> 8
+        mixed = pair_ids[1:][pair_ids[1:] == pair_ids[:-1]]
+        if mixed.size:
+            raise ValueError(f"segment {mixed[0]} mixes orientation labels")
 
     def segment_ids(self) -> np.ndarray:
         return np.unique(self.plane_ids[self.plane_ids >= 0])
@@ -103,8 +108,18 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
     nbr_dist, adjacency = kd.knn(points, params.k, exclude_index=all_idx)
     normals, curvature, valid = normals_from_neighbors(points, all_idx, nbr_dist, adjacency, params.sigma)
 
-    cos_tol = np.cos(np.radians(params.normal_angle_degrees))
-    visited = ~valid  # degenerate points never seed or join
+    # The loop runs on Python floats. Their 3-term dot products may differ
+    # from np.dot in the last bit, by far less than DOT_SLACK times the sum of
+    # the terms' magnitudes: at most 1 for two unit normals, and at most the
+    # cloud's summed extents for an offset from the region centroid. A test
+    # that lands within that margin of its threshold is re-decided with np.dot.
+    cos_tol = float(np.cos(np.radians(params.normal_angle_degrees)))
+    cos_lo, cos_hi = cos_tol - DOT_SLACK, cos_tol + DOT_SLACK
+    dist_tol = float(params.dist_threshold)
+    dist_slack = DOT_SLACK * float(np.ptp(points, axis=0).sum())
+    dist_lo, dist_hi = dist_tol - dist_slack, dist_tol + dist_slack
+    pts, nrm = points.tolist(), normals.tolist()
+    visited = bytearray(np.logical_not(valid).tobytes())  # degenerate points never seed or join
     plane_ids = np.full(n, -1, dtype=np.int32)
     orientations = np.full(n, int(Orientation.OTHER), dtype=np.int8)
     up = as_unit_vector(params.up)
@@ -113,32 +128,37 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
     for seed in np.argsort(curvature, kind="stable").tolist():
         if visited[seed]:
             continue
-        visited[seed] = True
-        centroid = points[seed].copy()
-        normal = normals[seed].copy()
-        region = [seed]
-        pending = deque([seed])
+        visited[seed] = 1
+        centroid, normal = points[seed], normals[seed]
+        cx, cy, cz = pts[seed]
+        nx, ny, nz = nrm[seed]
+        region = [seed]  # also the FIFO: the loop below visits members as they are appended
         since_refit = 0
-        while pending:
-            i = pending.popleft()
+        for i in region:
+            # One row at a time: a list of every row would hold about 5 MB per 13k points.
             for j in adjacency[i].tolist():
                 if visited[j]:
                     continue
-                if abs(float(np.dot(normals[j], normal))) < cos_tol:
+                ux, uy, uz = nrm[j]
+                c = abs(ux * nx + uy * ny + uz * nz)
+                if c < cos_hi and (c < cos_lo or abs(float(np.dot(normals[j], normal))) < cos_tol):
                     continue
-                if abs(float(np.dot(points[j] - centroid, normal))) >= params.dist_threshold:
+                px, py, pz = pts[j]
+                d = abs((px - cx) * nx + (py - cy) * ny + (pz - cz) * nz)
+                if d >= dist_hi or (d > dist_lo and abs(float(np.dot(points[j] - centroid, normal))) >= dist_tol):
                     continue
-                visited[j] = True
+                visited[j] = 1
                 region.append(j)
-                pending.append(j)
                 since_refit += 1
                 if since_refit >= REFIT_INTERVAL:
                     since_refit = 0
                     try:
                         refit = fit_plane(points[region])
-                        centroid, normal = refit.centroid, refit.normal
                     except DegenerateInput:
-                        pass
+                        continue
+                    centroid, normal = refit.centroid, refit.normal
+                    cx, cy, cz = centroid.tolist()
+                    nx, ny, nz = normal.tolist()
         if len(region) >= params.min_plane_size:
             member = np.asarray(region, dtype=np.int64)
             try:

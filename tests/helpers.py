@@ -5,11 +5,13 @@ that comparisons stay meaningful.
 """
 
 import itertools
+from collections import deque
 
 import numpy as np
 
-from planeops import PlaneModel, fit_plane
-from planeops.geometry import DegenerateInput, plane_distances
+from planeops import KdTree, Orientation, PlaneModel, SegmentLabeling, fit_plane
+from planeops.geometry import DegenerateInput, as_unit_vector, classify_orientation, plane_distances
+from planeops.normals import normals_from_neighbors
 
 
 def random_plane_soup(rng, n_base=4):
@@ -141,3 +143,96 @@ def reference_merge_all(planes, points, params):
         current = [p for i, p in enumerate(current) if i not in (a, b)]
         current.append(merged)
     return sorted(current, key=lambda p: -p.inlier_count)
+
+
+def reference_validate(labeling):
+    """SegmentLabeling.validate as a per-segment loop, O(segments x points)."""
+    if not np.all(labeling.orientations[labeling.plane_ids < 0] == int(Orientation.OTHER)):
+        raise ValueError("unsegmented points must be labeled OTHER")
+    for pid in np.unique(labeling.plane_ids[labeling.plane_ids >= 0]):
+        if np.unique(labeling.orientations[labeling.plane_ids == pid]).size != 1:
+            raise ValueError(f"segment {pid} mixes orientation labels")
+
+
+def reference_load_labeling(text: str):
+    """Sidecar parse line by line: (plane_ids, codes), or the 1-based number of
+    the first line that is malformed or holds an id outside [-1, 2**31 - 1]."""
+    ids, codes = [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        if len(tokens) != 2:
+            return lineno
+        try:
+            plane_id = int(tokens[0])
+            codes.append(int(Orientation.from_char(tokens[1])))
+        except ValueError:
+            return lineno
+        if not -1 <= plane_id <= 2**31 - 1:
+            return lineno
+        ids.append(plane_id)
+    return np.asarray(ids, dtype=np.int32), np.asarray(codes, dtype=np.int8)
+
+
+def reference_generate_ground_truth(points, params):
+    """Region growing with a numpy dot product per neighbour test.
+
+    Seeds go lowest curvature first; each region grows breadth-first through
+    the k-NN graph, testing every unvisited neighbour against the region
+    plane with ``np.dot``, and refits the plane every 64 accepted points.
+    """
+    n = points.shape[0]
+    if n < params.min_plane_size:
+        return SegmentLabeling.all_other(n)
+    kd = KdTree(points)
+    all_idx = np.arange(n, dtype=np.int64)
+    nbr_dist, adjacency = kd.knn(points, params.k, exclude_index=all_idx)
+    normals, curvature, valid = normals_from_neighbors(points, all_idx, nbr_dist, adjacency, params.sigma)
+
+    cos_tol = np.cos(np.radians(params.normal_angle_degrees))
+    visited = ~valid
+    plane_ids = np.full(n, -1, dtype=np.int32)
+    orientations = np.full(n, int(Orientation.OTHER), dtype=np.int8)
+    up = as_unit_vector(params.up)
+    next_id = 0
+    for seed in np.argsort(curvature, kind="stable").tolist():
+        if visited[seed]:
+            continue
+        visited[seed] = True
+        centroid = points[seed].copy()
+        normal = normals[seed].copy()
+        region = [seed]
+        pending = deque([seed])
+        since_refit = 0
+        while pending:
+            i = pending.popleft()
+            for j in adjacency[i].tolist():
+                if visited[j]:
+                    continue
+                if abs(float(np.dot(normals[j], normal))) < cos_tol:
+                    continue
+                if abs(float(np.dot(points[j] - centroid, normal))) >= params.dist_threshold:
+                    continue
+                visited[j] = True
+                region.append(j)
+                pending.append(j)
+                since_refit += 1
+                if since_refit >= 64:
+                    since_refit = 0
+                    try:
+                        refit = fit_plane(points[region])
+                        centroid, normal = refit.centroid, refit.normal
+                    except DegenerateInput:
+                        pass
+        if len(region) >= params.min_plane_size:
+            member = np.asarray(region, dtype=np.int64)
+            try:
+                final = fit_plane(points[member])
+            except DegenerateInput:
+                continue
+            orient = classify_orientation(final.normal, up, params.orientation_tol_degrees)
+            plane_ids[member] = next_id
+            orientations[member] = int(orient)
+            next_id += 1
+    return SegmentLabeling(plane_ids=plane_ids, orientations=orientations)

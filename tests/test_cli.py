@@ -132,6 +132,18 @@ def test_invalid_config_exit_code(tmp_path, capsys, command, flags, config):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("pred", [b"99999999999 H\n", b"-7 H\n", b"-1 H\n", b"0 V\n0 H\n", b"0 \xc3\x89\n"],
+                         ids=["id-beyond-int32", "id-below-minus-1", "unsegmented-horizontal", "mixed-segment",
+                              "non-ascii"])
+def test_eval_bad_sidecar_exit_code(tmp_path, capsys, pred):
+    pred_path, truth_path = tmp_path / "pred.labels.txt", tmp_path / "truth.labels.txt"
+    pred_path.write_bytes(pred)
+    truth_path.write_bytes(b"-1 O\n" * pred.count(b"\n"))
+    assert main(["eval", "--pred", str(pred_path), "--truth", str(truth_path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_detect_empty_result_exit_code(tmp_path):
     rng = np.random.default_rng(0)
     noise = tmp_path / "noise.xyz"

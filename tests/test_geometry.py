@@ -125,6 +125,17 @@ class TestClassifyOrientation:
         assert classify_orientation(n, (0, 0, 1), 7.0) is Orientation.VERTICAL
 
 
+class TestOrientationChar:
+    def test_round_trip(self):
+        for orient in Orientation:
+            assert Orientation.from_char(orient.char) is orient
+
+    @pytest.mark.parametrize("c", ["", "HV", "VO", "HVO", "h", "X"])
+    def test_rejects_all_but_one_class_character(self, c):
+        with pytest.raises(ValueError):
+            Orientation.from_char(c)
+
+
 class TestPlaneModel:
     def test_non_unit_normal_rejected(self):
         with pytest.raises(ValueError):

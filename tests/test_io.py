@@ -4,7 +4,10 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_load_labeling, reference_validate
 from planeops import (
     Orientation,
     ParseError,
@@ -241,3 +244,112 @@ class TestLabeledOutput:
     def test_size_mismatch_rejected(self, tmp_path, rng):
         with pytest.raises(ValueError):
             save_labeled(rng.normal(size=(5, 3)), SegmentLabeling.all_other(4), tmp_path / "x.ply")
+
+
+INT32_MAX = 2**31 - 1
+
+
+@st.composite
+def valid_labelings(draw):
+    """Labelings that pass validate: -1 rows are OTHER, each segment has one class."""
+    ids = draw(st.lists(st.sampled_from([-1, -1, 0, 1, 2, 9, INT32_MAX - 1, INT32_MAX]), max_size=40), label="ids")
+    if draw(st.booleans(), label="all_unsegmented"):
+        ids = [-1] * len(ids)
+    segment_class = {pid: draw(st.sampled_from(list(Orientation)), label="class") for pid in sorted(set(ids))}
+    codes = [int(Orientation.OTHER) if pid < 0 else int(segment_class[pid]) for pid in ids]
+    return SegmentLabeling(plane_ids=ids, orientations=codes)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(labeling=valid_labelings())
+def test_sidecar_round_trip_property(tmp_path_factory, labeling):
+    path = tmp_path_factory.mktemp("sidecar") / "lab.labels.txt"
+    save_labeling(labeling, path)
+    loaded = load_labeling(path)
+    assert loaded.plane_ids.dtype == np.int32 and loaded.orientations.dtype == np.int8
+    np.testing.assert_array_equal(loaded.plane_ids, labeling.plane_ids)
+    np.testing.assert_array_equal(loaded.orientations, labeling.orientations)
+
+
+@pytest.mark.parametrize("text, line", [
+    (b"0 H\n1\n", 2),
+    (b"0 H\n\n1 H V\n", 3),
+    (b"0 H\n0 H 1 V\n", 2),
+    (b"0 h\n", 1),
+    (b"0 H\n1.5 H\n", 2),
+    (b"0 H\r\n\r\n H\r\n", 3),
+    (b"0 H\n0 HV\n", 2),
+    (b"-7 H\n", 1),
+    (b"0 O\n-2147483648 O\n", 2),
+    (b"0 O\n1 O\n2147483648 O", 3),
+    (b"99999999999 H\n", 1),
+    (b"0 H\n0 \xc3\x89\n", 2),
+], ids=["one-token", "three-tokens", "two-rows-on-one-line", "lowercase-class", "float-id", "empty-id-crlf",
+        "two-char-class", "id-below-minus-1", "id-below-int32", "id-above-int32", "id-far-above-int32", "non-ascii"])
+def test_sidecar_malformed_reports_line(tmp_path, text, line):
+    path = tmp_path / "bad.labels.txt"
+    path.write_bytes(text)
+    with pytest.raises(ParseError) as info:
+        load_labeling(path)
+    assert info.value.line == line
+
+
+@pytest.mark.parametrize("text", [b"-1 H\n", b"0 V\n1 H\n0 H\n"], ids=["unsegmented-not-other", "mixed-segment"])
+def test_sidecar_invalid_labeling_rejected(tmp_path, text):
+    path = tmp_path / "bad.labels.txt"
+    path.write_bytes(text)
+    with pytest.raises(ParseError):
+        load_labeling(path)
+
+
+@pytest.mark.parametrize("text", [
+    b"0 H\n1 V\n",
+    b"\n0 H\n\n\n1 V\n\n",
+    b"0\tH\n1 \t V\n",
+    b"0 H\r\n1 V\r\n",
+    b"0 H\n1 V",
+    b"  0 H  \n1    V\t",
+    b"+0 H\x0c1 V\x1c",
+], ids=["plain", "blank-lines", "tabs", "crlf", "no-final-newline", "padding", "other-separators"])
+def test_sidecar_accepted_variants(tmp_path, text):
+    path = tmp_path / "ok.labels.txt"
+    path.write_bytes(text)
+    loaded = load_labeling(path)
+    assert loaded.plane_ids.tolist() == [0, 1]
+    assert loaded.orientations.tolist() == [int(Orientation.HORIZONTAL), int(Orientation.VERTICAL)]
+
+
+sidecar_rows = st.lists(st.tuples(
+    st.sampled_from(["0", "1", "7", "-1", "+3", "1_0", "007", "-7", "2147483647", "2147483648",
+                     "99999999999", "1.5", "x", ""]),
+    st.sampled_from([" ", " ", "\t", " \t ", "\x1f", "\x0b", "\x1c", "\r"]),
+    st.sampled_from(["H", "V", "O", "O", "O", "h", "HV", ""]),
+    st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0c", "\x1c", "\n\n", " \n", " "]),
+), max_size=12)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(rows=sidecar_rows, final_newline=st.booleans())
+def test_sidecar_reader_matches_line_by_line_reference(tmp_path_factory, rows, final_newline):
+    """The same labeling, or ParseError at the same first bad line, as a per-line parse."""
+    text = "".join(f"{pid}{sep}{char}{end}" for pid, sep, char, end in rows)
+    if not final_newline:
+        text = text.rstrip("\n")
+    path = tmp_path_factory.mktemp("sidecar") / "lab.labels.txt"
+    path.write_bytes(text.encode("ascii"))
+    expected = reference_load_labeling(text)
+    if isinstance(expected, int):
+        with pytest.raises(ParseError) as info:
+            load_labeling(path)
+        assert info.value.line == expected
+        return
+    labeling = SegmentLabeling(*expected)
+    try:
+        reference_validate(labeling)
+    except ValueError:
+        with pytest.raises(ParseError):
+            load_labeling(path)
+        return
+    loaded = load_labeling(path)
+    np.testing.assert_array_equal(loaded.plane_ids, labeling.plane_ids)
+    np.testing.assert_array_equal(loaded.orientations, labeling.orientations)

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
+import planeops.truth as truth
+from helpers import reference_generate_ground_truth, reference_validate
 from planeops import GtParams, KdTree, Orientation, SegmentLabeling, gen_synthetic, generate_ground_truth
+from planeops.geometry import DegenerateInput
 
 
 class TestSegmentLabeling:
@@ -25,6 +31,35 @@ class TestSegmentLabeling:
         lab = SegmentLabeling.all_other(5)
         lab.validate()
         assert lab.segment_ids().size == 0
+
+
+def _outcome(check, labeling):
+    try:
+        check(labeling)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# Ids from a few small values (so segments repeat) and the int32 extremes;
+# orientation codes include values outside Orientation.
+label_rows = st.lists(st.tuples(st.sampled_from([-2**31, -3, -1, -1, 0, 0, 1, 2, 7, 2**31 - 1]),
+                                st.sampled_from([-128, -1, 0, 1, 2, 2, 2, 3, 127])), max_size=40)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(rows=label_rows, data=st.data())
+def test_validate_matches_reference(rows, data):
+    """Same accept/raise outcome and message as the per-segment loop."""
+    # Repair one invariant or both, so that each check is reached and valid
+    # labelings are common.
+    if data.draw(st.booleans(), label="unsegmented_other"):
+        rows = [(pid, 2 if pid < 0 else code) for pid, code in rows]
+    if data.draw(st.booleans(), label="consistent"):
+        first = {}
+        rows = [(pid, code if pid < 0 else first.setdefault(pid, code)) for pid, code in rows]
+    labeling = SegmentLabeling(plane_ids=[r[0] for r in rows], orientations=[r[1] for r in rows])
+    assert _outcome(SegmentLabeling.validate, labeling) == _outcome(reference_validate, labeling)
 
 
 class TestGenerateGroundTruth:
@@ -83,3 +118,160 @@ class TestGenerateGroundTruth:
         monkeypatch.setattr(KdTree, "knn", counting)
         generate_ground_truth(clean_room[0], GtParams())
         assert len(calls) == 1
+
+
+def _patch(rng, count, center, normal=None, size=0.6, noise=0.002):
+    """``count`` noisy points on a square patch of edge ``size`` around ``center``."""
+    if normal is None:
+        normal = rng.normal(size=3)
+    normal = np.asarray(normal, dtype=float) / np.linalg.norm(normal)
+    u = np.cross(normal, [1.0, 0.0, 0.0] if abs(normal[0]) < 0.9 else [0.0, 1.0, 0.0])
+    u /= np.linalg.norm(u)
+    v = np.cross(normal, u)
+    coords = rng.uniform(-size / 2, size / 2, size=(count, 2))
+    return center + coords[:, :1] * u + coords[:, 1:] * v + rng.normal(scale=noise, size=(count, 3))
+
+
+@st.composite
+def gt_scenes(draw):
+    """Small clouds that reach every branch of region growing.
+
+    Patches of 100-300 points make regions cross the 64-point refit interval
+    several times; isolated patches of min_plane_size - 1 .. + 1 points sit at
+    the size gate; duplicated points get degenerate normals; a strip on one
+    line with a 1e-7 in-plane jitter has valid normals but refits that raise
+    DegenerateInput, and may lead into a patch; uniform clutter makes many
+    one-point regions.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    params = GtParams(
+        k=draw(st.sampled_from([3, 10, 20]), label="k"),
+        min_plane_size=draw(st.sampled_from([3, 10, 40]), label="min_plane_size"),
+        dist_threshold=draw(st.sampled_from([0.01, 0.05]), label="dist"),
+        normal_angle_degrees=draw(st.sampled_from([3.0, 7.0, 20.0]), label="angle"),
+    )
+    parts = []
+    for i in range(draw(st.integers(0, 3), label="patches")):
+        normal = draw(st.sampled_from([None, (0, 0, 1), (1, 0, 0)]), label="normal")
+        parts.append(_patch(rng, draw(st.integers(100, 300), label="count"), (3.0 * i, 0, 0), normal))
+    for i in range(draw(st.integers(0, 2), label="gated")):
+        count = params.min_plane_size + draw(st.sampled_from([-1, 0, 1]), label="offset")
+        parts.append(_patch(rng, count, (3.0 * i, 5.0, 0), (0, 0, 1), size=0.05 * np.sqrt(count), noise=0.0005))
+    if draw(st.booleans(), label="strip"):
+        count = draw(st.integers(70, 200), label="strip_count")
+        x = np.linspace(0.0, 0.01 * count, count)
+        parts.append(np.column_stack([x - 6.0, 1e-7 * rng.standard_normal(count), np.zeros(count)]))
+        if draw(st.booleans(), label="strip_into_patch"):
+            # Refits turn from degenerate to valid once the region reaches the patch.
+            parts.append(_patch(rng, draw(st.integers(100, 300), label="strip_patch"), (0.01 * count - 5.7, 0, 0),
+                                (0, 0, 1)))
+    parts.append(rng.uniform(-1, 1, size=(draw(st.integers(0, 80), label="clutter"), 3)) + (0, -5.0, 0))
+    points = np.vstack(parts) if sum(len(p) for p in parts) else rng.uniform(size=(30, 3))
+    if draw(st.booleans(), label="duplicates"):
+        picks = rng.choice(len(points), size=min(len(points), 6), replace=False)
+        points = np.vstack([points, np.repeat(points[picks], draw(st.integers(1, 12), label="copies"), axis=0)])
+    return points[rng.permutation(len(points))], params
+
+
+def _assert_same_labels(got, want):
+    assert got.plane_ids.dtype == want.plane_ids.dtype and got.orientations.dtype == want.orientations.dtype
+    np.testing.assert_array_equal(got.plane_ids, want.plane_ids)
+    np.testing.assert_array_equal(got.orientations, want.orientations)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(scene=gt_scenes())
+def test_region_growing_matches_reference(scene):
+    points, params = scene
+    _assert_same_labels(generate_ground_truth(points, params), reference_generate_ground_truth(points, params))
+
+
+def test_collinear_strip_refits_raise(monkeypatch):
+    """The strip of the scene strategy reaches the DegenerateInput branches."""
+    count = 150
+    strip = np.column_stack([np.linspace(0.0, 1.5, count), 1e-7 * np.random.default_rng(0).standard_normal(count),
+                             np.zeros(count)])
+    fit_plane, raised = truth.fit_plane, []
+
+    def recording(points, *args, **kwargs):
+        try:
+            return fit_plane(points, *args, **kwargs)
+        except DegenerateInput:
+            raised.append(len(points))
+            raise
+
+    monkeypatch.setattr(truth, "fit_plane", recording)
+    for k in (3, 10):
+        raised.clear()
+        labeling = generate_ground_truth(strip, GtParams(k=k))
+        assert raised[0] == 65  # the first refit, after 64 accepted points
+        assert (labeling.plane_ids == -1).all()
+        _assert_same_labels(labeling, reference_generate_ground_truth(strip, GtParams(k=k)))
+
+
+def _unit(v):
+    return np.asarray(v, dtype=float) / np.linalg.norm(v)
+
+
+A = _unit([0.3, -0.5, 0.8])
+E1 = _unit(np.cross(A, [1.0, 0.0, 0.0]))
+E2 = np.cross(A, E1)
+J = 4  # the center of the grid below; point 0, the seed, is a corner
+
+
+def _grid_scene(monkeypatch, point_j, normal_j):
+    """A 3 x 3 grid of spacing 0.1 on the plane through the origin with normal
+    ``A``, with point ``J`` and its normal replaced.
+
+    Normals (``A`` elsewhere) and curvature (lowest at point 0) are patched
+    in, for generate_ground_truth and its reference alike.
+    """
+    points = np.array([i * 0.1 * E1 + j * 0.1 * E2 for i in range(3) for j in range(3)])
+    points[J] = point_j
+    normals = np.tile(A, (len(points), 1))
+    normals[J] = normal_j
+
+    def patched(*args, **kwargs):
+        return normals.copy(), np.arange(len(points)) * 1e-3, np.ones(len(points), dtype=bool)
+
+    monkeypatch.setattr(truth, "normals_from_neighbors", patched)
+    monkeypatch.setattr(helpers, "normals_from_neighbors", patched)
+    return points
+
+
+def _straddle(start, other, threshold):
+    """``start`` nudged by a few ulps per coordinate until its plain-float dot
+    product with ``other`` and np.dot's lie on opposite sides of
+    ``threshold``; returns the vector and np.dot's value."""
+    rng = np.random.default_rng(0)
+    for _ in range(100000):
+        v = start + rng.integers(-4, 5, size=3) * np.spacing(start)
+        plain = abs(v[0] * other[0] + v[1] * other[1] + v[2] * other[2])
+        exact = abs(float(np.dot(v, other)))
+        if (plain < threshold) != (exact < threshold):
+            return v, exact
+    raise AssertionError("no straddling vector found")
+
+
+def test_normal_test_near_threshold_follows_np_dot(monkeypatch):
+    """Plain floats and np.dot put the neighbour's normal on opposite sides of
+    cos(angle); whether it joins the seed's region follows np.dot."""
+    angle = 30.0
+    cos_tol = np.cos(np.radians(angle))
+    normal_j, exact = _straddle(cos_tol * A + np.sin(np.radians(angle)) * E1, A, cos_tol)
+    points = _grid_scene(monkeypatch, 0.1 * E1 + 0.1 * E2, normal_j)
+    params = GtParams(normal_angle_degrees=angle, min_plane_size=3, k=3)
+    labeling = generate_ground_truth(points, params)
+    _assert_same_labels(labeling, reference_generate_ground_truth(points, params))
+    assert (labeling.plane_ids[J] == 0) == (exact >= cos_tol)
+
+
+def test_distance_test_near_threshold_follows_np_dot(monkeypatch):
+    """Plain floats and np.dot put the neighbour's distance to the seed plane
+    on opposite sides of dist_threshold; whether it joins follows np.dot."""
+    point_j, exact = _straddle(0.1 * E1 + 0.1 * E2 + 0.05 * A, A, 0.05)
+    points = _grid_scene(monkeypatch, point_j, A)
+    params = GtParams(dist_threshold=0.05, min_plane_size=3, k=3)
+    labeling = generate_ground_truth(points, params)
+    _assert_same_labels(labeling, reference_generate_ground_truth(points, params))
+    assert (labeling.plane_ids[J] == 0) == (exact < 0.05)
