@@ -7,7 +7,7 @@ else in the package.
 
 import numpy as np
 
-from planeops import classify_orientation, fit_plane, point_plane_distance
+from planeops import classify_orientation, fit_plane, plane_distances
 
 rng = np.random.default_rng(0)
 
@@ -29,8 +29,9 @@ residuals = np.abs((points - model.centroid) @ model.normal)
 print(f"max residual: {residuals.max() * 1000:.2f} mm (noise sigma was 2 mm)")
 
 # Distances from arbitrary points
-for p in [(0, 0, 0.5), (0, 0, 1.5)]:
-    print(f"distance from {p}: {point_plane_distance(p, model):.4f} m")
+probes = [(0, 0, 0.5), (0, 0, 1.5)]
+for p, d in zip(probes, plane_distances(np.array(probes), model.centroid, model.normal)):
+    print(f"distance from {p}: {d:.4f} m")
 
 # Orientation classes, 7 degree tolerance around the up axis
 for normal, label in [

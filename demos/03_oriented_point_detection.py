@@ -11,11 +11,14 @@ import numpy as np
 from planeops import (
     KdTree,
     OpsParams,
+    SampleSet,
     adaptive_iterations,
-    build_sample_set,
+    classify_orientation,
     detect_grouped,
+    estimate_normals,
     make_box_room,
     one_point_ransac,
+    sample_indices,
 )
 
 print("adaptive budget for p=0.99 as the outlier fraction grows:")
@@ -26,18 +29,26 @@ points, truth = make_box_room(size=3.5, points_per_face=1000, clutter=600,
                               noise_sigma=0.005, seed=7)
 print(f"\nsynthetic room: {points.shape[0]} points, 6 faces + clutter")
 
+# The sampling stage of a run: draw 5% of the points, orient them, drop
+# the samples whose neighbourhood gives no normal.
 params = OpsParams(sampling_rate=0.05, k=10)
-rng = np.random.default_rng(params.seed)
-kd = KdTree(points)
-samples = build_sample_set(points, kd, params.sampling_rate, params.k, rng)
-print(f"oriented samples: {len(samples)} ({samples.n_degenerate} degenerate dropped)")
+up, tol = (0.0, 0.0, 1.0), 7.0
+rng = np.random.default_rng(0)
+idx = sample_indices(points.shape[0], params.sampling_rate, rng)
+normals, _, valid = estimate_normals(points, KdTree(points), idx, params.k)
+samples = SampleSet(indices=idx[valid], positions=points[idx[valid]], normals=normals[valid],
+                    cloud_size=points.shape[0])
+print(f"oriented samples: {len(samples)} ({int((~valid).sum())} degenerate dropped)")
 
-result = one_point_ransac(samples, params, rng)
+# One RANSAC on a generator of its own, so that the full detection below
+# continues the stream exactly as a run with seed 0 does.
+result = one_point_ransac(samples, params, np.random.default_rng(1))
 print(f"largest plane: {len(result.sample_inliers)} sample inliers "
       f"after {result.iterations} iterations, normal {np.round(result.model.normal, 3)}")
 
-labeled = detect_grouped(points, params)
+planes = detect_grouped(points, samples, params, rng, up, tol)
 print("\nfull grouped detection (horizontal first, then vertical, then other):")
-for plane, orientation in labeled:
+for plane in planes:
+    orientation = classify_orientation(plane.normal, up, tol)
     print(f"  {orientation.name.lower():>10}: {plane.inlier_count:5d} points, "
           f"normal {np.round(plane.normal, 3)}")

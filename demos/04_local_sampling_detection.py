@@ -8,16 +8,16 @@ oriented-point detector on the same scene.
 
 import numpy as np
 
-from planeops import FspfParams, KdTree, MergeParams, OpsParams, fspf_detect, make_box_room, merge_all
-from planeops.ops import detect_grouped
+from planeops import FspfParams, KdTree, MergeParams, OpsParams, RunConfig, fspf_detect, make_box_room, merge_all
+from planeops.pipeline import run_detect
 
 points, truth = make_box_room(size=3.5, points_per_face=1000, clutter=600,
                               noise_sigma=0.005, seed=7)
 kd = KdTree(points)
 
 params = FspfParams(r1=0.07, r2=0.14, local_samples=80, min_inlier_fraction=0.8,
-                    max_inlier_points=points.shape[0], seed=7)
-fragments = fspf_detect(points, kd, params)
+                    max_inlier_points=points.shape[0])
+fragments = fspf_detect(points, kd, params, np.random.default_rng(7))
 sizes = sorted((p.inlier_count for p in fragments), reverse=True)
 print(f"local sampling found {len(fragments)} fragments "
       f"(recorded inliers per fragment: median {int(np.median(sizes))})")
@@ -27,8 +27,8 @@ merged = merge_all(fragments, points, merge_params)
 print(f"after coplanarity merging: {len(merged)} planes, largest holds "
       f"{merged[0].inlier_count} recorded points")
 
-ops_planes = [p for p, _ in detect_grouped(points, OpsParams(sampling_rate=0.05, k=10, seed=7))]
+ops_report = run_detect(points, RunConfig(detector="ops", ops=OpsParams(sampling_rate=0.05, k=10), seed=7))
 print(f"\nfor comparison, the oriented-point detector returns "
-      f"{len(ops_planes)} planes before any merging")
+      f"{ops_report.pre_merge_count} planes before any merging")
 print("fragment counts, local sampling vs oriented points:",
-      len(fragments), "vs", len(ops_planes))
+      len(fragments), "vs", ops_report.pre_merge_count)

@@ -6,14 +6,14 @@ are merged by a pairwise coplanarity test, labeled by orientation, and scored
 against region-growing reference labelings.
 """
 
-from .fspf import CollinearSample, FspfParams, fspf_detect, three_point_normal
+from .fspf import CloudTooSmall, CollinearSample, FspfParams, fspf_detect, three_point_normal
 from .geometry import (
     DegenerateInput,
     Orientation,
     PlaneModel,
     classify_orientation,
     fit_plane,
-    point_plane_distance,
+    plane_distances,
 )
 from .io import ParseError, UnsupportedFormat, load_cloud, load_labeling, save_labeled, save_labeling
 from .kdtree import EmptyCloud, KdTree
@@ -24,21 +24,12 @@ from .metrics import (
     hungarian_match,
     segmentation_accuracy,
 )
-from .normals import (
-    AllDegenerate,
-    DegenerateNeighborhood,
-    SampleSet,
-    build_sample_set,
-    estimate_normal,
-    estimate_normals,
-    sample_indices,
-)
+from .normals import SampleSet, estimate_normals, sample_indices
 from .ops import (
     NoPlaneFound,
     OpsParams,
     RansacResult,
     adaptive_iterations,
-    detect_all_planes,
     detect_grouped,
     extract_full_inliers,
     one_point_ransac,
@@ -50,10 +41,9 @@ from .truth import GtParams, SegmentLabeling, generate_ground_truth
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllDegenerate",
+    "CloudTooSmall",
     "CollinearSample",
     "DegenerateInput",
-    "DegenerateNeighborhood",
     "DetectionReport",
     "EmptyCloud",
     "FspfParams",
@@ -74,13 +64,10 @@ __all__ = [
     "UnsupportedFormat",
     "adaptive_iterations",
     "box_room_scene",
-    "build_sample_set",
     "classification_accuracy",
     "classify_orientation",
     "coplanar",
-    "detect_all_planes",
     "detect_grouped",
-    "estimate_normal",
     "estimate_normals",
     "extract_full_inliers",
     "fit_plane",
@@ -93,7 +80,7 @@ __all__ = [
     "make_box_room",
     "merge_all",
     "one_point_ransac",
-    "point_plane_distance",
+    "plane_distances",
     "random_scene",
     "run_bench",
     "run_detect",

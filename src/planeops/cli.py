@@ -2,8 +2,8 @@
 
 Every parameter is a flag; a JSON config file can pre-fill them and explicit
 flags win. Exit codes: 0 success, 2 bad input (an unparsable file, an
-invalid config or flag value, a cloud without points), 3 empty result where a
-nonempty one was required.
+invalid config or flag value, a cloud without points or too small for the
+local sampler), 3 empty result where a nonempty one was required.
 """
 
 import argparse
@@ -13,6 +13,7 @@ import logging
 import sys
 from pathlib import Path
 
+from .fspf import CloudTooSmall
 from .io import ParseError, load_cloud, load_labeling, save_labeled, save_labeling
 from .kdtree import EmptyCloud
 from .metrics import SizeMismatch, classification_accuracy, segmentation_accuracy
@@ -46,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--config", type=Path, help="RunConfig JSON; flags override")
     p.add_argument("--detector", choices=("ops", "fspf"))
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="seed of the run's one random stream (default 0)")
     p.add_argument("--color-mode", choices=("segment", "orientation"), default="segment")
     p.add_argument("--sampling-rate", type=float, help="ops: fraction of points to orient")
     p.add_argument("--knn", type=int, help="ops: neighbors for normal estimation")
@@ -65,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fspf: record the whole verification sphere as inliers")
     p.add_argument("--merge-angle", type=float, help="merge: normal angle threshold (deg)")
     p.add_argument("--merge-offset", type=float, help="merge: centroid offset threshold (m)")
-    p.add_argument("--orientation-tol", type=float, help="degrees for horizontal/vertical classification")
+    p.add_argument("--orientation-tol", type=float,
+                   help="degrees for horizontal/vertical grouping and labels, in (0, 45)")
     p.add_argument("--up", type=str, help="up axis as 'x,y,z' (default 0,0,1)")
 
     p = sub.add_parser("gt", help="region-growing ground truth for a cloud")
@@ -106,7 +108,7 @@ def _detect_config(args) -> RunConfig:
     ops = {
         "sampling_rate": args.sampling_rate, "k": args.knn, "dist_threshold": args.dist_threshold,
         "min_inliers": args.min_inliers, "probability": args.probability, "grouping": args.grouping,
-        "sigma": args.sigma, "orientation_tol_degrees": args.orientation_tol,
+        "sigma": args.sigma,
     }
     fspf = {
         "r1": args.r1, "r2": args.r2, "local_samples": args.n_loc,
@@ -117,7 +119,7 @@ def _detect_config(args) -> RunConfig:
     merge = {"angle_degrees": args.merge_angle, "offset": args.merge_offset}
     try:
         if args.up is not None:
-            top["up"] = ops["up"] = tuple(float(v) for v in args.up.split(","))
+            top["up"] = tuple(float(v) for v in args.up.split(","))
         return dataclasses.replace(
             config, **_given(top),
             ops=dataclasses.replace(config.ops, **_given(ops)),
@@ -232,7 +234,8 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return COMMANDS[args.command](args)
-    except (ParseError, ConfigError, EmptyCloud, InvalidSpec, json.JSONDecodeError, FileNotFoundError) as exc:
+    except (ParseError, ConfigError, EmptyCloud, CloudTooSmall, InvalidSpec, json.JSONDecodeError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

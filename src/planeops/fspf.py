@@ -15,11 +15,15 @@ import numpy as np
 from .geometry import DegenerateInput, PlaneModel, canonical_sign, fit_plane
 from .kdtree import KdTree
 
-__all__ = ["CollinearSample", "FspfParams", "fspf_detect", "three_point_normal"]
+__all__ = ["CloudTooSmall", "CollinearSample", "FspfParams", "fspf_detect", "three_point_normal"]
 
 
 class CollinearSample(ValueError):
     """Three sampled points do not span a plane."""
+
+
+class CloudTooSmall(ValueError):
+    """The cloud holds fewer points than one iteration's local samples."""
 
 
 @dataclass
@@ -37,7 +41,6 @@ class FspfParams:
     dist_threshold: float = 0.05
     r1: float = 0.07
     r2: float = 0.14
-    seed: int = 0
     claim_full_sphere: bool = False
 
     def __post_init__(self):
@@ -85,7 +88,7 @@ def fspf_detect(
     points: np.ndarray,
     kd: KdTree,
     params: FspfParams,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     return_details: bool = False,
 ):
     """Run the local sampling loop and return the accepted planes.
@@ -100,12 +103,13 @@ def fspf_detect(
     ``claim_full_sphere=True``) and are refit on their recorded points. The
     loop stops after ``max_iterations`` or once the accumulated inlier-draw
     count reaches ``max_inlier_points``.
+
+    Raises:
+        CloudTooSmall: the cloud holds fewer than ``local_samples`` points.
     """
     n = points.shape[0]
     if n < params.local_samples:
-        raise ValueError(f"cloud of {n} points is smaller than local_samples={params.local_samples}")
-    if rng is None:
-        rng = np.random.default_rng(params.seed)
+        raise CloudTooSmall(f"cloud of {n} points is smaller than local_samples={params.local_samples}")
     n_max = params.max_inlier_points if params.max_inlier_points is not None else n // 2
     accept_above = params.min_inlier_fraction * params.local_samples
     n_draws = params.local_samples - 3

@@ -19,7 +19,6 @@ __all__ = [
     "classify_orientation",
     "fit_plane",
     "plane_distances",
-    "point_plane_distance",
 ]
 
 # Two smallest eigenvalues closer than this (relative to the largest) mean the
@@ -99,12 +98,6 @@ class PlaneModel:
     @property
     def inlier_count(self) -> int:
         return int(self.inliers.size)
-
-
-def point_plane_distance(point, plane: PlaneModel) -> float:
-    """Unsigned distance from a point to the (infinite) plane, in meters."""
-    p = np.asarray(point, dtype=np.float64).reshape(3)
-    return float(abs(np.dot(p - plane.centroid, plane.normal)))
 
 
 def plane_distances(points: np.ndarray, centroid: np.ndarray, normal: np.ndarray) -> np.ndarray:

@@ -17,23 +17,11 @@ from .geometry import EIGEN_TIE_RTOL
 from .kdtree import KdTree
 
 __all__ = [
-    "AllDegenerate",
-    "DegenerateNeighborhood",
     "SampleSet",
-    "build_sample_set",
-    "estimate_normal",
     "estimate_normals",
     "normals_from_neighbors",
     "sample_indices",
 ]
-
-
-class DegenerateNeighborhood(ValueError):
-    """Neighborhood does not determine a normal (collinear or collapsed)."""
-
-
-class AllDegenerate(ValueError):
-    """No sampled point produced a usable normal."""
 
 
 @dataclass
@@ -41,17 +29,13 @@ class SampleSet:
     """Sparse subset of a cloud with estimated normals, as parallel arrays.
 
     ``indices[i]``, ``positions[i]`` and ``normals[i]`` describe one oriented
-    point. ``n_degenerate`` counts sampled points dropped because their
-    neighborhood was degenerate.
+    point; ``cloud_size`` is the size of the cloud they were drawn from.
     """
 
     indices: np.ndarray
     positions: np.ndarray
     normals: np.ndarray
-    sampling_rate: float
-    k: int
     cloud_size: int
-    n_degenerate: int = 0
 
     def __len__(self) -> int:
         return int(self.indices.size)
@@ -141,40 +125,3 @@ def normals_from_neighbors(points: np.ndarray, idx: np.ndarray, nbr_dist: np.nda
     )
     normals[~valid] = np.nan
     return normals, curvature, valid
-
-
-def estimate_normal(points: np.ndarray, index: int, kd: KdTree, k: int, sigma: float | None = None) -> np.ndarray:
-    """Normal at one reference point; raises instead of returning NaN."""
-    normals, _, valid = estimate_normals(points, kd, [index], k, sigma)
-    if not valid[0]:
-        raise DegenerateNeighborhood(f"point {index} has a degenerate {k}-neighborhood")
-    return normals[0]
-
-
-def build_sample_set(
-    points: np.ndarray,
-    kd: KdTree,
-    rate: float,
-    k: int,
-    rng: np.random.Generator,
-    sigma: float | None = None,
-) -> SampleSet:
-    """Sample a fraction of the cloud and orient every usable sample.
-
-    Degenerate neighborhoods are dropped and counted; raises AllDegenerate if
-    nothing survives.
-    """
-    idx = sample_indices(points.shape[0], rate, rng)
-    normals, _, valid = estimate_normals(points, kd, idx, k, sigma)
-    kept = idx[valid]
-    if kept.size == 0:
-        raise AllDegenerate("every sampled point had a degenerate neighborhood")
-    return SampleSet(
-        indices=kept,
-        positions=points[kept],
-        normals=normals[valid],
-        sampling_rate=rate,
-        k=k,
-        cloud_size=int(points.shape[0]),
-        n_degenerate=int(idx.size - kept.size),
-    )

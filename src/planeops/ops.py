@@ -3,8 +3,9 @@
 A single point with a normal already determines a plane, so one oriented
 sample per hypothesis is enough; the inlier ratio then drives an adaptive
 iteration budget. Multi-plane extraction is greedy: detect, claim inliers,
-repeat on what is left. Detection can optionally run per orientation group
-(horizontal / vertical / other) over a shared claimed-points mask.
+repeat on what is left. By default detection runs per orientation group
+(horizontal / vertical / other) over a shared claimed-points mask; the
+oriented samples themselves come from :func:`planeops.pipeline.run_detect`.
 """
 
 import math
@@ -17,25 +18,24 @@ from .geometry import (
     Orientation,
     PlaneModel,
     as_unit_vector,
-    classify_orientation,
     fit_plane,
     plane_distances,
 )
-from .kdtree import KdTree
-from .normals import SampleSet, build_sample_set
+from .normals import SampleSet
 
 __all__ = [
     "NoPlaneFound",
     "OpsParams",
     "RansacResult",
     "adaptive_iterations",
-    "detect_all_planes",
     "detect_grouped",
     "extract_full_inliers",
     "one_point_ransac",
 ]
 
 GROUP_ORDER = (Orientation.HORIZONTAL, Orientation.VERTICAL, Orientation.OTHER)
+# The RANSAC budget never exceeds this many draws per live sample.
+ITERATION_CAP_FACTOR = 10
 
 
 class NoPlaneFound(RuntimeError):
@@ -48,7 +48,9 @@ class OpsParams:
 
     Defaults follow the sweet spot of the sweep in the README (3% sampling,
     30 neighbors); the distance threshold and minimum plane size match the
-    evaluation constants used throughout the package.
+    evaluation constants used throughout the package. The seed, the up axis
+    and the orientation tolerance that grouping uses belong to the run, in
+    :class:`planeops.pipeline.RunConfig`.
     """
 
     sampling_rate: float = 0.03
@@ -56,13 +58,8 @@ class OpsParams:
     probability: float = 0.99
     dist_threshold: float = 0.05
     min_inliers: int = 20
-    orientation_tol_degrees: float = 7.0
-    up: tuple = (0.0, 0.0, 1.0)
     grouping: str = "group_first"  # or "detect_first"
-    seed: int = 0
     sigma: float | None = None
-    outlier_denominator: str = "samples"  # or "cloud"
-    iteration_cap_factor: int = 10
 
     def __post_init__(self):
         if not 0.0 < self.sampling_rate <= 1.0:
@@ -77,9 +74,6 @@ class OpsParams:
             raise ValueError("k must be >= 3")
         if self.grouping not in ("group_first", "detect_first"):
             raise ValueError(f"unknown grouping {self.grouping!r}")
-        if self.outlier_denominator not in ("samples", "cloud"):
-            raise ValueError(f"unknown outlier_denominator {self.outlier_denominator!r}")
-        as_unit_vector(self.up)
 
 
 @dataclass
@@ -125,8 +119,8 @@ def one_point_ransac(
 
     Each iteration promotes one oriented sample to a plane hypothesis and
     counts samples within ``dist_threshold`` of it. The budget starts at the
-    cloud size (capped at ``iteration_cap_factor`` times the pool size) and
-    shrinks as better hypotheses tighten the outlier-ratio estimate. The
+    cloud size (capped at ``ITERATION_CAP_FACTOR`` times the pool size) and
+    shrinks as better hypotheses tighten the pool's outlier ratio. The
     winner is refit by least squares on its sample inliers.
 
     Args:
@@ -146,9 +140,8 @@ def one_point_ransac(
         raise NoPlaneFound(f"{m} live samples cannot exceed min_inliers={params.min_inliers}")
     positions = samples.positions[pool]
     normals = samples.normals[pool]
-    cap = params.iteration_cap_factor * m
+    cap = ITERATION_CAP_FACTOR * m
     budget = min(samples.cloud_size, cap)
-    denom = m if params.outlier_denominator == "samples" else samples.cloud_size
 
     best_count = 0
     best_mask = None
@@ -161,7 +154,7 @@ def one_point_ransac(
         if count > params.min_inliers and count > best_count:
             best_count = count
             best_mask = mask
-            e = 1.0 - count / denom
+            e = 1.0 - count / m
             budget = adaptive_iterations(params.probability, max(e, 0.0), cap=cap)
         it += 1
 
@@ -232,81 +225,41 @@ def _greedy_planes(
     return planes
 
 
-def _prepare(points: np.ndarray, params: OpsParams, rng: np.random.Generator | None):
-    if rng is None:
-        rng = np.random.default_rng(params.seed)
-    kd = KdTree(points)
-    samples = build_sample_set(points, kd, params.sampling_rate, params.k, rng, params.sigma)
-    return samples, rng
-
-
-def detect_all_planes(
-    points: np.ndarray,
-    params: OpsParams,
-    rng: np.random.Generator | None = None,
-    samples: SampleSet | None = None,
-) -> list[PlaneModel]:
-    """Extract every plane in the cloud, largest first, orientation-blind.
-
-    Runs one-point RANSAC repeatedly, claiming each detected plane's full
-    inlier set, until the remaining pool cannot hold another plane. Planes
-    come back in detection order with pairwise-disjoint inlier sets of at
-    least ``min_inliers`` points each.
-    """
-    if samples is None:
-        samples, rng = _prepare(points, params, rng)
-    elif rng is None:
-        rng = np.random.default_rng(params.seed)
-    alive = np.ones(len(samples), dtype=bool)
-    member = np.ones(len(samples), dtype=bool)
-    active_mask = np.ones(points.shape[0], dtype=bool)
-    return _greedy_planes(points, samples, alive, member, active_mask, params, rng)
-
-
-def sample_orientations(samples: SampleSet, params: OpsParams) -> np.ndarray:
+def sample_orientations(samples: SampleSet, up: np.ndarray, tol_degrees: float) -> np.ndarray:
     """Orientation code of each sample's estimated normal."""
-    up = as_unit_vector(params.up)
     angles = np.degrees(np.arccos(np.clip(np.abs(samples.normals @ up), 0.0, 1.0)))
     codes = np.full(len(samples), int(Orientation.OTHER), dtype=np.int8)
-    codes[angles <= params.orientation_tol_degrees] = int(Orientation.HORIZONTAL)
-    codes[90.0 - angles <= params.orientation_tol_degrees] = int(Orientation.VERTICAL)
+    codes[angles <= tol_degrees] = int(Orientation.HORIZONTAL)
+    codes[90.0 - angles <= tol_degrees] = int(Orientation.VERTICAL)
     return codes
 
 
 def detect_grouped(
     points: np.ndarray,
+    samples: SampleSet,
     params: OpsParams,
-    rng: np.random.Generator | None = None,
-    samples: SampleSet | None = None,
-) -> list[tuple[PlaneModel, Orientation]]:
-    """Detect planes with orientation labels.
+    rng: np.random.Generator,
+    up,
+    tol_degrees: float,
+) -> list[PlaneModel]:
+    """Extract every plane the oriented samples support, in detection order.
 
-    With ``grouping="group_first"`` the oriented samples are partitioned into
-    horizontal / vertical / other by their estimated normals and detection
-    runs per group (in that fixed order) over one shared claimed-points mask;
-    each plane carries its group's label. With ``grouping="detect_first"``
-    detection runs on all samples and each plane is labeled by its refit
-    normal afterwards.
+    With ``grouping="group_first"`` the samples are partitioned into
+    horizontal / vertical / other by their estimated normals (``up`` and
+    ``tol_degrees`` decide) and detection runs per group, in that fixed
+    order. With ``grouping="detect_first"`` every sample is in one group.
+    Either way the groups share one sample pool and one claimed-points mask,
+    so the planes have pairwise-disjoint inlier sets of at least
+    ``min_inliers`` points each.
     """
-    if samples is None:
-        samples, rng = _prepare(points, params, rng)
-    elif rng is None:
-        rng = np.random.default_rng(params.seed)
-
     if params.grouping == "detect_first":
-        planes = detect_all_planes(points, params, rng=rng, samples=samples)
-        up = as_unit_vector(params.up)
-        return [
-            (p, classify_orientation(p.normal, up, params.orientation_tol_degrees))
-            for p in planes
-        ]
-
-    codes = sample_orientations(samples, params)
+        groups = [np.ones(len(samples), dtype=bool)]
+    else:
+        codes = sample_orientations(samples, as_unit_vector(up), tol_degrees)
+        groups = [codes == int(orient) for orient in GROUP_ORDER]
     alive = np.ones(len(samples), dtype=bool)
     active_mask = np.ones(points.shape[0], dtype=bool)
-    labeled = []
-    for orient in GROUP_ORDER:
-        member = codes == int(orient)
-        for plane in _greedy_planes(points, samples, alive, member, active_mask, params, rng):
-            labeled.append((plane, orient))
-    return labeled
+    planes = []
+    for member in groups:
+        planes.extend(_greedy_planes(points, samples, alive, member, active_mask, params, rng))
+    return planes

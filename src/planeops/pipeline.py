@@ -49,17 +49,16 @@ class ConfigError(ValueError):
 class RunConfig:
     """One detector run: which detector plus every stage's parameters.
 
-    ``seed`` overrides the per-detector seeds so a single flag controls the
-    whole run. ``up`` and ``orientation_tol_degrees`` drive the post-merge
-    orientation labels; the oriented-point detector's own grouping uses the
-    up axis in its params (same default).
+    The run's settings live here and nowhere else: ``seed`` starts the one
+    random stream that sampling and detection share, and ``up`` with
+    ``orientation_tol_degrees`` drive both the oriented-point detector's
+    grouping and the orientation labels of the merged planes.
     """
 
     detector: str = "ops"
     ops: OpsParams = field(default_factory=OpsParams)
     fspf: FspfParams = field(default_factory=FspfParams)
     merge: MergeParams = field(default_factory=MergeParams)
-    gt: GtParams = field(default_factory=GtParams)
     up: tuple = (0.0, 0.0, 1.0)
     orientation_tol_degrees: float = 7.0
     seed: int = 0
@@ -69,6 +68,8 @@ class RunConfig:
         if self.detector not in ("ops", "fspf"):
             raise ValueError(f"unknown detector {self.detector!r}")
         as_unit_vector(self.up)
+        if not 0.0 < self.orientation_tol_degrees < 45.0:
+            raise ValueError(f"orientation_tol_degrees must be in (0, 45), got {self.orientation_tol_degrees}")
 
     @property
     def detector_params(self):
@@ -81,9 +82,8 @@ class RunConfig:
             "name": self.name,
             "up": list(self.up),
             "orientation_tol_degrees": self.orientation_tol_degrees,
-            self.detector: _params_dict(self.detector_params),
-            "merge": _params_dict(self.merge),
-            "gt": _params_dict(self.gt),
+            self.detector: dataclasses.asdict(self.detector_params),
+            "merge": dataclasses.asdict(self.merge),
         }
 
     @classmethod
@@ -105,25 +105,12 @@ class RunConfig:
                 kwargs["up"] = tuple(d["up"])
             if "orientation_tol_degrees" in d:
                 kwargs["orientation_tol_degrees"] = float(d["orientation_tol_degrees"])
-            for key, klass in (("ops", OpsParams), ("fspf", FspfParams), ("merge", MergeParams), ("gt", GtParams)):
+            for key, klass in (("ops", OpsParams), ("fspf", FspfParams), ("merge", MergeParams)):
                 if key in d and d[key] is not None:
-                    params = dict(d[key])
-                    if "up" in params:
-                        params["up"] = tuple(params["up"])
-                    kwargs[key] = klass(**params)
+                    kwargs[key] = klass(**dict(d[key]))
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
-
-
-def _params_dict(params) -> dict:
-    out = {}
-    for f in dataclasses.fields(params):
-        v = getattr(params, f.name)
-        if isinstance(v, tuple):
-            v = list(v)
-        out[f.name] = v
-    return out
 
 
 @dataclass
@@ -224,25 +211,18 @@ def run_detect(points, config: RunConfig) -> DetectionReport:
         t1 = time.perf_counter()
         normals, _, valid = estimate_normals(points, kd, idx, p.k, p.sigma)
         kept = idx[valid]
-        samples = SampleSet(
-            indices=kept, positions=points[kept], normals=normals[valid],
-            sampling_rate=p.sampling_rate, k=p.k, cloud_size=points.shape[0],
-            n_degenerate=int(idx.size - kept.size),
-        )
+        samples = SampleSet(indices=kept, positions=points[kept], normals=normals[valid],
+                            cloud_size=points.shape[0])
         timings["normals"] = time.perf_counter() - t1
 
         t2 = time.perf_counter()
-        labeled = detect_grouped(points, p, rng=rng, samples=samples)
-        raw_planes = [plane for plane, _ in labeled]
+        raw_planes = detect_grouped(points, samples, p, rng, config.up, config.orientation_tol_degrees)
         timings["detection"] = time.perf_counter() - t2
-        threshold = p.dist_threshold
     else:
-        p = config.fspf
         timings["sampling"] = time.perf_counter() - t0
         t2 = time.perf_counter()
-        raw_planes = fspf_detect(points, kd, p, rng=rng)
+        raw_planes = fspf_detect(points, kd, config.fspf, rng)
         timings["detection"] = time.perf_counter() - t2
-        threshold = p.dist_threshold
 
     t3 = time.perf_counter()
     merged = merge_all(raw_planes, points, config.merge)
@@ -252,7 +232,7 @@ def run_detect(points, config: RunConfig) -> DetectionReport:
     if config.detector == "ops":
         labeling = labeling_from_inliers(points.shape[0], merged, up, tol)
     else:
-        labeling = assign_to_planes(points, merged, threshold, up, tol)
+        labeling = assign_to_planes(points, merged, config.fspf.dist_threshold, up, tol)
 
     up_vec = as_unit_vector(up)
     summaries = [

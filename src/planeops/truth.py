@@ -34,7 +34,10 @@ class SegmentLabeling:
     orientations: np.ndarray
 
     def __post_init__(self):
-        self.plane_ids = np.asarray(self.plane_ids, dtype=np.int32).reshape(-1)
+        ids = np.asarray(self.plane_ids).reshape(-1)
+        if ids.dtype != np.int32 and ids.size and (ids.min() < -(2**31) or ids.max() >= 2**31):
+            raise ValueError("plane ids must fit in int32")
+        self.plane_ids = ids.astype(np.int32)
         self.orientations = np.asarray(self.orientations, dtype=np.int8).reshape(-1)
         if self.plane_ids.shape != self.orientations.shape:
             raise ValueError("plane_ids and orientations must have the same length")

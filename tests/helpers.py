@@ -11,7 +11,16 @@ import numpy as np
 
 from planeops import KdTree, Orientation, PlaneModel, SegmentLabeling, fit_plane
 from planeops.geometry import DegenerateInput, as_unit_vector, classify_orientation, plane_distances
-from planeops.normals import normals_from_neighbors
+from planeops.normals import SampleSet, estimate_normals, normals_from_neighbors, sample_indices
+
+
+def ops_samples(points, params, rng):
+    """Oriented samples drawn as ``run_detect`` draws them: sample, orient,
+    drop the degenerate ones."""
+    idx = sample_indices(points.shape[0], params.sampling_rate, rng)
+    normals, _, valid = estimate_normals(points, KdTree(points), idx, params.k, params.sigma)
+    kept = idx[valid]
+    return SampleSet(indices=kept, positions=points[kept], normals=normals[valid], cloud_size=points.shape[0])
 
 
 def random_plane_soup(rng, n_base=4):

@@ -116,8 +116,15 @@ def test_detect_parse_error_exit_code(tmp_path):
     ("detect", [], {"merge": {"angle_degrees": 0}}),
     ("detect", [], [1, 2]),
     ("gt", ["--gt-knn", "2"], None),
+    ("detect", ["--detector", "fspf", "--n-loc", "500"], None),
+    ("detect", ["--orientation-tol", "50"], None),
+    ("detect", [], {"ops": {"seed": 3}}),
+    ("detect", [], {"fspf": {"seed": 3}}),
+    ("detect", [], {"ops": {"up": [0, 0, 1]}}),
+    ("detect", [], {"gt": {"k": 5}}),
 ], ids=["merge-angle", "dist-threshold", "knn", "sampling-rate", "up-not-unit", "up-not-number", "fspf-r1",
-        "unknown-key", "unknown-top-key", "config-merge-angle", "config-not-object", "gt-knn"])
+        "unknown-key", "unknown-top-key", "config-merge-angle", "config-not-object", "gt-knn",
+        "fspf-cloud-below-n-loc", "orientation-tol", "ops-seed", "fspf-seed", "ops-up", "gt-block"])
 def test_invalid_config_exit_code(tmp_path, capsys, command, flags, config):
     rng = np.random.default_rng(0)
     cloud = tmp_path / "cloud.xyz"
@@ -128,7 +135,8 @@ def test_invalid_config_exit_code(tmp_path, capsys, command, flags, config):
         config_path.write_text(json.dumps(config))
         argv += ["--config", str(config_path)]
     assert main(argv) == EXIT_PARSE
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

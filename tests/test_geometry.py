@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from planeops import DegenerateInput, Orientation, PlaneModel, classify_orientation, fit_plane, point_plane_distance
+from planeops import DegenerateInput, Orientation, PlaneModel, classify_orientation, fit_plane, plane_distances
 
 
 def _plane(centroid, normal):
@@ -13,18 +13,24 @@ def _plane(centroid, normal):
     return PlaneModel(centroid=centroid, normal=n / np.linalg.norm(n))
 
 
+def _distance(point, plane):
+    """Distance of one point, through the batched function."""
+    (d,) = plane_distances(np.array([point], dtype=float), plane.centroid, plane.normal)
+    return float(d)
+
+
 class TestPointPlaneDistance:
     def test_axis_aligned(self):
         plane = _plane((0, 0, 0), (0, 0, 1))
-        assert point_plane_distance((0, 0, 1), plane) == 1.0
+        assert _distance((0, 0, 1), plane) == 1.0
 
     def test_point_on_plane(self):
         plane = _plane((0, 0, 0), (0, 0, 1))
-        assert point_plane_distance((5, 7, 0), plane) == 0.0
+        assert _distance((5, 7, 0), plane) == 0.0
 
     def test_diagonal_plane(self):
         plane = _plane((0, 0, 0), (1, 1, 1))
-        d = point_plane_distance((1, 1, 1), plane)
+        d = _distance((1, 1, 1), plane)
         assert d == pytest.approx(math.sqrt(3), abs=1e-12)
         # cross-check against an explicit projection
         p = np.array([1.0, 1.0, 1.0])
@@ -37,8 +43,8 @@ class TestPointPlaneDistance:
             n = rng.normal(size=3)
             n /= np.linalg.norm(n)
             p = rng.normal(size=3) * 5
-            assert point_plane_distance(p, _plane(c, n)) == pytest.approx(
-                point_plane_distance(p, _plane(c, -n)), abs=1e-12
+            assert _distance(p, _plane(c, n)) == pytest.approx(
+                _distance(p, _plane(c, -n)), abs=1e-12
             )
 
 

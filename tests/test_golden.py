@@ -5,6 +5,10 @@ output of ``planeops.cli.main`` on a ``make_box_room`` cloud: the ``gt``
 sidecar, the ``eval`` JSON (that sidecar scored against the synthetic
 truth), and the OPS and FSPF ``detect`` reports without ``timings_ms``.
 A change that alters results on purpose updates the digests and says why.
+The ``ops`` and ``fspf`` digests last changed when the report's ``params``
+block stopped echoing settings no run reads (``gt``, the detectors' own
+seeds, and the oriented-point detector's copies of the up axis and the
+orientation tolerance); planes, labels and every other field stayed the same.
 
 Run as ``python tests/test_golden.py`` to print the digests of the current
 code.
@@ -22,20 +26,20 @@ GOLDEN = {
     1: {
         "gt": "b90277da86e6f18bea51f453607f77fda424142b31db7bbd6b19de9f08b40720",
         "eval": "93e2ad4b63f32659d47b538995bdf3e62c6d5a980125f55a0af9467e478c2d7e",
-        "ops": "3622629b88bdca30adccb142d6cf7da31d7d9316eba122851574944b4fa3eea4",
-        "fspf": "bbd4e5d8e8280e0b3cd1610fc7ff2695dd7067d3f4dbc558a74bf884beaad792",
+        "ops": "e2000dd64e83d6992eb57240667c6b59afb522a21e51f006e7796c05b8d9a001",
+        "fspf": "3e7cfaf48331a272444253adcaf2009bf8273f5869144ccaf9693a858bcf75b6",
     },
     2: {
         "gt": "2496decc77badc8510ed435bf630812bb3359e95988ffcfba3d02dfdb05c7892",
         "eval": "689c33ad0549fa254c95ac252a46aa603dbb87848a76e2c1cbba00c38755d30b",
-        "ops": "1db7f7bc9081e6a857aef500eeff7f0280d0ddb14c02aec8a88dc0673bcbe43c",
-        "fspf": "775aec509033b75648ead64f6dc363344ffda2a4a27c6f71ba1434e2f21b1238",
+        "ops": "168199a35d042e1d339153abe87c0bdca7a8903e78300cdb194e44a8150ac119",
+        "fspf": "208fddb3b393859a3fab9db12ef8fe073dfc87b723a0ca89026d83d05c0cacd2",
     },
     3: {
         "gt": "20e0fa8d47b9cfbcfad08c1e2ea5c2af16b98f80d352eb697ebb993637289428",
         "eval": "0a08ee8a46c902ff710d93537d1b0560341cebf9a5728952544962544c7a8d99",
-        "ops": "30b077cb752a1610106536e408642a01b9b3218f46bf9e5002bb4989a7a22942",
-        "fspf": "5ce16080769e03a5394c51db5ba1a1e6692e779fc0b5d66f5fe2ea0802b82561",
+        "ops": "a42f96ff8d7edc422e98770d81a09050b6a06a30868b51107eefe05076dca127",
+        "fspf": "9911c6683728234ced58d33fa8fbe578fd13a5a2c9e5cbb58282921d5357bdc9",
     },
 }
 

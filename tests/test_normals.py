@@ -3,21 +3,22 @@
 import numpy as np
 import pytest
 
-from planeops import (
-    AllDegenerate,
-    DegenerateNeighborhood,
-    KdTree,
-    build_sample_set,
-    estimate_normal,
-    estimate_normals,
-    sample_indices,
-)
+from planeops import KdTree, OpsParams, estimate_normals, sample_indices
+
+from helpers import ops_samples
 
 
 def _angle_to(n, reference):
     reference = np.asarray(reference, dtype=float)
     reference = reference / np.linalg.norm(reference)
     return np.arccos(np.clip(np.abs(n @ reference), 0.0, 1.0))
+
+
+def _normal_at(pts, index, kd, k, sigma=None):
+    """The one normal at ``index``; it must be valid."""
+    normals, _, valid = estimate_normals(pts, kd, [index], k, sigma)
+    assert valid[0]
+    return normals[0]
 
 
 def _plane_cloud(rng, n, a=0.3, b=-0.2):
@@ -28,7 +29,7 @@ def _plane_cloud(rng, n, a=0.3, b=-0.2):
 class TestEstimateNormal:
     def test_cross_neighborhood(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], dtype=float)
-        normal = estimate_normal(pts, 0, KdTree(pts), k=4)
+        normal = _normal_at(pts, 0, KdTree(pts), k=4)
         np.testing.assert_allclose(normal, [0, 0, 1], atol=1e-12)
 
     def test_analytic_plane(self, rng):
@@ -51,21 +52,14 @@ class TestEstimateNormal:
 
     def test_collinear_neighborhood_degenerate(self):
         pts = np.array([[float(i), 0, 0] for i in range(6)])
-        with pytest.raises(DegenerateNeighborhood):
-            estimate_normal(pts, 0, KdTree(pts), k=4)
+        normals, _, valid = estimate_normals(pts, KdTree(pts), [0], k=4)
+        assert not valid[0]
+        assert np.isnan(normals[0]).all()
 
     def test_duplicate_reference_neighbor_skipped(self):
         pts = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], dtype=float)
-        normal = estimate_normal(pts, 0, KdTree(pts), k=5)
+        normal = _normal_at(pts, 0, KdTree(pts), k=5)
         np.testing.assert_allclose(normal, [0, 0, 1], atol=1e-12)
-
-    def test_single_call_matches_batch(self, rng):
-        pts = _plane_cloud(rng, 200) + rng.normal(scale=0.01, size=(200, 3))
-        kd = KdTree(pts)
-        batch, _, valid = estimate_normals(pts, kd, np.arange(20), k=8)
-        assert valid.all()
-        for i in range(20):
-            np.testing.assert_array_equal(estimate_normal(pts, i, kd, k=8), batch[i])
 
     def test_coplanar_curvature_zero(self, rng):
         pts = _plane_cloud(rng, 500)
@@ -84,7 +78,7 @@ class TestEstimateNormal:
         def tilt(outlier):
             pts = np.vstack([ref, base, outlier])
             kd = KdTree(pts)
-            n = estimate_normal(pts, 0, kd, k=41, sigma=0.5)
+            n = _normal_at(pts, 0, kd, k=41, sigma=0.5)
             return _angle_to(n, [0, 0, 1])
 
         near = tilt(np.array([[0.1, 0.0, 0.4]]))
@@ -94,8 +88,8 @@ class TestEstimateNormal:
     def test_scale_invariance_with_adaptive_sigma(self, rng):
         pts = _plane_cloud(rng, 300) + rng.normal(scale=0.005, size=(300, 3))
         scaled = pts * 37.0
-        n1 = estimate_normal(pts, 5, KdTree(pts), k=10)
-        n2 = estimate_normal(scaled, 5, KdTree(scaled), k=10)
+        n1 = _normal_at(pts, 5, KdTree(pts), k=10)
+        n2 = _normal_at(scaled, 5, KdTree(scaled), k=10)
         np.testing.assert_allclose(n1, n2, atol=1e-9)
 
 
@@ -127,8 +121,7 @@ class TestSampleIndices:
 class TestBuildSampleSet:
     def test_planar_cloud_all_aligned(self, rng):
         pts = _plane_cloud(rng, 1000)
-        kd = KdTree(pts)
-        samples = build_sample_set(pts, kd, rate=0.1, k=10, rng=rng)
+        samples = ops_samples(pts, OpsParams(sampling_rate=0.1, k=10), rng)
         assert len(samples) == 100
         truth = np.array([0.3, -0.2, -1.0])
         for n in samples.normals:
@@ -136,18 +129,14 @@ class TestBuildSampleSet:
 
     def test_single_sample(self, rng):
         pts = _plane_cloud(rng, 50)
-        samples = build_sample_set(pts, KdTree(pts), rate=1e-9, k=5, rng=rng)
+        samples = ops_samples(pts, OpsParams(sampling_rate=1e-9, k=5), rng)
         assert len(samples) == 1
-
-    def test_collinear_cloud_all_degenerate(self, rng):
-        pts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)
-        with pytest.raises(AllDegenerate):
-            build_sample_set(pts, KdTree(pts), rate=1.0, k=3, rng=rng)
 
     def test_bookkeeping(self, rng):
         # a planar cloud with one far-duplicated spot: that sample drops
         pts = np.vstack([_plane_cloud(rng, 400), np.full((5, 3), 100.0)])
-        kd = KdTree(pts)
-        samples = build_sample_set(pts, kd, rate=1.0, k=4, rng=rng)
-        assert len(samples) + samples.n_degenerate == 405
-        assert samples.n_degenerate >= 5
+        samples = ops_samples(pts, OpsParams(sampling_rate=1.0, k=4), rng)
+        assert len(samples) <= 400
+        assert (samples.indices < 400).all()
+        np.testing.assert_array_equal(samples.positions, pts[samples.indices])
+        assert samples.cloud_size == 405

@@ -12,13 +12,28 @@ from planeops import (
     PlaneModel,
     SampleSet,
     adaptive_iterations,
-    detect_all_planes,
+    classify_orientation,
     detect_grouped,
     extract_full_inliers,
     gen_synthetic,
     make_box_room,
     one_point_ransac,
 )
+
+from helpers import ops_samples
+
+UP = (0.0, 0.0, 1.0)
+TOL = 7.0
+
+
+def _detect(points, params, seed):
+    """Sample and detect on one generator seeded with ``seed``, as a run does."""
+    rng = np.random.default_rng(seed)
+    return detect_grouped(points, ops_samples(points, params, rng), params, rng, UP, TOL)
+
+
+def _orientations(planes):
+    return [classify_orientation(p.normal, UP, TOL) for p in planes]
 
 
 def _sample_set(positions, normals, cloud_size=None):
@@ -29,8 +44,6 @@ def _sample_set(positions, normals, cloud_size=None):
         indices=np.arange(n, dtype=np.int64),
         positions=positions,
         normals=normals,
-        sampling_rate=1.0,
-        k=10,
         cloud_size=cloud_size or n,
     )
 
@@ -139,8 +152,8 @@ class TestDetectAllPlanes:
         # 5 m faces keep the unavoidable edge strips (points of one face
         # within dist_threshold of the adjacent face's plane) under 5%.
         points, truth = make_box_room(size=5.0, clutter=0, seed=11)
-        params = OpsParams(sampling_rate=0.05, k=10, min_inliers=20, seed=4)
-        planes = detect_all_planes(points, params)
+        params = OpsParams(sampling_rate=0.05, k=10, min_inliers=20, grouping="detect_first")
+        planes = _detect(points, params, 4)
         assert len(planes) == 6
         for plane in planes:
             true_ids = truth.plane_ids[plane.inliers]
@@ -150,19 +163,19 @@ class TestDetectAllPlanes:
     def test_single_plane(self, rng):
         scene = {"rects": [{"corner": [0, 0, 0], "edge_u": [2, 0, 0], "edge_v": [0, 2, 0], "count": 2000}]}
         points, _ = gen_synthetic(scene, noise_sigma=0.003, seed=2)
-        planes = detect_all_planes(points, OpsParams(sampling_rate=0.1, k=10, seed=1))
+        planes = _detect(points, OpsParams(sampling_rate=0.1, k=10, grouping="detect_first"), 1)
         assert len(planes) == 1
 
     def test_uniform_noise_yields_little(self, rng):
         points = rng.uniform(0, 1, size=(2000, 3))
-        planes = detect_all_planes(points, OpsParams(sampling_rate=0.2, k=10, min_inliers=20, seed=9))
+        planes = _detect(points, OpsParams(sampling_rate=0.2, k=10, min_inliers=20, grouping="detect_first"), 9)
         for plane in planes:
             assert plane.inlier_count <= 0.3 * 2000
 
     def test_disjoint_inliers_and_threshold(self):
         points, _ = make_box_room(clutter=300, seed=5)
-        params = OpsParams(sampling_rate=0.05, k=10, seed=5)
-        planes = detect_all_planes(points, params)
+        params = OpsParams(sampling_rate=0.05, k=10, grouping="detect_first")
+        planes = _detect(points, params, 5)
         seen = np.zeros(points.shape[0], dtype=bool)
         for plane in planes:
             assert plane.inlier_count >= params.min_inliers
@@ -176,9 +189,9 @@ class TestDetectAllPlanes:
 
     def test_deterministic_given_seed(self):
         points, _ = make_box_room(points_per_face=400, clutter=100, seed=3)
-        params = OpsParams(sampling_rate=0.08, k=10, seed=21)
-        a = detect_all_planes(points, params)
-        b = detect_all_planes(points, params)
+        params = OpsParams(sampling_rate=0.08, k=10, grouping="detect_first")
+        a = _detect(points, params, 21)
+        b = _detect(points, params, 21)
         assert len(a) == len(b)
         for pa, pb in zip(a, b):
             np.testing.assert_array_equal(pa.inliers, pb.inliers)
@@ -188,31 +201,40 @@ class TestDetectAllPlanes:
 class TestDetectGrouped:
     def test_box_room_orientation_split(self):
         points, _ = make_box_room(clutter=0, seed=13)
-        params = OpsParams(sampling_rate=0.05, k=10, seed=2)
-        labeled = detect_grouped(points, params)
-        orientations = [o for _, o in labeled]
+        orientations = _orientations(_detect(points, OpsParams(sampling_rate=0.05, k=10), 2))
         assert orientations.count(Orientation.HORIZONTAL) == 2
         assert orientations.count(Orientation.VERTICAL) == 4
 
     def test_tilted_plane_is_other(self):
         scene = {"rects": [{"corner": [0, 0, 0], "edge_u": [2, 0, 0], "edge_v": [0, 1.4, 1.4], "count": 2500}]}
         points, _ = gen_synthetic(scene, noise_sigma=0.003, seed=1)
-        labeled = detect_grouped(points, OpsParams(sampling_rate=0.1, k=10, seed=3))
-        assert len(labeled) == 1
-        assert labeled[0][1] is Orientation.OTHER
+        planes = _detect(points, OpsParams(sampling_rate=0.1, k=10), 3)
+        assert len(planes) == 1
+        assert _orientations(planes) == [Orientation.OTHER]
 
     def test_group_first_matches_detect_first_count(self):
         points, _ = make_box_room(clutter=0, seed=17)
-        grouped = detect_grouped(points, OpsParams(sampling_rate=0.05, k=10, seed=6, grouping="group_first"))
-        flat = detect_grouped(points, OpsParams(sampling_rate=0.05, k=10, seed=6, grouping="detect_first"))
+        grouped = _detect(points, OpsParams(sampling_rate=0.05, k=10, grouping="group_first"), 6)
+        flat = _detect(points, OpsParams(sampling_rate=0.05, k=10, grouping="detect_first"), 6)
         assert len(grouped) == len(flat) == 6
+
+    def test_grouping_sets_detection_order(self):
+        # a 3000-point wall and a 1000-point floor: orientation-blind
+        # detection takes the larger plane first, grouped detection the
+        # horizontal one
+        scene = {"rects": [{"corner": [0, 0, 0], "edge_u": [2, 0, 0], "edge_v": [0, 0, 2], "count": 3000},
+                           {"corner": [0, 0.2, 0], "edge_u": [2, 0, 0], "edge_v": [0, 1, 0], "count": 1000}]}
+        points, _ = gen_synthetic(scene, noise_sigma=0.003, seed=4)
+        flat = _detect(points, OpsParams(sampling_rate=0.05, k=10, grouping="detect_first"), 2)
+        grouped = _detect(points, OpsParams(sampling_rate=0.05, k=10, grouping="group_first"), 2)
+        assert _orientations(flat) == [Orientation.VERTICAL, Orientation.HORIZONTAL]
+        assert _orientations(grouped) == [Orientation.HORIZONTAL, Orientation.VERTICAL]
 
     def test_group_counts_roughly_decreasing(self):
         points, _ = make_box_room(clutter=300, seed=19)
-        params = OpsParams(sampling_rate=0.05, k=10, seed=8)
-        labeled = detect_grouped(points, params)
+        planes = _detect(points, OpsParams(sampling_rate=0.05, k=10), 8)
         by_group: dict = {}
-        for plane, orient in labeled:
+        for plane, orient in zip(planes, _orientations(planes)):
             by_group.setdefault(orient, []).append(plane.inlier_count)
         for counts in by_group.values():
             for earlier, later in zip(counts, counts[1:]):

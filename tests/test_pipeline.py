@@ -8,6 +8,7 @@ import pytest
 from planeops import (
     FspfParams,
     OpsParams,
+    Orientation,
     PlaneModel,
     RunConfig,
     SegmentLabeling,
@@ -73,6 +74,31 @@ class TestRunDetect:
             b.pop("timings_ms")
             assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    def test_collinear_cloud_finds_nothing(self):
+        # every sample's neighbourhood is a line, so no sample gets a normal
+        points = np.column_stack([np.linspace(0.0, 2.0, 200), np.zeros(200), np.zeros(200)])
+        report = run_detect(points, _ops_config())
+        assert report.pre_merge_count == report.post_merge_count == 0
+        assert report.planes == []
+        assert (report.labeling.plane_ids == -1).all()
+        assert (report.labeling.orientations == int(Orientation.OTHER)).all()
+
+    def test_up_axis_drives_grouping_and_labels(self):
+        # a 3000-point wall (y = 0) meeting a 1000-point floor (z = 0): the
+        # group detected first, horizontal under the run's up axis, claims
+        # the strip where the two planes meet
+        scene = {"rects": [{"corner": [0, 0, 0], "edge_u": [2, 0, 0], "edge_v": [0, 0, 2], "count": 3000},
+                           {"corner": [0, 0.2, 0], "edge_u": [2, 0, 0], "edge_v": [0, 1, 0], "count": 1000}]}
+        points, _ = gen_synthetic(scene, noise_sigma=0.003, seed=4)
+        ops = OpsParams(sampling_rate=0.05, k=10)
+        for up, first in (((0.0, 0.0, 1.0), 2), ((0.0, 1.0, 0.0), 1)):
+            report = run_detect(points, RunConfig(ops=ops, up=up))
+            by_axis = {int(np.argmax(np.abs(p.normal))): p for p in report.planes}
+            assert sorted(by_axis) == [1, 2]
+            assert by_axis[first].orientation == "horizontal"
+            assert by_axis[3 - first].orientation == "vertical"
+            assert by_axis[first].inlier_count >= {1: 3000, 2: 1001}[first]
+
     def test_labeling_matches_plane_summaries(self):
         points, _ = _small_scene()
         report = run_detect(points, _ops_config())
@@ -89,6 +115,13 @@ class TestRunConfig:
         assert again.fspf.r1 == 0.1
         assert again.seed == 3
         assert again.name == "x"
+
+    def test_params_echo_only_read_fields(self):
+        d = RunConfig(detector="ops").to_dict()
+        assert set(d) == {"detector", "seed", "name", "up", "orientation_tol_degrees", "ops", "merge"}
+        assert set(d["ops"]) == {"sampling_rate", "k", "probability", "dist_threshold", "min_inliers",
+                                 "grouping", "sigma"}
+        assert "seed" not in RunConfig(detector="fspf").to_dict()["fspf"]
 
     def test_bad_detector(self):
         with pytest.raises(ValueError):

@@ -27,6 +27,17 @@ class TestSegmentLabeling:
         with pytest.raises(ValueError):
             lab.validate()
 
+    @pytest.mark.parametrize("ids", [np.array([2**32 + 5, -1]), [2**32 + 5, -1], np.array([-(2**31) - 1, -1])],
+                             ids=["int64-array", "list", "below-int32"])
+    def test_id_beyond_int32_rejected(self, ids):
+        with pytest.raises(ValueError, match="int32"):
+            SegmentLabeling(plane_ids=ids, orientations=[0, 2])
+
+    def test_int32_bounds_kept(self):
+        lab = SegmentLabeling(plane_ids=np.array([2**31 - 1, -(2**31)]), orientations=[0, 2])
+        assert lab.plane_ids.dtype == np.int32
+        assert lab.plane_ids.tolist() == [2**31 - 1, -(2**31)]
+
     def test_all_other(self):
         lab = SegmentLabeling.all_other(5)
         lab.validate()
