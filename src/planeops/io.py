@@ -68,10 +68,10 @@ class UnsupportedFormat(ParseError):
 
 
 def _drop_nonfinite(points: np.ndarray, path) -> np.ndarray:
+    if np.isfinite(points).all():
+        return points
     finite = np.isfinite(points).all(axis=1)
-    dropped = int(points.shape[0] - finite.sum())
-    if dropped:
-        logger.warning("dropped %d non-finite vertices from %s", dropped, path)
+    logger.warning("dropped %d non-finite vertices from %s", int(points.shape[0] - finite.sum()), path)
     return points[finite]
 
 
@@ -263,13 +263,16 @@ def save_labeled(
         raise ValueError(f"labeling size {len(labeling)} != cloud size {n}")
     if mode not in ("segment", "orientation"):
         raise ValueError(f"unknown color mode {mode!r}")
-    colors = np.empty((n, 3), dtype=np.uint8)
     if mode == "orientation":
+        colors = np.empty((n, 3), dtype=np.uint8)
         for orient in Orientation:
             colors[labeling.orientations == int(orient)] = ORIENTATION_COLORS[orient]
     else:
-        for pid in np.unique(labeling.plane_ids):
-            colors[labeling.plane_ids == pid] = segment_color(int(pid))
+        # A palette over the distinct ids; searchsorted needs fewer
+        # temporaries than np.unique's return_inverse.
+        ids = np.unique(labeling.plane_ids)
+        palette = np.array([segment_color(pid) for pid in ids.tolist()], dtype=np.uint8).reshape(-1, 3)
+        colors = palette[np.searchsorted(ids, labeling.plane_ids)]
 
     path = Path(path)
     dtype = np.dtype([("x", "<f8"), ("y", "<f8"), ("z", "<f8"),

@@ -7,7 +7,6 @@ unsegmented on both sides also count as matched.
 """
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .truth import SegmentLabeling
 
@@ -55,6 +54,10 @@ def hungarian_match(overlap: np.ndarray):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
     if (m < 0).any():
         raise ValueError("overlap counts must be nonnegative")
+    # Imported here: scipy.optimize adds about 0.1 s to every process that
+    # imports planeops, and only scoring needs it.
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(m, maximize=True)
     total = int(m[rows, cols].sum())
     return rows.astype(np.int64), cols.astype(np.int64), total

@@ -44,19 +44,23 @@ class SampleSet:
 def sample_indices(n_points: int, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Draw round(rate * n_points) distinct indices uniformly, at least one.
 
-    Partial Fisher-Yates over an index array: O(sample size) swaps and
-    reproducible for a given generator state.
+    Partial Fisher-Yates: step i swaps position i with a uniform position j
+    in [i, n_points). All swap targets come from one draw, which yields the
+    same values and generator state as one ``rng.integers(i, n_points)`` per
+    step. The swaps touch only the positions in ``moved``, so the cost is
+    O(sample size), not O(n_points).
     """
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
     if n_points < 1:
         raise ValueError("cannot sample from an empty cloud")
     m = min(n_points, max(1, round(rate * n_points)))
-    pool = np.arange(n_points, dtype=np.int64)
-    for i in range(m):
-        j = int(rng.integers(i, n_points))
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:m]
+    moved: dict[int, int] = {}  # position -> index now there, where not the identity
+    picked = []
+    for i, j in enumerate(rng.integers(np.arange(m), n_points).tolist()):
+        picked.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return np.array(picked, dtype=np.int64)
 
 
 def estimate_normals(points: np.ndarray, kd: KdTree, indices, k: int, sigma: float | None = None):

@@ -4,8 +4,9 @@ A single point with a normal already determines a plane, so one oriented
 sample per hypothesis is enough; the inlier ratio then drives an adaptive
 iteration budget. Multi-plane extraction is greedy: detect, claim inliers,
 repeat on what is left. By default detection runs per orientation group
-(horizontal / vertical / other) over a shared claimed-points mask; the
-oriented samples themselves come from :func:`planeops.pipeline.run_detect`.
+(horizontal / vertical / other) over a shared index of the points still
+unclaimed, and each verification measures only those; the oriented samples
+themselves come from :func:`planeops.pipeline.run_detect`.
 """
 
 import math
@@ -36,6 +37,9 @@ __all__ = [
 GROUP_ORDER = (Orientation.HORIZONTAL, Orientation.VERTICAL, Orientation.OTHER)
 # The RANSAC budget never exceeds this many draws per live sample.
 ITERATION_CAP_FACTOR = 10
+# Sample distances one block of RANSAC picks computes at most (one pick per
+# block when the pool is larger).
+BLOCK_DISTANCES = 2**16
 
 
 class NoPlaneFound(RuntimeError):
@@ -123,6 +127,12 @@ def one_point_ransac(
     shrinks as better hypotheses tighten the pool's outlier ratio. The
     winner is refit by least squares on its sample inliers.
 
+    Picks are drawn and tested in blocks of about ``BLOCK_DISTANCES`` sample
+    distances, then walked in draw order. If the budget runs out inside a
+    block, the generator is rewound and only the used picks are drawn again,
+    so the result, ``iterations`` and the generator's final state are those
+    of one draw per iteration.
+
     Args:
         alive: optional boolean mask restricting the working pool; retired
             samples are neither drawn nor counted.
@@ -142,21 +152,32 @@ def one_point_ransac(
     normals = samples.normals[pool]
     cap = ITERATION_CAP_FACTOR * m
     budget = min(samples.cloud_size, cap)
+    block = max(1, BLOCK_DISTANCES // m)
 
     best_count = 0
     best_mask = None
     it = 0
     while it < budget:
-        pick = int(rng.integers(0, m))
-        dists = np.abs((positions - positions[pick]) @ normals[pick])
-        mask = dists < params.dist_threshold
-        count = int(mask.sum())
-        if count > params.min_inliers and count > best_count:
-            best_count = count
-            best_mask = mask
-            e = 1.0 - count / m
-            budget = adaptive_iterations(params.probability, max(e, 0.0), cap=cap)
-        it += 1
+        state = rng.bit_generator.state
+        picks = rng.integers(0, m, size=min(block, budget - it))
+        # A stacked matmul runs one gemv per pick, bit for bit the same as
+        # ``(positions - positions[pick]) @ normals[pick]``; einsum is not.
+        dists = np.abs(np.matmul(positions[None] - positions[picks][:, None], normals[picks][:, :, None]))
+        inside = dists[:, :, 0] < params.dist_threshold
+        used = 0
+        for count in inside.sum(axis=1).tolist():
+            if count > params.min_inliers and count > best_count:
+                best_count = count
+                best_mask = inside[used]
+                e = 1.0 - count / m
+                budget = adaptive_iterations(params.probability, max(e, 0.0), cap=cap)
+            used += 1
+            if it + used >= budget:
+                break
+        it += used
+        if used < picks.size:
+            rng.bit_generator.state = state
+            rng.integers(0, m, size=used)
 
     if best_mask is None:
         raise NoPlaneFound(f"no hypothesis exceeded {params.min_inliers} inliers in {it} iterations")
@@ -172,57 +193,27 @@ def extract_full_inliers(
     points: np.ndarray,
     model: PlaneModel,
     dist_threshold: float,
-    active_mask: np.ndarray | None = None,
+    live: np.ndarray | None = None,
 ) -> PlaneModel:
-    """Verify a sample-born hypothesis against the whole cloud.
+    """Verify a sample-born hypothesis against the unclaimed points.
 
-    Claims every active point within ``dist_threshold`` of the plane and
-    refits on them. With fewer than three claimed points the hypothesis
-    geometry is kept and only the inlier list changes.
+    ``live`` holds the ascending indices of the points still unclaimed
+    (None: the whole cloud), and only those are measured. Claims every live
+    point within ``dist_threshold`` of the plane and refits on them. With
+    fewer than three claimed points the hypothesis geometry is kept and only
+    the inlier list changes.
     """
-    dists = plane_distances(points, model.centroid, model.normal)
-    mask = dists < dist_threshold
-    if active_mask is not None:
-        mask &= active_mask
-    idx = np.flatnonzero(mask).astype(np.int64)
+    if live is None:
+        live = np.arange(points.shape[0], dtype=np.int64)
+    offsets = points[live]
+    offsets -= model.centroid  # in place: one (live, 3) temporary, the bits of plane_distances
+    idx = live[np.abs(offsets @ model.normal) < dist_threshold]
     if idx.size >= 3:
         try:
             return fit_plane(points[idx], inliers=idx)
         except DegenerateInput:
             pass
     return PlaneModel(centroid=model.centroid, normal=model.normal, inliers=idx)
-
-
-def _greedy_planes(
-    points: np.ndarray,
-    samples: SampleSet,
-    alive: np.ndarray,
-    member: np.ndarray,
-    active_mask: np.ndarray,
-    params: OpsParams,
-    rng: np.random.Generator,
-) -> list[PlaneModel]:
-    """Detect planes from the live samples in ``member`` until exhausted.
-
-    Mutates ``alive`` (sample pool, shared across groups) and ``active_mask``
-    (cloud-level claimed points).
-    """
-    planes = []
-    while int((alive & member).sum()) > params.min_inliers:
-        try:
-            result = one_point_ransac(samples, params, rng, alive=alive & member)
-        except NoPlaneFound:
-            break
-        full = extract_full_inliers(points, result.model, params.dist_threshold, active_mask)
-        # Retire spent samples from the shared pool: the winning sample set,
-        # plus any sample (in any group) sitting on the claimed plane.
-        alive[result.sample_inliers] = False
-        near = plane_distances(samples.positions, full.centroid, full.normal) < params.dist_threshold
-        alive &= ~near
-        if full.inlier_count >= params.min_inliers:
-            active_mask[full.inliers] = False
-            planes.append(full)
-    return planes
 
 
 def sample_orientations(samples: SampleSet, up: np.ndarray, tol_degrees: float) -> np.ndarray:
@@ -248,8 +239,8 @@ def detect_grouped(
     horizontal / vertical / other by their estimated normals (``up`` and
     ``tol_degrees`` decide) and detection runs per group, in that fixed
     order. With ``grouping="detect_first"`` every sample is in one group.
-    Either way the groups share one sample pool and one claimed-points mask,
-    so the planes have pairwise-disjoint inlier sets of at least
+    Either way the groups share one sample pool and one index of unclaimed
+    points, so the planes have pairwise-disjoint inlier sets of at least
     ``min_inliers`` points each.
     """
     if params.grouping == "detect_first":
@@ -258,8 +249,21 @@ def detect_grouped(
         codes = sample_orientations(samples, as_unit_vector(up), tol_degrees)
         groups = [codes == int(orient) for orient in GROUP_ORDER]
     alive = np.ones(len(samples), dtype=bool)
-    active_mask = np.ones(points.shape[0], dtype=bool)
+    live = np.arange(points.shape[0], dtype=np.int64)  # unclaimed points, ascending
     planes = []
     for member in groups:
-        planes.extend(_greedy_planes(points, samples, alive, member, active_mask, params, rng))
+        while int((alive & member).sum()) > params.min_inliers:
+            try:
+                result = one_point_ransac(samples, params, rng, alive=alive & member)
+            except NoPlaneFound:
+                break
+            full = extract_full_inliers(points, result.model, params.dist_threshold, live)
+            # Retire spent samples from the shared pool: the winning sample
+            # set, plus any sample (in any group) sitting on the claimed plane.
+            alive[result.sample_inliers] = False
+            near = plane_distances(samples.positions, full.centroid, full.normal) < params.dist_threshold
+            alive &= ~near
+            if full.inlier_count >= params.min_inliers:
+                live = np.delete(live, np.searchsorted(live, full.inliers))
+                planes.append(full)
     return planes

@@ -168,7 +168,7 @@ def assign_to_planes(points: np.ndarray, planes: list[PlaneModel], dist_threshol
         better = (d < dist_threshold) & (d < best)
         ids[better] = pid
         best[better] = d[better]
-    return _labeling_with_orientations(n, ids, planes, up, tol_degrees)
+    return _labeling_with_orientations(ids, planes, up, tol_degrees)
 
 
 def labeling_from_inliers(n: int, planes: list[PlaneModel], up=(0.0, 0.0, 1.0),
@@ -177,15 +177,14 @@ def labeling_from_inliers(n: int, planes: list[PlaneModel], up=(0.0, 0.0, 1.0),
     ids = np.full(n, -1, dtype=np.int32)
     for pid, plane in enumerate(planes):
         ids[plane.inliers] = pid
-    return _labeling_with_orientations(n, ids, planes, up, tol_degrees)
+    return _labeling_with_orientations(ids, planes, up, tol_degrees)
 
 
-def _labeling_with_orientations(n, ids, planes, up, tol_degrees) -> SegmentLabeling:
+def _labeling_with_orientations(ids, planes, up, tol_degrees) -> SegmentLabeling:
+    """Orientation labels by a table of plane classes; id -1 reads its last entry, OTHER."""
     up = as_unit_vector(up)
-    orients = np.full(n, int(Orientation.OTHER), dtype=np.int8)
-    for pid, plane in enumerate(planes):
-        orient = classify_orientation(plane.normal, up, tol_degrees)
-        orients[ids == pid] = int(orient)
+    table = [int(classify_orientation(plane.normal, up, tol_degrees)) for plane in planes]
+    orients = np.array(table + [int(Orientation.OTHER)], dtype=np.int8)[ids]
     return SegmentLabeling(plane_ids=ids, orientations=orients)
 
 

@@ -12,6 +12,14 @@ import numpy as np
 from planeops import KdTree, Orientation, PlaneModel, SegmentLabeling, fit_plane
 from planeops.geometry import DegenerateInput, as_unit_vector, classify_orientation, plane_distances
 from planeops.normals import SampleSet, estimate_normals, normals_from_neighbors, sample_indices
+from planeops.ops import (
+    GROUP_ORDER,
+    ITERATION_CAP_FACTOR,
+    NoPlaneFound,
+    RansacResult,
+    adaptive_iterations,
+    sample_orientations,
+)
 
 
 def ops_samples(points, params, rng):
@@ -245,3 +253,85 @@ def reference_generate_ground_truth(points, params):
             orientations[member] = int(orient)
             next_id += 1
     return SegmentLabeling(plane_ids=plane_ids, orientations=orientations)
+
+
+def reference_sample_indices(n_points, rate, rng):
+    """Partial Fisher-Yates over a full index array, one scalar draw per step."""
+    m = min(n_points, max(1, round(rate * n_points)))
+    pool = np.arange(n_points, dtype=np.int64)
+    for i in range(m):
+        j = int(rng.integers(i, n_points))
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:m]
+
+
+def reference_one_point_ransac(samples, params, rng, alive=None):
+    """One-point RANSAC with one scalar draw and one gemv per iteration."""
+    pool = np.arange(len(samples), dtype=np.int64) if alive is None else np.flatnonzero(alive)
+    m = pool.size
+    if m <= params.min_inliers:
+        raise NoPlaneFound(f"{m} live samples cannot exceed min_inliers={params.min_inliers}")
+    positions = samples.positions[pool]
+    normals = samples.normals[pool]
+    cap = ITERATION_CAP_FACTOR * m
+    budget = min(samples.cloud_size, cap)
+    best_count = 0
+    best_mask = None
+    it = 0
+    while it < budget:
+        pick = int(rng.integers(0, m))
+        mask = np.abs((positions - positions[pick]) @ normals[pick]) < params.dist_threshold
+        count = int(mask.sum())
+        if count > params.min_inliers and count > best_count:
+            best_count = count
+            best_mask = mask
+            budget = adaptive_iterations(params.probability, max(1.0 - count / m, 0.0), cap=cap)
+        it += 1
+    if best_mask is None:
+        raise NoPlaneFound(f"no hypothesis exceeded {params.min_inliers} inliers in {it} iterations")
+    winners = pool[best_mask]
+    try:
+        model = fit_plane(samples.positions[winners], inliers=samples.indices[winners])
+    except DegenerateInput as exc:
+        raise NoPlaneFound(f"winning inlier set is degenerate: {exc}") from exc
+    return RansacResult(model=model, sample_inliers=winners, iterations=it)
+
+
+def reference_extract_full_inliers(points, model, dist_threshold, active_mask=None):
+    """Verification by a full-cloud distance scan, masked afterwards."""
+    mask = plane_distances(points, model.centroid, model.normal) < dist_threshold
+    if active_mask is not None:
+        mask &= active_mask
+    idx = np.flatnonzero(mask).astype(np.int64)
+    if idx.size >= 3:
+        try:
+            return fit_plane(points[idx], inliers=idx)
+        except DegenerateInput:
+            pass
+    return PlaneModel(centroid=model.centroid, normal=model.normal, inliers=idx)
+
+
+def reference_detect_grouped(points, samples, params, rng, up, tol_degrees):
+    """Greedy multi-plane detection over a full-cloud claimed-points mask,
+    with the reference RANSAC and verification."""
+    if params.grouping == "detect_first":
+        groups = [np.ones(len(samples), dtype=bool)]
+    else:
+        codes = sample_orientations(samples, as_unit_vector(up), tol_degrees)
+        groups = [codes == int(orient) for orient in GROUP_ORDER]
+    alive = np.ones(len(samples), dtype=bool)
+    active_mask = np.ones(points.shape[0], dtype=bool)
+    planes = []
+    for member in groups:
+        while int((alive & member).sum()) > params.min_inliers:
+            try:
+                result = reference_one_point_ransac(samples, params, rng, alive=alive & member)
+            except NoPlaneFound:
+                break
+            full = reference_extract_full_inliers(points, result.model, params.dist_threshold, active_mask)
+            alive[result.sample_inliers] = False
+            alive &= ~(plane_distances(samples.positions, full.centroid, full.normal) < params.dist_threshold)
+            if full.inlier_count >= params.min_inliers:
+                active_mask[full.inliers] = False
+                planes.append(full)
+    return planes

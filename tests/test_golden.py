@@ -1,9 +1,12 @@
-"""Golden outputs: SHA-256 digests of CLI outputs on fixed desk-scale rooms.
+"""Golden outputs: SHA-256 digests of CLI outputs on fixed synthetic rooms.
 
 A change that keeps behaviour must keep these bytes. Each digest covers one
 output of ``planeops.cli.main`` on a ``make_box_room`` cloud: the ``gt``
 sidecar, the ``eval`` JSON (that sidecar scored against the synthetic
-truth), and the OPS and FSPF ``detect`` reports without ``timings_ms``.
+truth), the OPS and FSPF ``detect`` reports without ``timings_ms``, and the
+OPS ``detect`` labeled PLY (``ops_ply``) and sidecar (``ops_labels``).
+Three rooms have 6,600 points; one has 65,000, enough that the oriented-point
+detector's set of unclaimed points shrinks to a small share of the cloud.
 A change that alters results on purpose updates the digests and says why.
 The ``ops`` and ``fspf`` digests last changed when the report's ``params``
 block stopped echoing settings no run reads (``gt``, the detectors' own
@@ -27,20 +30,34 @@ GOLDEN = {
         "gt": "b90277da86e6f18bea51f453607f77fda424142b31db7bbd6b19de9f08b40720",
         "eval": "93e2ad4b63f32659d47b538995bdf3e62c6d5a980125f55a0af9467e478c2d7e",
         "ops": "e2000dd64e83d6992eb57240667c6b59afb522a21e51f006e7796c05b8d9a001",
+        "ops_ply": "7c06a4c9a5e85a4965acae6b7e6df794d1a6e5fba67634a3c441fe129d781303",
+        "ops_labels": "fb63cea6b94595e71f5575392b725ae62d017a2c711e092a2e85b5d13f22d0e5",
         "fspf": "3e7cfaf48331a272444253adcaf2009bf8273f5869144ccaf9693a858bcf75b6",
     },
     2: {
         "gt": "2496decc77badc8510ed435bf630812bb3359e95988ffcfba3d02dfdb05c7892",
         "eval": "689c33ad0549fa254c95ac252a46aa603dbb87848a76e2c1cbba00c38755d30b",
         "ops": "168199a35d042e1d339153abe87c0bdca7a8903e78300cdb194e44a8150ac119",
+        "ops_ply": "6d11201abea8f3c59fc19039761cf8833cdffbcfbd6acce740a5a276c079cf33",
+        "ops_labels": "0740c916bc8e1127d61ffdf305746c63ab201830e85187c75d8ce5feda567b72",
         "fspf": "208fddb3b393859a3fab9db12ef8fe073dfc87b723a0ca89026d83d05c0cacd2",
     },
     3: {
         "gt": "20e0fa8d47b9cfbcfad08c1e2ea5c2af16b98f80d352eb697ebb993637289428",
         "eval": "0a08ee8a46c902ff710d93537d1b0560341cebf9a5728952544962544c7a8d99",
         "ops": "a42f96ff8d7edc422e98770d81a09050b6a06a30868b51107eefe05076dca127",
+        "ops_ply": "537a40304c699b5cbd1497c418b5b3bdbd8e64fbc81050c6e0aaaeb7b4bf9130",
+        "ops_labels": "0dc049f4c8754f8fccb77d8d6ea18a532f2e943e3e3da444226ff2d627e1722c",
         "fspf": "9911c6683728234ced58d33fa8fbe578fd13a5a2c9e5cbb58282921d5357bdc9",
     },
+}
+
+
+GOLDEN_OPS_65K_SEED = 4
+GOLDEN_OPS_65K = {
+    "ops": "5c09ce1b3965e2afbf693f8953ea5ec0ead12dd94895b0e005fd9591d680c87f",
+    "ops_ply": "b5b23ff33057c8a691f8e5d216a80257a1912f6d1509e8c7707d5ba7fbb73ac6",
+    "ops_labels": "d8bc6e21c79142f74fde0ef2bf156a68570c0c937a6e192b941462e9369b0bdf",
 }
 
 
@@ -54,26 +71,49 @@ def _report_digest(path) -> str:
     return _sha256(json.dumps(report, sort_keys=True).encode())
 
 
-def golden_digests(seed: int, workdir) -> dict:
-    """Digests of the four outputs for the 6,600-point room of ``seed``."""
-    points, truth = make_box_room(size=3.5, points_per_face=1000, clutter=600, noise_sigma=0.005, seed=seed)
+def _room(workdir, points_per_face: int, clutter: int, seed: int):
+    points, truth = make_box_room(size=3.5, points_per_face=points_per_face, clutter=clutter,
+                                  noise_sigma=0.005, seed=seed)
     cloud = workdir / "room.ply"
     save_labeled(points, truth, cloud)
+    return cloud
+
+
+def _detect_digests(cloud, workdir, detector: str) -> dict:
+    out = workdir / detector
+    main(["detect", "--input", str(cloud), "--out", str(out), "--detector", detector, "--seed", "1"])
+    digests = {detector: _report_digest(out / "room.report.json")}
+    if detector == "ops":
+        digests["ops_ply"] = _sha256((out / "room.labeled.ply").read_bytes())
+        digests["ops_labels"] = _sha256((out / "room.labels.txt").read_bytes())
+    return digests
+
+
+def golden_digests(seed: int, workdir) -> dict:
+    """Digests of the outputs for the 6,600-point room of ``seed``."""
+    cloud = _room(workdir, 1000, 600, seed)
     gt, scores = workdir / "room.gt.labels.txt", workdir / "room.eval.json"
     assert main(["gt", "--input", str(cloud), "--out", str(gt)]) == 0
     assert main(["eval", "--pred", str(gt), "--truth", str(cloud.with_suffix(".labels.txt")),
                  "--json", str(scores)]) == 0
     digests = {"gt": _sha256(gt.read_bytes()), "eval": _sha256(scores.read_bytes())}
     for detector in ("ops", "fspf"):
-        out = workdir / detector
-        main(["detect", "--input", str(cloud), "--out", str(out), "--detector", detector, "--seed", "1"])
-        digests[detector] = _report_digest(out / "room.report.json")
+        digests.update(_detect_digests(cloud, workdir, detector))
     return digests
+
+
+def golden_ops_65k_digests(workdir) -> dict:
+    """Digests of the OPS detect outputs for the 65,000-point room."""
+    return _detect_digests(_room(workdir, 10000, 5000, GOLDEN_OPS_65K_SEED), workdir, "ops")
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN))
 def test_golden_outputs(tmp_path, seed):
     assert golden_digests(seed, tmp_path) == GOLDEN[seed]
+
+
+def test_golden_ops_65k(tmp_path):
+    assert golden_ops_65k_digests(tmp_path) == GOLDEN_OPS_65K
 
 
 if __name__ == "__main__":
@@ -83,3 +123,5 @@ if __name__ == "__main__":
     for seed in sorted(GOLDEN):
         with tempfile.TemporaryDirectory() as tmp:
             print(seed, json.dumps(golden_digests(seed, Path(tmp)), indent=4))
+    with tempfile.TemporaryDirectory() as tmp:
+        print("ops 65k", json.dumps(golden_ops_65k_digests(Path(tmp)), indent=4))

@@ -76,6 +76,14 @@ class TestPlyAscii:
         points = load_cloud(path)
         np.testing.assert_array_equal(points, [[2, 3, 1], [5, 6, 4]])
 
+    def test_finite_cloud_kept_without_warning(self, tmp_path, caplog):
+        path = tmp_path / "c.ply"
+        path.write_bytes(_ascii_ply([(float(i), 1.0, 2.0) for i in range(5)]))
+        with caplog.at_level(logging.WARNING):
+            points = load_cloud(path)
+        assert points.shape == (5, 3)
+        assert "non-finite" not in caplog.text
+
     def test_nan_vertex_dropped_with_warning(self, tmp_path, caplog):
         rows = [(float(i), 0.0, 0.0) for i in range(99)] + [(float("nan"), 0.0, 0.0)]
         path = tmp_path / "c.ply"
@@ -269,6 +277,18 @@ def test_sidecar_round_trip_property(tmp_path_factory, labeling):
     assert loaded.plane_ids.dtype == np.int32 and loaded.orientations.dtype == np.int8
     np.testing.assert_array_equal(loaded.plane_ids, labeling.plane_ids)
     np.testing.assert_array_equal(loaded.orientations, labeling.orientations)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(labeling=valid_labelings())
+def test_segment_colors_match_per_point_reference(tmp_path_factory, labeling):
+    path = tmp_path_factory.mktemp("colors") / "out.ply"
+    save_labeled(np.zeros((len(labeling), 3)), labeling, path, mode="segment", sidecar=False)
+    raw = path.read_bytes()
+    table = np.frombuffer(raw[raw.find(b"end_header") + len(b"end_header\n"):],
+                          dtype=[("x", "<f8"), ("y", "<f8"), ("z", "<f8"), ("rgb", "u1", 3)])
+    expected = [segment_color(pid) for pid in labeling.plane_ids.tolist()]
+    assert [tuple(rgb) for rgb in table["rgb"].tolist()] == expected
 
 
 @pytest.mark.parametrize("text, line", [

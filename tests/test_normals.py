@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from planeops import KdTree, OpsParams, estimate_normals, sample_indices
 
-from helpers import ops_samples
+from helpers import ops_samples, reference_sample_indices
 
 
 def _angle_to(n, reference):
@@ -116,6 +118,34 @@ class TestSampleIndices:
             sample_indices(10, 0.0, rng)
         with pytest.raises(ValueError):
             sample_indices(10, 1.5, rng)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        # Rates up to 1 for clouds of up to 20,000 points; larger clouds keep
+        # the reference loop to 20,000 draws.
+        st.integers(1, 10**6).flatmap(
+            lambda n: st.tuples(st.just(n), st.floats(0.0, min(1.0, 20000 / n), exclude_min=True))),
+        st.integers(0, 2**63 - 1),
+    )
+    @example((1, 1.0), 0)
+    @example((2, 1.0), 1)
+    @example((10**6, 0.03), 2)
+    def test_matches_scalar_reference(self, case, seed):
+        n, rate = case
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        np.testing.assert_array_equal(sample_indices(n, rate, rng), reference_sample_indices(n, rate, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", [7, 2**31 - 1, 2**32 - 1, 2**32, 2**32 + 1, 2**33])
+    def test_one_draw_equals_scalar_draws(self, n):
+        # sample_indices relies on this: one draw with an array of lower
+        # bounds yields the values and generator state of one scalar draw
+        # per bound, also for ranges beyond 32 bits.
+        m = min(n, 500)
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        draws = rng.integers(np.arange(m), n)
+        assert draws.tolist() == [int(ref_rng.integers(i, n)) for i in range(m)]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestBuildSampleSet:

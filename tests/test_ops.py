@@ -1,9 +1,12 @@
 """One-point RANSAC detector tests."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planeops import (
     NoPlaneFound,
@@ -20,7 +23,13 @@ from planeops import (
     one_point_ransac,
 )
 
-from helpers import ops_samples
+from planeops import ops, plane_distances
+from helpers import (
+    ops_samples,
+    reference_detect_grouped,
+    reference_extract_full_inliers,
+    reference_one_point_ransac,
+)
 
 UP = (0.0, 0.0, 1.0)
 TOL = 7.0
@@ -131,12 +140,10 @@ class TestExtractFullInliers:
         full = extract_full_inliers(wall, hypo, 0.05)
         assert full.inlier_count >= 0.99 * 10000
 
-    def test_respects_active_mask(self, rng):
+    def test_respects_live_index(self, rng):
         pts, _ = _plane_samples(rng, 100)
-        mask = np.zeros(100, dtype=bool)
-        mask[50:] = True
         model = PlaneModel(centroid=(0, 0, 0), normal=(0, 0, 1))
-        full = extract_full_inliers(pts, model, 0.05, active_mask=mask)
+        full = extract_full_inliers(pts, model, 0.05, live=np.arange(50, 100))
         assert full.inliers.min() >= 50
 
     def test_no_points_in_reach(self, rng):
@@ -239,3 +246,169 @@ class TestDetectGrouped:
         for counts in by_group.values():
             for earlier, later in zip(counts, counts[1:]):
                 assert later <= 2 * earlier
+
+
+def _assert_same_ransac(samples, params, seed, alive=None):
+    """one_point_ransac and the scalar reference agree on everything they
+    return or raise, and leave their generators in the same state."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        expected = reference_one_point_ransac(samples, params, ref_rng, alive=alive)
+    except NoPlaneFound as exc:
+        with pytest.raises(NoPlaneFound) as raised:
+            one_point_ransac(samples, params, rng, alive=alive)
+        assert str(raised.value) == str(exc)
+        expected = None
+    else:
+        got = one_point_ransac(samples, params, rng, alive=alive)
+        assert got.iterations == expected.iterations
+        np.testing.assert_array_equal(got.sample_inliers, expected.sample_inliers)
+        np.testing.assert_array_equal(got.model.inliers, expected.model.inliers)
+        assert got.model.centroid.tobytes() == expected.model.centroid.tobytes()
+        assert got.model.normal.tobytes() == expected.model.normal.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return expected
+
+
+def _mixed_samples(rng, plane_sizes, clutter, cloud_size=None, normal_noise=0.05):
+    """Samples on a few random planes (equal sizes give count ties) plus
+    clutter with random normals, shuffled."""
+    positions, normals = [], []
+    for size in plane_sizes:
+        normal = rng.normal(size=3)
+        normal /= np.linalg.norm(normal)
+        u = np.cross(normal, [1.0, 0.0, 0.0] if abs(normal[0]) < 0.9 else [0.0, 1.0, 0.0])
+        u /= np.linalg.norm(u)
+        v = np.cross(normal, u)
+        coeffs = rng.uniform(-1, 1, size=(size, 2))
+        offset = rng.uniform(-1, 1) * normal
+        positions.append(offset + coeffs[:, :1] * u + coeffs[:, 1:] * v + rng.normal(scale=0.01, size=(size, 3)))
+        noisy = normal + rng.normal(scale=normal_noise, size=(size, 3))
+        normals.append(noisy / np.linalg.norm(noisy, axis=1, keepdims=True))
+    positions.append(rng.uniform(-1.5, 1.5, size=(clutter, 3)))
+    random_normals = rng.normal(size=(clutter, 3))
+    normals.append(random_normals / np.linalg.norm(random_normals, axis=1, keepdims=True))
+    order = rng.permutation(sum(plane_sizes) + clutter)
+    return _sample_set(np.vstack(positions)[order], np.vstack(normals)[order], cloud_size)
+
+
+@st.composite
+def ransac_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    plane_sizes = draw(st.lists(st.sampled_from([3, 12, 25, 25, 40, 60]), max_size=4))
+    clutter = draw(st.integers(0, 40))
+    m = sum(plane_sizes) + clutter
+    if m == 0:
+        clutter = m = 1
+    samples = _mixed_samples(rng, plane_sizes, clutter, cloud_size=draw(st.integers(1, 12 * m)))
+    alive = None
+    if draw(st.booleans()):
+        alive = rng.random(m) < draw(st.sampled_from([0.3, 0.8]))
+    params = OpsParams(min_inliers=draw(st.integers(3, 24)), probability=draw(st.sampled_from([0.5, 0.9, 0.99])))
+    return samples, params, alive
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(ransac_cases(), st.sampled_from([1, 7, 64, 300, ops.BLOCK_DISTANCES]), st.integers(0, 2**32 - 1))
+def test_one_point_ransac_matches_scalar_reference(case, block_distances, seed):
+    # Small blocks put block ends at every offset of the budget's end.
+    samples, params, alive = case
+    with mock.patch.object(ops, "BLOCK_DISTANCES", block_distances):
+        _assert_same_ransac(samples, params, seed, alive)
+
+
+def test_ransac_budget_shrinks_mid_block():
+    # The first pick sees all 100 samples, which cuts the budget from 100 to
+    # 1 inside the first block: the generator must be rewound to one draw.
+    pts, normals = _plane_samples(np.random.default_rng(0), 100)
+    result = _assert_same_ransac(_sample_set(pts, normals), OpsParams(min_inliers=20), seed=3)
+    assert result.iterations == 1
+
+
+def test_ransac_count_ties_keep_first():
+    # Two planes of 30 samples: equal counts never replace the first winner.
+    rng = np.random.default_rng(1)
+    a, na = _plane_samples(rng, 30, z=0.0)
+    b, nb = _plane_samples(rng, 30, z=1.0)
+    samples = _sample_set(np.vstack([a, b]), np.vstack([na, nb]))
+    winners = set()
+    for seed in range(8):
+        result = _assert_same_ransac(samples, OpsParams(min_inliers=20), seed)
+        assert result.iterations > 1
+        winners.add(int(result.sample_inliers[0]) // 30)
+    assert winners == {0, 1}
+
+
+def test_ransac_threshold_on_a_distance_follows_gemv():
+    # The threshold is one of the first pick's distances as the per-pick
+    # gemv computes them, so a sample sits exactly on it. Any other formula
+    # (einsum, a sum of per-axis products) rounds about a fifth of such
+    # distances below it and claims one sample more.
+    rng = np.random.default_rng(7)
+    for seed in range(40):
+        positions = rng.uniform(-1, 1, size=(60, 3))
+        normals = rng.normal(size=(60, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        first = int(np.random.default_rng(seed).integers(0, 60))
+        dists = np.sort(np.abs((positions - positions[first]) @ normals[first]))
+        params = OpsParams(dist_threshold=float(dists[10 + seed % 20]), min_inliers=3, probability=0.01)
+        # A cloud of one point and a low success probability keep the budget
+        # at one pick: the first.
+        result = _assert_same_ransac(_sample_set(positions, normals, cloud_size=1), params, seed)
+        assert result.sample_inliers.size == 10 + seed % 20
+
+
+def test_ransac_no_plane_found_matches():
+    rng = np.random.default_rng(2)
+    samples = _mixed_samples(rng, [], 200, cloud_size=5000)
+    assert _assert_same_ransac(samples, OpsParams(min_inliers=30), seed=4) is None
+
+
+@pytest.mark.parametrize("m", [16383, 16384, 16385, 32767, 32768, 32769])
+def test_ransac_at_block_size_boundaries(m):
+    # Pools around 2**16 / 4 and 2**16 / 2 samples, where one block holds
+    # 4 or 3 and 2 or 1 picks: one run with several blocks, one without a plane.
+    rng = np.random.default_rng(m)
+    samples = _mixed_samples(rng, [int(0.4 * m)], m - int(0.4 * m), cloud_size=20 * m)
+    assert _assert_same_ransac(samples, OpsParams(min_inliers=20), seed=m).iterations > 4
+    alone = _mixed_samples(rng, [], m, cloud_size=13)
+    assert _assert_same_ransac(alone, OpsParams(min_inliers=m // 2), seed=m) is None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3000), st.sampled_from([0.0, 0.01, 0.3, 0.9, 1.0]))
+def test_extract_full_inliers_on_live_matches_masked_scan(seed, n, claimed):
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-2, 2, size=(n, 3))
+    points[: n // 2, 2] = rng.normal(scale=0.03, size=n // 2)  # half of them near z = 0
+    normal = np.array([0.0, 0.0, 1.0]) + rng.normal(scale=0.05, size=3)
+    model = PlaneModel(centroid=rng.normal(scale=0.02, size=3), normal=normal / np.linalg.norm(normal))
+    active = rng.random(n) >= claimed
+    live = np.flatnonzero(active)
+    # The gathered distances equal the full-cloud ones bit for bit, at every
+    # position a live point can take.
+    full_dists = plane_distances(points, model.centroid, model.normal)
+    assert plane_distances(points[live], model.centroid, model.normal).tobytes() == full_dists[live].tobytes()
+    got = extract_full_inliers(points, model, 0.05, live)
+    expected = reference_extract_full_inliers(points, model, 0.05, active)
+    np.testing.assert_array_equal(got.inliers, expected.inliers)
+    assert got.centroid.tobytes() == expected.centroid.tobytes()
+    assert got.normal.tobytes() == expected.normal.tobytes()
+
+
+@pytest.mark.parametrize("grouping", ["group_first", "detect_first"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_detect_grouped_matches_masked_reference(grouping, seed):
+    points, _ = make_box_room(points_per_face=2000, clutter=3000, seed=seed)
+    params = OpsParams(sampling_rate=0.05, k=10, min_inliers=5, grouping=grouping)
+    samples = ops_samples(points, params, np.random.default_rng(seed))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    planes = detect_grouped(points, samples, params, rng, UP, TOL)
+    expected = reference_detect_grouped(points, samples, params, ref_rng, UP, TOL)
+    assert len(planes) == len(expected) > 6  # the clutter yields spurious planes too
+    for got, ref in zip(planes, expected):
+        assert (np.diff(got.inliers) > 0).all()
+        np.testing.assert_array_equal(got.inliers, ref.inliers)
+        assert got.centroid.tobytes() == ref.centroid.tobytes()
+        assert got.normal.tobytes() == ref.normal.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -18,7 +18,7 @@ from planeops import (
     save_labeling,
     segmentation_accuracy,
 )
-from planeops.pipeline import assign_to_planes, bench_table, run_bench, run_detect
+from planeops.pipeline import assign_to_planes, bench_table, labeling_from_inliers, run_bench, run_detect
 
 
 def _small_scene(seed=0):
@@ -141,6 +141,20 @@ class TestAssignToPlanes:
     def test_no_planes(self):
         labeling = assign_to_planes(np.zeros((4, 3)), [], 0.05)
         assert (labeling.plane_ids == -1).all()
+
+
+def test_labeling_from_inliers_orientations():
+    # horizontal, vertical and tilted planes; points 0 and 6 belong to none
+    planes = [
+        PlaneModel(centroid=(0, 0, 0), normal=(0, 0, 1), inliers=[4, 5]),
+        PlaneModel(centroid=(0, 0, 0), normal=(1, 0, 0), inliers=[1, 2]),
+        PlaneModel(centroid=(0, 0, 0), normal=(0, 0.6, 0.8), inliers=[3]),
+    ]
+    labeling = labeling_from_inliers(7, planes)
+    assert labeling.plane_ids.tolist() == [-1, 1, 1, 2, 0, 0, -1]
+    H, V, O = (int(o) for o in Orientation)
+    assert labeling.orientations.tolist() == [O, V, V, O, H, H, O]
+    assert labeling_from_inliers(3, []).orientations.tolist() == [O, O, O]
 
 
 class TestRunBench:
