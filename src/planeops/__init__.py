@@ -6,7 +6,7 @@ are merged by a pairwise coplanarity test, labeled by orientation, and scored
 against region-growing reference labelings.
 """
 
-from .fspf import CloudTooSmall, CollinearSample, FspfParams, fspf_detect, three_point_normal
+from .fspf import CloudTooSmall, FspfParams, fspf_detect, three_point_normal
 from .geometry import (
     DegenerateInput,
     Orientation,
@@ -42,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CloudTooSmall",
-    "CollinearSample",
     "DegenerateInput",
     "DetectionReport",
     "EmptyCloud",

@@ -71,11 +71,16 @@ def as_unit_vector(v) -> np.ndarray:
 def canonical_sign(v: np.ndarray) -> np.ndarray:
     """Flip ``v`` so its largest-magnitude component is positive.
 
+    ``v`` is one vector or a stack (..., 3) of them, each flipped on its own.
     Plane geometry is invariant to the normal's sign; a fixed convention makes
     outputs deterministic and diffable.
     """
-    dominant = int(np.argmax(np.abs(v)))
-    return -v if v[dominant] < 0 else v
+    if v.ndim == 1:  # one vector, as every plane fit has: kept free of gathers
+        dominant = int(np.argmax(np.abs(v)))
+        return -v if v[dominant] < 0 else v
+    dominant = np.argmax(np.abs(v), axis=-1)
+    flip = np.take_along_axis(v, dominant[..., None], axis=-1) < 0
+    return np.where(flip, -v, v)
 
 
 @dataclass

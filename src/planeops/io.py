@@ -283,7 +283,7 @@ def save_labeled(
             table = np.empty(n, dtype=dtype)
             table["x"], table["y"], table["z"] = points[:, 0], points[:, 1], points[:, 2]
             table["red"], table["green"], table["blue"] = colors[:, 0], colors[:, 1], colors[:, 2]
-            fh.write(table.tobytes())
+            fh.write(table.view(np.uint8))
         else:
             for i in range(n):
                 fh.write(

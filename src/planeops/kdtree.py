@@ -5,10 +5,14 @@ cKDTree only proposes candidates. Every returned distance is recomputed as
 k-NN ties in distance go to the lower point index, so seeded runs reproduce
 bit-for-bit. Radius queries are inclusive (``d**2 <= r**2``) and return
 indices in ascending order.
+
+scipy.spatial is imported when the first index is built, so commands that
+never build one do not pay for loading it.
 """
 
+from itertools import chain
+
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import as_points
 
@@ -34,6 +38,8 @@ class KdTree:
     """
 
     def __init__(self, points):
+        from scipy.spatial import cKDTree
+
         pts = as_points(points)
         if pts.shape[0] == 0:
             raise EmptyCloud("cannot index an empty cloud")
@@ -105,12 +111,31 @@ class KdTree:
         return dist, idx
 
     def radius_search(self, center, radius: float) -> np.ndarray:
-        """Indices of all points with distance <= radius, ascending."""
+        """Indices of all points with distance <= radius, ascending.
+
+        ``center`` is one point, giving a 1-D array, or an (m, 3) array of
+        points, giving an (m, w) array: row i holds centre i's indices,
+        padded with -1 to the largest count w. Each row equals the one-point
+        query on its centre.
+        """
         if radius <= 0.0:
             raise ValueError(f"radius must be positive, got {radius}")
-        c = np.asarray(center, dtype=np.float64).reshape(3)
-        cand = np.asarray(self._tree.query_ball_point(c, radius * (1.0 + SLACK), return_sorted=True), dtype=np.int64)
-        return cand[((self.points[cand] - c) ** 2).sum(axis=1) <= radius * radius]
+        single = np.ndim(center) == 1
+        c = np.asarray(center, dtype=np.float64).reshape(-1, 3)
+        m = c.shape[0]
+        balls = self._tree.query_ball_point(c, radius * (1.0 + SLACK), return_sorted=True)
+        lengths = np.fromiter(map(len, balls), dtype=np.int64, count=m)
+        cand = np.fromiter(chain.from_iterable(balls), dtype=np.int64, count=int(lengths.sum()))
+        rows = np.repeat(np.arange(m), lengths)
+        keep = ((self.points[cand] - c[rows]) ** 2).sum(axis=1) <= radius * radius
+        cand, rows = cand[keep], rows[keep]
+        if single:
+            return cand
+        counts = np.bincount(rows, minlength=m)
+        starts = np.cumsum(counts) - counts
+        out = np.full((m, counts.max(initial=0)), -1, dtype=np.int64)
+        out[rows, np.arange(cand.size) - starts[rows]] = cand
+        return out
 
     def __len__(self) -> int:
         return self.points.shape[0]

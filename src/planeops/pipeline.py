@@ -10,6 +10,7 @@ import dataclasses
 import json
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,7 +39,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-STAGES = ("sampling", "normals", "detection", "merging")
+STAGES = ("index", "sampling", "normals", "detection", "merging", "labeling")
 
 
 class ConfigError(ValueError):
@@ -188,6 +189,16 @@ def _labeling_with_orientations(ids, planes, up, tol_degrees) -> SegmentLabeling
     return SegmentLabeling(plane_ids=ids, orientations=orients)
 
 
+@contextmanager
+def _stage(timings: dict, name: str):
+    """Record the wall time of the enclosed block as stage ``name``."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[name] = time.perf_counter() - t0
+
+
 def run_detect(points, config: RunConfig) -> DetectionReport:
     """Detect planes in a cloud with the configured detector, then merge,
     label each point, and assemble the report.
@@ -195,43 +206,42 @@ def run_detect(points, config: RunConfig) -> DetectionReport:
     Oriented-point runs label points by the planes' verified inlier sets;
     local-sampling runs assign every point to its nearest merged plane within
     the distance threshold, since their recorded inliers are sparse draws.
+
+    ``timings_ms`` holds every stage of ``STAGES`` for both detectors, 0 for
+    a stage the detector skips, and ``total``, the wall time of the whole
+    call, which the stages sum to at most.
     """
+    start = time.perf_counter()
     points = as_points(points)
     rng = np.random.default_rng(config.seed)
     timings = dict.fromkeys(STAGES, 0.0)
 
-    t0 = time.perf_counter()
-    kd = KdTree(points)
+    with _stage(timings, "index"):
+        kd = KdTree(points)
     if config.detector == "ops":
         p = config.ops
-        idx = sample_indices(points.shape[0], p.sampling_rate, rng)
-        timings["sampling"] = time.perf_counter() - t0
-
-        t1 = time.perf_counter()
-        normals, _, valid = estimate_normals(points, kd, idx, p.k, p.sigma)
-        kept = idx[valid]
-        samples = SampleSet(indices=kept, positions=points[kept], normals=normals[valid],
-                            cloud_size=points.shape[0])
-        timings["normals"] = time.perf_counter() - t1
-
-        t2 = time.perf_counter()
-        raw_planes = detect_grouped(points, samples, p, rng, config.up, config.orientation_tol_degrees)
-        timings["detection"] = time.perf_counter() - t2
+        with _stage(timings, "sampling"):
+            idx = sample_indices(points.shape[0], p.sampling_rate, rng)
+        with _stage(timings, "normals"):
+            normals, _, valid = estimate_normals(points, kd, idx, p.k, p.sigma)
+            kept = idx[valid]
+            samples = SampleSet(indices=kept, positions=points[kept], normals=normals[valid],
+                                cloud_size=points.shape[0])
+        with _stage(timings, "detection"):
+            raw_planes = detect_grouped(points, samples, p, rng, config.up, config.orientation_tol_degrees)
     else:
-        timings["sampling"] = time.perf_counter() - t0
-        t2 = time.perf_counter()
-        raw_planes = fspf_detect(points, kd, config.fspf, rng)
-        timings["detection"] = time.perf_counter() - t2
+        with _stage(timings, "detection"):
+            raw_planes = fspf_detect(points, kd, config.fspf, rng)
 
-    t3 = time.perf_counter()
-    merged = merge_all(raw_planes, points, config.merge)
-    timings["merging"] = time.perf_counter() - t3
+    with _stage(timings, "merging"):
+        merged = merge_all(raw_planes, points, config.merge)
 
     up, tol = config.up, config.orientation_tol_degrees
-    if config.detector == "ops":
-        labeling = labeling_from_inliers(points.shape[0], merged, up, tol)
-    else:
-        labeling = assign_to_planes(points, merged, config.fspf.dist_threshold, up, tol)
+    with _stage(timings, "labeling"):
+        if config.detector == "ops":
+            labeling = labeling_from_inliers(points.shape[0], merged, up, tol)
+        else:
+            labeling = assign_to_planes(points, merged, config.fspf.dist_threshold, up, tol)
 
     up_vec = as_unit_vector(up)
     summaries = [
@@ -244,8 +254,8 @@ def run_detect(points, config: RunConfig) -> DetectionReport:
         )
         for pid, plane in enumerate(merged)
     ]
+    timings["total"] = time.perf_counter() - start
     timings_ms = {k: 1000.0 * v for k, v in timings.items()}
-    timings_ms["total"] = sum(timings_ms.values())
     return DetectionReport(
         detector=config.detector,
         n_points=int(points.shape[0]),

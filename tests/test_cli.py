@@ -1,10 +1,15 @@
 """CLI subcommand tests through main(); checks outputs and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import planeops
 from planeops import load_cloud, load_labeling
 from planeops.cli import EXIT_EMPTY, EXIT_OK, EXIT_PARSE, main
 
@@ -39,6 +44,25 @@ def test_synth_from_scene_file(tmp_path):
     out = tmp_path / "cloud.ply"
     assert main(["synth", "--scene", str(scene_path), "--out", str(out)]) == EXIT_OK
     assert load_cloud(out).shape == (50, 3)
+
+
+def test_import_and_synth_do_not_load_scipy_spatial(tmp_path):
+    # Only commands that build a spatial index load scipy.spatial. (eval
+    # loads it through scipy.optimize, which imports it itself.)
+    script = (
+        "import sys\n"
+        "import planeops, planeops.metrics\n"
+        "from planeops.cli import main\n"
+        "loaded = 'scipy.spatial' in sys.modules\n"
+        "assert main(['synth', '--points-per-face', '100', '--clutter', '20', '--out', sys.argv[1]]) == 0\n"
+        "print(loaded, 'scipy.spatial' in sys.modules)\n"
+    )
+    src = str(Path(planeops.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "room.ply")], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False False"
 
 
 def test_detect_eval_round_trip(room_files, tmp_path):

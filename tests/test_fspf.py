@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from planeops import CloudTooSmall, CollinearSample, FspfParams, KdTree, fspf_detect, gen_synthetic, three_point_normal
+from planeops import CloudTooSmall, FspfParams, KdTree, fspf_detect, gen_synthetic, three_point_normal
+from planeops.fspf import BLOCK_ANCHORS, score_block
 
 
 def _dense_plane(rng, n=4000, extent=1.0):
@@ -14,26 +15,154 @@ def _dense_plane(rng, n=4000, extent=1.0):
 
 class TestThreePointNormal:
     def test_unit_triangle(self):
-        n = three_point_normal((0, 0, 0), (1, 0, 0), (0, 1, 0))
+        n, collinear = three_point_normal((0, 0, 0), (1, 0, 0), (0, 1, 0))
+        assert not collinear
         np.testing.assert_allclose(n, [0, 0, 1], atol=1e-15)
 
     def test_collinear(self):
-        with pytest.raises(CollinearSample):
-            three_point_normal((0, 0, 0), (1, 0, 0), (2, 0, 0))
+        _, collinear = three_point_normal((0, 0, 0), (1, 0, 0), (2, 0, 0))
+        assert collinear
 
     def test_coincident(self):
-        with pytest.raises(CollinearSample):
-            three_point_normal((1, 1, 1), (1, 1, 1), (0, 1, 0))
+        _, collinear = three_point_normal((1, 1, 1), (1, 1, 1), (0, 1, 0))
+        assert collinear
 
     def test_orthogonal_to_edges(self, rng):
-        for _ in range(50):
-            p0, p1, p2 = rng.normal(size=(3, 3))
-            try:
-                n = three_point_normal(p0, p1, p2)
-            except CollinearSample:
+        p0, p1, p2 = rng.normal(size=(3, 50, 3))
+        normals, collinear = three_point_normal(p0, p1, p2)
+        assert normals.shape == (50, 3) and collinear.shape == (50,)
+        for n, a, b in zip(normals[~collinear], (p1 - p0)[~collinear], (p2 - p0)[~collinear]):
+            assert abs(np.dot(n, a)) < 1e-9 * np.linalg.norm(a)
+            assert abs(np.dot(n, b)) < 1e-9 * np.linalg.norm(b)
+
+    def test_stack_equals_single_triples(self, rng):
+        p = rng.normal(size=(40, 3, 3))
+        p[:5, 2] = p[:5, 0] + 2.0 * (p[:5, 1] - p[:5, 0])  # collinear rows
+        p[5:8, 1] = p[5:8, 0]  # coincident rows
+        normals, collinear = three_point_normal(p[:, 0], p[:, 1], p[:, 2])
+        assert collinear[5:8].all()
+        for row in range(p.shape[0]):
+            n, c = three_point_normal(*p[row])
+            assert c == collinear[row]
+            if not c:
+                np.testing.assert_array_equal(n, normals[row])
+                reference = np.cross(p[row, 1] - p[row, 0], p[row, 2] - p[row, 0])
+                np.testing.assert_allclose(np.abs(n), np.abs(reference) / np.linalg.norm(reference), atol=1e-12)
+                assert n[np.argmax(np.abs(n))] > 0
+
+
+def _mixed_cloud(rng):
+    """A dense noisy plane, a line of points, a few coincident points and
+    isolated points: rows of every kind (accepted, collinear, thin)."""
+    plane = _dense_plane(rng, n=3000)
+    line = np.column_stack([np.linspace(0, 1, 200), np.full(200, 2.0), np.full(200, 0.5)])
+    stack = np.repeat([[3.0, 3.0, 3.0]], 4, axis=0)
+    lonely = rng.uniform(5, 9, size=(20, 3))
+    return np.vstack([plane, line, stack, lonely])
+
+
+def _scalar_hypothesis(points, kd, params, anchor, fractions):
+    """One hypothesis recomputed with one-point sphere queries, as a loop
+    over single anchors would: (companions, normal, collinear, sphere, draws,
+    inliers), or None when the r1 sphere is too thin."""
+    p0 = points[anchor]
+    near = kd.radius_search(p0, params.r1)
+    near = near[near != anchor]
+    if near.size < 2:
+        return None
+    first = int(fractions[0] * near.size)
+    second = int(fractions[1] * (near.size - 1))
+    second += second >= first
+    companions = near[[first, second]]
+    normal, collinear = three_point_normal(p0, points[companions[0]], points[companions[1]])
+    sphere = kd.radius_search(p0, params.r2)
+    draws = sphere[(fractions[2:] * sphere.size).astype(np.int64)]
+    offsets = sum((points[draws, axis] - p0[axis]) * normal[axis] for axis in range(3))
+    return companions, normal, bool(collinear), sphere, draws, int((np.abs(offsets) < params.dist_threshold).sum())
+
+
+class TestScoreBlock:
+    @pytest.mark.parametrize("r1, r2", [(0.07, 0.14), (0.1, 0.05)])
+    def test_matches_scalar_recomputation(self, rng, r1, r2):
+        points = _mixed_cloud(rng)
+        kd = KdTree(points)
+        params = FspfParams(r1=r1, r2=r2, local_samples=30)
+        m = 400
+        anchors = np.concatenate([rng.integers(0, points.shape[0], size=m - 30),
+                                  np.arange(points.shape[0] - 30, points.shape[0])])
+        fractions = rng.random((m, params.local_samples - 1))
+        fractions[:10] = np.nextafter(1.0, 0.0)  # the largest fraction stays in range
+        block = score_block(points, kd, params, anchors, fractions)
+        kinds = set()
+        for row in range(m):
+            expected = _scalar_hypothesis(points, kd, params, anchors[row], fractions[row])
+            if expected is None:
+                kinds.add("thin")
+                assert block.companions[row].tolist() == [-1, -1]
                 continue
-            assert abs(np.dot(n, p1 - p0)) < 1e-9 * np.linalg.norm(p1 - p0)
-            assert abs(np.dot(n, p2 - p0)) < 1e-9 * np.linalg.norm(p2 - p0)
+            companions, normal, collinear, sphere, draws, inliers = expected
+            np.testing.assert_array_equal(block.companions[row], companions)
+            assert block.collinear[row] == collinear
+            np.testing.assert_array_equal(block.spheres[row][block.spheres[row] >= 0], sphere)
+            assert (block.spheres[row][sphere.size:] == -1).all()
+            np.testing.assert_array_equal(block.draws[row], draws)
+            if collinear:
+                kinds.add("collinear")
+                continue
+            kinds.add("hypothesis")
+            np.testing.assert_array_equal(block.normals[row], normal)
+            assert block.inliers[row] == inliers
+            assert block.inlier_mask[row].sum() == inliers
+        assert kinds == {"thin", "collinear", "hypothesis"}
+
+
+class _CountingTree(KdTree):
+    """Records how many centres each radius query answered, per radius."""
+
+    def __init__(self, points):
+        super().__init__(points)
+        self.centres = {}
+
+    def radius_search(self, center, radius):
+        self.centres.setdefault(radius, []).append(len(np.atleast_2d(center)))
+        return super().radius_search(center, radius)
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("iterations", [1, BLOCK_ANCHORS - 1, BLOCK_ANCHORS, BLOCK_ANCHORS + 1])
+    def test_runs_exactly_max_iterations(self, rng, iterations):
+        points = _dense_plane(rng, n=2000)
+        kd = _CountingTree(points)
+        params = FspfParams(r1=0.1, r2=0.14, max_iterations=iterations, max_inlier_points=10**9)
+        planes = fspf_detect(points, kd, params, np.random.default_rng(6))
+        full, rest = divmod(iterations, BLOCK_ANCHORS)
+        blocks = [BLOCK_ANCHORS] * full + [rest] * (rest > 0)
+        assert kd.centres == {0.1: blocks, 0.14: blocks}
+        assert 0 < len(planes) <= iterations
+
+    def test_next_block_extends_the_first(self, rng):
+        points = _dense_plane(rng, n=2000)
+        kd = KdTree(points)
+        runs = [fspf_detect(points, kd, FspfParams(r1=0.1, r2=0.14, max_iterations=iterations,
+                                                   max_inlier_points=10**9), np.random.default_rng(6))
+                for iterations in (BLOCK_ANCHORS, BLOCK_ANCHORS + 1)]
+        assert len(runs[1]) - len(runs[0]) in (0, 1)
+        for a, b in zip(*runs):
+            np.testing.assert_array_equal(a.inliers, b.inliers)
+
+    def test_budget_ends_mid_block(self, rng):
+        points = _dense_plane(rng, n=2000)
+        kd = KdTree(points)
+        unlimited = FspfParams(r1=0.1, r2=0.14, max_iterations=BLOCK_ANCHORS, max_inlier_points=10**9)
+        planes, details = fspf_detect(points, kd, unlimited, np.random.default_rng(6), return_details=True)
+        assert len(planes) > 5
+        budget = sum(d.inlier_draws for d in details[:3]) - 1
+        limited = FspfParams(r1=0.1, r2=0.14, max_iterations=BLOCK_ANCHORS, max_inlier_points=budget)
+        cut, cut_details = fspf_detect(points, kd, limited, np.random.default_rng(6), return_details=True)
+        assert len(cut) == 3
+        for a, b in zip(cut, planes):
+            np.testing.assert_array_equal(a.inliers, b.inliers)
+        assert [d.anchor_index for d in cut_details] == [d.anchor_index for d in details[:3]]
 
 
 class TestFspfDetect:

@@ -3,12 +3,18 @@
 A change that keeps behaviour must keep these bytes. Each digest covers one
 output of ``planeops.cli.main`` on a ``make_box_room`` cloud: the ``gt``
 sidecar, the ``eval`` JSON (that sidecar scored against the synthetic
-truth), the OPS and FSPF ``detect`` reports without ``timings_ms``, and the
-OPS ``detect`` labeled PLY (``ops_ply``) and sidecar (``ops_labels``).
+truth), and for each detector the ``detect`` report without ``timings_ms``
+(``ops``, ``fspf``), the labeled PLY (``ops_ply``, ``fspf_ply``) and the
+sidecar (``ops_labels``, ``fspf_labels``).
 Three rooms have 6,600 points; one has 65,000, enough that the oriented-point
 detector's set of unclaimed points shrinks to a small share of the cloud.
 A change that alters results on purpose updates the digests and says why.
-The ``ops`` and ``fspf`` digests last changed when the report's ``params``
+The ``fspf`` digests last changed when the local-sampling detector began
+drawing and testing its hypotheses in blocks, which changed its random
+stream (each hypothesis keeps its distribution). The ``fspf_ply`` and
+``fspf_labels`` digests were added then: the report alone does not pin the
+per-point labels that ``assign_to_planes`` gives FSPF runs.
+The ``ops`` digests last changed when the report's ``params``
 block stopped echoing settings no run reads (``gt``, the detectors' own
 seeds, and the oriented-point detector's copies of the up axis and the
 orientation tolerance); planes, labels and every other field stayed the same.
@@ -32,7 +38,9 @@ GOLDEN = {
         "ops": "e2000dd64e83d6992eb57240667c6b59afb522a21e51f006e7796c05b8d9a001",
         "ops_ply": "7c06a4c9a5e85a4965acae6b7e6df794d1a6e5fba67634a3c441fe129d781303",
         "ops_labels": "fb63cea6b94595e71f5575392b725ae62d017a2c711e092a2e85b5d13f22d0e5",
-        "fspf": "3e7cfaf48331a272444253adcaf2009bf8273f5869144ccaf9693a858bcf75b6",
+        "fspf": "7e649b70fe12846ecb58cce3d84768c5afcad09a1a1394082b57718d5abd6ff6",
+        "fspf_ply": "059c44c7aaf5086f822c8a385cc000631c0834696fe0bdebac73ba2a34ae906e",
+        "fspf_labels": "f2908ab3d5e53fa294b8d992ffeb024055597a562fcea83fc5e84e60c68e87f5",
     },
     2: {
         "gt": "2496decc77badc8510ed435bf630812bb3359e95988ffcfba3d02dfdb05c7892",
@@ -40,7 +48,9 @@ GOLDEN = {
         "ops": "168199a35d042e1d339153abe87c0bdca7a8903e78300cdb194e44a8150ac119",
         "ops_ply": "6d11201abea8f3c59fc19039761cf8833cdffbcfbd6acce740a5a276c079cf33",
         "ops_labels": "0740c916bc8e1127d61ffdf305746c63ab201830e85187c75d8ce5feda567b72",
-        "fspf": "208fddb3b393859a3fab9db12ef8fe073dfc87b723a0ca89026d83d05c0cacd2",
+        "fspf": "25e91c11ee531e53fcbd7be948a5c7dbd9cc7f75ec9a577b3e61aeb498990f19",
+        "fspf_ply": "b21c59019c006a00d150afc4273407089273e6bf1170047ebd2455d2aa1c4822",
+        "fspf_labels": "5d54a4ca42f6c919d10d6d0f01517929db96cb55b12a06693e10cc229baaa713",
     },
     3: {
         "gt": "20e0fa8d47b9cfbcfad08c1e2ea5c2af16b98f80d352eb697ebb993637289428",
@@ -48,7 +58,9 @@ GOLDEN = {
         "ops": "a42f96ff8d7edc422e98770d81a09050b6a06a30868b51107eefe05076dca127",
         "ops_ply": "537a40304c699b5cbd1497c418b5b3bdbd8e64fbc81050c6e0aaaeb7b4bf9130",
         "ops_labels": "0dc049f4c8754f8fccb77d8d6ea18a532f2e943e3e3da444226ff2d627e1722c",
-        "fspf": "9911c6683728234ced58d33fa8fbe578fd13a5a2c9e5cbb58282921d5357bdc9",
+        "fspf": "412e9e808cf83a931147a3d06934840db066a1e6c3dd2fb11f62806bb0cdbc64",
+        "fspf_ply": "42d298f1dbab65752ecb5680a58f223844b9cd85943baba4dedf5caeb249c424",
+        "fspf_labels": "8c65d11073c1b53939d835b069c3495a7fc235fa8728efc84ea3eb6a61d84c90",
     },
 }
 
@@ -82,11 +94,11 @@ def _room(workdir, points_per_face: int, clutter: int, seed: int):
 def _detect_digests(cloud, workdir, detector: str) -> dict:
     out = workdir / detector
     main(["detect", "--input", str(cloud), "--out", str(out), "--detector", detector, "--seed", "1"])
-    digests = {detector: _report_digest(out / "room.report.json")}
-    if detector == "ops":
-        digests["ops_ply"] = _sha256((out / "room.labeled.ply").read_bytes())
-        digests["ops_labels"] = _sha256((out / "room.labels.txt").read_bytes())
-    return digests
+    return {
+        detector: _report_digest(out / "room.report.json"),
+        f"{detector}_ply": _sha256((out / "room.labeled.ply").read_bytes()),
+        f"{detector}_labels": _sha256((out / "room.labels.txt").read_bytes()),
+    }
 
 
 def golden_digests(seed: int, workdir) -> dict:

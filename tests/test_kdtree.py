@@ -141,6 +141,26 @@ def test_radius_monotone_in_radius(rng):
         assert small <= big
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(points=grid_points, data=st.data())
+def test_radius_batch_on_integer_grid_matches_single_queries(points, data):
+    # Lattice distances are often exactly the radius (the bound is inclusive),
+    # and centres beyond the lattice have empty balls.
+    pts = np.asarray(points, dtype=np.float64)
+    radius = data.draw(st.sampled_from([0.5, 1.0, np.sqrt(2.0), 1.5, 2.0, 3.0]), label="radius")
+    centres = np.asarray(data.draw(st.lists(st.tuples(*[st.integers(-2, 12)] * 3), min_size=0, max_size=20),
+                                   label="centres"), dtype=np.float64).reshape(-1, 3) / 2.0
+    tree = KdTree(pts)
+    batch = tree.radius_search(centres, radius)
+    singles = [tree.radius_search(c, radius) for c in centres]
+    assert batch.dtype == np.int64
+    assert batch.shape == (len(centres), max((s.size for s in singles), default=0))
+    for row, single, centre in zip(batch, singles, centres):
+        np.testing.assert_array_equal(single, brute_force_radius(pts, centre, radius))
+        np.testing.assert_array_equal(row[:single.size], single)
+        assert (row[single.size:] == -1).all()
+
+
 def test_duplicate_points(rng):
     pts = np.repeat(rng.uniform(0, 1, size=(20, 3)), 3, axis=0)
     tree = KdTree(pts)

@@ -65,6 +65,20 @@ class TestRunDetect:
         assert coverage > 0.8
         assert segmentation_accuracy(report.labeling, truth) > 0.8
 
+    @pytest.mark.parametrize("config", [_ops_config(), _fspf_config()], ids=["ops", "fspf"])
+    def test_stage_timings_add_up(self, config):
+        points, _ = _small_scene()
+        timings = run_detect(points, config).timings_ms
+        stages = ("index", "sampling", "normals", "detection", "merging", "labeling")
+        assert set(timings) == {*stages, "total"}
+        assert all(timings[k] >= 0.0 for k in timings)
+        # The stages are disjoint parts of the call; the slack covers the
+        # rounding of the millisecond conversion.
+        assert sum(timings[k] for k in stages) <= timings["total"] * (1.0 + 1e-9)
+        assert timings["index"] > 0.0 and timings["labeling"] > 0.0
+        if config.detector == "fspf":
+            assert timings["sampling"] == 0.0 and timings["normals"] == 0.0
+
     def test_deterministic_modulo_timings(self):
         points, _ = _small_scene()
         for config in (_ops_config(seed=5), _fspf_config(seed=5)):
