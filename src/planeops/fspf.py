@@ -10,8 +10,8 @@ produces many small planes that the merging stage consolidates.
 Iterations claim no points, so they are independent apart from the inlier
 budget that ends the loop. They are drawn and tested in blocks of
 ``BLOCK_ANCHORS``: one sphere query per radius and a few array operations
-per block, then the block's hypotheses are accepted in draw order until a
-budget runs out.
+per block, one stacked least-squares fit of the hypotheses that passed,
+then the block's planes are accepted in draw order until a budget runs out.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import DegenerateInput, PlaneModel, canonical_sign, fit_plane
+from .geometry import (  # noqa: F401  fit_plane: no caller, kept importable for perfbench's spans
+    Moments,
+    PlaneModel,
+    canonical_sign,
+    fit_plane,
+    scatter_normals,
+)
 from .kdtree import KdTree
 
 __all__ = ["CloudTooSmall", "FspfParams", "fspf_detect", "three_point_normal"]
@@ -147,6 +153,46 @@ def score_block(points: np.ndarray, kd: KdTree, params: FspfParams, anchors: np.
     return HypothesisBlock(companions, normals, collinear, spheres, draws, inlier_mask, inlier_mask.sum(axis=1))
 
 
+class BlockFit(NamedTuple):
+    """Least-squares planes of some rows of a block, fitted together.
+
+    Row i of every field belongs to the i-th fitted row. ``claims`` holds the
+    row's claimed point indices, ascending where ``keep`` is set; ``keep``
+    marks each distinct index once. ``usable`` is False where the claims
+    number fewer than 3 or lie on a line; those rows have no plane.
+    """
+
+    claims: np.ndarray
+    keep: np.ndarray
+    centroids: np.ndarray
+    normals: np.ndarray
+    usable: np.ndarray
+
+
+def fit_block(points: np.ndarray, block: HypothesisBlock, rows: np.ndarray, claim_full_sphere: bool) -> BlockFit:
+    """Fit the given rows of a block on their claimed points in one stack.
+
+    A row claims its distinct inlier draws, or its whole r2 sphere with
+    ``claim_full_sphere``. Each row's plane equals :func:`fit_plane` on its
+    claimed points up to rounding: the masked mean of the claims, and the
+    normal of the centred scatter from one stacked eigen decomposition.
+    """
+    if claim_full_sphere:
+        claims = block.spheres[rows]  # ascending, padded with -1
+        keep = claims >= 0
+    else:
+        claims = np.sort(np.where(block.inlier_mask[rows], block.draws[rows], -1), axis=1)
+        keep = claims >= 0
+        keep[:, 1:] &= claims[:, 1:] != claims[:, :-1]
+    counts = keep.sum(axis=1)
+    weight = keep[..., None]
+    xyz = points[claims]  # padding gathers the last point, masked out below
+    centroids = np.where(weight, xyz, 0.0).sum(axis=1) / np.maximum(counts, 1)[:, None]
+    centred = np.where(weight, xyz - centroids[:, None], 0.0)
+    normals, tie = scatter_normals(Moments(counts, centroids, centred.transpose(0, 2, 1) @ centred))
+    return BlockFit(claims, keep, centroids, normals, (counts >= 3) & ~tie)
+
+
 def fspf_detect(
     points: np.ndarray,
     kd: KdTree,
@@ -189,20 +235,13 @@ def fspf_detect(
         it += m
         anchors = rng.integers(0, n, size=m)
         block = score_block(points, kd, params, anchors, rng.random((m, params.local_samples - 1)))
-        passed = (block.companions[:, 0] >= 0) & ~block.collinear & (block.inliers > accept_above)
-        for row in np.flatnonzero(passed).tolist():
-            if params.claim_full_sphere:
-                claimed = block.spheres[row][block.spheres[row] >= 0]
-            else:
-                claimed = np.unique(block.draws[row][block.inlier_mask[row]])
-            if claimed.size < 3:
-                continue
-            try:
-                model = fit_plane(points[claimed], inliers=claimed)
-            except DegenerateInput:
-                continue
+        passed = np.flatnonzero((block.companions[:, 0] >= 0) & ~block.collinear & (block.inliers > accept_above))
+        fit = fit_block(points, block, passed, params.claim_full_sphere)
+        for i in np.flatnonzero(fit.usable).tolist():
+            row = passed[i]
+            planes.append(PlaneModel(centroid=fit.centroids[i], normal=fit.normals[i],
+                                     inliers=fit.claims[i][fit.keep[i]]))
             n_inlier = int(block.inliers[row])
-            planes.append(model)
             details.append(FspfDetail(anchor_index=int(anchors[row]), hypothesis_normal=block.normals[row],
                                       inlier_draws=n_inlier))
             total_inliers += n_inlier

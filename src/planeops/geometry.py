@@ -7,23 +7,30 @@ bounded polygon.
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "DegenerateInput",
+    "Moments",
     "Orientation",
     "PlaneModel",
     "as_points",
     "as_unit_vector",
     "classify_orientation",
+    "combine_moments",
     "fit_plane",
     "plane_distances",
+    "plane_normal",
+    "point_moments",
+    "scatter_normals",
 ]
 
 # Two smallest eigenvalues closer than this (relative to the largest) mean the
 # point set is a line, not a plane.
 EIGEN_TIE_RTOL = 1e-12
+EPS_SQUARED = np.finfo(np.float64).eps ** 2
 
 
 class DegenerateInput(ValueError):
@@ -87,8 +94,13 @@ def canonical_sign(v: np.ndarray) -> np.ndarray:
 class PlaneModel:
     """A detected plane: centroid, unit normal, and supporting point indices.
 
-    ``inliers`` holds indices into the source cloud, sorted ascending. When
-    nonempty, ``centroid`` is the mean of the inlier points.
+    ``inliers`` holds indices into the source cloud, sorted ascending.
+    ``centroid`` and ``normal`` are the least-squares plane of the point set
+    the plane was fitted on, which is not always its final ``inliers``: a
+    plane keeps its fit when deduplication takes inliers away from it, and a
+    plane whose inliers determine no plane (fewer than 3 points, or all on a
+    line) keeps the fit of the hypothesis it was verified from, or of the
+    larger part it was merged from.
     """
 
     centroid: np.ndarray
@@ -110,6 +122,82 @@ def plane_distances(points: np.ndarray, centroid: np.ndarray, normal: np.ndarray
     return np.abs((points - centroid) @ normal)
 
 
+class Moments(NamedTuple):
+    """Point count, mean and centred 3x3 scatter of a point set.
+
+    :func:`scatter_normals` also takes a stack: counts (k,), means (k, 3)
+    and scatters (k, 3, 3).
+    """
+
+    count: int
+    mean: np.ndarray
+    scatter: np.ndarray
+
+
+def point_moments(pts: np.ndarray) -> Moments:
+    """Moments of an (N, 3) point array, N >= 1."""
+    mean = pts.sum(axis=0) / pts.shape[0]  # the bits of pts.mean(axis=0), without its overhead
+    centered = pts - mean
+    return Moments(pts.shape[0], mean, centered.T @ centered)
+
+
+def combine_moments(a: Moments, b: Moments) -> Moments:
+    """Moments of the union of two disjoint point sets, from theirs alone.
+
+    The pairwise update of Chan, Golub & LeVeque (1983): the mean moves
+    toward ``b`` by its share of the points, and the scatter gains the
+    between-set term. It needs no raw sums of coordinates and their
+    products, which lose their digits far from the origin. The two means
+    still carry the rounding of the coordinates they average, so callers
+    take the moments about a point near the data.
+    """
+    count = a.count + b.count
+    d = b.mean - a.mean
+    mean = a.mean + d * (b.count / count)
+    scatter = a.scatter + b.scatter + (a.count * b.count / count) * (d[:, None] * d)
+    return Moments(count, mean, scatter)
+
+
+def scatter_normals(moments: Moments):
+    """Least-squares plane normals of one point set's moments, or of a stack.
+
+    ``moments`` holds one set (count, (3,) mean, (3, 3) scatter) or a stack of
+    them (counts (k,), means (k, 3), scatters (k, 3, 3)). Returns ``(normals,
+    tie)``: each normal is the sign-canonicalized eigenvector of the smallest
+    scatter eigenvalue, and ``tie`` is True where the points determine no
+    plane, so the normal is meaningless: the two smallest eigenvalues tie
+    (the points lie on a line), or the largest one is no bigger than
+    ``count**3 * eps**2 * |mean|**2``, the most that rounding spreads out
+    coincident points (the points are one spot).
+    """
+    eigvals, eigvecs = np.linalg.eigh(moments.scatter)
+    if eigvals.ndim == 1:  # one set, as every plane fit and merge has: Python floats cost less here
+        low, mid, high = eigvals.tolist()
+        x, y, z = moments.mean.tolist()
+        tie = (mid - low <= EIGEN_TIE_RTOL * max(high, 0.0)
+               or high <= moments.count ** 3 * EPS_SQUARED * (x * x + y * y + z * z))
+    else:
+        low, mid, high = eigvals[:, 0], eigvals[:, 1], eigvals[:, 2]
+        tie = ((mid - low <= EIGEN_TIE_RTOL * np.maximum(high, 0.0))
+               | (high <= moments.count.astype(np.float64) ** 3 * EPS_SQUARED * (moments.mean ** 2).sum(axis=1)))
+    return canonical_sign(eigvecs[..., :, 0]), tie
+
+
+def plane_normal(moments: Moments) -> np.ndarray:
+    """Normal of the least-squares plane of a point set, given its moments.
+
+    Raises:
+        DegenerateInput: fewer than 3 points, or the points lie on a line or
+            a single spot (see :func:`scatter_normals`).
+    """
+    if moments.count < 3:
+        raise DegenerateInput(f"need at least 3 points, got {moments.count}")
+    normal, tie = scatter_normals(moments)
+    if tie:
+        raise DegenerateInput("points lie on a line or a single spot")
+    return normal
+
+
 def fit_plane(points, inliers=None) -> PlaneModel:
     """Least-squares plane through a point set.
 
@@ -121,22 +209,17 @@ def fit_plane(points, inliers=None) -> PlaneModel:
         inliers: optional index array recorded on the returned model.
 
     Raises:
-        DegenerateInput: fewer than 3 points, or the two smallest eigenvalues
-            of the scatter tie (the points lie on a line or a single spot).
+        DegenerateInput: fewer than 3 points, or the points lie on a line or
+            a single spot (see :func:`scatter_normals`).
     """
     pts = as_points(points)
     if pts.shape[0] < 3:
         raise DegenerateInput(f"need at least 3 points, got {pts.shape[0]}")
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    scatter = centered.T @ centered
-    eigvals, eigvecs = np.linalg.eigh(scatter)
-    if eigvals[1] - eigvals[0] <= EIGEN_TIE_RTOL * max(eigvals[2], 0.0):
-        raise DegenerateInput("points are collinear (two smallest eigenvalues tie)")
-    normal = canonical_sign(eigvecs[:, 0])
+    moments = point_moments(pts)
+    normal = plane_normal(moments)
     if inliers is None:
         inliers = np.empty(0, dtype=np.int64)
-    return PlaneModel(centroid=centroid, normal=normal, inliers=inliers)
+    return PlaneModel(centroid=moments.mean, normal=normal, inliers=inliers)
 
 
 def classify_orientation(normal, up=(0.0, 0.0, 1.0), tol_degrees: float = 7.0) -> Orientation:

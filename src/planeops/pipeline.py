@@ -41,6 +41,10 @@ logger = logging.getLogger(__name__)
 
 STAGES = ("index", "sampling", "normals", "detection", "merging", "labeling")
 
+# Points labeled together by assign_to_planes; bounds its (rows, planes)
+# distance table to a few MB at paper scale.
+ASSIGN_BLOCK = 8192
+
 
 class ConfigError(ValueError):
     """A run configuration, from a config file or from flags, is invalid."""
@@ -156,19 +160,21 @@ def assign_to_planes(points: np.ndarray, planes: list[PlaneModel], dist_threshol
     """Label every point by its nearest plane, when within the threshold.
 
     Used for detectors whose recorded inliers are sparse samples rather than
-    full verification sets. Plane ids follow list order; unclaimed points
-    stay unsegmented.
+    full verification sets. Plane ids follow list order; a point goes to the
+    plane of smallest distance, the earliest one on a tie, when that distance
+    is below ``dist_threshold``, and stays unsegmented otherwise. Points are
+    labeled ``ASSIGN_BLOCK`` at a time, each block by one matrix product.
     """
     n = points.shape[0]
     if not planes:
         return SegmentLabeling.all_other(n)
-    ids = np.full(n, -1, dtype=np.int32)
-    best = np.full(n, np.inf)
-    for pid, plane in enumerate(planes):
-        d = np.abs((points - plane.centroid) @ plane.normal)
-        better = (d < dist_threshold) & (d < best)
-        ids[better] = pid
-        best[better] = d[better]
+    normals = np.array([plane.normal for plane in planes])
+    offsets = np.array([plane.centroid @ plane.normal for plane in planes])
+    ids = np.empty(n, dtype=np.int32)
+    for start in range(0, n, ASSIGN_BLOCK):
+        dist = np.abs(points[start:start + ASSIGN_BLOCK] @ normals.T - offsets)
+        nearest = dist.argmin(axis=1)
+        ids[start:start + ASSIGN_BLOCK] = np.where(dist.min(axis=1) < dist_threshold, nearest, -1)
     return _labeling_with_orientations(ids, planes, up, tol_degrees)
 
 

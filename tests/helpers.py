@@ -162,6 +162,22 @@ def reference_merge_all(planes, points, params):
     return sorted(current, key=lambda p: -p.inlier_count)
 
 
+def reference_assign_to_planes(points, planes, dist_threshold):
+    """Nearest-plane plane ids by one full-cloud distance pass per plane.
+
+    A plane takes a point only at a distance below the threshold and strictly
+    below the best so far, so ties stay with the earlier plane.
+    """
+    ids = np.full(points.shape[0], -1, dtype=np.int32)
+    best = np.full(points.shape[0], np.inf)
+    for pid, plane in enumerate(planes):
+        d = np.abs((points - plane.centroid) @ plane.normal)
+        better = (d < dist_threshold) & (d < best)
+        ids[better] = pid
+        best[better] = d[better]
+    return ids
+
+
 def reference_validate(labeling):
     """SegmentLabeling.validate as a per-segment loop, O(segments x points)."""
     if not np.all(labeling.orientations[labeling.plane_ids < 0] == int(Orientation.OTHER)):

@@ -3,8 +3,17 @@
 import numpy as np
 import pytest
 
-from planeops import CloudTooSmall, FspfParams, KdTree, fspf_detect, gen_synthetic, three_point_normal
-from planeops.fspf import BLOCK_ANCHORS, score_block
+from planeops import (
+    CloudTooSmall,
+    DegenerateInput,
+    FspfParams,
+    KdTree,
+    fit_plane,
+    fspf_detect,
+    gen_synthetic,
+    three_point_normal,
+)
+from planeops.fspf import BLOCK_ANCHORS, fit_block, score_block
 
 
 def _dense_plane(rng, n=4000, extent=1.0):
@@ -114,6 +123,41 @@ class TestScoreBlock:
             assert block.inliers[row] == inliers
             assert block.inlier_mask[row].sum() == inliers
         assert kinds == {"thin", "collinear", "hypothesis"}
+
+
+@pytest.mark.parametrize("claim_full_sphere", [False, True])
+def test_fit_block_matches_fit_plane_per_row(rng, claim_full_sphere):
+    """Every row's claims are its distinct inlier draws (or its sphere), and
+    its stacked fit is fit_plane on them: the same verdict, normals within
+    1e-12, centroids within 1e-12. The cloud adds points a few ulps apart,
+    one spot that only rounding spreads out."""
+    near_spot = -3.0 + rng.normal(scale=1e-15, size=(40, 3))
+    points = np.vstack([_mixed_cloud(rng), near_spot])
+    kd = KdTree(points)
+    params = FspfParams(r1=0.07, r2=0.14, local_samples=30)
+    anchors = np.concatenate([rng.integers(0, points.shape[0], size=370),
+                              np.arange(points.shape[0] - 70, points.shape[0])])
+    block = score_block(points, kd, params, anchors, rng.random((anchors.size, params.local_samples - 1)))
+    rows = np.flatnonzero(block.companions[:, 0] >= 0)
+    fit = fit_block(points, block, rows, claim_full_sphere)
+    verdicts = set()
+    for i, row in enumerate(rows.tolist()):
+        if claim_full_sphere:
+            claimed = block.spheres[row][block.spheres[row] >= 0]
+        else:
+            claimed = np.unique(block.draws[row][block.inlier_mask[row]])
+        np.testing.assert_array_equal(fit.claims[i][fit.keep[i]], claimed)
+        try:
+            want = fit_plane(points[claimed])
+        except DegenerateInput:
+            verdicts.add("degenerate")
+            assert not fit.usable[i]
+            continue
+        verdicts.add("plane")
+        assert fit.usable[i]
+        assert np.abs(fit.normals[i] - want.normal).max() <= 1e-12
+        assert np.abs(fit.centroids[i] - want.centroid).max() <= 1e-12
+    assert verdicts == {"degenerate", "plane"}
 
 
 class _CountingTree(KdTree):

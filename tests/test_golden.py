@@ -9,7 +9,12 @@ sidecar (``ops_labels``, ``fspf_labels``).
 Three rooms have 6,600 points; one has 65,000, enough that the oriented-point
 detector's set of unclaimed points shrinks to a small share of the cloud.
 A change that alters results on purpose updates the digests and says why.
-The ``fspf`` digests last changed when the local-sampling detector began
+The ``fspf`` digests last changed when merging began to fit a merged plane
+from its parts' moments (count, mean, centred scatter) instead of refitting
+the union's points: merged centroids and normals changed in their last bits
+(under 1e-15 on these rooms), and every plane count, inlier count, label and
+other report field stayed the same, so ``fspf_ply`` and ``fspf_labels`` did
+not change. Before that, they changed when the local-sampling detector began
 drawing and testing its hypotheses in blocks, which changed its random
 stream (each hypothesis keeps its distribution). The ``fspf_ply`` and
 ``fspf_labels`` digests were added then: the report alone does not pin the
@@ -38,7 +43,7 @@ GOLDEN = {
         "ops": "e2000dd64e83d6992eb57240667c6b59afb522a21e51f006e7796c05b8d9a001",
         "ops_ply": "7c06a4c9a5e85a4965acae6b7e6df794d1a6e5fba67634a3c441fe129d781303",
         "ops_labels": "fb63cea6b94595e71f5575392b725ae62d017a2c711e092a2e85b5d13f22d0e5",
-        "fspf": "7e649b70fe12846ecb58cce3d84768c5afcad09a1a1394082b57718d5abd6ff6",
+        "fspf": "353821810492ce03db2656e7f60caaec4f1100802ce31014d85c0e2c24ecaf14",
         "fspf_ply": "059c44c7aaf5086f822c8a385cc000631c0834696fe0bdebac73ba2a34ae906e",
         "fspf_labels": "f2908ab3d5e53fa294b8d992ffeb024055597a562fcea83fc5e84e60c68e87f5",
     },
@@ -48,7 +53,7 @@ GOLDEN = {
         "ops": "168199a35d042e1d339153abe87c0bdca7a8903e78300cdb194e44a8150ac119",
         "ops_ply": "6d11201abea8f3c59fc19039761cf8833cdffbcfbd6acce740a5a276c079cf33",
         "ops_labels": "0740c916bc8e1127d61ffdf305746c63ab201830e85187c75d8ce5feda567b72",
-        "fspf": "25e91c11ee531e53fcbd7be948a5c7dbd9cc7f75ec9a577b3e61aeb498990f19",
+        "fspf": "940f315b5430c3f603889c7f51026828e357a768a3425c0b0ccc673106c4e0d3",
         "fspf_ply": "b21c59019c006a00d150afc4273407089273e6bf1170047ebd2455d2aa1c4822",
         "fspf_labels": "5d54a4ca42f6c919d10d6d0f01517929db96cb55b12a06693e10cc229baaa713",
     },
@@ -58,7 +63,7 @@ GOLDEN = {
         "ops": "a42f96ff8d7edc422e98770d81a09050b6a06a30868b51107eefe05076dca127",
         "ops_ply": "537a40304c699b5cbd1497c418b5b3bdbd8e64fbc81050c6e0aaaeb7b4bf9130",
         "ops_labels": "0dc049f4c8754f8fccb77d8d6ea18a532f2e943e3e3da444226ff2d627e1722c",
-        "fspf": "412e9e808cf83a931147a3d06934840db066a1e6c3dd2fb11f62806bb0cdbc64",
+        "fspf": "808ed1ecbcd2ae3278694b3cce11f9aaf40bdff97463383dd46c86d8d8f8b9cc",
         "fspf_ply": "42d298f1dbab65752ecb5680a58f223844b9cd85943baba4dedf5caeb249c424",
         "fspf_labels": "8c65d11073c1b53939d835b069c3495a7fc235fa8728efc84ea3eb6a61d84c90",
     },

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_plane_soup, reference_dedupe_inliers, reference_merge_all
-from planeops import MergeParams, PlaneModel, coplanar, fit_plane, merge_all
+from planeops import DegenerateInput, MergeParams, PlaneModel, coplanar, fit_plane, merge_all
 from planeops.merge import dedupe_inliers
 
 
@@ -65,6 +65,69 @@ class TestDedupeInliers:
         assert len(out) == 1
         np.testing.assert_array_equal(out[0].inliers, [0])
         assert out[0].centroid[2] == pytest.approx(0.08)
+
+
+@st.composite
+def split_unions(draw):
+    """A point set, a split of it into two nonempty runs, and a centre for
+    the parts' planes, for one merge.
+
+    The union is a noisy plane patch, a thin strip, points on one line, or
+    one repeated point, with 2 to 300 points, near the origin or about 10^3 m
+    from it, where raw sums of coordinates would lose most of their digits.
+    The centre lies about 1 m off the points, so the merge takes the parts'
+    moments about a point other than their own.
+
+    Points sit at distinct steps along the patch and alternate between its
+    two long edges, so even three points span its full width: a plane's
+    normal is only defined to about eps * (length / width)**2, and a few
+    random points in a strip could lie on a line by chance.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = draw(st.sampled_from([2, 3, 4, 7, 40, 300]), label="points")
+    split = draw(st.integers(1, n - 1), label="split")
+    kind = draw(st.sampled_from(["plane", "strip", "line", "spot"]), label="kind")
+    basis, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    u, v, w = basis.T
+    origin = rng.normal(size=3) * draw(st.sampled_from([1.0, 1e3]), label="offset")
+    along = rng.permutation(np.linspace(-1, 1, n))[:, None]
+    across = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)[:, None]
+    if kind == "plane":
+        points = origin + along * u + across * v + rng.normal(scale=0.005, size=(n, 1)) * w
+    elif kind == "strip":
+        points = origin + along * u + draw(st.sampled_from([3e-3, 1e-2]), label="width") * across * v
+    elif kind == "line":
+        points = origin + along * u
+    else:
+        points = np.repeat(origin[None], n, axis=0)
+    return points, split, points[0] + rng.normal(size=3)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=split_unions())
+def test_merge_fits_like_fit_plane_on_the_union(case):
+    """A merge fitted from its parts' moments against fit_plane on the union.
+
+    Where fit_plane fits the union, the merged plane agrees within 1e-9 on
+    the normal and 1e-9 relative on the centroid. Where it raises, the merge
+    keeps the larger part's centroid and normal, the first part's on a tie.
+    """
+    points, split, centre = case
+    n = points.shape[0]
+    tilted = (math.sin(math.radians(1.0)), 0.0, math.cos(math.radians(1.0)))
+    a = _plane(centre, (0, 0, 1), inliers=range(split))
+    b = _plane(centre + 0.01, tilted, inliers=range(split, n))  # coplanar with a under the defaults
+    (merged,) = merge_all([a, b], points, MergeParams())
+    np.testing.assert_array_equal(merged.inliers, np.arange(n))
+    try:
+        want = fit_plane(points)
+    except DegenerateInput:
+        keep = a if split >= n - split else b
+        assert merged.normal.tobytes() == keep.normal.tobytes()
+        assert merged.centroid.tobytes() == keep.centroid.tobytes()
+        return
+    assert np.abs(merged.normal - want.normal).max() <= 1e-9
+    assert np.abs(merged.centroid - want.centroid).max() <= 1e-9 * max(1.0, np.abs(want.centroid).max())
 
 
 def _split_wall(rng, n=1200):
@@ -149,6 +212,20 @@ def _assert_same_planes(got, want):
         assert x.centroid.tobytes() == y.centroid.tobytes()
 
 
+def _assert_same_merge(got, want):
+    """Merged plane lists with identical order and inliers whose fits agree within 1e-9.
+
+    ``merge_all`` fits a merged plane from its parts' moments, the reference
+    refits the union's points; the two round differently in the last bits.
+    Centroids are compared relative to their magnitude.
+    """
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        np.testing.assert_array_equal(x.inliers, y.inliers)
+        assert np.abs(x.normal - y.normal).max() <= 1e-9
+        assert np.abs(x.centroid - y.centroid).max() <= 1e-9 * max(1.0, np.abs(y.centroid).max())
+
+
 # Multiples of a merge threshold straddling 1, so pairs land just inside and
 # just outside the angle and offset tests.
 NEAR_THRESHOLD = [0.0, 0.3, 0.97, 0.999, 1.001, 1.03, 2.0]
@@ -201,7 +278,7 @@ def fragment_sets(draw):
 @given(case=fragment_sets())
 def test_merge_all_matches_full_rescan_reference(case):
     points, planes, params = case
-    _assert_same_planes(merge_all(planes, points, params), reference_merge_all(planes, points, params))
+    _assert_same_merge(merge_all(planes, points, params), reference_merge_all(planes, points, params))
 
 
 def test_merge_all_matches_reference_on_size_ties():

@@ -1,9 +1,12 @@
 """End-to-end run and benchmark harness tests."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planeops import (
     FspfParams,
@@ -18,6 +21,8 @@ from planeops import (
     save_labeling,
     segmentation_accuracy,
 )
+from helpers import reference_assign_to_planes
+from planeops import pipeline
 from planeops.pipeline import assign_to_planes, bench_table, labeling_from_inliers, run_bench, run_detect
 
 
@@ -155,6 +160,38 @@ class TestAssignToPlanes:
     def test_no_planes(self):
         labeling = assign_to_planes(np.zeros((4, 3)), [], 0.05)
         assert (labeling.plane_ids == -1).all()
+
+    def test_blocks_match_loop_reference(self, rng):
+        points = rng.uniform(-2, 2, size=(1000, 3))
+        planes = [PlaneModel(centroid=rng.uniform(-1, 1, 3), normal=n / np.linalg.norm(n))
+                  for n in rng.normal(size=(7, 3))]
+        want = reference_assign_to_planes(points, planes, 0.3)
+        for block in (1, 97, 1000, 8192):
+            with mock.patch.object(pipeline, "ASSIGN_BLOCK", block):
+                np.testing.assert_array_equal(assign_to_planes(points, planes, 0.3).plane_ids, want)
+
+
+GRID = np.array([[x, y, z] for x in range(3) for y in range(3) for z in range(2)], dtype=float)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    planes=st.lists(st.tuples(st.integers(0, 2), st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]),
+                              st.sampled_from([-1.0, 0.0, 2.5])), min_size=1, max_size=6),
+    threshold=st.sampled_from([0.25, 0.5, 1.0, 1.5]),
+    block=st.sampled_from([4, 8192]),
+)
+def test_assign_matches_loop_reference_on_grid(planes, threshold, block):
+    """Grid points and axis planes at half-integer heights: equal distances
+    and distances exactly at the threshold are common. The strict threshold
+    and the earlier plane winning a tie must hold as in the per-plane loop."""
+    models = [PlaneModel(centroid=np.eye(3)[axis] * height + np.eye(3)[(axis + 1) % 3] * slide,
+                         normal=np.eye(3)[axis]) for axis, height, slide in planes]
+    with mock.patch.object(pipeline, "ASSIGN_BLOCK", block):
+        labeling = assign_to_planes(GRID, models, threshold)
+    want = reference_assign_to_planes(GRID, models, threshold)
+    np.testing.assert_array_equal(labeling.plane_ids, want)
+    labeling.validate()
 
 
 def test_labeling_from_inliers_orientations():
