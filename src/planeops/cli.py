@@ -133,7 +133,7 @@ def _detect_config(args) -> RunConfig:
 def _cmd_synth(args) -> int:
     if args.scene:
         scene = json.loads(args.scene.read_text())
-        noise = float(scene.get("noise_sigma", args.noise))
+        noise = scene.get("noise_sigma", args.noise) if isinstance(scene, dict) else args.noise
     else:
         scene = box_room_scene(args.room_size, args.points_per_face, args.clutter)
         noise = args.noise

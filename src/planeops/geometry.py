@@ -19,6 +19,7 @@ __all__ = [
     "as_points",
     "as_unit_vector",
     "classify_orientation",
+    "classify_orientations",
     "combine_moments",
     "fit_plane",
     "plane_distances",
@@ -31,6 +32,9 @@ __all__ = [
 # point set is a line, not a plane.
 EIGEN_TIE_RTOL = 1e-12
 EPS_SQUARED = np.finfo(np.float64).eps ** 2
+# Defaults of the one orientation rule, classify_orientations.
+UP = (0.0, 0.0, 1.0)
+ORIENTATION_TOL_DEGREES = 7.0
 
 
 class DegenerateInput(ValueError):
@@ -222,20 +226,28 @@ def fit_plane(points, inliers=None) -> PlaneModel:
     return PlaneModel(centroid=moments.mean, normal=normal, inliers=inliers)
 
 
-def classify_orientation(normal, up=(0.0, 0.0, 1.0), tol_degrees: float = 7.0) -> Orientation:
-    """Classify a plane normal as horizontal, vertical, or other.
+def classify_orientations(normals, up=UP, tol_degrees: float = ORIENTATION_TOL_DEGREES) -> np.ndarray:
+    """Orientation codes (int8 :class:`Orientation` values) of a stack of normals.
 
-    A plane is horizontal when its normal is within ``tol_degrees`` of the up
-    axis (either sign), vertical when the normal is within ``tol_degrees`` of
-    perpendicular to up.
+    A normal (either sign) within ``tol_degrees`` of the unit ``up`` axis is
+    horizontal, one within ``tol_degrees`` of perpendicular to it is
+    vertical, and any other is other. ``normals`` is one vector or (m, 3).
+    Detection, labels, ground truth and synthetic scenes all classify here.
+
+    Raises:
+        ValueError: ``up`` is not a unit vector or ``tol_degrees`` is not in (0, 45).
     """
     if not 0.0 < tol_degrees < 45.0:
         raise ValueError(f"tol_degrees must be in (0, 45), got {tol_degrees}")
-    n = as_unit_vector(normal)
     u = as_unit_vector(up)
-    angle = np.degrees(np.arccos(np.clip(abs(np.dot(n, u)), 0.0, 1.0)))
-    if angle <= tol_degrees:
-        return Orientation.HORIZONTAL
-    if 90.0 - angle <= tol_degrees:
-        return Orientation.VERTICAL
-    return Orientation.OTHER
+    cosines = np.asarray(normals, dtype=np.float64).reshape(-1, 3) @ u
+    angles = np.degrees(np.arccos(np.clip(np.abs(cosines), 0.0, 1.0)))
+    codes = np.full(angles.shape, int(Orientation.OTHER), dtype=np.int8)
+    codes[angles <= tol_degrees] = int(Orientation.HORIZONTAL)
+    codes[90.0 - angles <= tol_degrees] = int(Orientation.VERTICAL)
+    return codes
+
+
+def classify_orientation(normal, up=UP, tol_degrees: float = ORIENTATION_TOL_DEGREES) -> Orientation:
+    """The class of one unit normal; :func:`classify_orientations` of one vector."""
+    return Orientation(int(classify_orientations(as_unit_vector(normal), up, tol_degrees)[0]))

@@ -19,7 +19,6 @@ __all__ = [
     "UnsupportedFormat",
     "load_cloud",
     "load_labeling",
-    "save_cloud",
     "save_labeled",
     "save_labeling",
     "segment_color",
@@ -236,12 +235,6 @@ def _ply_header(n: int, binary: bool) -> bytes:
         "end_header",
     ]
     return ("\n".join(lines) + "\n").encode("ascii")
-
-
-def save_cloud(points: np.ndarray, path, binary: bool = True) -> None:
-    """Write a bare cloud as PLY (white vertices)."""
-    labeling = SegmentLabeling.all_other(points.shape[0])
-    save_labeled(points, labeling, path, mode="orientation", binary=binary, sidecar=False)
 
 
 def save_labeled(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EIGEN_TIE_RTOL
+from .geometry import EIGEN_TIE_RTOL, canonical_sign
 from .kdtree import KdTree
 
 __all__ = [
@@ -115,10 +115,7 @@ def normals_from_neighbors(points: np.ndarray, idx: np.ndarray, nbr_dist: np.nda
 
     scatter = np.einsum("nk,nki,nkj->nij", w, u, u)
     eigvals, eigvecs = np.linalg.eigh(scatter)
-    normals = eigvecs[:, :, 0]
-    dominant = np.argmax(np.abs(normals), axis=1)
-    flip = normals[np.arange(m), dominant] < 0.0
-    normals[flip] *= -1.0
+    normals = canonical_sign(eigvecs[:, :, 0])
 
     trace = eigvals.sum(axis=1)
     curvature = np.where(trace > 0.0, eigvals[:, 0] / np.maximum(trace, 1e-300), np.inf)

@@ -18,7 +18,7 @@ from .geometry import (
     DegenerateInput,
     Orientation,
     PlaneModel,
-    as_unit_vector,
+    classify_orientations,
     fit_plane,
     plane_distances,
 )
@@ -216,15 +216,6 @@ def extract_full_inliers(
     return PlaneModel(centroid=model.centroid, normal=model.normal, inliers=idx)
 
 
-def sample_orientations(samples: SampleSet, up: np.ndarray, tol_degrees: float) -> np.ndarray:
-    """Orientation code of each sample's estimated normal."""
-    angles = np.degrees(np.arccos(np.clip(np.abs(samples.normals @ up), 0.0, 1.0)))
-    codes = np.full(len(samples), int(Orientation.OTHER), dtype=np.int8)
-    codes[angles <= tol_degrees] = int(Orientation.HORIZONTAL)
-    codes[90.0 - angles <= tol_degrees] = int(Orientation.VERTICAL)
-    return codes
-
-
 def detect_grouped(
     points: np.ndarray,
     samples: SampleSet,
@@ -236,8 +227,9 @@ def detect_grouped(
     """Extract every plane the oriented samples support, in detection order.
 
     With ``grouping="group_first"`` the samples are partitioned into
-    horizontal / vertical / other by their estimated normals (``up`` and
-    ``tol_degrees`` decide) and detection runs per group, in that fixed
+    horizontal / vertical / other by their estimated normals
+    (:func:`planeops.geometry.classify_orientations` with ``up`` and
+    ``tol_degrees``) and detection runs per group, in that fixed
     order. With ``grouping="detect_first"`` every sample is in one group.
     Either way the groups share one sample pool and one index of unclaimed
     points, so the planes have pairwise-disjoint inlier sets of at least
@@ -246,7 +238,7 @@ def detect_grouped(
     if params.grouping == "detect_first":
         groups = [np.ones(len(samples), dtype=bool)]
     else:
-        codes = sample_orientations(samples, as_unit_vector(up), tol_degrees)
+        codes = classify_orientations(samples.normals, up, tol_degrees)
         groups = [codes == int(orient) for orient in GROUP_ORDER]
     alive = np.ones(len(samples), dtype=bool)
     live = np.arange(points.shape[0], dtype=np.int64)  # unclaimed points, ascending

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .fspf import FspfParams, fspf_detect
-from .geometry import Orientation, PlaneModel, as_points, as_unit_vector, classify_orientation
+from .geometry import ORIENTATION_TOL_DEGREES, UP, Orientation, PlaneModel, as_points, classify_orientations
 from .io import load_cloud, load_labeling
 from .kdtree import KdTree
 from .merge import MergeParams, merge_all
@@ -64,17 +64,15 @@ class RunConfig:
     ops: OpsParams = field(default_factory=OpsParams)
     fspf: FspfParams = field(default_factory=FspfParams)
     merge: MergeParams = field(default_factory=MergeParams)
-    up: tuple = (0.0, 0.0, 1.0)
-    orientation_tol_degrees: float = 7.0
+    up: tuple = UP
+    orientation_tol_degrees: float = ORIENTATION_TOL_DEGREES
     seed: int = 0
     name: str | None = None
 
     def __post_init__(self):
         if self.detector not in ("ops", "fspf"):
             raise ValueError(f"unknown detector {self.detector!r}")
-        as_unit_vector(self.up)
-        if not 0.0 < self.orientation_tol_degrees < 45.0:
-            raise ValueError(f"orientation_tol_degrees must be in (0, 45), got {self.orientation_tol_degrees}")
+        classify_orientations(np.empty((0, 3)), self.up, self.orientation_tol_degrees)  # checks both
 
     @property
     def detector_params(self):
@@ -155,19 +153,18 @@ class DetectionReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def assign_to_planes(points: np.ndarray, planes: list[PlaneModel], dist_threshold: float,
-                     up=(0.0, 0.0, 1.0), tol_degrees: float = 7.0) -> SegmentLabeling:
-    """Label every point by its nearest plane, when within the threshold.
+def assign_to_planes(points: np.ndarray, planes: list[PlaneModel], dist_threshold: float) -> np.ndarray:
+    """The plane id of every point: its nearest plane's, when within the threshold.
 
     Used for detectors whose recorded inliers are sparse samples rather than
     full verification sets. Plane ids follow list order; a point goes to the
     plane of smallest distance, the earliest one on a tie, when that distance
-    is below ``dist_threshold``, and stays unsegmented otherwise. Points are
-    labeled ``ASSIGN_BLOCK`` at a time, each block by one matrix product.
+    is below ``dist_threshold``, and gets -1 (unsegmented) otherwise. Points
+    are labeled ``ASSIGN_BLOCK`` at a time, each block by one matrix product.
     """
     n = points.shape[0]
     if not planes:
-        return SegmentLabeling.all_other(n)
+        return np.full(n, -1, dtype=np.int32)
     normals = np.array([plane.normal for plane in planes])
     offsets = np.array([plane.centroid @ plane.normal for plane in planes])
     ids = np.empty(n, dtype=np.int32)
@@ -175,24 +172,15 @@ def assign_to_planes(points: np.ndarray, planes: list[PlaneModel], dist_threshol
         dist = np.abs(points[start:start + ASSIGN_BLOCK] @ normals.T - offsets)
         nearest = dist.argmin(axis=1)
         ids[start:start + ASSIGN_BLOCK] = np.where(dist.min(axis=1) < dist_threshold, nearest, -1)
-    return _labeling_with_orientations(ids, planes, up, tol_degrees)
+    return ids
 
 
-def labeling_from_inliers(n: int, planes: list[PlaneModel], up=(0.0, 0.0, 1.0),
-                          tol_degrees: float = 7.0) -> SegmentLabeling:
-    """Label points from the planes' recorded (disjoint) inlier sets."""
+def labeling_from_inliers(n: int, planes: list[PlaneModel]) -> np.ndarray:
+    """The plane id of each of n points by the planes' disjoint inlier sets; -1 if unclaimed."""
     ids = np.full(n, -1, dtype=np.int32)
     for pid, plane in enumerate(planes):
         ids[plane.inliers] = pid
-    return _labeling_with_orientations(ids, planes, up, tol_degrees)
-
-
-def _labeling_with_orientations(ids, planes, up, tol_degrees) -> SegmentLabeling:
-    """Orientation labels by a table of plane classes; id -1 reads its last entry, OTHER."""
-    up = as_unit_vector(up)
-    table = [int(classify_orientation(plane.normal, up, tol_degrees)) for plane in planes]
-    orients = np.array(table + [int(Orientation.OTHER)], dtype=np.int8)[ids]
-    return SegmentLabeling(plane_ids=ids, orientations=orients)
+    return ids
 
 
 @contextmanager
@@ -242,23 +230,24 @@ def run_detect(points, config: RunConfig) -> DetectionReport:
     with _stage(timings, "merging"):
         merged = merge_all(raw_planes, points, config.merge)
 
-    up, tol = config.up, config.orientation_tol_degrees
     with _stage(timings, "labeling"):
         if config.detector == "ops":
-            labeling = labeling_from_inliers(points.shape[0], merged, up, tol)
+            ids = labeling_from_inliers(points.shape[0], merged)
         else:
-            labeling = assign_to_planes(points, merged, config.fspf.dist_threshold, up, tol)
+            ids = assign_to_planes(points, merged, config.fspf.dist_threshold)
+        classes = classify_orientations([plane.normal for plane in merged], config.up,
+                                        config.orientation_tol_degrees)
+        labeling = SegmentLabeling.from_planes(ids, classes)
 
-    up_vec = as_unit_vector(up)
     summaries = [
         PlaneSummary(
             id=pid,
             centroid=[float(v) for v in plane.centroid],
             normal=[float(v) for v in plane.normal],
             inlier_count=plane.inlier_count,
-            orientation=classify_orientation(plane.normal, up_vec, tol).name.lower(),
+            orientation=Orientation(code).name.lower(),
         )
-        for pid, plane in enumerate(merged)
+        for pid, (plane, code) in enumerate(zip(merged, classes.tolist()))
     ]
     timings["total"] = time.perf_counter() - start
     timings_ms = {k: 1000.0 * v for k, v in timings.items()}

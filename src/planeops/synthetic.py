@@ -8,7 +8,7 @@ true labeling, which makes it the oracle for detector tests.
 
 import numpy as np
 
-from .geometry import Orientation, as_points, canonical_sign, classify_orientation
+from .geometry import ORIENTATION_TOL_DEGREES, UP, as_points, canonical_sign, classify_orientations
 from .truth import SegmentLabeling
 
 __all__ = ["InvalidSpec", "box_room_scene", "gen_synthetic", "make_box_room", "random_scene"]
@@ -41,24 +41,34 @@ def gen_synthetic(scene: dict, noise_sigma: float = 0.0, seed: int = 0):
     Each rectangle is sampled uniformly with ``count`` points, perturbed by
     isotropic Gaussian noise of ``noise_sigma`` meters. Clutter points are
     uniform over ``clutter_bounds`` (default: the rectangles' bounding box)
-    and labeled as unsegmented.
+    and labeled as unsegmented. A rectangle's class comes from its normal by
+    the scene's ``up`` and ``orientation_tol_degrees``. A malformed scene
+    raises InvalidSpec.
     """
-    if noise_sigma < 0.0:
-        raise InvalidSpec("noise_sigma must be nonnegative")
+    if not isinstance(scene, dict) or not isinstance(scene.get("rects", []), list):
+        raise InvalidSpec("a scene must be a JSON object, and its rects a list")
     rects = scene.get("rects", [])
-    clutter = int(scene.get("clutter", 0))
+    try:
+        noise_sigma = float(noise_sigma)
+        clutter = int(scene.get("clutter", 0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidSpec(f"noise_sigma and clutter must be numbers: {exc}") from exc
+    if not noise_sigma >= 0.0 or clutter < 0:
+        raise InvalidSpec("noise_sigma and clutter must be nonnegative")
     if not rects and clutter == 0:
         raise InvalidSpec("scene has no rectangles and no clutter")
+    shapes = [_rect_arrays(rect, idx) for idx, rect in enumerate(rects)]
+    try:
+        classes = classify_orientations([normal for *_, normal in shapes], scene.get("up", UP),
+                                        float(scene.get("orientation_tol_degrees", ORIENTATION_TOL_DEGREES)))
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"up and orientation_tol_degrees: {exc}") from exc
 
     rng = np.random.default_rng(seed)
     chunks = []
     ids = []
-    orients = []
     corners_seen = []
-    up = scene.get("up", (0.0, 0.0, 1.0))
-    tol = float(scene.get("orientation_tol_degrees", 7.0))
-    for idx, rect in enumerate(rects):
-        corner, eu, ev, count, normal = _rect_arrays(rect, idx)
+    for idx, (corner, eu, ev, count, _) in enumerate(shapes):
         u = rng.uniform(0.0, 1.0, size=count)
         v = rng.uniform(0.0, 1.0, size=count)
         pts = corner + u[:, None] * eu + v[:, None] * ev
@@ -66,14 +76,15 @@ def gen_synthetic(scene: dict, noise_sigma: float = 0.0, seed: int = 0):
             pts = pts + rng.normal(scale=noise_sigma, size=pts.shape)
         chunks.append(pts)
         ids.append(np.full(count, idx, dtype=np.int32))
-        orients.append(np.full(count, int(classify_orientation(normal, up, tol)), dtype=np.int8))
         corners_seen.extend([corner, corner + eu, corner + ev, corner + eu + ev])
 
     if clutter > 0:
         bounds = scene.get("clutter_bounds")
         if bounds is not None:
-            lo = np.asarray(bounds[0], dtype=np.float64).reshape(3)
-            hi = np.asarray(bounds[1], dtype=np.float64).reshape(3)
+            try:
+                lo, hi = np.asarray(bounds, dtype=np.float64).reshape(2, 3)
+            except (TypeError, ValueError) as exc:
+                raise InvalidSpec(f"clutter_bounds must be two 3-vectors: {exc}") from exc
         elif corners_seen:
             stack = np.asarray(corners_seen)
             lo, hi = stack.min(axis=0), stack.max(axis=0)
@@ -84,11 +95,12 @@ def gen_synthetic(scene: dict, noise_sigma: float = 0.0, seed: int = 0):
         pts = rng.uniform(lo, hi, size=(clutter, 3))
         chunks.append(pts)
         ids.append(np.full(clutter, -1, dtype=np.int32))
-        orients.append(np.full(clutter, int(Orientation.OTHER), dtype=np.int8))
 
-    points = as_points(np.vstack(chunks))
-    truth = SegmentLabeling(plane_ids=np.concatenate(ids), orientations=np.concatenate(orients))
-    return points, truth
+    try:
+        points = as_points(np.vstack(chunks))
+    except ValueError as exc:
+        raise InvalidSpec(f"scene gives non-finite points: {exc}") from exc
+    return points, SegmentLabeling.from_planes(np.concatenate(ids), classes)
 
 
 def box_room_scene(size: float = 3.5, points_per_face: int = 1000, clutter: int = 600) -> dict:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DegenerateInput, Orientation, as_unit_vector, classify_orientation, fit_plane
+from .geometry import DegenerateInput, Orientation, classify_orientations, fit_plane
 from .kdtree import KdTree
 # estimate_normals is unused here but stays importable as truth.estimate_normals,
 # a name perfbench/spans.py wraps.
@@ -62,11 +62,18 @@ class SegmentLabeling:
         return np.unique(self.plane_ids[self.plane_ids >= 0])
 
     @classmethod
+    def from_planes(cls, plane_ids, plane_classes) -> "SegmentLabeling":
+        """Label each point with its plane's class, gathered by plane id (-1 reads OTHER).
+
+        ``plane_classes`` holds one code per plane, from
+        :func:`planeops.geometry.classify_orientations`: each plane is classified once.
+        """
+        table = np.append(np.asarray(plane_classes, dtype=np.int8), np.int8(Orientation.OTHER))
+        return cls(plane_ids=plane_ids, orientations=table[plane_ids])
+
+    @classmethod
     def all_other(cls, n: int) -> "SegmentLabeling":
-        return cls(
-            plane_ids=np.full(n, -1, dtype=np.int32),
-            orientations=np.full(n, int(Orientation.OTHER), dtype=np.int8),
-        )
+        return cls.from_planes(np.full(n, -1, dtype=np.int32), [])
 
 
 @dataclass
@@ -77,9 +84,6 @@ class GtParams:
     normal_angle_degrees: float = 7.0
     min_plane_size: int = 50
     k: int = 10
-    sigma: float | None = None
-    up: tuple = (0.0, 0.0, 1.0)
-    orientation_tol_degrees: float = 7.0
 
     def __post_init__(self):
         if self.dist_threshold <= 0.0 or self.normal_angle_degrees <= 0.0:
@@ -98,7 +102,9 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
     ``normal_angle_degrees`` of the region plane's normal and its distance to
     the plane is under ``dist_threshold``; the plane refits every
     `REFIT_INTERVAL` accepted points. Regions smaller than ``min_plane_size``
-    (and points with degenerate normals) end up unsegmented.
+    (and points with degenerate normals) end up unsegmented. A region's
+    class is that of its final plane fit, by the default up axis and
+    tolerance of :func:`planeops.geometry.classify_orientations`.
     """
     if params is None:
         params = GtParams()
@@ -109,7 +115,7 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
     kd = KdTree(points)
     all_idx = np.arange(n, dtype=np.int64)
     nbr_dist, adjacency = kd.knn(points, params.k, exclude_index=all_idx)
-    normals, curvature, valid = normals_from_neighbors(points, all_idx, nbr_dist, adjacency, params.sigma)
+    normals, curvature, valid = normals_from_neighbors(points, all_idx, nbr_dist, adjacency)
 
     # The loop runs on Python floats. Their 3-term dot products may differ
     # from np.dot in the last bit, by far less than DOT_SLACK times the sum of
@@ -124,10 +130,7 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
     pts, nrm = points.tolist(), normals.tolist()
     visited = bytearray(np.logical_not(valid).tobytes())  # degenerate points never seed or join
     plane_ids = np.full(n, -1, dtype=np.int32)
-    orientations = np.full(n, int(Orientation.OTHER), dtype=np.int8)
-    up = as_unit_vector(params.up)
-
-    next_id = 0
+    plane_normals = []  # of the regions kept, by id
     for seed in np.argsort(curvature, kind="stable").tolist():
         if visited[seed]:
             continue
@@ -168,9 +171,7 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
                 final = fit_plane(points[member])
             except DegenerateInput:
                 continue
-            orient = classify_orientation(final.normal, up, params.orientation_tol_degrees)
-            plane_ids[member] = next_id
-            orientations[member] = int(orient)
-            next_id += 1
+            plane_ids[member] = len(plane_normals)
+            plane_normals.append(final.normal)
 
-    return SegmentLabeling(plane_ids=plane_ids, orientations=orientations)
+    return SegmentLabeling.from_planes(plane_ids, classify_orientations(plane_normals))

@@ -10,7 +10,7 @@ from collections import deque
 import numpy as np
 
 from planeops import KdTree, Orientation, PlaneModel, SegmentLabeling, fit_plane
-from planeops.geometry import DegenerateInput, as_unit_vector, classify_orientation, plane_distances
+from planeops.geometry import DegenerateInput, classify_orientation, classify_orientations, plane_distances
 from planeops.normals import SampleSet, estimate_normals, normals_from_neighbors, sample_indices
 from planeops.ops import (
     GROUP_ORDER,
@@ -18,7 +18,6 @@ from planeops.ops import (
     NoPlaneFound,
     RansacResult,
     adaptive_iterations,
-    sample_orientations,
 )
 
 
@@ -221,13 +220,12 @@ def reference_generate_ground_truth(points, params):
     kd = KdTree(points)
     all_idx = np.arange(n, dtype=np.int64)
     nbr_dist, adjacency = kd.knn(points, params.k, exclude_index=all_idx)
-    normals, curvature, valid = normals_from_neighbors(points, all_idx, nbr_dist, adjacency, params.sigma)
+    normals, curvature, valid = normals_from_neighbors(points, all_idx, nbr_dist, adjacency)
 
     cos_tol = np.cos(np.radians(params.normal_angle_degrees))
     visited = ~valid
     plane_ids = np.full(n, -1, dtype=np.int32)
     orientations = np.full(n, int(Orientation.OTHER), dtype=np.int8)
-    up = as_unit_vector(params.up)
     next_id = 0
     for seed in np.argsort(curvature, kind="stable").tolist():
         if visited[seed]:
@@ -264,7 +262,7 @@ def reference_generate_ground_truth(points, params):
                 final = fit_plane(points[member])
             except DegenerateInput:
                 continue
-            orient = classify_orientation(final.normal, up, params.orientation_tol_degrees)
+            orient = classify_orientation(final.normal)  # the default up axis and tolerance
             plane_ids[member] = next_id
             orientations[member] = int(orient)
             next_id += 1
@@ -333,7 +331,7 @@ def reference_detect_grouped(points, samples, params, rng, up, tol_degrees):
     if params.grouping == "detect_first":
         groups = [np.ones(len(samples), dtype=bool)]
     else:
-        codes = sample_orientations(samples, as_unit_vector(up), tol_degrees)
+        codes = classify_orientations(samples.normals, up, tol_degrees)
         groups = [codes == int(orient) for orient in GROUP_ORDER]
     alive = np.ones(len(samples), dtype=bool)
     active_mask = np.ones(points.shape[0], dtype=bool)

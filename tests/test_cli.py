@@ -46,6 +46,33 @@ def test_synth_from_scene_file(tmp_path):
     assert load_cloud(out).shape == (50, 3)
 
 
+RECT = {"corner": [0, 0, 0], "edge_u": [1, 0, 0], "edge_v": [0, 1, 0], "count": 50}
+
+
+@pytest.mark.parametrize("scene", [
+    [RECT],
+    {"rects": 5},
+    {"rects": [5]},
+    {"rects": [RECT], "clutter": 10, "clutter_bounds": [[0, 0], [1, 1]]},
+    {"rects": [RECT], "clutter": "many"},
+    {"rects": [RECT], "clutter": -3},
+    {"rects": [RECT], "noise_sigma": "x"},
+    {"rects": [RECT], "noise_sigma": 1e308},
+    {"rects": [RECT], "up": [0, 0, 2]},
+    {"rects": [RECT], "up": "z"},
+    {"rects": [RECT], "orientation_tol_degrees": 50},
+], ids=["list", "rects-number", "rect-number", "clutter-bounds-2d", "clutter-word", "clutter-negative",
+        "noise-word", "noise-overflows", "up-not-unit", "up-word", "orientation-tol"])
+def test_synth_malformed_scene_exit_code(tmp_path, capsys, scene):
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(scene))
+    out = tmp_path / "o" / "cloud.ply"
+    assert main(["synth", "--scene", str(scene_path), "--out", str(out)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.parent.exists()
+
+
 def test_import_and_synth_do_not_load_scipy_spatial(tmp_path):
     # Only commands that build a spatial index load scipy.spatial. (eval
     # loads it through scipy.optimize, which imports it itself.)

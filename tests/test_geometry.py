@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from planeops import DegenerateInput, Orientation, PlaneModel, classify_orientation, fit_plane, plane_distances
+from planeops.geometry import classify_orientations
 
 
 def _plane(centroid, normal):
@@ -129,6 +130,50 @@ class TestClassifyOrientation:
         assert classify_orientation(n, (0, 0, 1), 7.0) is Orientation.HORIZONTAL
         n = (0.0, math.sin(math.radians(83.1)), math.cos(math.radians(83.1)))
         assert classify_orientation(n, (0, 0, 1), 7.0) is Orientation.VERTICAL
+
+
+UP_AXES = [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 0.6, 0.8)]
+
+
+@pytest.mark.parametrize("up", UP_AXES, ids=["z", "x", "tilted"])
+@pytest.mark.parametrize("tol", [7.0, 20.0])
+def test_orientation_rule_against_analytic_angles(up, tol):
+    """Normals built at known angles from the up axis, in several azimuths:
+    the class flips exactly at the tolerance and at 90 minus it, either sign."""
+    u = np.asarray(up)
+    a = np.cross(u, (1.0, 0.0, 0.0) if abs(u[0]) < 0.9 else (0.0, 1.0, 0.0))
+    a /= np.linalg.norm(a)
+    b = np.cross(u, a)
+    H, V, O = (int(o) for o in Orientation)
+    cases = [(0.0, H), (tol - 1e-9, H), (tol + 1e-9, O), (45.0, O),
+             (90.0 - tol - 1e-9, O), (90.0 - tol + 1e-9, V), (90.0, V)]
+    for azimuth in np.radians([0.0, 37.0, 90.0, 200.0]):
+        w = np.cos(azimuth) * a + np.sin(azimuth) * b  # a unit vector perpendicular to up
+        angles = np.radians([angle for angle, _ in cases])
+        normals = np.cos(angles)[:, None] * u + np.sin(angles)[:, None] * w
+        want = [code for _, code in cases]
+        assert classify_orientations(normals, up, tol).tolist() == want
+        assert classify_orientations(-normals, up, tol).tolist() == want
+        assert [int(classify_orientation(n, up, tol)) for n in normals] == want
+
+
+@pytest.mark.parametrize("tol", [0.0, 45.0, -3.0, 60.0])
+def test_orientation_rule_rejects_tolerance_outside_open_band(tol):
+    with pytest.raises(ValueError):
+        classify_orientations(np.eye(3), (0.0, 0.0, 1.0), tol)
+    with pytest.raises(ValueError):
+        classify_orientations(np.empty((0, 3)), (0.0, 0.0, 1.0), tol)
+
+
+def test_orientation_rule_rejects_non_unit_up():
+    with pytest.raises(ValueError):
+        classify_orientations(np.eye(3), (0.0, 0.0, 2.0), 7.0)
+
+
+def test_orientation_rule_shapes():
+    codes = classify_orientations(np.empty((0, 3)))
+    assert codes.dtype == np.int8 and codes.shape == (0,)
+    assert classify_orientations((0.0, 0.0, 1.0)).tolist() == [int(Orientation.HORIZONTAL)]
 
 
 class TestOrientationChar:

@@ -1,5 +1,6 @@
 """One-point RANSAC detector tests."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -24,6 +25,7 @@ from planeops import (
 )
 
 from planeops import ops, plane_distances
+from planeops.geometry import classify_orientations
 from helpers import (
     ops_samples,
     reference_detect_grouped,
@@ -236,6 +238,28 @@ class TestDetectGrouped:
         grouped = _detect(points, OpsParams(sampling_rate=0.05, k=10, grouping="group_first"), 2)
         assert _orientations(flat) == [Orientation.VERTICAL, Orientation.HORIZONTAL]
         assert _orientations(grouped) == [Orientation.HORIZONTAL, Orientation.VERTICAL]
+
+    def test_groups_come_from_the_orientation_rule(self):
+        # With the rule patched to call every sample OTHER, grouped detection
+        # is orientation-blind detection: same planes, same random stream.
+        points, _ = make_box_room(points_per_face=600, clutter=100, seed=5)
+        params = OpsParams(sampling_rate=0.05, k=10)
+        samples = ops_samples(points, params, np.random.default_rng(0))
+        calls = []
+
+        def all_other(normals, up, tol_degrees):
+            calls.append((normals, up, tol_degrees))
+            return np.full(len(normals), int(Orientation.OTHER), dtype=np.int8)
+
+        assert ops.classify_orientations is classify_orientations
+        rng, flat_rng = np.random.default_rng(1), np.random.default_rng(1)
+        with mock.patch.object(ops, "classify_orientations", all_other):
+            grouped = detect_grouped(points, samples, params, rng, UP, TOL)
+        flat = detect_grouped(points, samples, dataclasses.replace(params, grouping="detect_first"), flat_rng, UP, TOL)
+        assert len(calls) == 1 and calls[0][0] is samples.normals and calls[0][1:] == (UP, TOL)
+        assert len(grouped) >= 4
+        assert [p.inliers.tolist() for p in grouped] == [p.inliers.tolist() for p in flat]
+        assert rng.bit_generator.state == flat_rng.bit_generator.state
 
     def test_group_counts_roughly_decreasing(self):
         points, _ = make_box_room(clutter=300, seed=19)

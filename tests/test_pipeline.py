@@ -23,6 +23,7 @@ from planeops import (
 )
 from helpers import reference_assign_to_planes
 from planeops import pipeline
+from planeops.geometry import classify_orientations
 from planeops.pipeline import assign_to_planes, bench_table, labeling_from_inliers, run_bench, run_detect
 
 
@@ -118,6 +119,26 @@ class TestRunDetect:
             assert by_axis[3 - first].orientation == "vertical"
             assert by_axis[first].inlier_count >= {1: 3000, 2: 1001}[first]
 
+    @pytest.mark.parametrize("detector", ["ops", "fspf"])
+    def test_labels_and_summaries_share_one_class_table(self, detector):
+        # A rotated rule gives classes no plane gets by chance: the labels and
+        # the summaries must both show exactly the one table it returned.
+        points, _ = _small_scene()
+        config = _ops_config() if detector == "ops" else _fspf_config()  # built unpatched: it validates through the rule
+        tables = []
+
+        def rotated(normals, up, tol_degrees):
+            tables.append((classify_orientations(normals, up, tol_degrees) + 1) % 3)
+            return tables[-1]
+
+        assert pipeline.classify_orientations is classify_orientations
+        with mock.patch.object(pipeline, "classify_orientations", rotated):
+            report = run_detect(points, config)
+        assert len(tables) == 1 and tables[0].size == report.post_merge_count > 0
+        table = np.append(tables[0], np.int8(Orientation.OTHER))
+        np.testing.assert_array_equal(report.labeling.orientations, table[report.labeling.plane_ids])
+        assert [p.orientation for p in report.planes] == [Orientation(c).name.lower() for c in tables[0].tolist()]
+
     def test_labeling_matches_plane_summaries(self):
         points, _ = _small_scene()
         report = run_detect(points, _ops_config())
@@ -154,12 +175,11 @@ class TestAssignToPlanes:
             PlaneModel(centroid=(0, 0, 0), normal=(0, 0, 1)),
             PlaneModel(centroid=(0, 0, 1), normal=(0, 0, 1)),
         ]
-        labeling = assign_to_planes(points, planes, dist_threshold=0.1)
-        assert labeling.plane_ids.tolist() == [0, 1, -1]
+        assert assign_to_planes(points, planes, dist_threshold=0.1).tolist() == [0, 1, -1]
 
     def test_no_planes(self):
-        labeling = assign_to_planes(np.zeros((4, 3)), [], 0.05)
-        assert (labeling.plane_ids == -1).all()
+        ids = assign_to_planes(np.zeros((4, 3)), [], 0.05)
+        assert ids.dtype == np.int32 and (ids == -1).all()
 
     def test_blocks_match_loop_reference(self, rng):
         points = rng.uniform(-2, 2, size=(1000, 3))
@@ -168,7 +188,7 @@ class TestAssignToPlanes:
         want = reference_assign_to_planes(points, planes, 0.3)
         for block in (1, 97, 1000, 8192):
             with mock.patch.object(pipeline, "ASSIGN_BLOCK", block):
-                np.testing.assert_array_equal(assign_to_planes(points, planes, 0.3).plane_ids, want)
+                np.testing.assert_array_equal(assign_to_planes(points, planes, 0.3), want)
 
 
 GRID = np.array([[x, y, z] for x in range(3) for y in range(3) for z in range(2)], dtype=float)
@@ -188,10 +208,10 @@ def test_assign_matches_loop_reference_on_grid(planes, threshold, block):
     models = [PlaneModel(centroid=np.eye(3)[axis] * height + np.eye(3)[(axis + 1) % 3] * slide,
                          normal=np.eye(3)[axis]) for axis, height, slide in planes]
     with mock.patch.object(pipeline, "ASSIGN_BLOCK", block):
-        labeling = assign_to_planes(GRID, models, threshold)
+        ids = assign_to_planes(GRID, models, threshold)
     want = reference_assign_to_planes(GRID, models, threshold)
-    np.testing.assert_array_equal(labeling.plane_ids, want)
-    labeling.validate()
+    np.testing.assert_array_equal(ids, want)
+    SegmentLabeling.from_planes(ids, classify_orientations([m.normal for m in models])).validate()
 
 
 def test_labeling_from_inliers_orientations():
@@ -201,11 +221,12 @@ def test_labeling_from_inliers_orientations():
         PlaneModel(centroid=(0, 0, 0), normal=(1, 0, 0), inliers=[1, 2]),
         PlaneModel(centroid=(0, 0, 0), normal=(0, 0.6, 0.8), inliers=[3]),
     ]
-    labeling = labeling_from_inliers(7, planes)
-    assert labeling.plane_ids.tolist() == [-1, 1, 1, 2, 0, 0, -1]
+    ids = labeling_from_inliers(7, planes)
+    assert ids.tolist() == [-1, 1, 1, 2, 0, 0, -1]
+    labeling = SegmentLabeling.from_planes(ids, classify_orientations([p.normal for p in planes]))
     H, V, O = (int(o) for o in Orientation)
     assert labeling.orientations.tolist() == [O, V, V, O, H, H, O]
-    assert labeling_from_inliers(3, []).orientations.tolist() == [O, O, O]
+    assert SegmentLabeling.from_planes(labeling_from_inliers(3, []), []).orientations.tolist() == [O, O, O]
 
 
 class TestRunBench:
