@@ -61,10 +61,10 @@ class FspfParams:
             raise ValueError("local_samples must be >= 3")
         if not 0.0 < self.min_inlier_fraction <= 1.0:
             raise ValueError("min_inlier_fraction must be in (0, 1]")
-        if self.r1 <= 0.0 or self.r2 <= 0.0:
-            raise ValueError("sphere radii must be positive")
-        if self.dist_threshold <= 0.0:
-            raise ValueError("dist_threshold must be positive")
+        if not (0.0 < self.r1 < np.inf and 0.0 < self.r2 < np.inf):  # NaN fails too
+            raise ValueError("sphere radii must be finite and positive")
+        if not 0.0 < self.dist_threshold < np.inf:
+            raise ValueError("dist_threshold must be finite and positive")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
 

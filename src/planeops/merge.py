@@ -5,16 +5,14 @@ each centroid lies close to the other plane. Merging repeats greedily,
 largest pair first, until no pair passes the test, so the output is a
 fixpoint of the coplanarity relation.
 
-The pair test runs once over all planes; after each merge only the merged
-plane is tested against the survivors, so a merge costs O(P) pair tests
-rather than a fresh O(P^2) matrix. A merged plane is fitted from its parts'
-moments (point count, mean and centred scatter) in O(1), not by gathering
-and refitting the union's points; inlier sets are joined once, at the end.
-Agglomerative merging on moments follows Feng, Taguchi & Kamat, "Fast Plane
-Extraction in Organized Point Clouds Using Agglomerative Hierarchical
-Clustering" (ICRA 2014).
+Merges run in greedy chains that test only the newest plane, and a heap
+over the input planes starts each chain. A merged plane is fitted from its
+parts' moments (count, mean, centred scatter) in O(1), following Feng,
+Taguchi & Kamat, "Fast Plane Extraction in Organized Point Clouds Using
+Agglomerative Hierarchical Clustering" (ICRA 2014).
 """
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +30,7 @@ from .geometry import (  # noqa: F401  fit_plane: no caller, kept importable for
 __all__ = ["MergeParams", "coplanar", "dedupe_inliers", "merge_all"]
 
 # Plane pairs handled together when merge_all builds its pair matrix and
-# first finds each plane's partner; keeps the (rows, P) and (rows, P, 3)
+# first finds each plane's partner; keeps the (rows, P) and (3, rows, P)
 # temporaries small and in cache at thousands of planes.
 PAIR_BLOCK = 2**16
 
@@ -45,19 +43,20 @@ class MergeParams:
     offset: float = 0.05
 
     def __post_init__(self):
-        if self.angle_degrees <= 0.0 or self.offset <= 0.0:
-            raise ValueError("merge thresholds must be positive")
+        if not (0.0 < self.angle_degrees < 90.0 and 0.0 < self.offset < np.inf):  # NaN fails too
+            raise ValueError("merge angle_degrees must be in (0, 90) and offset finite and positive")
 
 
 def _coplanar_mask(normals_a, centroids_a, normals_b, centroids_b, params: MergeParams) -> np.ndarray:
     """Elementwise three-part coplanarity test between broadcast plane arrays.
 
+    Arrays hold one component per row of their first axis, shape (3, ...).
     The dot products are spelled out per component, so a pair gets the same
     bits whichever batch it is tested in, and the test is symmetric.
     """
 
     def dot(u, v):
-        return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
     cos_tol = np.cos(np.radians(params.angle_degrees))
     sep = centroids_b - centroids_a
@@ -108,29 +107,32 @@ def merge_all(planes: list[PlaneModel], points: np.ndarray, params: MergeParams)
 
     Overlapping inlier sets are deduplicated first (nearest plane wins), then
     the coplanar pair with the largest combined size merges repeatedly into
-    the least-squares plane of the union of their inliers, and the pairs are
-    rescanned. When the union cannot determine a plane (fewer than 3 points,
-    or collinear), the merged plane keeps the centroid and normal of its
-    larger part (the earlier one on a size tie). Ties between pairs go to the
-    pair earliest in list order, where the merged plane replaces its two
-    parts at the end of the list. The result has no coplanar pair left,
-    preserves the total (deduplicated) inlier count, and is sorted by
-    descending inlier count.
+    the least-squares plane of the union of their inliers. When the union
+    cannot determine a plane (fewer than 3 points, or collinear), the merged
+    plane keeps the centroid and normal of its larger part (the earlier one
+    on a size tie). Ties between pairs go to the pair earliest in list order,
+    where the merged plane replaces its two parts at the end of the list. The
+    result has no coplanar pair left, preserves the total (deduplicated)
+    inlier count, and is sorted by descending inlier count.
 
     Planes live in slots numbered in list order: the P inputs, then one new
-    slot per merge. Each row caches its best partner (largest, then earliest
-    slot). A merge tests only the merged plane against the survivors, and
-    rescans only the rows whose partner it consumed and that are not
-    coplanar with the merged plane.
+    slot per merge. Merges run in chains. When ``(a, b)`` merges into ``m``,
+    ``m``'s size is the largest pair sum so far, so any pair holding ``m``
+    outweighs every other: if ``m`` has a coplanar partner, the next merge is
+    ``(x, m)`` with ``x`` its largest partner (earliest slot on ties). So a
+    merge tests only the new plane against every slot. A chain ends on a
+    plane with no partner, which only later chain planes, testing it
+    themselves, can join. So each chain starts from two input planes, picked
+    by a heap of ``(-(size + partner size), row)`` over the input rows.
+    Scores only fall, so a popped row whose cached partner is gone rescans
+    its row of the input pair matrix and goes back on the heap.
 
-    A merge combines its parts' moments with the pairwise update
+    A merge combines its parts' moments
     (:func:`~planeops.geometry.combine_moments`) and takes one eigen
-    decomposition; an input plane's moments are computed from its inlier
-    points the first time it takes part in a merge, about the first plane's
-    centroid, so that their means keep their digits far from the origin.
-    The merged plane agrees with a refit of the union's points up to
-    rounding. A merged slot records its parts' inlier arrays, and each
-    surviving plane's inliers are joined and sorted once, at the end.
+    decomposition. An input plane's moments are taken the first time it
+    merges, about the first plane's centroid, so that means keep their
+    digits far from the origin; the merged plane agrees with a refit of the
+    union's points up to rounding. Inlier arrays are joined once, at the end.
     """
     current = dedupe_inliers(planes, points)
     p = len(current)
@@ -140,70 +142,68 @@ def merge_all(planes: list[PlaneModel], points: np.ndarray, params: MergeParams)
     cap = 2 * p - 1  # every merge consumes two slots and fills one new one
     moments: list = [None] * cap  # filled on first use for inputs, on creation for merges
     members: list = [[pl.inliers] for pl in current] + [None] * (p - 1)  # inlier arrays, joined at the end
-    normals = np.zeros((cap, 3))
-    centroids = np.zeros((cap, 3))
+    normals, centroids = np.zeros((2, 3, cap))  # one contiguous row per component
     sizes = np.full(cap, -1, dtype=np.int64)  # -1 marks an empty or consumed slot
-    normals[:p] = [pl.normal for pl in current]
-    centroids[:p] = [pl.centroid for pl in current]
+    normals[:, :p] = np.transpose([pl.normal for pl in current])
+    centroids[:, :p] = np.transpose([pl.centroid for pl in current])
     sizes[:p] = [pl.inlier_count for pl in current]
-    ok = np.zeros((cap, cap), dtype=bool)
-    step = max(1, PAIR_BLOCK // p)
-    for lo in range(0, p, step):
-        hi = min(lo + step, p)
-        ok[lo:hi, :p] = _coplanar_mask(normals[lo:hi, None], centroids[lo:hi, None],
-                                       normals[None, :p], centroids[None, :p], params)
-    np.fill_diagonal(ok, False)
-
-    best = np.zeros(cap, dtype=np.int64)  # each row's partner of largest size, earliest slot on ties
-    best_size = np.full(cap, -1, dtype=np.int64)  # -1: no coplanar partner
-
-    def rescan(rows):
-        cand = np.where(ok[rows], sizes, -1)
-        best[rows] = np.argmax(cand, axis=1)
-        best_size[rows] = cand[np.arange(len(rows)), best[rows]]
-
+    ok = np.empty((p, p), dtype=bool)  # coplanar pairs of input planes
+    best = np.zeros(p, dtype=np.int64)  # each input row's cached partner
+    heap: list = []  # (-(size + partner size), row); a stale key is an upper bound
     origin = current[0].centroid
+
+    def scan(rows: slice):
+        """Cache each row's largest live partner and push the rows that have one."""
+        cand = np.where(ok[rows], sizes[:p], -1)
+        best[rows] = cand.argmax(axis=1)
+        size = cand[np.arange(cand.shape[0]), best[rows]]
+        for r, s, t in zip(range(p)[rows], sizes[rows].tolist(), size.tolist()):
+            if t >= 0:
+                heapq.heappush(heap, (-(s + t), r))
 
     def slot_moments(slot):
         if moments[slot] is None:
             moments[slot] = point_moments(points[current[slot].inliers] - origin)
         return moments[slot]
 
+    step = max(1, PAIR_BLOCK // p)
     for lo in range(0, p, step):
-        rescan(np.arange(lo, min(lo + step, p)))
-    for m in range(p, cap):
-        score = np.where(best_size >= 0, sizes + best_size, -1)
-        a = int(np.argmax(score))  # earliest row of the largest pair; its partner comes later
-        if score[a] < 0:
-            break
-        b = int(best[a])
-        union = moments[m] = combine_moments(slot_moments(a), slot_moments(b))
-        members[m], members[a], members[b] = members[a] + members[b], None, None
-        try:
-            normals[m], centroids[m] = plane_normal(union), origin + union.mean
-        except DegenerateInput:
-            keep = a if sizes[a] >= sizes[b] else b
-            normals[m], centroids[m] = normals[keep], centroids[keep]
-        sizes[[a, b]] = -1  # rescans read consumed columns as non-partners
-        best_size[[a, b]] = -1
+        rows = slice(lo, min(lo + step, p))
+        ok[rows] = _coplanar_mask(normals[:, rows, None], centroids[:, rows, None],
+                                  normals[:, None, :p], centroids[:, None, :p], params)
+        np.fill_diagonal(ok[rows, rows], False)
+        scan(rows)
 
-        alive = np.flatnonzero(sizes >= 0)
-        sizes[m] = union.count  # after alive, so m is not tested against itself
-        row = _coplanar_mask(normals[m], centroids[m], normals[alive], centroids[alive], params)
-        ok[m, alive] = row
-        ok[alive, m] = row
-        # No surviving pair outweighed (a, b), so m is larger than any row's
-        # partner, consumed or not, and wins wherever it is coplanar. Rows
-        # that lost their partner to the merge and are not coplanar with m
-        # need a rescan.
-        best[alive[row]] = m
-        best_size[alive[row]] = sizes[m]
-        lost = ~row & ((best[alive] == a) | (best[alive] == b))
-        rescan(np.append(alive[lost], m))
+    m = p
+    while heap:
+        a = heapq.heappop(heap)[1]  # largest score, earliest row on ties; its partner comes later
+        b = int(best[a])
+        if sizes[a] < 0:
+            continue
+        if sizes[b] < 0:
+            scan(slice(a, a + 1))
+            continue
+        while True:  # one chain: merge (a, b) into m, then m with its largest partner
+            union = moments[m] = combine_moments(slot_moments(a), slot_moments(b))
+            members[m], members[a], members[b] = members[a] + members[b], None, None
+            try:
+                normals[:, m], centroids[:, m] = plane_normal(union), origin + union.mean
+            except DegenerateInput:
+                keep = a if sizes[a] >= sizes[b] else b
+                normals[:, m], centroids[:, m] = normals[:, keep], centroids[:, keep]
+            sizes[a] = sizes[b] = -1
+            cand = np.where(_coplanar_mask(normals[:, m, None], centroids[:, m, None], normals[:, :m],
+                                           centroids[:, :m], params), sizes[:m], -1)
+            x = int(np.argmax(cand))
+            sizes[m] = union.count
+            m += 1
+            if cand[x] < 0:
+                break
+            a, b = x, m - 1
 
     survivors = [
         current[slot] if slot < p else PlaneModel(
-            centroid=centroids[slot].copy(), normal=normals[slot].copy(),
+            centroid=centroids[:, slot].copy(), normal=normals[:, slot].copy(),
             inliers=np.sort(np.concatenate(members[slot])))  # deduped sets are disjoint: the sorted join is the union
         for slot in np.flatnonzero(sizes >= 0).tolist()
     ]

@@ -70,8 +70,8 @@ class OpsParams:
             raise ValueError("sampling_rate must be in (0, 1]")
         if not 0.0 < self.probability < 1.0:
             raise ValueError("probability must be in (0, 1)")
-        if self.dist_threshold <= 0.0:
-            raise ValueError("dist_threshold must be positive")
+        if not 0.0 < self.dist_threshold < np.inf:  # NaN fails too
+            raise ValueError("dist_threshold must be finite and positive")
         if self.min_inliers < 3:
             raise ValueError("min_inliers must be >= 3")
         if self.k < 3:

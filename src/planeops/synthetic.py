@@ -18,12 +18,22 @@ class InvalidSpec(ValueError):
     """Scene description is malformed."""
 
 
+def _count(value, what: str) -> int:
+    """A point count from a scene: an int, or a float of integral value; a
+    bool, a string or a fraction is malformed."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise InvalidSpec(f"{what} must be an integer, got {value!r}")
+
+
 def _rect_arrays(rect: dict, index: int):
     try:
         corner = np.asarray(rect["corner"], dtype=np.float64).reshape(3)
         edge_u = np.asarray(rect["edge_u"], dtype=np.float64).reshape(3)
         edge_v = np.asarray(rect["edge_v"], dtype=np.float64).reshape(3)
-        count = int(rect["count"])
+        count = _count(rect["count"], "count")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"rect {index}: {exc}") from exc
     if count < 1:
@@ -50,9 +60,9 @@ def gen_synthetic(scene: dict, noise_sigma: float = 0.0, seed: int = 0):
     rects = scene.get("rects", [])
     try:
         noise_sigma = float(noise_sigma)
-        clutter = int(scene.get("clutter", 0))
     except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidSpec(f"noise_sigma and clutter must be numbers: {exc}") from exc
+        raise InvalidSpec(f"noise_sigma must be a number: {exc}") from exc
+    clutter = _count(scene.get("clutter", 0), "clutter")
     if not noise_sigma >= 0.0 or clutter < 0:
         raise InvalidSpec("noise_sigma and clutter must be nonnegative")
     if not rects and clutter == 0:

@@ -86,8 +86,8 @@ class GtParams:
     k: int = 10
 
     def __post_init__(self):
-        if self.dist_threshold <= 0.0 or self.normal_angle_degrees <= 0.0:
-            raise ValueError("thresholds must be positive")
+        if not (0.0 < self.dist_threshold < np.inf and 0.0 < self.normal_angle_degrees < 90.0):  # NaN fails too
+            raise ValueError("dist_threshold must be finite and positive, normal_angle_degrees in (0, 90)")
         if self.min_plane_size < 3:
             raise ValueError("min_plane_size must be >= 3")
         if self.k < 3:

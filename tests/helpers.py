@@ -10,7 +10,16 @@ from collections import deque
 import numpy as np
 
 from planeops import KdTree, Orientation, PlaneModel, SegmentLabeling, fit_plane
-from planeops.geometry import DegenerateInput, classify_orientation, classify_orientations, plane_distances
+from planeops.geometry import (
+    DegenerateInput,
+    classify_orientation,
+    classify_orientations,
+    combine_moments,
+    plane_distances,
+    plane_normal,
+    point_moments,
+)
+from planeops.merge import _coplanar_mask
 from planeops.normals import SampleSet, estimate_normals, normals_from_neighbors, sample_indices
 from planeops.ops import (
     GROUP_ORDER,
@@ -159,6 +168,46 @@ def reference_merge_all(planes, points, params):
         current = [p for i, p in enumerate(current) if i not in (a, b)]
         current.append(merged)
     return sorted(current, key=lambda p: -p.inlier_count)
+
+
+def reference_merge_on_moments(planes, points, params):
+    """Greedy merging on moments that tests every live pair in every round.
+
+    O(P^3): each round tests all live pairs with ``_coplanar_mask`` and
+    merges the coplanar pair of largest combined size, then earliest ``a``,
+    then earliest ``b`` in list order. The union's moments combine the
+    parts' in ``(a, b)`` order; input planes' moments are taken about the
+    first deduplicated plane's centroid. A union that determines no plane
+    keeps its larger part's fit (the earlier one on a size tie). Both parts
+    leave the list and the union is appended last.
+    """
+    current = reference_dedupe_inliers(planes, points)
+    if len(current) <= 1:
+        return current
+    origin = current[0].centroid
+    # (normal, centroid, moments, inlier arrays, input plane or None) per live plane
+    live = [(pl.normal, pl.centroid, point_moments(points[pl.inliers] - origin), [pl.inliers], pl)
+            for pl in current]
+    while True:
+        normals = np.array([e[0] for e in live]).T
+        centroids = np.array([e[1] for e in live]).T
+        ok = _coplanar_mask(normals[:, :, None], centroids[:, :, None], normals[:, None], centroids[:, None], params)
+        pairs = [(-(live[a][2].count + live[b][2].count), a, b)
+                 for a, b in zip(*np.nonzero(ok)) if a < b]
+        if not pairs:
+            break
+        _, a, b = min(pairs)
+        (na, ca, ma, ia, _), (nb, cb, mb, ib, _) = live[a], live[b]
+        union = combine_moments(ma, mb)
+        try:
+            normal, centroid = plane_normal(union), origin + union.mean
+        except DegenerateInput:
+            normal, centroid = (na, ca) if ma.count >= mb.count else (nb, cb)
+        live = [e for i, e in enumerate(live) if i not in (a, b)]
+        live.append((normal, centroid, union, ia + ib, None))
+    out = [e[4] if e[4] is not None else PlaneModel(centroid=e[1], normal=e[0], inliers=np.sort(np.concatenate(e[3])))
+           for e in live]
+    return sorted(out, key=lambda pl: -pl.inlier_count)
 
 
 def reference_assign_to_planes(points, planes, dist_threshold):

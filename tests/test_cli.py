@@ -61,8 +61,14 @@ RECT = {"corner": [0, 0, 0], "edge_u": [1, 0, 0], "edge_v": [0, 1, 0], "count": 
     {"rects": [RECT], "up": [0, 0, 2]},
     {"rects": [RECT], "up": "z"},
     {"rects": [RECT], "orientation_tol_degrees": 50},
+    {"rects": [{**RECT, "count": 2.7}]},
+    {"rects": [{**RECT, "count": True}]},
+    {"rects": [{**RECT, "count": "50"}]},
+    {"rects": [RECT], "clutter": 3.9, "clutter_bounds": [[0, 0, 0], [1, 1, 1]]},
+    {"rects": [RECT], "clutter": True},
 ], ids=["list", "rects-number", "rect-number", "clutter-bounds-2d", "clutter-word", "clutter-negative",
-        "noise-word", "noise-overflows", "up-not-unit", "up-word", "orientation-tol"])
+        "noise-word", "noise-overflows", "up-not-unit", "up-word", "orientation-tol", "count-fraction",
+        "count-bool", "count-string", "clutter-fraction", "clutter-bool"])
 def test_synth_malformed_scene_exit_code(tmp_path, capsys, scene):
     scene_path = tmp_path / "scene.json"
     scene_path.write_text(json.dumps(scene))
@@ -173,9 +179,25 @@ def test_detect_parse_error_exit_code(tmp_path):
     ("detect", [], {"fspf": {"seed": 3}}),
     ("detect", [], {"ops": {"up": [0, 0, 1]}}),
     ("detect", [], {"gt": {"k": 5}}),
+    ("detect", ["--detector", "fspf", "--merge-angle", "nan"], None),
+    ("detect", ["--merge-angle", "200"], None),
+    ("detect", ["--merge-angle", "90"], None),
+    ("detect", ["--merge-offset", "inf"], None),
+    ("detect", [], {"merge": {"offset": float("nan")}}),
+    ("detect", ["--dist-threshold", "nan"], None),
+    ("detect", [], {"ops": {"dist_threshold": float("inf")}}),
+    ("detect", ["--detector", "fspf", "--dist-threshold", "nan"], None),
+    ("detect", ["--detector", "fspf", "--r1", "nan"], None),
+    ("detect", ["--detector", "fspf", "--r2", "inf"], None),
+    ("gt", ["--gt-dist", "nan"], None),
+    ("gt", ["--gt-angle", "nan"], None),
+    ("gt", ["--gt-angle", "200"], None),
 ], ids=["merge-angle", "dist-threshold", "knn", "sampling-rate", "up-not-unit", "up-not-number", "fspf-r1",
         "unknown-key", "unknown-top-key", "config-merge-angle", "config-not-object", "gt-knn",
-        "fspf-cloud-below-n-loc", "orientation-tol", "ops-seed", "fspf-seed", "ops-up", "gt-block"])
+        "fspf-cloud-below-n-loc", "orientation-tol", "ops-seed", "fspf-seed", "ops-up", "gt-block",
+        "merge-angle-nan", "merge-angle-over-90", "merge-angle-90", "merge-offset-inf", "config-merge-offset-nan",
+        "dist-threshold-nan", "config-ops-dist-inf", "fspf-dist-nan", "fspf-r1-nan", "fspf-r2-inf",
+        "gt-dist-nan", "gt-angle-nan", "gt-angle-over-90"])
 def test_invalid_config_exit_code(tmp_path, capsys, command, flags, config):
     rng = np.random.default_rng(0)
     cloud = tmp_path / "cloud.xyz"

@@ -8,6 +8,9 @@ truth), and for each detector the ``detect`` report without ``timings_ms``
 sidecar (``ops_labels``, ``fspf_labels``).
 Three rooms have 6,600 points; one has 65,000, enough that the oriented-point
 detector's set of unclaimed points shrinks to a small share of the cloud.
+One more has 22,750 points and runs ``fspf`` with the ``room_fspf_23k``
+benchmark flags, so merging makes about 280 merges: it pins the greedy merge
+order (its digests were taken before merging moved to chains).
 A change that alters results on purpose updates the digests and says why.
 The ``fspf`` digests last changed when merging began to fit a merged plane
 from its parts' moments (count, mean, centred scatter) instead of refitting
@@ -77,6 +80,13 @@ GOLDEN_OPS_65K = {
     "ops_labels": "d8bc6e21c79142f74fde0ef2bf156a68570c0c937a6e192b941462e9369b0bdf",
 }
 
+GOLDEN_FSPF_23K_SEED = 1
+GOLDEN_FSPF_23K = {
+    "fspf": "7a829eeed344398c9492bf0853fa4afa740f2cd7acba5d03704b769b4ea82503",
+    "fspf_ply": "bae5dea4ce1f80c6e3aec53b56d4a65eb2dc4352954cb0e1033c87bfcd240343",
+    "fspf_labels": "934b05404e8756a844bf0d955fe276c0fad133c26cc5214d4a5c34bfb8f7c2f6",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -96,9 +106,9 @@ def _room(workdir, points_per_face: int, clutter: int, seed: int):
     return cloud
 
 
-def _detect_digests(cloud, workdir, detector: str) -> dict:
+def _detect_digests(cloud, workdir, detector: str, *flags: str) -> dict:
     out = workdir / detector
-    main(["detect", "--input", str(cloud), "--out", str(out), "--detector", detector, "--seed", "1"])
+    main(["detect", "--input", str(cloud), "--out", str(out), "--detector", detector, "--seed", "1", *flags])
     return {
         detector: _report_digest(out / "room.report.json"),
         f"{detector}_ply": _sha256((out / "room.labeled.ply").read_bytes()),
@@ -124,6 +134,16 @@ def golden_ops_65k_digests(workdir) -> dict:
     return _detect_digests(_room(workdir, 10000, 5000, GOLDEN_OPS_65K_SEED), workdir, "ops")
 
 
+def golden_fspf_23k_digests(workdir) -> dict:
+    """Digests of the FSPF detect outputs for the 22,750-point room, run with
+    the ``room_fspf_23k`` benchmark flags (inlier budget = cloud size, wide
+    merge thresholds): about 300 fragments, so merging makes hundreds of
+    merges in long chains."""
+    cloud = _room(workdir, 3500, 1750, GOLDEN_FSPF_23K_SEED)
+    return _detect_digests(cloud, workdir, "fspf", "--n-max", str(6 * 3500 + 1750),
+                           "--merge-angle", "10", "--merge-offset", "0.075")
+
+
 @pytest.mark.parametrize("seed", sorted(GOLDEN))
 def test_golden_outputs(tmp_path, seed):
     assert golden_digests(seed, tmp_path) == GOLDEN[seed]
@@ -131,6 +151,10 @@ def test_golden_outputs(tmp_path, seed):
 
 def test_golden_ops_65k(tmp_path):
     assert golden_ops_65k_digests(tmp_path) == GOLDEN_OPS_65K
+
+
+def test_golden_fspf_23k(tmp_path):
+    assert golden_fspf_23k_digests(tmp_path) == GOLDEN_FSPF_23K
 
 
 if __name__ == "__main__":
@@ -142,3 +166,5 @@ if __name__ == "__main__":
             print(seed, json.dumps(golden_digests(seed, Path(tmp)), indent=4))
     with tempfile.TemporaryDirectory() as tmp:
         print("ops 65k", json.dumps(golden_ops_65k_digests(Path(tmp)), indent=4))
+    with tempfile.TemporaryDirectory() as tmp:
+        print("fspf 23k", json.dumps(golden_fspf_23k_digests(Path(tmp)), indent=4))

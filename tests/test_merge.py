@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_plane_soup, reference_dedupe_inliers, reference_merge_all
+from helpers import random_plane_soup, reference_dedupe_inliers, reference_merge_all, reference_merge_on_moments
 from planeops import DegenerateInput, MergeParams, PlaneModel, coplanar, fit_plane, merge_all
 from planeops.merge import dedupe_inliers
 
@@ -288,8 +288,19 @@ def test_merge_all_matches_reference_on_size_ties():
     points = np.column_stack([x, np.zeros(24), z])
     planes = [fit_plane(points[i:i + 4], inliers=np.arange(i, i + 4)) for i in range(0, 24, 4)]
     for params in (MergeParams(), MergeParams(angle_degrees=10.0, offset=0.075)):
-        _assert_same_planes(merge_all(planes, points, params), reference_merge_all(planes, points, params))
+        merged = merge_all(planes, points, params)
+        _assert_same_planes(merged, reference_merge_all(planes, points, params))
+        _assert_same_planes(merged, reference_merge_on_moments(planes, points, params))
     assert len(merge_all(planes, points, MergeParams())) == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=fragment_sets())
+def test_merge_all_matches_moments_reference_bit_for_bit(case):
+    """The chains and the heap give the merge order, moments and fallbacks of
+    the O(P^3) greedy loop, to the last bit."""
+    points, planes, params = case
+    _assert_same_planes(merge_all(planes, points, params), reference_merge_on_moments(planes, points, params))
 
 
 claim_sets = st.lists(st.lists(st.integers(0, 11), max_size=12, unique=True), min_size=1, max_size=6)

@@ -51,6 +51,17 @@ class TestGenSynthetic:
         with pytest.raises(InvalidSpec):
             gen_synthetic({"rects": [{"corner": [0, 0, 0]}]})
 
+    def test_counts_must_be_integral(self):
+        rect = {"corner": [0, 0, 0], "edge_u": [1, 0, 0], "edge_v": [0, 1, 0], "count": 5}
+        box = [[0, 0, 0], [1, 1, 1]]
+        points, _ = gen_synthetic({"rects": [{**rect, "count": 5.0}], "clutter": np.int64(3), "clutter_bounds": box})
+        assert points.shape == (8, 3)  # integral floats and numpy integers are counts
+        for bad in (2.7, True, "5", float("inf"), float("nan"), None):
+            with pytest.raises(InvalidSpec):
+                gen_synthetic({"rects": [{**rect, "count": bad}]})
+            with pytest.raises(InvalidSpec):
+                gen_synthetic({"rects": [rect], "clutter": bad, "clutter_bounds": box})
+
 
 class TestRandomScene:
     def test_structure(self, rng):
