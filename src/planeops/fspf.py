@@ -186,7 +186,7 @@ def fit_block(points: np.ndarray, block: HypothesisBlock, rows: np.ndarray, clai
         keep[:, 1:] &= claims[:, 1:] != claims[:, :-1]
     counts = keep.sum(axis=1)
     weight = keep[..., None]
-    xyz = points[claims]  # padding gathers the last point, masked out below
+    xyz = np.take(points, claims, axis=0)  # padding gathers the last point, masked out below
     centroids = np.where(weight, xyz, 0.0).sum(axis=1) / np.maximum(counts, 1)[:, None]
     centred = np.where(weight, xyz - centroids[:, None], 0.0)
     normals, tie = scatter_normals(Moments(counts, centroids, centred.transpose(0, 2, 1) @ centred))

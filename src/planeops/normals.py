@@ -101,7 +101,7 @@ def normals_from_neighbors(points: np.ndarray, idx: np.ndarray, nbr_dist: np.nda
     the reference points ``idx``; returns what :func:`estimate_normals` does.
     """
     m = idx.size
-    diff = points[nbr_idx] - points[idx][:, None, :]
+    diff = np.take(points, nbr_idx, axis=0) - np.take(points, idx, axis=0)[:, None, :]
     usable = nbr_dist > 0.0
     safe = np.where(usable, nbr_dist, 1.0)
     u = diff / safe[:, :, None]

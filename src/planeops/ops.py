@@ -148,8 +148,8 @@ def one_point_ransac(
     m = pool.size
     if m <= params.min_inliers:
         raise NoPlaneFound(f"{m} live samples cannot exceed min_inliers={params.min_inliers}")
-    positions = samples.positions[pool]
-    normals = samples.normals[pool]
+    positions = np.take(samples.positions, pool, axis=0)
+    normals = np.take(samples.normals, pool, axis=0)
     cap = ITERATION_CAP_FACTOR * m
     budget = min(samples.cloud_size, cap)
     block = max(1, BLOCK_DISTANCES // m)
@@ -205,12 +205,12 @@ def extract_full_inliers(
     """
     if live is None:
         live = np.arange(points.shape[0], dtype=np.int64)
-    offsets = points[live]
+    offsets = np.take(points, live, axis=0)
     offsets -= model.centroid  # in place: one (live, 3) temporary, the bits of plane_distances
     idx = live[np.abs(offsets @ model.normal) < dist_threshold]
     if idx.size >= 3:
         try:
-            return fit_plane(points[idx], inliers=idx)
+            return fit_plane(np.take(points, idx, axis=0), inliers=idx)
         except DegenerateInput:
             pass
     return PlaneModel(centroid=model.centroid, normal=model.normal, inliers=idx)

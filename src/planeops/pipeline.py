@@ -202,8 +202,9 @@ def run_detect(points, config: RunConfig) -> DetectionReport:
     the distance threshold, since their recorded inliers are sparse draws.
 
     ``timings_ms`` holds every stage of ``STAGES`` for both detectors, 0 for
-    a stage the detector skips, and ``total``, the wall time of the whole
-    call, which the stages sum to at most.
+    a stage the detector skips; ``other``, the untimed rest of the call
+    (``as_points``, the generator, the report); and ``total``, the wall time
+    of the whole call, which the stages and ``other`` sum to.
     """
     start = time.perf_counter()
     points = as_points(points)
@@ -249,7 +250,9 @@ def run_detect(points, config: RunConfig) -> DetectionReport:
         )
         for pid, (plane, code) in enumerate(zip(merged, classes.tolist()))
     ]
-    timings["total"] = time.perf_counter() - start
+    total = time.perf_counter() - start
+    timings["other"] = total - sum(timings.values())
+    timings["total"] = total
     timings_ms = {k: 1000.0 * v for k, v in timings.items()}
     return DetectionReport(
         detector=config.detector,

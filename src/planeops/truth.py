@@ -159,7 +159,7 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
                 if since_refit >= REFIT_INTERVAL:
                     since_refit = 0
                     try:
-                        refit = fit_plane(points[region])
+                        refit = fit_plane(np.take(points, region, axis=0))
                     except DegenerateInput:
                         continue
                     centroid, normal = refit.centroid, refit.normal
@@ -168,7 +168,7 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
         if len(region) >= params.min_plane_size:
             member = np.asarray(region, dtype=np.int64)
             try:
-                final = fit_plane(points[member])
+                final = fit_plane(np.take(points, member, axis=0))
             except DegenerateInput:
                 continue
             plane_ids[member] = len(plane_normals)

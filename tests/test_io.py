@@ -254,6 +254,45 @@ class TestLabeledOutput:
             save_labeled(rng.normal(size=(5, 3)), SegmentLabeling.all_other(4), tmp_path / "x.ply")
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NONFINITE_ROWS = st.tuples(*[st.one_of(FINITE, st.sampled_from([np.nan, np.inf, -np.inf]))] * 3).filter(
+    lambda row: not np.isfinite(row).all())
+
+
+class _Warnings(logging.Handler):
+    """Collects the messages of the warnings logged while attached."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.one_of(st.tuples(FINITE, FINITE, FINITE), NONFINITE_ROWS), max_size=30),
+       binary=st.booleans())
+def test_labeled_ply_round_trip_drops_nonfinite_rows(tmp_path_factory, rows, binary):
+    # Every finite row comes back with its bits (signed zeros, subnormals and
+    # extremes too), in order; each row holding a NaN or an infinity is
+    # dropped, and the count is logged.
+    points = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+    finite = np.isfinite(points).all(axis=1)
+    path = tmp_path_factory.mktemp("ply") / "cloud.ply"
+    save_labeled(points, SegmentLabeling.all_other(len(points)), path, binary=binary, sidecar=False)
+    log, handler = logging.getLogger("planeops.io"), _Warnings()
+    log.addHandler(handler)
+    try:
+        loaded = load_cloud(path)
+    finally:
+        log.removeHandler(handler)
+    assert loaded.dtype == np.float64 and loaded.shape == (int(finite.sum()), 3)
+    assert loaded.tobytes() == points[finite].tobytes()
+    dropped = int((~finite).sum())
+    assert handler.messages == ([f"dropped {dropped} non-finite vertices from {path}"] if dropped else [])
+
+
 INT32_MAX = 2**31 - 1
 
 

@@ -108,6 +108,53 @@ def test_knn_batch_on_integer_grid_matches_brute_force(points, data):
         np.testing.assert_array_equal(d[row], bd)
 
 
+@st.composite
+def mixed_clouds(draw):
+    """Generic points plus lattice points, some repeated, in shuffled order.
+
+    Generic points have no ties, so their rows come back from cKDTree already
+    in order; lattice points tie exactly, and a repeat may sit at a lower
+    index than the copy a query excludes.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    lattice = draw(st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=30), label="lattice")
+    repeats = draw(st.lists(st.integers(1, 3), min_size=len(lattice), max_size=len(lattice)), label="repeats")
+    generic = rng.uniform(0.0, 2.0, size=(draw(st.integers(0, 40), label="generic"), 3))
+    pts = np.concatenate([generic, np.repeat(np.asarray(lattice, dtype=np.float64), repeats, axis=0)])
+    return pts[rng.permutation(pts.shape[0])], rng
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cloud=mixed_clouds(), data=st.data())
+def test_knn_mixed_batch_matches_brute_force(cloud, data):
+    # One batch holds rows that settle as cKDTree returns them and rows that
+    # need the (distance, index) sort or the ball re-rank: exact ties at the
+    # k-th distance, self-queries whose duplicate comes first, and with k
+    # near n, clouds where every point is fetched.
+    pts, rng = cloud
+    n = pts.shape[0]
+    k = data.draw(st.one_of(st.integers(1, 8), st.integers(max(1, n - 3), n + 3)), label="k")
+    own = np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=15), label="own"))
+    halves = np.asarray(data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * 3), min_size=1, max_size=10),
+                                  label="halves"), dtype=np.float64) / 2.0
+    generic = rng.uniform(0.0, 2.0, size=(5, 3))
+    queries = np.concatenate([pts[own], halves, generic])
+    exclude = np.concatenate([own, rng.integers(0, n, size=len(halves) + len(generic))])
+    tree = KdTree(pts)
+    for ex in (exclude, None):
+        d, i = tree.knn(queries, k, exclude_index=ex)
+        assert d.shape == i.shape == (len(queries), min(k, n - (ex is not None)))
+        for row, q in enumerate(queries):
+            e = None if ex is None else int(ex[row])
+            bd, bi = brute_force_knn(pts, q, k, exclude_index=e)
+            np.testing.assert_array_equal(i[row], bi)
+            np.testing.assert_array_equal(d[row], bd)
+            if row in (0, len(own), len(queries) - 1):  # the one-point form, on each kind of query
+                sd, si = tree.knn(q, k, exclude_index=e)
+                np.testing.assert_array_equal(si, bi)
+                np.testing.assert_array_equal(sd, bd)
+
+
 def test_radius_simple():
     tree = KdTree([[0.05, 0, 0], [0.2, 0, 0]])
     assert tree.radius_search((0, 0, 0), 0.1).tolist() == [0]
