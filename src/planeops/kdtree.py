@@ -10,7 +10,9 @@ A k-NN row is settled as cKDTree returns it when its recomputed distances
 are strictly ascending, the excluded point (if any) comes first and its k-th
 distance is clearly below the farthest fetched one: its first k columns are
 the answer. Only other rows are sorted by (distance, index), and re-rank a
-ball query when they tie across the fetch boundary.
+ball query when they tie across the fetch boundary. Rows that are cloud
+points (``exclude_index`` given) are queried in the tree's leaf order, so
+that consecutive queries share nodes, and returned in the caller's order.
 
 scipy.spatial is imported when the first index is built, so commands that
 never build one do not pay for loading it.
@@ -88,6 +90,12 @@ class KdTree:
             exclude = np.broadcast_to(np.asarray(exclude_index, dtype=np.int64), (m,))
             if ((exclude < 0) | (exclude >= n)).any():
                 raise ValueError("exclude_index must index the cloud")
+        order = None
+        if exclude_index is not None and m > 1:
+            rank = np.empty(n, dtype=np.int32)  # of each point in the tree's leaf order
+            rank[self._tree.indices] = np.arange(n, dtype=np.int32)
+            order = np.argsort(rank[exclude])
+            q, exclude = q[order], exclude[order]
         first = int(exclude_index is not None)  # the column a settled row starts at
         width = min(k, n - first)
         fetched = min(n, width + first + EXTRA)
@@ -120,9 +128,9 @@ class KdTree:
                     best = np.lexsort((ball, d))[:width]
                     near[row], idx[row] = d[best], ball[best]
 
-        if single:
-            return near[0], idx[0]
-        return near, idx
+        if order is not None:
+            near[order], idx[order] = near.copy(), idx.copy()
+        return (near[0], idx[0]) if single else (near, idx)
 
     def radius_search(self, center, radius: float) -> np.ndarray:
         """Indices of all points with distance <= radius, ascending.

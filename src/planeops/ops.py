@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    DOT_SLACK,
     DegenerateInput,
     Orientation,
     PlaneModel,
@@ -127,11 +128,13 @@ def one_point_ransac(
     shrinks as better hypotheses tighten the pool's outlier ratio. The
     winner is refit by least squares on its sample inliers.
 
-    Picks are drawn and tested in blocks of about ``BLOCK_DISTANCES`` sample
-    distances, then walked in draw order. If the budget runs out inside a
-    block, the generator is rewound and only the used picks are drawn again,
-    so the result, ``iterations`` and the generator's final state are those
-    of one draw per iteration.
+    Picks are drawn in blocks of about ``BLOCK_DISTANCES`` sample distances,
+    scored by one matrix product as ``x·n - p·n`` and walked in draw order.
+    A pick with a distance within rounding of ``dist_threshold`` is re-scored
+    by the gemv ``(x - p)·n``, so every decision is the gemv's. If the budget
+    runs out inside a block, the generator is rewound and only the used picks
+    are drawn again, so the result, ``iterations`` and the generator's final
+    state are those of one gemv and one draw per iteration.
 
     Args:
         alive: optional boolean mask restricting the working pool; retired
@@ -141,10 +144,7 @@ def one_point_ransac(
         NoPlaneFound: no hypothesis collected more than ``min_inliers``
             samples within the budget.
     """
-    if alive is None:
-        pool = np.arange(len(samples), dtype=np.int64)
-    else:
-        pool = np.flatnonzero(alive)
+    pool = np.arange(len(samples), dtype=np.int64) if alive is None else np.flatnonzero(alive)
     m = pool.size
     if m <= params.min_inliers:
         raise NoPlaneFound(f"{m} live samples cannot exceed min_inliers={params.min_inliers}")
@@ -153,6 +153,11 @@ def one_point_ransac(
     cap = ITERATION_CAP_FACTOR * m
     budget = min(samples.cloud_size, cap)
     block = max(1, BLOCK_DISTANCES // m)
+    # For unit normals, x·n - p·n and (x - p)·n each round a distance by under
+    # 8·√3·u·M (u = 2**-53, M the largest coordinate magnitude): under
+    # 3.1e-15·M apart, they decide alike on a distance outside thr ± band.
+    thr = params.dist_threshold
+    band = DOT_SLACK * float(np.abs(positions).max())
 
     best_count = 0
     best_mask = None
@@ -160,17 +165,19 @@ def one_point_ransac(
     while it < budget:
         state = rng.bit_generator.state
         picks = rng.integers(0, m, size=min(block, budget - it))
-        # A stacked matmul runs one gemv per pick, bit for bit the same as
-        # ``(positions - positions[pick]) @ normals[pick]``; einsum is not.
-        dists = np.abs(np.matmul(positions[None] - positions[picks][:, None], normals[picks][:, :, None]))
-        inside = dists[:, :, 0] < params.dist_threshold
+        dists = normals[picks] @ positions.T
+        dists -= np.einsum("ij,ij->i", positions[picks], normals[picks])[:, None]
+        np.abs(dists, out=dists)
+        counts = np.count_nonzero(dists < thr - band, axis=1)
+        for row in np.flatnonzero(counts != np.count_nonzero(dists < thr + band, axis=1)).tolist():
+            dists[row] = np.abs((positions - positions[picks[row]]) @ normals[picks[row]])
+            counts[row] = np.count_nonzero(dists[row] < thr)
         used = 0
-        for count in inside.sum(axis=1).tolist():
+        for count in counts.tolist():
             if count > params.min_inliers and count > best_count:
                 best_count = count
-                best_mask = inside[used]
-                e = 1.0 - count / m
-                budget = adaptive_iterations(params.probability, max(e, 0.0), cap=cap)
+                best_mask = dists[used] < thr
+                budget = adaptive_iterations(params.probability, max(1.0 - count / m, 0.0), cap=cap)
             used += 1
             if it + used >= budget:
                 break
@@ -242,6 +249,7 @@ def detect_grouped(
         groups = [codes == int(orient) for orient in GROUP_ORDER]
     alive = np.ones(len(samples), dtype=bool)
     live = np.arange(points.shape[0], dtype=np.int64)  # unclaimed points, ascending
+    claimed = np.zeros(points.shape[0], dtype=bool)
     planes = []
     for member in groups:
         while int((alive & member).sum()) > params.min_inliers:
@@ -253,9 +261,9 @@ def detect_grouped(
             # Retire spent samples from the shared pool: the winning sample
             # set, plus any sample (in any group) sitting on the claimed plane.
             alive[result.sample_inliers] = False
-            near = plane_distances(samples.positions, full.centroid, full.normal) < params.dist_threshold
-            alive &= ~near
+            alive &= ~(plane_distances(samples.positions, full.centroid, full.normal) < params.dist_threshold)
             if full.inlier_count >= params.min_inliers:
-                live = np.delete(live, np.searchsorted(live, full.inliers))
+                claimed[full.inliers] = True
+                live = live[~claimed[live]]
                 planes.append(full)
     return planes

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DegenerateInput, Orientation, classify_orientations, fit_plane
+from .geometry import DOT_SLACK, DegenerateInput, Orientation, classify_orientations, fit_plane
 from .kdtree import KdTree
 # estimate_normals is unused here but stays importable as truth.estimate_normals,
 # a name perfbench/spans.py wraps.
@@ -19,7 +19,6 @@ from .normals import estimate_normals, normals_from_neighbors  # noqa: F401
 __all__ = ["GtParams", "SegmentLabeling", "generate_ground_truth"]
 
 REFIT_INTERVAL = 64  # points accepted between region-plane refits
-DOT_SLACK = 1e-14  # relative margin around a threshold inside which np.dot decides
 
 
 @dataclass
