@@ -55,15 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-inliers", type=int, help="ops: minimum sample support")
     p.add_argument("--probability", type=float, help="ops: RANSAC success probability")
     p.add_argument("--grouping", choices=("group_first", "detect_first"), help="ops strategy")
-    p.add_argument("--sigma", type=float, help="ops: fixed Gaussian falloff for normals (m); default adapts per point")
     p.add_argument("--r1", type=float, help="fspf: hypothesis sphere radius (m)")
     p.add_argument("--r2", type=float, help="fspf: verification sphere radius (m)")
     p.add_argument("--n-loc", type=int, help="fspf: local samples per iteration")
     p.add_argument("--alpha-min", type=float, help="fspf: minimum inlier fraction")
     p.add_argument("--k-max", type=int, help="fspf: iteration cap")
     p.add_argument("--n-max", type=int, help="fspf: inlier-point budget")
-    p.add_argument("--claim-full-sphere", action="store_true", default=None,
-                   help="fspf: record the whole verification sphere as inliers")
     p.add_argument("--merge-angle", type=float, help="merge: normal angle threshold (deg)")
     p.add_argument("--merge-offset", type=float, help="merge: centroid offset threshold (m)")
     p.add_argument("--orientation-tol", type=float,
@@ -108,13 +105,11 @@ def _detect_config(args) -> RunConfig:
     ops = {
         "sampling_rate": args.sampling_rate, "k": args.knn, "dist_threshold": args.dist_threshold,
         "min_inliers": args.min_inliers, "probability": args.probability, "grouping": args.grouping,
-        "sigma": args.sigma,
     }
     fspf = {
         "r1": args.r1, "r2": args.r2, "local_samples": args.n_loc,
         "min_inlier_fraction": args.alpha_min, "max_iterations": args.k_max,
         "max_inlier_points": args.n_max, "dist_threshold": args.dist_threshold,
-        "claim_full_sphere": args.claim_full_sphere,
     }
     merge = {"angle_degrees": args.merge_angle, "offset": args.merge_offset}
     try:

@@ -22,6 +22,7 @@ import numpy as np
 from .geometry import (  # noqa: F401  fit_plane: no caller, kept importable for perfbench's spans
     Moments,
     PlaneModel,
+    as_integer,
     canonical_sign,
     fit_plane,
     scatter_normals,
@@ -54,9 +55,12 @@ class FspfParams:
     dist_threshold: float = 0.05
     r1: float = 0.07
     r2: float = 0.14
-    claim_full_sphere: bool = False
 
     def __post_init__(self):
+        self.local_samples = as_integer(self.local_samples, "local_samples")
+        self.max_iterations = as_integer(self.max_iterations, "max_iterations")
+        if self.max_inlier_points is not None:
+            self.max_inlier_points = as_integer(self.max_inlier_points, "max_inlier_points")
         if self.local_samples < 3:
             raise ValueError("local_samples must be >= 3")
         if not 0.0 < self.min_inlier_fraction <= 1.0:
@@ -69,30 +73,20 @@ class FspfParams:
             raise ValueError("max_iterations must be >= 0")
 
 
-@dataclass
-class FspfDetail:
-    """Diagnostics for one accepted plane (pre-refit hypothesis)."""
-
-    anchor_index: int
-    hypothesis_normal: np.ndarray
-    inlier_draws: int
-
-
 class HypothesisBlock(NamedTuple):
     """One block of tested hypotheses; row i belongs to anchor i.
 
     ``companions`` is -1 in rows whose r1 sphere holds fewer than two points
     besides the anchor; those rows, and rows with ``collinear`` set, hold no
-    hypothesis and their other fields are meaningless. ``spheres`` holds each
-    anchor's r2 sphere padded with -1, ``draws`` the local samples drawn from
-    it and ``inliers`` the number of draws within ``dist_threshold`` of the
-    hypothesis plane, the draws marked in ``inlier_mask``.
+    hypothesis and their other fields are meaningless. ``draws`` holds the
+    local samples drawn from each anchor's r2 sphere and ``inliers`` the
+    number of draws within ``dist_threshold`` of the hypothesis plane, the
+    draws marked in ``inlier_mask``.
     """
 
     companions: np.ndarray
     normals: np.ndarray
     collinear: np.ndarray
-    spheres: np.ndarray
     draws: np.ndarray
     inlier_mask: np.ndarray
     inliers: np.ndarray
@@ -150,7 +144,7 @@ def score_block(points: np.ndarray, kd: KdTree, params: FspfParams, anchors: np.
     draws = spheres[rows, (fractions[:, 2:] * sizes[:, None]).astype(np.int64)]
     offsets = sum((points[draws, axis] - p0[:, axis, None]) * normals[:, axis, None] for axis in range(3))
     inlier_mask = np.abs(offsets) < params.dist_threshold
-    return HypothesisBlock(companions, normals, collinear, spheres, draws, inlier_mask, inlier_mask.sum(axis=1))
+    return HypothesisBlock(companions, normals, collinear, draws, inlier_mask, inlier_mask.sum(axis=1))
 
 
 class BlockFit(NamedTuple):
@@ -169,21 +163,17 @@ class BlockFit(NamedTuple):
     usable: np.ndarray
 
 
-def fit_block(points: np.ndarray, block: HypothesisBlock, rows: np.ndarray, claim_full_sphere: bool) -> BlockFit:
+def fit_block(points: np.ndarray, block: HypothesisBlock, rows: np.ndarray) -> BlockFit:
     """Fit the given rows of a block on their claimed points in one stack.
 
-    A row claims its distinct inlier draws, or its whole r2 sphere with
-    ``claim_full_sphere``. Each row's plane equals :func:`fit_plane` on its
-    claimed points up to rounding: the masked mean of the claims, and the
-    normal of the centred scatter from one stacked eigen decomposition.
+    A row claims its distinct inlier draws. Each row's plane equals
+    :func:`fit_plane` on its claimed points up to rounding: the masked mean
+    of the claims, and the normal of the centred scatter from one stacked
+    eigen decomposition.
     """
-    if claim_full_sphere:
-        claims = block.spheres[rows]  # ascending, padded with -1
-        keep = claims >= 0
-    else:
-        claims = np.sort(np.where(block.inlier_mask[rows], block.draws[rows], -1), axis=1)
-        keep = claims >= 0
-        keep[:, 1:] &= claims[:, 1:] != claims[:, :-1]
+    claims = np.sort(np.where(block.inlier_mask[rows], block.draws[rows], -1), axis=1)
+    keep = claims >= 0
+    keep[:, 1:] &= claims[:, 1:] != claims[:, :-1]
     counts = keep.sum(axis=1)
     weight = keep[..., None]
     xyz = np.take(points, claims, axis=0)  # padding gathers the last point, masked out below
@@ -198,8 +188,7 @@ def fspf_detect(
     kd: KdTree,
     params: FspfParams,
     rng: np.random.Generator,
-    return_details: bool = False,
-):
+) -> list[PlaneModel]:
     """Run the local sampling loop and return the accepted planes.
 
     Per iteration: draw an anchor uniformly, two distinct companions from its
@@ -208,10 +197,9 @@ def fspf_detect(
     the r2 sphere. Draws within ``dist_threshold`` of the hypothesis plane
     are inliers; the plane is accepted when their count exceeds
     ``min_inlier_fraction * local_samples``. Accepted planes record the
-    distinct inlier draws (or the whole r2 sphere with
-    ``claim_full_sphere=True``) and are refit on their recorded points. The
-    loop stops after ``max_iterations`` or once the accumulated inlier-draw
-    count reaches ``max_inlier_points``.
+    distinct inlier draws and are refit on them. The loop stops after
+    ``max_iterations`` or once the accumulated inlier-draw count reaches
+    ``max_inlier_points``.
 
     Iterations are drawn ``BLOCK_ANCHORS`` at a time: the block's anchors,
     then one array of position fractions (see :func:`score_block`). Draws of
@@ -227,7 +215,6 @@ def fspf_detect(
     accept_above = params.min_inlier_fraction * params.local_samples
 
     planes: list[PlaneModel] = []
-    details: list[FspfDetail] = []
     total_inliers = 0
     it = 0
     while total_inliers < n_max and it < params.max_iterations:
@@ -236,18 +223,11 @@ def fspf_detect(
         anchors = rng.integers(0, n, size=m)
         block = score_block(points, kd, params, anchors, rng.random((m, params.local_samples - 1)))
         passed = np.flatnonzero((block.companions[:, 0] >= 0) & ~block.collinear & (block.inliers > accept_above))
-        fit = fit_block(points, block, passed, params.claim_full_sphere)
+        fit = fit_block(points, block, passed)
         for i in np.flatnonzero(fit.usable).tolist():
-            row = passed[i]
             planes.append(PlaneModel(centroid=fit.centroids[i], normal=fit.normals[i],
                                      inliers=fit.claims[i][fit.keep[i]]))
-            n_inlier = int(block.inliers[row])
-            details.append(FspfDetail(anchor_index=int(anchors[row]), hypothesis_normal=block.normals[row],
-                                      inlier_draws=n_inlier))
-            total_inliers += n_inlier
+            total_inliers += int(block.inliers[passed[i]])
             if total_inliers >= n_max:
                 break
-
-    if return_details:
-        return planes, details
     return planes

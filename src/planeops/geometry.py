@@ -16,6 +16,7 @@ __all__ = [
     "Moments",
     "Orientation",
     "PlaneModel",
+    "as_integer",
     "as_points",
     "as_unit_vector",
     "classify_orientation",
@@ -62,6 +63,16 @@ class Orientation(IntEnum):
         return cls("HVO".index(c))
 
 
+def as_integer(value, what: str) -> int:
+    """An int, or a float of integral value, as an int; a bool, a string or a
+    fraction raises ValueError naming ``what``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def as_points(points) -> np.ndarray:
     """Coerce input to a float64 (N, 3) array of finite coordinates."""
     pts = np.asarray(points, dtype=np.float64)
@@ -77,7 +88,7 @@ def as_points(points) -> np.ndarray:
 def as_unit_vector(v) -> np.ndarray:
     """Coerce to a float64 3-vector and check it has unit length."""
     vec = np.asarray(v, dtype=np.float64).reshape(3)
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(vec) - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError(f"not a unit vector: {vec}")
     return vec
 

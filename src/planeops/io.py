@@ -33,12 +33,6 @@ ORIENTATION_COLORS = {
     Orientation.OTHER: OTHER_COLOR,
 }
 
-_PLY_SCALAR_SIZES = {
-    "char": 1, "int8": 1, "uchar": 1, "uint8": 1,
-    "short": 2, "int16": 2, "ushort": 2, "uint16": 2,
-    "int": 4, "int32": 4, "uint": 4, "uint32": 4,
-    "float": 4, "float32": 4, "double": 8, "float64": 8,
-}
 _PLY_NUMPY = {
     "char": "i1", "int8": "i1", "uchar": "u1", "uint8": "u1",
     "short": "i2", "int16": "i2", "ushort": "u2", "uint16": "u2",
@@ -144,7 +138,7 @@ def _parse_ply(data: bytes, path) -> np.ndarray:
         elif tokens[0] == "property" and in_vertex:
             if tokens[1] == "list":
                 raise UnsupportedFormat("list property in vertex element", path=path, line=lineno)
-            if tokens[1] not in _PLY_SCALAR_SIZES:
+            if tokens[1] not in _PLY_NUMPY:
                 raise UnsupportedFormat(f"property type {tokens[1]!r}", path=path, line=lineno)
             properties.append((tokens[1], tokens[2]))
 

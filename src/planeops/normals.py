@@ -5,7 +5,8 @@ For a reference point p with neighbors q_j, the scatter matrix is
     M = sum_j exp(-|q_j - p|^2 / (2 sigma^2)) * u_j u_j^T,   u_j = (q_j - p) / |q_j - p|
 
 and the normal is the eigenvector of M with the smallest eigenvalue. The
-Gaussian weight damps neighbors far from the reference point; normalizing the
+Gaussian weight damps neighbors far from the reference point; its falloff
+sigma is each point's mean neighbor distance, which with the normalized
 connecting vectors keeps the estimate scale-free.
 """
 
@@ -63,7 +64,7 @@ def sample_indices(n_points: int, rate: float, rng: np.random.Generator) -> np.n
     return np.array(picked, dtype=np.int64)
 
 
-def estimate_normals(points: np.ndarray, kd: KdTree, indices, k: int, sigma: float | None = None):
+def estimate_normals(points: np.ndarray, kd: KdTree, indices, k: int):
     """Estimate normals (and curvature) for many reference points at once.
 
     Args:
@@ -71,8 +72,6 @@ def estimate_normals(points: np.ndarray, kd: KdTree, indices, k: int, sigma: flo
         kd: index over ``points``.
         indices: reference point indices to process.
         k: neighbor count, >= 3; the cloud must hold at least k+1 points.
-        sigma: Gaussian falloff in meters; None adapts it per point to the
-            mean neighbor distance.
 
     Returns:
         (normals, curvatures, valid): (m, 3) unit normals with NaN rows where
@@ -90,25 +89,20 @@ def estimate_normals(points: np.ndarray, kd: KdTree, indices, k: int, sigma: flo
             np.zeros(m, dtype=bool),
         )
     nbr_dist, nbr_idx = kd.knn(points[idx], k, exclude_index=idx)
-    return normals_from_neighbors(points, idx, nbr_dist, nbr_idx, sigma)
+    return normals_from_neighbors(points, idx, nbr_dist, nbr_idx)
 
 
-def normals_from_neighbors(points: np.ndarray, idx: np.ndarray, nbr_dist: np.ndarray, nbr_idx: np.ndarray,
-                           sigma: float | None = None):
+def normals_from_neighbors(points: np.ndarray, idx: np.ndarray, nbr_dist: np.ndarray, nbr_idx: np.ndarray):
     """Normals (and curvature) from precomputed neighborhoods.
 
     ``nbr_dist`` and ``nbr_idx`` are the (m, k) result of ``KdTree.knn`` for
     the reference points ``idx``; returns what :func:`estimate_normals` does.
     """
-    m = idx.size
     diff = np.take(points, nbr_idx, axis=0) - np.take(points, idx, axis=0)[:, None, :]
     usable = nbr_dist > 0.0
     safe = np.where(usable, nbr_dist, 1.0)
     u = diff / safe[:, :, None]
-    if sigma is None:
-        sig = nbr_dist.mean(axis=1)
-    else:
-        sig = np.full(m, float(sigma))
+    sig = nbr_dist.mean(axis=1)
     sig_ok = sig > 0.0
     sig = np.where(sig_ok, sig, 1.0)
     w = np.exp(-(nbr_dist**2) / (2.0 * sig[:, None] ** 2)) * usable

@@ -19,6 +19,7 @@ from .geometry import (
     DegenerateInput,
     Orientation,
     PlaneModel,
+    as_integer,
     classify_orientations,
     fit_plane,
     plane_distances,
@@ -64,9 +65,10 @@ class OpsParams:
     dist_threshold: float = 0.05
     min_inliers: int = 20
     grouping: str = "group_first"  # or "detect_first"
-    sigma: float | None = None
 
     def __post_init__(self):
+        self.k = as_integer(self.k, "k")
+        self.min_inliers = as_integer(self.min_inliers, "min_inliers")
         if not 0.0 < self.sampling_rate <= 1.0:
             raise ValueError("sampling_rate must be in (0, 1]")
         if not 0.0 < self.probability < 1.0:

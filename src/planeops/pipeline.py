@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .fspf import FspfParams, fspf_detect
-from .geometry import ORIENTATION_TOL_DEGREES, UP, Orientation, PlaneModel, as_points, classify_orientations
+from .geometry import (ORIENTATION_TOL_DEGREES, UP, Orientation, PlaneModel, as_integer, as_points,
+                       classify_orientations)
 from .io import load_cloud, load_labeling
 from .kdtree import KdTree
 from .merge import MergeParams, merge_all
@@ -72,6 +73,7 @@ class RunConfig:
     def __post_init__(self):
         if self.detector not in ("ops", "fspf"):
             raise ValueError(f"unknown detector {self.detector!r}")
+        self.seed = as_integer(self.seed, "seed")
         classify_orientations(np.empty((0, 3)), self.up, self.orientation_tol_degrees)  # checks both
 
     @property
@@ -99,11 +101,7 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
-            kwargs = {
-                "detector": d.get("detector", "ops"),
-                "seed": int(d.get("seed", 0)),
-                "name": d.get("name"),
-            }
+            kwargs = {key: d[key] for key in ("detector", "seed", "name") if key in d}
             if "up" in d:
                 kwargs["up"] = tuple(d["up"])
             if "orientation_tol_degrees" in d:
@@ -218,7 +216,7 @@ def run_detect(points, config: RunConfig) -> DetectionReport:
         with _stage(timings, "sampling"):
             idx = sample_indices(points.shape[0], p.sampling_rate, rng)
         with _stage(timings, "normals"):
-            normals, _, valid = estimate_normals(points, kd, idx, p.k, p.sigma)
+            normals, _, valid = estimate_normals(points, kd, idx, p.k)
             kept = idx[valid]
             samples = SampleSet(indices=kept, positions=points[kept], normals=normals[valid],
                                 cloud_size=points.shape[0])

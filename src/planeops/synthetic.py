@@ -8,7 +8,7 @@ true labeling, which makes it the oracle for detector tests.
 
 import numpy as np
 
-from .geometry import ORIENTATION_TOL_DEGREES, UP, as_points, canonical_sign, classify_orientations
+from .geometry import ORIENTATION_TOL_DEGREES, UP, as_integer, as_points, canonical_sign, classify_orientations
 from .truth import SegmentLabeling
 
 __all__ = ["InvalidSpec", "box_room_scene", "gen_synthetic", "make_box_room", "random_scene"]
@@ -18,22 +18,12 @@ class InvalidSpec(ValueError):
     """Scene description is malformed."""
 
 
-def _count(value, what: str) -> int:
-    """A point count from a scene: an int, or a float of integral value; a
-    bool, a string or a fraction is malformed."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise InvalidSpec(f"{what} must be an integer, got {value!r}")
-
-
 def _rect_arrays(rect: dict, index: int):
     try:
         corner = np.asarray(rect["corner"], dtype=np.float64).reshape(3)
         edge_u = np.asarray(rect["edge_u"], dtype=np.float64).reshape(3)
         edge_v = np.asarray(rect["edge_v"], dtype=np.float64).reshape(3)
-        count = _count(rect["count"], "count")
+        count = as_integer(rect["count"], "count")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"rect {index}: {exc}") from exc
     if count < 1:
@@ -60,9 +50,9 @@ def gen_synthetic(scene: dict, noise_sigma: float = 0.0, seed: int = 0):
     rects = scene.get("rects", [])
     try:
         noise_sigma = float(noise_sigma)
+        clutter = as_integer(scene.get("clutter", 0), "clutter")
     except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidSpec(f"noise_sigma must be a number: {exc}") from exc
-    clutter = _count(scene.get("clutter", 0), "clutter")
+        raise InvalidSpec(f"noise_sigma must be a number and clutter an integer: {exc}") from exc
     if not noise_sigma >= 0.0 or clutter < 0:
         raise InvalidSpec("noise_sigma and clutter must be nonnegative")
     if not rects and clutter == 0:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DOT_SLACK, DegenerateInput, Orientation, classify_orientations, fit_plane
+from .geometry import DOT_SLACK, DegenerateInput, Orientation, as_integer, classify_orientations, fit_plane
 from .kdtree import KdTree
 # estimate_normals is unused here but stays importable as truth.estimate_normals,
 # a name perfbench/spans.py wraps.
@@ -85,6 +85,8 @@ class GtParams:
     k: int = 10
 
     def __post_init__(self):
+        self.min_plane_size = as_integer(self.min_plane_size, "min_plane_size")
+        self.k = as_integer(self.k, "k")
         if not (0.0 < self.dist_threshold < np.inf and 0.0 < self.normal_angle_degrees < 90.0):  # NaN fails too
             raise ValueError("dist_threshold must be finite and positive, normal_angle_degrees in (0, 90)")
         if self.min_plane_size < 3:

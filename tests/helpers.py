@@ -6,10 +6,12 @@ that comparisons stay meaningful.
 
 import itertools
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 
 from planeops import KdTree, Orientation, PlaneModel, SegmentLabeling, fit_plane
+from planeops.fspf import BLOCK_ANCHORS, score_block
 from planeops.geometry import (
     DegenerateInput,
     classify_orientation,
@@ -34,9 +36,54 @@ def ops_samples(points, params, rng):
     """Oriented samples drawn as ``run_detect`` draws them: sample, orient,
     drop the degenerate ones."""
     idx = sample_indices(points.shape[0], params.sampling_rate, rng)
-    normals, _, valid = estimate_normals(points, KdTree(points), idx, params.k, params.sigma)
+    normals, _, valid = estimate_normals(points, KdTree(points), idx, params.k)
     kept = idx[valid]
     return SampleSet(indices=kept, positions=points[kept], normals=normals[valid], cloud_size=points.shape[0])
+
+
+class ReplayedPlane(NamedTuple):
+    """One hypothesis that ``fspf_detect`` accepted: its anchor's point index,
+    the hypothesis normal, its inlier-draw count and its distinct inlier
+    draws, ascending."""
+
+    anchor: int
+    normal: np.ndarray
+    inlier_draws: int
+    inliers: np.ndarray
+
+
+def replay_fspf(points, kd, params, rng):
+    """The hypotheses ``fspf_detect`` accepts, replayed row by row from its draws.
+
+    Each block draws its anchors, then its position fractions, and is scored
+    by ``score_block``, as in ``fspf_detect``. A row is accepted when it holds
+    a hypothesis with more than ``min_inlier_fraction * local_samples``
+    inlier draws and ``fit_plane`` fits its distinct inlier draws. The loop
+    stops at the same iteration and inlier-draw budgets.
+    """
+    n = points.shape[0]
+    n_max = params.max_inlier_points if params.max_inlier_points is not None else n // 2
+    accepted = []
+    total = it = 0
+    while total < n_max and it < params.max_iterations:
+        m = min(BLOCK_ANCHORS, params.max_iterations - it)
+        it += m
+        anchors = rng.integers(0, n, size=m)
+        block = score_block(points, kd, params, anchors, rng.random((m, params.local_samples - 1)))
+        for row in range(m):
+            hypothesis = block.companions[row, 0] >= 0 and not block.collinear[row]
+            if not hypothesis or block.inliers[row] <= params.min_inlier_fraction * params.local_samples:
+                continue
+            claims = np.unique(block.draws[row][block.inlier_mask[row]])
+            try:
+                fit_plane(points[claims])
+            except DegenerateInput:
+                continue
+            accepted.append(ReplayedPlane(int(anchors[row]), block.normals[row], int(block.inliers[row]), claims))
+            total += int(block.inliers[row])
+            if total >= n_max:
+                break
+    return accepted
 
 
 def random_plane_soup(rng, n_base=4):

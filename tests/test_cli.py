@@ -1,5 +1,7 @@
 """CLI subcommand tests through main(); checks outputs and exit codes."""
 
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +13,8 @@ import pytest
 
 import planeops
 from planeops import load_cloud, load_labeling
-from planeops.cli import EXIT_EMPTY, EXIT_OK, EXIT_PARSE, main
+from planeops.cli import EXIT_EMPTY, EXIT_OK, EXIT_PARSE, _detect_config, build_parser, main
+from planeops.pipeline import RunConfig
 
 
 @pytest.fixture
@@ -192,12 +195,22 @@ def test_detect_parse_error_exit_code(tmp_path):
     ("gt", ["--gt-dist", "nan"], None),
     ("gt", ["--gt-angle", "nan"], None),
     ("gt", ["--gt-angle", "200"], None),
+    ("detect", ["--up", "nan,0,1"], None),
+    ("detect", [], {"ops": {"k": 10.5}}),
+    ("detect", [], {"detector": "fspf", "fspf": {"local_samples": 80.5}}),
+    ("detect", [], {"fspf": {"max_iterations": 100.5}}),
+    ("detect", [], {"seed": 2.5}),
+    ("detect", [], {"seed": True}),
+    ("detect", [], {"ops": {"sigma": 0.1}}),
+    ("detect", [], {"detector": "fspf", "fspf": {"claim_full_sphere": True}}),
 ], ids=["merge-angle", "dist-threshold", "knn", "sampling-rate", "up-not-unit", "up-not-number", "fspf-r1",
         "unknown-key", "unknown-top-key", "config-merge-angle", "config-not-object", "gt-knn",
         "fspf-cloud-below-n-loc", "orientation-tol", "ops-seed", "fspf-seed", "ops-up", "gt-block",
         "merge-angle-nan", "merge-angle-over-90", "merge-angle-90", "merge-offset-inf", "config-merge-offset-nan",
         "dist-threshold-nan", "config-ops-dist-inf", "fspf-dist-nan", "fspf-r1-nan", "fspf-r2-inf",
-        "gt-dist-nan", "gt-angle-nan", "gt-angle-over-90"])
+        "gt-dist-nan", "gt-angle-nan", "gt-angle-over-90", "up-nan", "ops-k-fraction",
+        "fspf-local-samples-fraction", "fspf-max-iterations-fraction", "seed-fraction", "seed-bool",
+        "config-ops-sigma", "config-fspf-claim-full-sphere"])
 def test_invalid_config_exit_code(tmp_path, capsys, command, flags, config):
     rng = np.random.default_rng(0)
     cloud = tmp_path / "cloud.xyz"
@@ -211,6 +224,78 @@ def test_invalid_config_exit_code(tmp_path, capsys, command, flags, config):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags", [["--sigma", "0.1"], ["--detector", "fspf", "--claim-full-sphere"]],
+                         ids=["sigma", "claim-full-sphere"])
+def test_removed_flag_exit_code(tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["detect", "--input", str(tmp_path / "cloud.xyz"), "--out", str(tmp_path / "o"), *flags])
+    assert exit_info.value.code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+# Each detect flag that sets a RunConfig field: a non-default value, and the
+# value every field it sets must then hold, by (params, field) path.
+DETECT_FLAG_FIELDS = [
+    ("--detector", "fspf", {("detector",): "fspf"}),
+    ("--seed", "7", {("seed",): 7}),
+    ("--orientation-tol", "10", {("orientation_tol_degrees",): 10.0}),
+    ("--up", "0,1,0", {("up",): (0.0, 1.0, 0.0)}),
+    ("--sampling-rate", "0.5", {("ops", "sampling_rate"): 0.5}),
+    ("--knn", "12", {("ops", "k"): 12}),
+    ("--dist-threshold", "0.03", {("ops", "dist_threshold"): 0.03, ("fspf", "dist_threshold"): 0.03}),
+    ("--min-inliers", "25", {("ops", "min_inliers"): 25}),
+    ("--probability", "0.9", {("ops", "probability"): 0.9}),
+    ("--grouping", "detect_first", {("ops", "grouping"): "detect_first"}),
+    ("--r1", "0.05", {("fspf", "r1"): 0.05}),
+    ("--r2", "0.2", {("fspf", "r2"): 0.2}),
+    ("--n-loc", "60", {("fspf", "local_samples"): 60}),
+    ("--alpha-min", "0.7", {("fspf", "min_inlier_fraction"): 0.7}),
+    ("--k-max", "500", {("fspf", "max_iterations"): 500}),
+    ("--n-max", "900", {("fspf", "max_inlier_points"): 900}),
+    ("--merge-angle", "5", {("merge", "angle_degrees"): 5.0}),
+    ("--merge-offset", "0.1", {("merge", "offset"): 0.1}),
+]
+# Detect flags that choose files or output colours, not RunConfig fields.
+DETECT_IO_FLAGS = {"--help", "--input", "--out", "--config", "--color-mode"}
+
+
+def _field(config, path):
+    for name in path:
+        config = getattr(config, name)
+    return config
+
+
+def _config_field_paths(config) -> set:
+    """Every leaf field of a RunConfig, as (field,) or (params, field)."""
+    paths = set()
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            paths.update((f.name, sub.name) for sub in dataclasses.fields(value))
+        else:
+            paths.add((f.name,))
+    return paths
+
+
+def test_every_detect_flag_reaches_its_field():
+    parser = build_parser()
+    detect = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices["detect"]
+    flags = {s for action in detect._actions for s in action.option_strings if s.startswith("--")}
+    assert flags == DETECT_IO_FLAGS | {flag for flag, _, _ in DETECT_FLAG_FIELDS}
+
+    argv = ["detect", "--input", "cloud.ply", "--out", "o"]
+    for flag, text, _ in DETECT_FLAG_FIELDS:
+        argv += [flag, text]
+    config, default = _detect_config(parser.parse_args(argv)), RunConfig()
+    reached = {}
+    for _, _, fields in DETECT_FLAG_FIELDS:
+        reached.update(fields)
+    for path, value in reached.items():
+        assert _field(config, path) == value != _field(default, path), path
+    assert set(reached) == _config_field_paths(default) - {("name",)}
 
 
 @pytest.mark.parametrize("pred", [b"99999999999 H\n", b"-7 H\n", b"-1 H\n", b"0 V\n0 H\n", b"0 \xc3\x89\n"],

@@ -15,6 +15,8 @@ from planeops import (
 )
 from planeops.fspf import BLOCK_ANCHORS, fit_block, score_block
 
+from helpers import replay_fspf
+
 
 def _dense_plane(rng, n=4000, extent=1.0):
     scene = {"rects": [{"corner": [0, 0, 0], "edge_u": [extent, 0, 0], "edge_v": [0, extent, 0], "count": n}]}
@@ -72,7 +74,7 @@ def _mixed_cloud(rng):
 
 def _scalar_hypothesis(points, kd, params, anchor, fractions):
     """One hypothesis recomputed with one-point sphere queries, as a loop
-    over single anchors would: (companions, normal, collinear, sphere, draws,
+    over single anchors would: (companions, normal, collinear, draws,
     inliers), or None when the r1 sphere is too thin."""
     p0 = points[anchor]
     near = kd.radius_search(p0, params.r1)
@@ -87,7 +89,7 @@ def _scalar_hypothesis(points, kd, params, anchor, fractions):
     sphere = kd.radius_search(p0, params.r2)
     draws = sphere[(fractions[2:] * sphere.size).astype(np.int64)]
     offsets = sum((points[draws, axis] - p0[axis]) * normal[axis] for axis in range(3))
-    return companions, normal, bool(collinear), sphere, draws, int((np.abs(offsets) < params.dist_threshold).sum())
+    return companions, normal, bool(collinear), draws, int((np.abs(offsets) < params.dist_threshold).sum())
 
 
 class TestScoreBlock:
@@ -109,11 +111,9 @@ class TestScoreBlock:
                 kinds.add("thin")
                 assert block.companions[row].tolist() == [-1, -1]
                 continue
-            companions, normal, collinear, sphere, draws, inliers = expected
+            companions, normal, collinear, draws, inliers = expected
             np.testing.assert_array_equal(block.companions[row], companions)
             assert block.collinear[row] == collinear
-            np.testing.assert_array_equal(block.spheres[row][block.spheres[row] >= 0], sphere)
-            assert (block.spheres[row][sphere.size:] == -1).all()
             np.testing.assert_array_equal(block.draws[row], draws)
             if collinear:
                 kinds.add("collinear")
@@ -125,10 +125,8 @@ class TestScoreBlock:
         assert kinds == {"thin", "collinear", "hypothesis"}
 
 
-@pytest.mark.parametrize("claim_full_sphere", [False, True])
-def test_fit_block_matches_fit_plane_per_row(rng, claim_full_sphere):
-    """Every row's claims are its distinct inlier draws (or its sphere), and
-    its stacked fit is fit_plane on them: the same verdict, normals within
+def test_fit_block_matches_fit_plane_per_row(rng):
+    """Every row's claims are its distinct inlier draws, and its stacked fit is fit_plane on them: the same verdict, normals within
     1e-12, centroids within 1e-12. The cloud adds points a few ulps apart,
     one spot that only rounding spreads out."""
     near_spot = -3.0 + rng.normal(scale=1e-15, size=(40, 3))
@@ -139,13 +137,10 @@ def test_fit_block_matches_fit_plane_per_row(rng, claim_full_sphere):
                               np.arange(points.shape[0] - 70, points.shape[0])])
     block = score_block(points, kd, params, anchors, rng.random((anchors.size, params.local_samples - 1)))
     rows = np.flatnonzero(block.companions[:, 0] >= 0)
-    fit = fit_block(points, block, rows, claim_full_sphere)
+    fit = fit_block(points, block, rows)
     verdicts = set()
     for i, row in enumerate(rows.tolist()):
-        if claim_full_sphere:
-            claimed = block.spheres[row][block.spheres[row] >= 0]
-        else:
-            claimed = np.unique(block.draws[row][block.inlier_mask[row]])
+        claimed = np.unique(block.draws[row][block.inlier_mask[row]])
         np.testing.assert_array_equal(fit.claims[i][fit.keep[i]], claimed)
         try:
             want = fit_plane(points[claimed])
@@ -198,15 +193,26 @@ class TestBlockBoundaries:
         points = _dense_plane(rng, n=2000)
         kd = KdTree(points)
         unlimited = FspfParams(r1=0.1, r2=0.14, max_iterations=BLOCK_ANCHORS, max_inlier_points=10**9)
-        planes, details = fspf_detect(points, kd, unlimited, np.random.default_rng(6), return_details=True)
+        planes, replayed = _detect_and_replay(points, kd, unlimited, 6)
         assert len(planes) > 5
-        budget = sum(d.inlier_draws for d in details[:3]) - 1
+        budget = sum(r.inlier_draws for r in replayed[:3]) - 1
         limited = FspfParams(r1=0.1, r2=0.14, max_iterations=BLOCK_ANCHORS, max_inlier_points=budget)
-        cut, cut_details = fspf_detect(points, kd, limited, np.random.default_rng(6), return_details=True)
+        cut, cut_replayed = _detect_and_replay(points, kd, limited, 6)
         assert len(cut) == 3
         for a, b in zip(cut, planes):
             np.testing.assert_array_equal(a.inliers, b.inliers)
-        assert [d.anchor_index for d in cut_details] == [d.anchor_index for d in details[:3]]
+        assert [r.anchor for r in cut_replayed] == [r.anchor for r in replayed[:3]]
+
+
+def _detect_and_replay(points, kd, params, seed):
+    """``fspf_detect``'s planes and their replayed hypotheses, which must
+    claim the same inliers in the same order."""
+    planes = fspf_detect(points, kd, params, np.random.default_rng(seed))
+    replayed = replay_fspf(points, kd, params, np.random.default_rng(seed))
+    assert len(replayed) == len(planes)
+    for plane, hypothesis in zip(planes, replayed):
+        np.testing.assert_array_equal(plane.inliers, hypothesis.inliers)
+    return planes, replayed
 
 
 class TestFspfDetect:
@@ -244,30 +250,21 @@ class TestFspfDetect:
     def test_inliers_local_and_within_threshold(self, rng):
         points = _dense_plane(rng)
         params = FspfParams(r1=0.07, r2=0.14)
-        planes, details = fspf_detect(points, KdTree(points), params, np.random.default_rng(5), return_details=True)
+        planes, replayed = _detect_and_replay(points, KdTree(points), params, 5)
         assert planes
-        for plane, detail in zip(planes, details):
-            anchor = points[detail.anchor_index]
+        for plane, hypothesis in zip(planes, replayed):
+            anchor = points[hypothesis.anchor]
             assert (np.linalg.norm(points[plane.inliers] - anchor, axis=1) <= params.r2 + 1e-12).all()
-            offsets = np.abs((points[plane.inliers] - anchor) @ detail.hypothesis_normal)
+            offsets = np.abs((points[plane.inliers] - anchor) @ hypothesis.normal)
             assert (offsets < params.dist_threshold).all()
 
     def test_inlier_budget_stops_loop(self, rng):
         points = _dense_plane(rng)
         params = FspfParams(r1=0.1, r2=0.1, max_inlier_points=100)
-        planes, details = fspf_detect(points, KdTree(points), params, np.random.default_rng(2), return_details=True)
-        total = sum(d.inlier_draws for d in details)
+        _, replayed = _detect_and_replay(points, KdTree(points), params, 2)
+        total = sum(r.inlier_draws for r in replayed)
         assert total >= 100
         assert total <= 100 + params.local_samples
-
-    def test_claim_full_sphere_flag(self, rng):
-        points = _dense_plane(rng)
-        kd = KdTree(points)
-        draws = fspf_detect(points, kd, FspfParams(r1=0.1, r2=0.14), np.random.default_rng(9))
-        balls = fspf_detect(points, kd, FspfParams(r1=0.1, r2=0.14, claim_full_sphere=True),
-                            np.random.default_rng(9))
-        assert len(draws) == len(balls)  # same acceptance sequence
-        assert balls[0].inlier_count > draws[0].inlier_count
 
     def test_deterministic_given_seed(self, rng):
         points = _dense_plane(rng)

@@ -12,7 +12,13 @@ One more has 22,750 points and runs ``fspf`` with the ``room_fspf_23k``
 benchmark flags, so merging makes about 280 merges: it pins the greedy merge
 order (its digests were taken before merging moved to chains).
 A change that alters results on purpose updates the digests and says why.
-The ``fspf`` digests last changed when merging began to fit a merged plane
+The ``ops`` and ``fspf`` report digests last changed when the fixed normal
+falloff (``ops`` ``sigma``) and the whole-sphere claim rule (``fspf``
+``claim_full_sphere``) were removed: the report's ``params`` block no longer
+holds those two keys. Reports of the code before the removal, with the two
+keys deleted, hash to the new digests, and every PLY and label digest stayed
+the same.
+Before that, the ``fspf`` digests changed when merging began to fit a merged plane
 from its parts' moments (count, mean, centred scatter) instead of refitting
 the union's points: merged centroids and normals changed in their last bits
 (under 1e-15 on these rooms), and every plane count, inlier count, label and
@@ -22,7 +28,7 @@ drawing and testing its hypotheses in blocks, which changed its random
 stream (each hypothesis keeps its distribution). The ``fspf_ply`` and
 ``fspf_labels`` digests were added then: the report alone does not pin the
 per-point labels that ``assign_to_planes`` gives FSPF runs.
-The ``ops`` digests last changed when the report's ``params``
+Before that, the ``ops`` digests changed when the report's ``params``
 block stopped echoing settings no run reads (``gt``, the detectors' own
 seeds, and the oriented-point detector's copies of the up axis and the
 orientation tolerance); planes, labels and every other field stayed the same.
@@ -43,30 +49,30 @@ GOLDEN = {
     1: {
         "gt": "b90277da86e6f18bea51f453607f77fda424142b31db7bbd6b19de9f08b40720",
         "eval": "93e2ad4b63f32659d47b538995bdf3e62c6d5a980125f55a0af9467e478c2d7e",
-        "ops": "e2000dd64e83d6992eb57240667c6b59afb522a21e51f006e7796c05b8d9a001",
+        "ops": "70117a4e6a04d9af8dde331342c67b68d757258e9ee5bf86c4448851bb8fbf16",
         "ops_ply": "7c06a4c9a5e85a4965acae6b7e6df794d1a6e5fba67634a3c441fe129d781303",
         "ops_labels": "fb63cea6b94595e71f5575392b725ae62d017a2c711e092a2e85b5d13f22d0e5",
-        "fspf": "353821810492ce03db2656e7f60caaec4f1100802ce31014d85c0e2c24ecaf14",
+        "fspf": "cd1428540c82b625ff710beb4cbd5227f4948201e9e4864a6b92ea2eb0013aba",
         "fspf_ply": "059c44c7aaf5086f822c8a385cc000631c0834696fe0bdebac73ba2a34ae906e",
         "fspf_labels": "f2908ab3d5e53fa294b8d992ffeb024055597a562fcea83fc5e84e60c68e87f5",
     },
     2: {
         "gt": "2496decc77badc8510ed435bf630812bb3359e95988ffcfba3d02dfdb05c7892",
         "eval": "689c33ad0549fa254c95ac252a46aa603dbb87848a76e2c1cbba00c38755d30b",
-        "ops": "168199a35d042e1d339153abe87c0bdca7a8903e78300cdb194e44a8150ac119",
+        "ops": "64e06f724af3c95eb9eef70c4512aaed5bf24cc984739cfdab318467f9c7151c",
         "ops_ply": "6d11201abea8f3c59fc19039761cf8833cdffbcfbd6acce740a5a276c079cf33",
         "ops_labels": "0740c916bc8e1127d61ffdf305746c63ab201830e85187c75d8ce5feda567b72",
-        "fspf": "940f315b5430c3f603889c7f51026828e357a768a3425c0b0ccc673106c4e0d3",
+        "fspf": "be8e607a835cea6213bf4f19d296f893c66d13cbc1275cc221de38e543a450df",
         "fspf_ply": "b21c59019c006a00d150afc4273407089273e6bf1170047ebd2455d2aa1c4822",
         "fspf_labels": "5d54a4ca42f6c919d10d6d0f01517929db96cb55b12a06693e10cc229baaa713",
     },
     3: {
         "gt": "20e0fa8d47b9cfbcfad08c1e2ea5c2af16b98f80d352eb697ebb993637289428",
         "eval": "0a08ee8a46c902ff710d93537d1b0560341cebf9a5728952544962544c7a8d99",
-        "ops": "a42f96ff8d7edc422e98770d81a09050b6a06a30868b51107eefe05076dca127",
+        "ops": "c3bc255ac41b26a6b176ad26ffbe8c28c01275bae508cb12b34d46fe7813c167",
         "ops_ply": "537a40304c699b5cbd1497c418b5b3bdbd8e64fbc81050c6e0aaaeb7b4bf9130",
         "ops_labels": "0dc049f4c8754f8fccb77d8d6ea18a532f2e943e3e3da444226ff2d627e1722c",
-        "fspf": "808ed1ecbcd2ae3278694b3cce11f9aaf40bdff97463383dd46c86d8d8f8b9cc",
+        "fspf": "ffc31f93cf5deb131fed3ae6ecd98a1a3d69f6cc6edc50aae38d62e6a2e6455c",
         "fspf_ply": "42d298f1dbab65752ecb5680a58f223844b9cd85943baba4dedf5caeb249c424",
         "fspf_labels": "8c65d11073c1b53939d835b069c3495a7fc235fa8728efc84ea3eb6a61d84c90",
     },
@@ -75,14 +81,14 @@ GOLDEN = {
 
 GOLDEN_OPS_65K_SEED = 4
 GOLDEN_OPS_65K = {
-    "ops": "5c09ce1b3965e2afbf693f8953ea5ec0ead12dd94895b0e005fd9591d680c87f",
+    "ops": "e213dc2586f2be975c5f82fe14109a53abf4cbacc86875a5310860f91e4ac57f",
     "ops_ply": "b5b23ff33057c8a691f8e5d216a80257a1912f6d1509e8c7707d5ba7fbb73ac6",
     "ops_labels": "d8bc6e21c79142f74fde0ef2bf156a68570c0c937a6e192b941462e9369b0bdf",
 }
 
 GOLDEN_FSPF_23K_SEED = 1
 GOLDEN_FSPF_23K = {
-    "fspf": "7a829eeed344398c9492bf0853fa4afa740f2cd7acba5d03704b769b4ea82503",
+    "fspf": "ee51bb2cf72f3d01fc78d688abb14dd2387caeb226ed926da0d4a1d51b8cb0c3",
     "fspf_ply": "bae5dea4ce1f80c6e3aec53b56d4a65eb2dc4352954cb0e1033c87bfcd240343",
     "fspf_labels": "934b05404e8756a844bf0d955fe276c0fad133c26cc5214d4a5c34bfb8f7c2f6",
 }

@@ -16,9 +16,9 @@ def _angle_to(n, reference):
     return np.arccos(np.clip(np.abs(n @ reference), 0.0, 1.0))
 
 
-def _normal_at(pts, index, kd, k, sigma=None):
+def _normal_at(pts, index, kd, k):
     """The one normal at ``index``; it must be valid."""
-    normals, _, valid = estimate_normals(pts, kd, [index], k, sigma)
+    normals, _, valid = estimate_normals(pts, kd, [index], k)
     assert valid[0]
     return normals[0]
 
@@ -80,7 +80,7 @@ class TestEstimateNormal:
         def tilt(outlier):
             pts = np.vstack([ref, base, outlier])
             kd = KdTree(pts)
-            n = _normal_at(pts, 0, kd, k=41, sigma=0.5)
+            n = _normal_at(pts, 0, kd, k=41)
             return _angle_to(n, [0, 0, 1])
 
         near = tilt(np.array([[0.1, 0.0, 0.4]]))

@@ -162,7 +162,7 @@ class TestRunConfig:
         d = RunConfig(detector="ops").to_dict()
         assert set(d) == {"detector", "seed", "name", "up", "orientation_tol_degrees", "ops", "merge"}
         assert set(d["ops"]) == {"sampling_rate", "k", "probability", "dist_threshold", "min_inliers",
-                                 "grouping", "sigma"}
+                                 "grouping"}
         assert "seed" not in RunConfig(detector="fspf").to_dict()["fspf"]
 
     def test_bad_detector(self):
