@@ -3,7 +3,7 @@
 Two detectors over a shared toolkit: one-point RANSAC on sparsely sampled
 oriented points, and local three-point sampling in spheres. Detected planes
 are merged by a pairwise coplanarity test, labeled by orientation, and scored
-against region-growing reference labelings.
+against smoothness-constraint reference labelings.
 """
 
 from .fspf import CloudTooSmall, FspfParams, fspf_detect, three_point_normal

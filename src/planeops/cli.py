@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="degrees for horizontal/vertical grouping and labels, in (0, 45)")
     p.add_argument("--up", type=str, help="up axis as 'x,y,z' (default 0,0,1)")
 
-    p = sub.add_parser("gt", help="region-growing ground truth for a cloud")
+    p = sub.add_parser("gt", help="reference plane labeling for a cloud")
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="labeling sidecar path")
     p.add_argument("--ply", type=Path, help="optional colored PLY output")
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", type=Path, required=True)
     p.add_argument("--configs", type=Path, required=True, help="JSON list of RunConfig dicts")
     p.add_argument("--gt-dir", type=Path, help="directory of *.labels.txt references")
-    p.add_argument("--gen-gt", action="store_true", help="region-grow references on the fly")
+    p.add_argument("--gen-gt", action="store_true", help="generate references on the fly")
     p.add_argument("--out", type=Path, help="write rows as JSON")
     return parser
 

@@ -22,6 +22,7 @@ import numpy as np
 from .geometry import (  # noqa: F401  fit_plane: no caller, kept importable for perfbench's spans
     Moments,
     PlaneModel,
+    as_float,
     as_integer,
     canonical_sign,
     fit_plane,
@@ -57,20 +58,18 @@ class FspfParams:
     r2: float = 0.14
 
     def __post_init__(self):
-        self.local_samples = as_integer(self.local_samples, "local_samples")
-        self.max_iterations = as_integer(self.max_iterations, "max_iterations")
+        self.local_samples = as_integer(self.local_samples, "local_samples", minimum=3)
+        self.max_iterations = as_integer(self.max_iterations, "max_iterations", minimum=0)
         if self.max_inlier_points is not None:
             self.max_inlier_points = as_integer(self.max_inlier_points, "max_inlier_points")
-        if self.local_samples < 3:
-            raise ValueError("local_samples must be >= 3")
+        for name in ("min_inlier_fraction", "dist_threshold", "r1", "r2"):
+            setattr(self, name, as_float(getattr(self, name), name))
         if not 0.0 < self.min_inlier_fraction <= 1.0:
             raise ValueError("min_inlier_fraction must be in (0, 1]")
         if not (0.0 < self.r1 < np.inf and 0.0 < self.r2 < np.inf):  # NaN fails too
             raise ValueError("sphere radii must be finite and positive")
         if not 0.0 < self.dist_threshold < np.inf:
             raise ValueError("dist_threshold must be finite and positive")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
 
 
 class HypothesisBlock(NamedTuple):

@@ -16,6 +16,7 @@ __all__ = [
     "Moments",
     "Orientation",
     "PlaneModel",
+    "as_float",
     "as_integer",
     "as_points",
     "as_unit_vector",
@@ -63,14 +64,25 @@ class Orientation(IntEnum):
         return cls("HVO".index(c))
 
 
-def as_integer(value, what: str) -> int:
-    """An int, or a float of integral value, as an int; a bool, a string or a
-    fraction raises ValueError naming ``what``."""
+def as_integer(value, what: str, minimum: int | None = None) -> int:
+    """An int, or a float of integral value, as an int; a bool, a string, a
+    fraction or a value below ``minimum`` raises ValueError naming ``what``."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise ValueError(f"{what} must be an integer, got {value!r}")
+        number = int(value)
+    elif isinstance(value, (float, np.floating)) and float(value).is_integer():
+        number = int(value)
+    else:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {number}")
+    return number
+
+
+def as_float(value, what: str) -> float:
+    """An int or a float as a float; a bool or a string raises ValueError naming ``what``."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{what} must be a number, got {value!r}")
 
 
 def as_points(points) -> np.ndarray:

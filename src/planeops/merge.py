@@ -20,6 +20,7 @@ import numpy as np
 from .geometry import (  # noqa: F401  fit_plane: no caller, kept importable for perfbench's spans
     DegenerateInput,
     PlaneModel,
+    as_float,
     combine_moments,
     fit_plane,
     plane_distances,
@@ -43,6 +44,8 @@ class MergeParams:
     offset: float = 0.05
 
     def __post_init__(self):
+        self.angle_degrees = as_float(self.angle_degrees, "angle_degrees")
+        self.offset = as_float(self.offset, "offset")
         if not (0.0 < self.angle_degrees < 90.0 and 0.0 < self.offset < np.inf):  # NaN fails too
             raise ValueError("merge angle_degrees must be in (0, 90) and offset finite and positive")
 

@@ -19,6 +19,7 @@ from .geometry import (
     DegenerateInput,
     Orientation,
     PlaneModel,
+    as_float,
     as_integer,
     classify_orientations,
     fit_plane,
@@ -67,18 +68,16 @@ class OpsParams:
     grouping: str = "group_first"  # or "detect_first"
 
     def __post_init__(self):
-        self.k = as_integer(self.k, "k")
-        self.min_inliers = as_integer(self.min_inliers, "min_inliers")
+        self.k = as_integer(self.k, "k", minimum=3)
+        self.min_inliers = as_integer(self.min_inliers, "min_inliers", minimum=3)
+        for name in ("sampling_rate", "probability", "dist_threshold"):
+            setattr(self, name, as_float(getattr(self, name), name))
         if not 0.0 < self.sampling_rate <= 1.0:
             raise ValueError("sampling_rate must be in (0, 1]")
         if not 0.0 < self.probability < 1.0:
             raise ValueError("probability must be in (0, 1)")
         if not 0.0 < self.dist_threshold < np.inf:  # NaN fails too
             raise ValueError("dist_threshold must be finite and positive")
-        if self.min_inliers < 3:
-            raise ValueError("min_inliers must be >= 3")
-        if self.k < 3:
-            raise ValueError("k must be >= 3")
         if self.grouping not in ("group_first", "detect_first"):
             raise ValueError(f"unknown grouping {self.grouping!r}")
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .fspf import FspfParams, fspf_detect
-from .geometry import (ORIENTATION_TOL_DEGREES, UP, Orientation, PlaneModel, as_integer, as_points,
+from .geometry import (ORIENTATION_TOL_DEGREES, UP, Orientation, PlaneModel, as_float, as_integer, as_points,
                        classify_orientations)
 from .io import load_cloud, load_labeling
 from .kdtree import KdTree
@@ -73,7 +73,8 @@ class RunConfig:
     def __post_init__(self):
         if self.detector not in ("ops", "fspf"):
             raise ValueError(f"unknown detector {self.detector!r}")
-        self.seed = as_integer(self.seed, "seed")
+        self.seed = as_integer(self.seed, "seed", minimum=0)  # numpy's generators take no negative seed
+        self.orientation_tol_degrees = as_float(self.orientation_tol_degrees, "orientation_tol_degrees")
         classify_orientations(np.empty((0, 3)), self.up, self.orientation_tol_degrees)  # checks both
 
     @property
@@ -101,11 +102,9 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
-            kwargs = {key: d[key] for key in ("detector", "seed", "name") if key in d}
+            kwargs = {key: d[key] for key in ("detector", "seed", "name", "orientation_tol_degrees") if key in d}
             if "up" in d:
                 kwargs["up"] = tuple(d["up"])
-            if "orientation_tol_degrees" in d:
-                kwargs["orientation_tol_degrees"] = float(d["orientation_tol_degrees"])
             for key, klass in (("ops", OpsParams), ("fspf", FspfParams), ("merge", MergeParams)):
                 if key in d and d[key] is not None:
                     kwargs[key] = klass(**dict(d[key]))
@@ -286,7 +285,7 @@ def run_bench(dataset_dir, configs: list[RunConfig], gt_dir=None, generate_gt: b
     """Score each config over every readable cloud in a directory.
 
     Reference labelings come from ``<stem>.labels.txt`` sidecars in
-    ``gt_dir`` (or next to the clouds), or are region-grown on the fly with
+    ``gt_dir`` (or next to the clouds), or are generated on the fly with
     ``generate_gt=True``. Unreadable clouds are skipped and counted; the run
     fails only when no cloud could be processed.
     """

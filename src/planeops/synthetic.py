@@ -8,7 +8,8 @@ true labeling, which makes it the oracle for detector tests.
 
 import numpy as np
 
-from .geometry import ORIENTATION_TOL_DEGREES, UP, as_integer, as_points, canonical_sign, classify_orientations
+from .geometry import (ORIENTATION_TOL_DEGREES, UP, as_float, as_integer, as_points, canonical_sign,
+                       classify_orientations)
 from .truth import SegmentLabeling
 
 __all__ = ["InvalidSpec", "box_room_scene", "gen_synthetic", "make_box_room", "random_scene"]
@@ -23,11 +24,9 @@ def _rect_arrays(rect: dict, index: int):
         corner = np.asarray(rect["corner"], dtype=np.float64).reshape(3)
         edge_u = np.asarray(rect["edge_u"], dtype=np.float64).reshape(3)
         edge_v = np.asarray(rect["edge_v"], dtype=np.float64).reshape(3)
-        count = as_integer(rect["count"], "count")
+        count = as_integer(rect["count"], "count", minimum=1)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"rect {index}: {exc}") from exc
-    if count < 1:
-        raise InvalidSpec(f"rect {index}: count must be >= 1, got {count}")
     normal = np.cross(edge_u, edge_v)
     norm = np.linalg.norm(normal)
     if norm < 1e-12:
@@ -49,18 +48,20 @@ def gen_synthetic(scene: dict, noise_sigma: float = 0.0, seed: int = 0):
         raise InvalidSpec("a scene must be a JSON object, and its rects a list")
     rects = scene.get("rects", [])
     try:
-        noise_sigma = float(noise_sigma)
-        clutter = as_integer(scene.get("clutter", 0), "clutter")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidSpec(f"noise_sigma must be a number and clutter an integer: {exc}") from exc
-    if not noise_sigma >= 0.0 or clutter < 0:
-        raise InvalidSpec("noise_sigma and clutter must be nonnegative")
+        noise_sigma = as_float(noise_sigma, "noise_sigma")
+        clutter = as_integer(scene.get("clutter", 0), "clutter", minimum=0)
+        seed = as_integer(seed, "seed", minimum=0)  # numpy's generators take no negative seed
+    except (ValueError, OverflowError) as exc:
+        raise InvalidSpec(str(exc)) from exc
+    if not noise_sigma >= 0.0:
+        raise InvalidSpec("noise_sigma must be nonnegative")
     if not rects and clutter == 0:
         raise InvalidSpec("scene has no rectangles and no clutter")
     shapes = [_rect_arrays(rect, idx) for idx, rect in enumerate(rects)]
     try:
         classes = classify_orientations([normal for *_, normal in shapes], scene.get("up", UP),
-                                        float(scene.get("orientation_tol_degrees", ORIENTATION_TOL_DEGREES)))
+                                        as_float(scene.get("orientation_tol_degrees", ORIENTATION_TOL_DEGREES),
+                                                 "orientation_tol_degrees"))
     except (TypeError, ValueError) as exc:
         raise InvalidSpec(f"up and orientation_tol_degrees: {exc}") from exc
 

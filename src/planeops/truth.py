@@ -1,24 +1,19 @@
-"""Reference plane labelings via region growing, for scoring detectors.
-
-Normals are estimated for every point, then regions grow outwards from
-low-curvature seeds through the k-NN graph, admitting neighbors whose normal
-agrees with the region plane and whose distance to it is small. Regions that
-stay under the minimum size are folded into the catch-all "other" label.
+"""Reference plane labelings for scoring detectors: planar segments cut from
+the connected components of the k-NN smoothness graph (see
+:func:`generate_ground_truth`); points in no segment are labeled "other".
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DOT_SLACK, DegenerateInput, Orientation, as_integer, classify_orientations, fit_plane
+from .geometry import DegenerateInput, Orientation, as_float, as_integer, classify_orientations, fit_plane
 from .kdtree import KdTree
 # estimate_normals is unused here but stays importable as truth.estimate_normals,
 # a name perfbench/spans.py wraps.
 from .normals import estimate_normals, normals_from_neighbors  # noqa: F401
 
 __all__ = ["GtParams", "SegmentLabeling", "generate_ground_truth"]
-
-REFIT_INTERVAL = 64  # points accepted between region-plane refits
 
 
 @dataclass
@@ -77,7 +72,7 @@ class SegmentLabeling:
 
 @dataclass
 class GtParams:
-    """Region-growing thresholds for ground-truth extraction."""
+    """Edge and plane thresholds for ground-truth extraction."""
 
     dist_threshold: float = 0.05
     normal_angle_degrees: float = 7.0
@@ -85,28 +80,32 @@ class GtParams:
     k: int = 10
 
     def __post_init__(self):
-        self.min_plane_size = as_integer(self.min_plane_size, "min_plane_size")
-        self.k = as_integer(self.k, "k")
+        self.min_plane_size = as_integer(self.min_plane_size, "min_plane_size", minimum=3)
+        self.k = as_integer(self.k, "k", minimum=3)
+        self.dist_threshold = as_float(self.dist_threshold, "dist_threshold")
+        self.normal_angle_degrees = as_float(self.normal_angle_degrees, "normal_angle_degrees")
         if not (0.0 < self.dist_threshold < np.inf and 0.0 < self.normal_angle_degrees < 90.0):  # NaN fails too
             raise ValueError("dist_threshold must be finite and positive, normal_angle_degrees in (0, 90)")
-        if self.min_plane_size < 3:
-            raise ValueError("min_plane_size must be >= 3")
-        if self.k < 3:
-            raise ValueError("k must be >= 3")
 
 
 def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) -> SegmentLabeling:
-    """Label a cloud by iterative region growing.
+    """Label a cloud by the smoothness constraint, tested on every k-NN edge at once.
 
-    Seeds are processed lowest-curvature first. A region admits an unvisited
-    k-NN neighbor of any member when the neighbor's normal is within
-    ``normal_angle_degrees`` of the region plane's normal and its distance to
-    the plane is under ``dist_threshold``; the plane refits every
-    `REFIT_INTERVAL` accepted points. Regions smaller than ``min_plane_size``
-    (and points with degenerate normals) end up unsegmented. A region's
-    class is that of its final plane fit, by the default up axis and
-    tolerance of :func:`planeops.geometry.classify_orientations`.
+    An edge (i, j) passes when both normals are valid, they agree within
+    ``normal_angle_degrees`` (either sign), and each point lies within
+    ``dist_threshold`` of the other's tangent plane (Rabbani, van den Heuvel
+    & Vosselman, "Segmentation of Point Clouds Using Smoothness Constraint",
+    2006). Each connected component of the passing edges with at least
+    ``min_plane_size`` points is fitted with a plane; its members within
+    ``dist_threshold`` of it become a segment, classified by their own fit
+    (default up axis and tolerance), unless fewer than ``min_plane_size``
+    remain or a fit is degenerate. The members left out go through further
+    rounds, over their own edges, until a round makes no segment, so a curved
+    surface ends up as planar strips. Ids follow creation order, and within a
+    round each component's lowest point index.
     """
+    from scipy.sparse import csgraph, csr_matrix
+
     if params is None:
         params = GtParams()
     n = points.shape[0]
@@ -116,63 +115,49 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
     kd = KdTree(points)
     all_idx = np.arange(n, dtype=np.int64)
     nbr_dist, adjacency = kd.knn(points, params.k, exclude_index=all_idx)
-    normals, curvature, valid = normals_from_neighbors(points, all_idx, nbr_dist, adjacency)
+    normals, _, valid = normals_from_neighbors(points, all_idx, nbr_dist, adjacency)
 
-    # The loop runs on Python floats. Their 3-term dot products may differ
-    # from np.dot in the last bit, by far less than DOT_SLACK times the sum of
-    # the terms' magnitudes: at most 1 for two unit normals, and at most the
-    # cloud's summed extents for an offset from the region centroid. A test
-    # that lands within that margin of its threshold is re-decided with np.dot.
-    cos_tol = float(np.cos(np.radians(params.normal_angle_degrees)))
-    cos_lo, cos_hi = cos_tol - DOT_SLACK, cos_tol + DOT_SLACK
-    dist_tol = float(params.dist_threshold)
-    dist_slack = DOT_SLACK * float(np.ptp(points, axis=0).sum())
-    dist_lo, dist_hi = dist_tol - dist_slack, dist_tol + dist_slack
-    pts, nrm = points.tolist(), normals.tolist()
-    visited = bytearray(np.logical_not(valid).tobytes())  # degenerate points never seed or join
+    # Each dot product is summed component by component, as merge._coplanar_mask
+    # spells it out, so an edge gets the same bits in either direction.
+    cosine, off_i, off_j = (np.zeros(adjacency.shape) for _ in range(3))
+    for c in range(3):
+        n_i = normals[:, c, None]
+        n_j = np.take(normals[:, c], adjacency)
+        sep = np.take(points[:, c], adjacency) - points[:, c, None]
+        cosine += n_i * n_j
+        off_i += sep * n_i  # j against the tangent plane of i
+        off_j += sep * n_j  # i against the tangent plane of j
+    dist = params.dist_threshold
+    smooth = (valid[:, None] & valid[adjacency]
+              & (np.abs(cosine) >= np.cos(np.radians(params.normal_angle_degrees)))
+              & (np.abs(off_i) < dist) & (np.abs(off_j) < dist))
+    src, dst = np.nonzero(smooth)
+    dst = adjacency[src, dst]
+
     plane_ids = np.full(n, -1, dtype=np.int32)
-    plane_normals = []  # of the regions kept, by id
-    for seed in np.argsort(curvature, kind="stable").tolist():
-        if visited[seed]:
-            continue
-        visited[seed] = 1
-        centroid, normal = points[seed], normals[seed]
-        cx, cy, cz = pts[seed]
-        nx, ny, nz = nrm[seed]
-        region = [seed]  # also the FIFO: the loop below visits members as they are appended
-        since_refit = 0
-        for i in region:
-            # One row at a time: a list of every row would hold about 5 MB per 13k points.
-            for j in adjacency[i].tolist():
-                if visited[j]:
-                    continue
-                ux, uy, uz = nrm[j]
-                c = abs(ux * nx + uy * ny + uz * nz)
-                if c < cos_hi and (c < cos_lo or abs(float(np.dot(normals[j], normal))) < cos_tol):
-                    continue
-                px, py, pz = pts[j]
-                d = abs((px - cx) * nx + (py - cy) * ny + (pz - cz) * nz)
-                if d >= dist_hi or (d > dist_lo and abs(float(np.dot(points[j] - centroid, normal))) >= dist_tol):
-                    continue
-                visited[j] = 1
-                region.append(j)
-                since_refit += 1
-                if since_refit >= REFIT_INTERVAL:
-                    since_refit = 0
-                    try:
-                        refit = fit_plane(np.take(points, region, axis=0))
-                    except DegenerateInput:
-                        continue
-                    centroid, normal = refit.centroid, refit.normal
-                    cx, cy, cz = centroid.tolist()
-                    nx, ny, nz = normal.tolist()
-        if len(region) >= params.min_plane_size:
-            member = np.asarray(region, dtype=np.int64)
+    plane_normals = []  # of the segments made, by id
+    while src.size:  # a round that makes no segment leaves no member out, and so no edge
+        graph = csr_matrix((np.ones(src.size, dtype=np.int8), (src, dst)), shape=(n, n))
+        labels = csgraph.connected_components(graph, directed=True, connection="weak")[1]
+        big = np.flatnonzero(np.bincount(labels)[labels] >= params.min_plane_size)
+        big = big[np.argsort(labels[big], kind="stable")]  # by component, each ascending
+        groups = np.split(big, np.flatnonzero(np.diff(labels[big])) + 1) if big.size else []
+        left = np.zeros(n, dtype=bool)  # members a segment's plane left out
+        for member in sorted(groups, key=lambda g: g[0]):
+            pts = np.take(points, member, axis=0)
             try:
-                final = fit_plane(np.take(points, member, axis=0))
+                plane = fit_plane(pts)
+                off = (pts - plane.centroid) * plane.normal  # summed in order like the edges, not by BLAS
+                near = np.abs(off[:, 0] + off[:, 1] + off[:, 2]) < dist
+                if np.count_nonzero(near) < params.min_plane_size:
+                    continue
+                final = fit_plane(pts[near])
             except DegenerateInput:
                 continue
-            plane_ids[member] = len(plane_normals)
+            plane_ids[member[near]] = len(plane_normals)
             plane_normals.append(final.normal)
+            left[member[~near]] = True
+        keep = left[src] & left[dst]
+        src, dst = src[keep], dst[keep]
 
     return SegmentLabeling.from_planes(plane_ids, classify_orientations(plane_normals))

@@ -303,12 +303,18 @@ def reference_load_labeling(text: str):
     return np.asarray(ids, dtype=np.int32), np.asarray(codes, dtype=np.int8)
 
 
-def reference_generate_ground_truth(points, params):
-    """Region growing with a numpy dot product per neighbour test.
+def reference_ground_truth(points, params):
+    """Smoothness-constraint ground truth, edge by edge in plain Python floats.
 
-    Seeds go lowest curvature first; each region grows breadth-first through
-    the k-NN graph, testing every unvisited neighbour against the region
-    plane with ``np.dot``, and refits the plane every 64 accepted points.
+    Each k-NN edge (i, j) links its points when both normals are valid, the
+    normals' dot product is at least cos(angle) in magnitude, and each point
+    lies within ``dist_threshold`` of the other's tangent plane. Each round
+    walks the links of every unsegmented point breadth-first, from the lowest
+    unvisited index, and fits each component of at least ``min_plane_size``
+    points. The members within ``dist_threshold`` of that fit become a
+    segment, classified by their own fit, when at least ``min_plane_size``
+    remain and neither fit raises DegenerateInput. Rounds repeat until one
+    makes no segment.
     """
     n = points.shape[0]
     if n < params.min_plane_size:
@@ -316,52 +322,60 @@ def reference_generate_ground_truth(points, params):
     kd = KdTree(points)
     all_idx = np.arange(n, dtype=np.int64)
     nbr_dist, adjacency = kd.knn(points, params.k, exclude_index=all_idx)
-    normals, curvature, valid = normals_from_neighbors(points, all_idx, nbr_dist, adjacency)
+    normals, _, valid = normals_from_neighbors(points, all_idx, nbr_dist, adjacency)
 
-    cos_tol = np.cos(np.radians(params.normal_angle_degrees))
-    visited = ~valid
+    cos_tol = float(np.cos(np.radians(params.normal_angle_degrees)))
+    dist = params.dist_threshold
+    pts, nrm, ok = points.tolist(), normals.tolist(), valid.tolist()
+    links = [[] for _ in range(n)]
+    for i in range(n):
+        (xi, yi, zi), (ai, bi, ci) = pts[i], nrm[i]
+        for j in adjacency[i].tolist():
+            if not (ok[i] and ok[j]):
+                continue
+            (xj, yj, zj), (aj, bj, cj) = pts[j], nrm[j]
+            dx, dy, dz = xj - xi, yj - yi, zj - zi
+            if (abs(ai * aj + bi * bj + ci * cj) >= cos_tol
+                    and abs(dx * ai + dy * bi + dz * ci) < dist
+                    and abs(dx * aj + dy * bj + dz * cj) < dist):
+                links[i].append(j)
+                links[j].append(i)
+
     plane_ids = np.full(n, -1, dtype=np.int32)
     orientations = np.full(n, int(Orientation.OTHER), dtype=np.int8)
     next_id = 0
-    for seed in np.argsort(curvature, kind="stable").tolist():
-        if visited[seed]:
-            continue
-        visited[seed] = True
-        centroid = points[seed].copy()
-        normal = normals[seed].copy()
-        region = [seed]
-        pending = deque([seed])
-        since_refit = 0
-        while pending:
-            i = pending.popleft()
-            for j in adjacency[i].tolist():
-                if visited[j]:
-                    continue
-                if abs(float(np.dot(normals[j], normal))) < cos_tol:
-                    continue
-                if abs(float(np.dot(points[j] - centroid, normal))) >= params.dist_threshold:
-                    continue
-                visited[j] = True
-                region.append(j)
-                pending.append(j)
-                since_refit += 1
-                if since_refit >= 64:
-                    since_refit = 0
-                    try:
-                        refit = fit_plane(points[region])
-                        centroid, normal = refit.centroid, refit.normal
-                    except DegenerateInput:
-                        pass
-        if len(region) >= params.min_plane_size:
-            member = np.asarray(region, dtype=np.int64)
+    while True:
+        made = next_id
+        seen = (plane_ids >= 0).tolist()
+        for seed in range(n):
+            if seen[seed]:
+                continue
+            seen[seed] = True
+            component, pending = [seed], deque([seed])
+            while pending:
+                for j in links[pending.popleft()]:
+                    if not seen[j]:
+                        seen[j] = True
+                        component.append(j)
+                        pending.append(j)
+            if len(component) < params.min_plane_size:
+                continue
+            member = sorted(component)
             try:
-                final = fit_plane(points[member])
+                plane = fit_plane(points[member])
+                (cx, cy, cz), (a, b, c) = plane.centroid.tolist(), plane.normal.tolist()
+                kept = [i for i in member
+                        if abs((pts[i][0] - cx) * a + (pts[i][1] - cy) * b + (pts[i][2] - cz) * c) < dist]
+                if len(kept) < params.min_plane_size:
+                    continue
+                final = fit_plane(points[kept])
             except DegenerateInput:
                 continue
-            orient = classify_orientation(final.normal)  # the default up axis and tolerance
-            plane_ids[member] = next_id
-            orientations[member] = int(orient)
+            plane_ids[kept] = next_id
+            orientations[kept] = int(classify_orientation(final.normal))  # the default up axis and tolerance
             next_id += 1
+        if next_id == made:
+            break
     return SegmentLabeling(plane_ids=plane_ids, orientations=orientations)
 
 

@@ -52,7 +52,7 @@ def test_synth_from_scene_file(tmp_path):
 RECT = {"corner": [0, 0, 0], "edge_u": [1, 0, 0], "edge_v": [0, 1, 0], "count": 50}
 
 
-@pytest.mark.parametrize("scene", [
+@pytest.mark.parametrize("scene, flags", [(scene, []) for scene in [
     [RECT],
     {"rects": 5},
     {"rects": [5]},
@@ -69,36 +69,43 @@ RECT = {"corner": [0, 0, 0], "edge_u": [1, 0, 0], "edge_v": [0, 1, 0], "count": 
     {"rects": [{**RECT, "count": "50"}]},
     {"rects": [RECT], "clutter": 3.9, "clutter_bounds": [[0, 0, 0], [1, 1, 1]]},
     {"rects": [RECT], "clutter": True},
-], ids=["list", "rects-number", "rect-number", "clutter-bounds-2d", "clutter-word", "clutter-negative",
-        "noise-word", "noise-overflows", "up-not-unit", "up-word", "orientation-tol", "count-fraction",
-        "count-bool", "count-string", "clutter-fraction", "clutter-bool"])
-def test_synth_malformed_scene_exit_code(tmp_path, capsys, scene):
+    {"rects": [RECT], "noise_sigma": True},
+    {"rects": [RECT], "orientation_tol_degrees": True},
+]] + [({"rects": [RECT]}, ["--seed", "-1"])],
+    ids=["list", "rects-number", "rect-number", "clutter-bounds-2d", "clutter-word", "clutter-negative",
+         "noise-word", "noise-overflows", "up-not-unit", "up-word", "orientation-tol", "count-fraction",
+         "count-bool", "count-string", "clutter-fraction", "clutter-bool", "noise-bool", "orientation-tol-bool",
+         "seed-negative"])
+def test_synth_malformed_scene_exit_code(tmp_path, capsys, scene, flags):
     scene_path = tmp_path / "scene.json"
     scene_path.write_text(json.dumps(scene))
     out = tmp_path / "o" / "cloud.ply"
-    assert main(["synth", "--scene", str(scene_path), "--out", str(out)]) == EXIT_PARSE
+    assert main(["synth", "--scene", str(scene_path), "--out", str(out), *flags]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.parent.exists()
 
 
 def test_import_and_synth_do_not_load_scipy_spatial(tmp_path):
-    # Only commands that build a spatial index load scipy.spatial. (eval
-    # loads it through scipy.optimize, which imports it itself.)
+    # Only commands that build a spatial index load scipy.spatial, and only
+    # gt loads scipy.sparse.csgraph. (eval loads scipy.spatial through
+    # scipy.optimize, which imports it itself.)
     script = (
         "import sys\n"
         "import planeops, planeops.metrics\n"
         "from planeops.cli import main\n"
-        "loaded = 'scipy.spatial' in sys.modules\n"
+        "def loaded():\n"
+        "    return [name in sys.modules for name in ('scipy.spatial', 'scipy.sparse.csgraph')]\n"
+        "before = loaded()\n"
         "assert main(['synth', '--points-per-face', '100', '--clutter', '20', '--out', sys.argv[1]]) == 0\n"
-        "print(loaded, 'scipy.spatial' in sys.modules)\n"
+        "print(before + loaded())\n"
     )
     src = str(Path(planeops.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "room.ply")], env=env,
                           capture_output=True, text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False False"
+    assert proc.stdout.splitlines()[-1] == str([False] * 4)
 
 
 def test_detect_eval_round_trip(room_files, tmp_path):
@@ -203,6 +210,12 @@ def test_detect_parse_error_exit_code(tmp_path):
     ("detect", [], {"seed": True}),
     ("detect", [], {"ops": {"sigma": 0.1}}),
     ("detect", [], {"detector": "fspf", "fspf": {"claim_full_sphere": True}}),
+    ("detect", ["--seed", "-1"], None),
+    ("detect", [], {"seed": -1}),
+    ("detect", [], {"ops": {"dist_threshold": True}}),
+    ("detect", [], {"detector": "fspf", "fspf": {"r1": True}}),
+    ("detect", [], {"merge": {"offset": True}}),
+    ("detect", [], {"orientation_tol_degrees": True}),
 ], ids=["merge-angle", "dist-threshold", "knn", "sampling-rate", "up-not-unit", "up-not-number", "fspf-r1",
         "unknown-key", "unknown-top-key", "config-merge-angle", "config-not-object", "gt-knn",
         "fspf-cloud-below-n-loc", "orientation-tol", "ops-seed", "fspf-seed", "ops-up", "gt-block",
@@ -210,7 +223,8 @@ def test_detect_parse_error_exit_code(tmp_path):
         "dist-threshold-nan", "config-ops-dist-inf", "fspf-dist-nan", "fspf-r1-nan", "fspf-r2-inf",
         "gt-dist-nan", "gt-angle-nan", "gt-angle-over-90", "up-nan", "ops-k-fraction",
         "fspf-local-samples-fraction", "fspf-max-iterations-fraction", "seed-fraction", "seed-bool",
-        "config-ops-sigma", "config-fspf-claim-full-sphere"])
+        "config-ops-sigma", "config-fspf-claim-full-sphere", "seed-negative", "config-seed-negative",
+        "config-ops-dist-bool", "config-fspf-r1-bool", "config-merge-offset-bool", "config-orientation-tol-bool"])
 def test_invalid_config_exit_code(tmp_path, capsys, command, flags, config):
     rng = np.random.default_rng(0)
     cloud = tmp_path / "cloud.xyz"

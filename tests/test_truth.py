@@ -1,15 +1,14 @@
-"""Region-growing ground truth tests."""
+"""Ground truth tests: the smoothness constraint over k-NN edges, cut into planar segments."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import helpers
 import planeops.truth as truth
-from helpers import reference_generate_ground_truth, reference_validate
+from helpers import reference_ground_truth, reference_validate
 from planeops import GtParams, KdTree, Orientation, SegmentLabeling, gen_synthetic, generate_ground_truth
-from planeops.geometry import DegenerateInput
+from planeops.geometry import DegenerateInput, fit_plane
 
 
 class TestSegmentLabeling:
@@ -131,6 +130,14 @@ class TestGenerateGroundTruth:
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("field", ["dist_threshold", "normal_angle_degrees"])
+def test_float_fields_reject_bool_and_accept_int(field):
+    with pytest.raises(ValueError, match=field):
+        GtParams(**{field: True})
+    value = getattr(GtParams(**{field: 1}), field)
+    assert value == 1.0 and type(value) is float
+
+
 def _patch(rng, count, center, normal=None, size=0.6, noise=0.002):
     """``count`` noisy points on a square patch of edge ``size`` around ``center``."""
     if normal is None:
@@ -143,16 +150,25 @@ def _patch(rng, count, center, normal=None, size=0.6, noise=0.002):
     return center + coords[:, :1] * u + coords[:, 1:] * v + rng.normal(scale=noise, size=(count, 3))
 
 
+def _half_cylinder(rng, radius, count, length=0.6, noise=0.002):
+    """``count`` noisy points on a half-cylinder of ``radius`` around the x axis, opening downwards."""
+    x = rng.uniform(0.0, length, size=count)
+    angle = rng.uniform(0.0, np.pi, size=count)
+    points = np.column_stack([x, radius * np.cos(angle), radius * np.sin(angle)])
+    return points + rng.normal(scale=noise, size=points.shape)
+
+
 @st.composite
 def gt_scenes(draw):
-    """Small clouds that reach every branch of region growing.
+    """Small clouds that reach every branch of ground-truth extraction.
 
-    Patches of 100-300 points make regions cross the 64-point refit interval
-    several times; isolated patches of min_plane_size - 1 .. + 1 points sit at
-    the size gate; duplicated points get degenerate normals; a strip on one
-    line with a 1e-7 in-plane jitter has valid normals but refits that raise
-    DegenerateInput, and may lead into a patch; uniform clutter makes many
-    one-point regions.
+    Patches of 100-300 points make components well over the size gate;
+    isolated patches of min_plane_size - 1 .. + 1 points sit at it;
+    duplicated points get degenerate normals; a strip on one line with a
+    1e-7 in-plane jitter has valid normals but a fit that raises
+    DegenerateInput, and may lead into a patch; a half-cylinder is cut into
+    strips over several rounds; uniform clutter makes many one-point
+    components.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     params = GtParams(
@@ -173,9 +189,10 @@ def gt_scenes(draw):
         x = np.linspace(0.0, 0.01 * count, count)
         parts.append(np.column_stack([x - 6.0, 1e-7 * rng.standard_normal(count), np.zeros(count)]))
         if draw(st.booleans(), label="strip_into_patch"):
-            # Refits turn from degenerate to valid once the region reaches the patch.
             parts.append(_patch(rng, draw(st.integers(100, 300), label="strip_patch"), (0.01 * count - 5.7, 0, 0),
                                 (0, 0, 1)))
+    if draw(st.booleans(), label="arc"):
+        parts.append(_half_cylinder(rng, draw(st.sampled_from([0.3, 0.6]), label="radius"), 400) + (0, 0, -6.0))
     parts.append(rng.uniform(-1, 1, size=(draw(st.integers(0, 80), label="clutter"), 3)) + (0, -5.0, 0))
     points = np.vstack(parts) if sum(len(p) for p in parts) else rng.uniform(size=(30, 3))
     if draw(st.booleans(), label="duplicates"):
@@ -192,13 +209,14 @@ def _assert_same_labels(got, want):
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(scene=gt_scenes())
-def test_region_growing_matches_reference(scene):
+def test_ground_truth_matches_reference(scene):
     points, params = scene
-    _assert_same_labels(generate_ground_truth(points, params), reference_generate_ground_truth(points, params))
+    _assert_same_labels(generate_ground_truth(points, params), reference_ground_truth(points, params))
 
 
 def test_collinear_strip_refits_raise(monkeypatch):
-    """The strip of the scene strategy reaches the DegenerateInput branches."""
+    """A strip on one line has valid normals, so its edges pass, but its
+    components determine no plane: they make no segment and raise nothing."""
     count = 150
     strip = np.column_stack([np.linspace(0.0, 1.5, count), 1e-7 * np.random.default_rng(0).standard_normal(count),
                              np.zeros(count)])
@@ -215,74 +233,23 @@ def test_collinear_strip_refits_raise(monkeypatch):
     for k in (3, 10):
         raised.clear()
         labeling = generate_ground_truth(strip, GtParams(k=k))
-        assert raised[0] == 65  # the first refit, after 64 accepted points
+        assert raised and min(raised) >= GtParams().min_plane_size  # fits of components over the size gate
         assert (labeling.plane_ids == -1).all()
-        _assert_same_labels(labeling, reference_generate_ground_truth(strip, GtParams(k=k)))
+        _assert_same_labels(labeling, reference_ground_truth(strip, GtParams(k=k)))
 
 
-def _unit(v):
-    return np.asarray(v, dtype=float) / np.linalg.norm(v)
-
-
-A = _unit([0.3, -0.5, 0.8])
-E1 = _unit(np.cross(A, [1.0, 0.0, 0.0]))
-E2 = np.cross(A, E1)
-J = 4  # the center of the grid below; point 0, the seed, is a corner
-
-
-def _grid_scene(monkeypatch, point_j, normal_j):
-    """A 3 x 3 grid of spacing 0.1 on the plane through the origin with normal
-    ``A``, with point ``J`` and its normal replaced.
-
-    Normals (``A`` elsewhere) and curvature (lowest at point 0) are patched
-    in, for generate_ground_truth and its reference alike.
-    """
-    points = np.array([i * 0.1 * E1 + j * 0.1 * E2 for i in range(3) for j in range(3)])
-    points[J] = point_j
-    normals = np.tile(A, (len(points), 1))
-    normals[J] = normal_j
-
-    def patched(*args, **kwargs):
-        return normals.copy(), np.arange(len(points)) * 1e-3, np.ones(len(points), dtype=bool)
-
-    monkeypatch.setattr(truth, "normals_from_neighbors", patched)
-    monkeypatch.setattr(helpers, "normals_from_neighbors", patched)
-    return points
-
-
-def _straddle(start, other, threshold):
-    """``start`` nudged by a few ulps per coordinate until its plain-float dot
-    product with ``other`` and np.dot's lie on opposite sides of
-    ``threshold``; returns the vector and np.dot's value."""
-    rng = np.random.default_rng(0)
-    for _ in range(100000):
-        v = start + rng.integers(-4, 5, size=3) * np.spacing(start)
-        plain = abs(v[0] * other[0] + v[1] * other[1] + v[2] * other[2])
-        exact = abs(float(np.dot(v, other)))
-        if (plain < threshold) != (exact < threshold):
-            return v, exact
-    raise AssertionError("no straddling vector found")
-
-
-def test_normal_test_near_threshold_follows_np_dot(monkeypatch):
-    """Plain floats and np.dot put the neighbour's normal on opposite sides of
-    cos(angle); whether it joins the seed's region follows np.dot."""
-    angle = 30.0
-    cos_tol = np.cos(np.radians(angle))
-    normal_j, exact = _straddle(cos_tol * A + np.sin(np.radians(angle)) * E1, A, cos_tol)
-    points = _grid_scene(monkeypatch, 0.1 * E1 + 0.1 * E2, normal_j)
-    params = GtParams(normal_angle_degrees=angle, min_plane_size=3, k=3)
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
+def test_half_cylinder_becomes_planar_strips(radius):
+    """A smooth curved surface is one component; the plane guard cuts it
+    into strips, each close to its own least-squares plane."""
+    rng = np.random.default_rng(5)
+    points = _half_cylinder(rng, radius, int(3000 * radius), length=1.0)
+    params = GtParams()
     labeling = generate_ground_truth(points, params)
-    _assert_same_labels(labeling, reference_generate_ground_truth(points, params))
-    assert (labeling.plane_ids[J] == 0) == (exact >= cos_tol)
-
-
-def test_distance_test_near_threshold_follows_np_dot(monkeypatch):
-    """Plain floats and np.dot put the neighbour's distance to the seed plane
-    on opposite sides of dist_threshold; whether it joins follows np.dot."""
-    point_j, exact = _straddle(0.1 * E1 + 0.1 * E2 + 0.05 * A, A, 0.05)
-    points = _grid_scene(monkeypatch, point_j, A)
-    params = GtParams(dist_threshold=0.05, min_plane_size=3, k=3)
-    labeling = generate_ground_truth(points, params)
-    _assert_same_labels(labeling, reference_generate_ground_truth(points, params))
-    assert (labeling.plane_ids[J] == 0) == (exact < 0.05)
+    labeling.validate()
+    ids = labeling.segment_ids()
+    assert ids.size >= 2
+    for pid in ids:
+        members = points[labeling.plane_ids == pid]
+        plane = fit_plane(members)
+        assert np.abs((members - plane.centroid) @ plane.normal).max() <= 2 * params.dist_threshold
