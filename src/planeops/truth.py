@@ -95,19 +95,21 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
     ``normal_angle_degrees`` (either sign), and each point lies within
     ``dist_threshold`` of the other's tangent plane (Rabbani, van den Heuvel
     & Vosselman, "Segmentation of Point Clouds Using Smoothness Constraint",
-    2006). Each connected component of the passing edges with at least
-    ``min_plane_size`` points is fitted with a plane; its members within
-    ``dist_threshold`` of it become a segment, classified by their own fit
-    (default up axis and tolerance), unless fewer than ``min_plane_size``
-    remain or a fit is degenerate. The members left out go through further
-    rounds, over their own edges, until a round makes no segment, so a curved
-    surface ends up as planar strips. Ids follow creation order, and within a
-    round each component's lowest point index.
+    2006). In each connected component of the passing edges with at least
+    ``min_plane_size`` points, a plane starts as the tangent plane of the
+    member with the lowest curvature and is refitted to the members it holds
+    (within ``dist_threshold`` of it, normal within ``normal_angle_degrees``
+    of its normal) for as long as the refit holds more. Those members become
+    a segment, classified by their fit (default up axis and tolerance),
+    unless fewer than ``min_plane_size`` remain or a fit is degenerate. The
+    members left out go through further rounds, over their own edges, until
+    a round makes no segment, so a curved surface ends up as strips along
+    its flattest direction. Ids follow creation order, and within a round
+    each component's lowest point index.
     """
     from scipy.sparse import csgraph, csr_matrix
 
-    if params is None:
-        params = GtParams()
+    params = GtParams() if params is None else params
     n = points.shape[0]
     if n < params.min_plane_size:
         return SegmentLabeling.all_other(n)
@@ -115,7 +117,7 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
     kd = KdTree(points)
     all_idx = np.arange(n, dtype=np.int64)
     nbr_dist, adjacency = kd.knn(points, params.k, exclude_index=all_idx)
-    normals, _, valid = normals_from_neighbors(points, all_idx, nbr_dist, adjacency)
+    normals, curvature, valid = normals_from_neighbors(points, all_idx, nbr_dist, adjacency)
 
     # Each dot product is summed component by component, as merge._coplanar_mask
     # spells it out, so an edge gets the same bits in either direction.
@@ -127,12 +129,18 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
         cosine += n_i * n_j
         off_i += sep * n_i  # j against the tangent plane of i
         off_j += sep * n_j  # i against the tangent plane of j
-    dist = params.dist_threshold
+    dist, cos_tol = params.dist_threshold, np.cos(np.radians(params.normal_angle_degrees))
     smooth = (valid[:, None] & valid[adjacency]
-              & (np.abs(cosine) >= np.cos(np.radians(params.normal_angle_degrees)))
+              & (np.abs(cosine) >= cos_tol)
               & (np.abs(off_i) < dist) & (np.abs(off_j) < dist))
     src, dst = np.nonzero(smooth)
     dst = adjacency[src, dst]
+
+    def agreeing(pts, nrm, centroid, normal):  # the members within dist of a plane whose normals agree with it
+        off = (pts - centroid) * normal  # summed in order like the edges, not by BLAS
+        cos = nrm * normal
+        return ((np.abs(off[:, 0] + off[:, 1] + off[:, 2]) < dist)
+                & (np.abs(cos[:, 0] + cos[:, 1] + cos[:, 2]) >= cos_tol))
 
     plane_ids = np.full(n, -1, dtype=np.int32)
     plane_normals = []  # of the segments made, by id
@@ -144,18 +152,22 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
         groups = np.split(big, np.flatnonzero(np.diff(labels[big])) + 1) if big.size else []
         left = np.zeros(n, dtype=bool)  # members a segment's plane left out
         for member in sorted(groups, key=lambda g: g[0]):
-            pts = np.take(points, member, axis=0)
+            pts, nrm = np.take(points, member, axis=0), np.take(normals, member, axis=0)
+            seed = np.argmin(curvature[member])  # the flattest member, then the lowest index
+            near = agreeing(pts, nrm, pts[seed], nrm[seed])
             try:
-                plane = fit_plane(pts)
-                off = (pts - plane.centroid) * plane.normal  # summed in order like the edges, not by BLAS
-                near = np.abs(off[:, 0] + off[:, 1] + off[:, 2]) < dist
-                if np.count_nonzero(near) < params.min_plane_size:
-                    continue
-                final = fit_plane(pts[near])
+                while True:  # refit while the plane gains members
+                    plane = fit_plane(pts[near])
+                    grown = agreeing(pts, nrm, plane.centroid, plane.normal)
+                    if np.count_nonzero(grown) <= np.count_nonzero(near):
+                        break
+                    near = grown
             except DegenerateInput:
                 continue
+            if np.count_nonzero(near) < params.min_plane_size:
+                continue
             plane_ids[member[near]] = len(plane_normals)
-            plane_normals.append(final.normal)
+            plane_normals.append(plane.normal)
             left[member[~near]] = True
         keep = left[src] & left[dst]
         src, dst = src[keep], dst[keep]

@@ -310,11 +310,13 @@ def reference_ground_truth(points, params):
     normals' dot product is at least cos(angle) in magnitude, and each point
     lies within ``dist_threshold`` of the other's tangent plane. Each round
     walks the links of every unsegmented point breadth-first, from the lowest
-    unvisited index, and fits each component of at least ``min_plane_size``
-    points. The members within ``dist_threshold`` of that fit become a
-    segment, classified by their own fit, when at least ``min_plane_size``
-    remain and neither fit raises DegenerateInput. Rounds repeat until one
-    makes no segment.
+    unvisited index. In each component of at least ``min_plane_size`` points,
+    a plane starts as the tangent plane of the member with the lowest
+    curvature (then the lowest index) and is refitted to the members it
+    holds (within ``dist_threshold``, normal within the angle) for as long
+    as the refit holds more. Those members become a segment, classified by
+    their fit, when at least ``min_plane_size`` of them remain and no fit
+    raises DegenerateInput. Rounds repeat until one makes no segment.
     """
     n = points.shape[0]
     if n < params.min_plane_size:
@@ -322,11 +324,11 @@ def reference_ground_truth(points, params):
     kd = KdTree(points)
     all_idx = np.arange(n, dtype=np.int64)
     nbr_dist, adjacency = kd.knn(points, params.k, exclude_index=all_idx)
-    normals, _, valid = normals_from_neighbors(points, all_idx, nbr_dist, adjacency)
+    normals, curvature, valid = normals_from_neighbors(points, all_idx, nbr_dist, adjacency)
 
     cos_tol = float(np.cos(np.radians(params.normal_angle_degrees)))
     dist = params.dist_threshold
-    pts, nrm, ok = points.tolist(), normals.tolist(), valid.tolist()
+    pts, nrm, ok, curv = points.tolist(), normals.tolist(), valid.tolist(), curvature.tolist()
     links = [[] for _ in range(n)]
     for i in range(n):
         (xi, yi, zi), (ai, bi, ci) = pts[i], nrm[i]
@@ -361,15 +363,25 @@ def reference_ground_truth(points, params):
             if len(component) < params.min_plane_size:
                 continue
             member = sorted(component)
+
+            def holds(centroid, normal):
+                (cx, cy, cz), (a, b, c) = centroid, normal
+                return [i for i in member
+                        if abs((pts[i][0] - cx) * a + (pts[i][1] - cy) * b + (pts[i][2] - cz) * c) < dist
+                        and abs(nrm[i][0] * a + nrm[i][1] * b + nrm[i][2] * c) >= cos_tol]
+
+            seed = min(member, key=lambda i: (curv[i], i))
+            kept = holds(pts[seed], nrm[seed])
             try:
-                plane = fit_plane(points[member])
-                (cx, cy, cz), (a, b, c) = plane.centroid.tolist(), plane.normal.tolist()
-                kept = [i for i in member
-                        if abs((pts[i][0] - cx) * a + (pts[i][1] - cy) * b + (pts[i][2] - cz) * c) < dist]
-                if len(kept) < params.min_plane_size:
-                    continue
-                final = fit_plane(points[kept])
+                while True:
+                    final = fit_plane(points[kept])
+                    grown = holds(final.centroid.tolist(), final.normal.tolist())
+                    if len(grown) <= len(kept):
+                        break
+                    kept = grown
             except DegenerateInput:
+                continue
+            if len(kept) < params.min_plane_size:
                 continue
             plane_ids[kept] = next_id
             orientations[kept] = int(classify_orientation(final.normal))  # the default up axis and tolerance

@@ -14,9 +14,9 @@ order (its digests were taken before merging moved to chains).
 A change that alters results on purpose updates the digests and says why.
 The ``gt`` and ``eval`` digests last changed when ground truth moved from
 region growing to connected components of the k-NN smoothness graph, cut
-into planar segments by a plane fit: each room still gets 6 segments, and
-its segmentation accuracy against the synthetic truth rose from 0.763,
-0.764 and 0.756 to 0.866, 0.860 and 0.861.
+into planar segments by a plane that every member's normal agrees with:
+each room still gets 6 segments, and its segmentation accuracy against the
+synthetic truth went from 0.763, 0.764 and 0.756 to 0.761, 0.762 and 0.756.
 The ``ops`` and ``fspf`` report digests last changed when the fixed normal
 falloff (``ops`` ``sigma``) and the whole-sphere claim rule (``fspf``
 ``claim_full_sphere``) were removed: the report's ``params`` block no longer
@@ -52,8 +52,8 @@ from planeops.cli import main
 
 GOLDEN = {
     1: {
-        "gt": "1b460b01d604fd1b7e4ea30422b9d0d0df9dda037657070780192a23535bbfbe",
-        "eval": "aa81ae45acdcca8878dcb9d670c358d40567fcf82bf7e50e9448c7b7f4f5b9f1",
+        "gt": "baa10ae59651e5137c1f2b48e79c9740c290310154d44bddceb94fd67ba98bbf",
+        "eval": "ae542217755cd36850825a1f64efbd6e03b3e9c6b62a60b4264020c71ad86373",
         "ops": "70117a4e6a04d9af8dde331342c67b68d757258e9ee5bf86c4448851bb8fbf16",
         "ops_ply": "7c06a4c9a5e85a4965acae6b7e6df794d1a6e5fba67634a3c441fe129d781303",
         "ops_labels": "fb63cea6b94595e71f5575392b725ae62d017a2c711e092a2e85b5d13f22d0e5",
@@ -62,8 +62,8 @@ GOLDEN = {
         "fspf_labels": "f2908ab3d5e53fa294b8d992ffeb024055597a562fcea83fc5e84e60c68e87f5",
     },
     2: {
-        "gt": "dff750b8b97eaa8487b631619de954c25452c13ee3a983ec6ba5218f5c73a0fc",
-        "eval": "625128a91373ffa0a4ccd3b80a53d25c9c1f7b8b4a3a4df952632bdf36af4b81",
+        "gt": "ea0b54d9a6953fdfe54b7287b572f3108c54a8ea824e49c7dd3db50bcc7e7811",
+        "eval": "7888309e387a8f813b92b5c4b91495615272a3bda1e1e48a16cd0f74cb99200c",
         "ops": "64e06f724af3c95eb9eef70c4512aaed5bf24cc984739cfdab318467f9c7151c",
         "ops_ply": "6d11201abea8f3c59fc19039761cf8833cdffbcfbd6acce740a5a276c079cf33",
         "ops_labels": "0740c916bc8e1127d61ffdf305746c63ab201830e85187c75d8ce5feda567b72",
@@ -72,8 +72,8 @@ GOLDEN = {
         "fspf_labels": "5d54a4ca42f6c919d10d6d0f01517929db96cb55b12a06693e10cc229baaa713",
     },
     3: {
-        "gt": "48f8a564edb234d5a39b9e959378679f30cce8318c2dd21e58d7c026afaf3b7a",
-        "eval": "36bf16f63e0ec86d54e5a7b6cf1e877b8c15c680fb47d44a394528e22175b5cf",
+        "gt": "0f97631f63c4c40dc0bf725b26bdad491da5d73a393908b7b38eb74c3284c1df",
+        "eval": "d319b607636884a740e4aa6a3a338e84edd4ab5042b29b955618525d5c551693",
         "ops": "c3bc255ac41b26a6b176ad26ffbe8c28c01275bae508cb12b34d46fe7813c167",
         "ops_ply": "537a40304c699b5cbd1497c418b5b3bdbd8e64fbc81050c6e0aaaeb7b4bf9130",
         "ops_labels": "0dc049f4c8754f8fccb77d8d6ea18a532f2e943e3e3da444226ff2d627e1722c",

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph, csr_matrix
 
 import planeops.truth as truth
 from helpers import reference_ground_truth, reference_validate
 from planeops import GtParams, KdTree, Orientation, SegmentLabeling, gen_synthetic, generate_ground_truth
 from planeops.geometry import DegenerateInput, fit_plane
+from planeops.normals import estimate_normals
 
 
 class TestSegmentLabeling:
@@ -117,7 +119,7 @@ class TestGenerateGroundTruth:
         assert (labeling.orientations[labeling.plane_ids >= 0] == int(Orientation.HORIZONTAL)).all()
 
     def test_one_knn_query(self, clean_room, monkeypatch):
-        """Normals and the region-growing adjacency share one batched k-NN query."""
+        """Normals and the edge test share one batched k-NN query."""
         calls = []
         original = KdTree.knn
 
@@ -240,8 +242,9 @@ def test_collinear_strip_refits_raise(monkeypatch):
 
 @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
 def test_half_cylinder_becomes_planar_strips(radius):
-    """A smooth curved surface is one component; the plane guard cuts it
-    into strips, each close to its own least-squares plane."""
+    """A smooth curved surface is one component; the plane guard cuts it into
+    connected strips along its axis, each close to its own least-squares
+    plane and made of members whose normals agree with that plane's."""
     rng = np.random.default_rng(5)
     points = _half_cylinder(rng, radius, int(3000 * radius), length=1.0)
     params = GtParams()
@@ -249,7 +252,17 @@ def test_half_cylinder_becomes_planar_strips(radius):
     labeling.validate()
     ids = labeling.segment_ids()
     assert ids.size >= 2
+    assert np.mean(labeling.plane_ids >= 0) >= 0.5
+    normals = estimate_normals(points, KdTree(points), np.arange(len(points)), params.k)[0]
     for pid in ids:
-        members = points[labeling.plane_ids == pid]
+        inside = labeling.plane_ids == pid
+        members = points[inside]
         plane = fit_plane(members)
         assert np.abs((members - plane.centroid) @ plane.normal).max() <= 2 * params.dist_threshold
+        # Members agree with the plane that kept them; its last refit turns it by a little.
+        angles = np.degrees(np.arccos(np.minimum(np.abs(normals[inside] @ plane.normal), 1.0)))
+        assert angles.max() <= params.normal_angle_degrees + 2.0
+        nbrs = KdTree(members).knn(members, params.k, exclude_index=np.arange(len(members)))[1]
+        graph = csr_matrix((np.ones(nbrs.size), (np.repeat(np.arange(len(members)), params.k), nbrs.ravel())),
+                           shape=(len(members), len(members)))
+        assert csgraph.connected_components(graph, connection="weak")[0] == 1
