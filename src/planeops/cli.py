@@ -158,7 +158,9 @@ def _cmd_detect(args) -> int:
     for plane in report.planes:
         print(f"  plane {plane.id}: {plane.inlier_count} points, {plane.orientation}")
     print(f"wrote {labeled_ply}, {sidecar}, {report_path}")
-    return EXIT_EMPTY if report.post_merge_count == 0 else EXIT_OK
+    if report.post_merge_count == 0:
+        return EXIT_EMPTY
+    return EXIT_OK
 
 
 def _cmd_gt(args) -> int:
@@ -212,7 +214,13 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-COMMANDS = {"synth": _cmd_synth, "detect": _cmd_detect, "gt": _cmd_gt, "eval": _cmd_eval, "bench": _cmd_bench}
+COMMANDS = {
+    "synth": _cmd_synth,
+    "detect": _cmd_detect,
+    "gt": _cmd_gt,
+    "eval": _cmd_eval,
+    "bench": _cmd_bench,
+}
 
 
 def main(argv=None) -> int:

@@ -67,12 +67,15 @@ class Orientation(IntEnum):
 def as_integer(value, what: str, minimum: int | None = None) -> int:
     """An int, or a float of integral value, as an int; a bool, a string, a
     fraction or a value below ``minimum`` raises ValueError naming ``what``."""
-    integral = isinstance(value, (float, np.floating)) and float(value).is_integer()
-    if not integral and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        number = int(value)
+    elif isinstance(value, (float, np.floating)) and float(value).is_integer():
+        number = int(value)
+    else:
         raise ValueError(f"{what} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{what} must be >= {minimum}, got {int(value)}")
-    return int(value)
+    if minimum is not None and number < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {number}")
+    return number
 
 
 def as_float(value, what: str) -> float:

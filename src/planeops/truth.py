@@ -109,7 +109,8 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
     """
     from scipy.sparse import csgraph, csr_matrix
 
-    params = GtParams() if params is None else params
+    if params is None:
+        params = GtParams()
     n = points.shape[0]
     if n < params.min_plane_size:
         return SegmentLabeling.all_other(n)
@@ -136,7 +137,8 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
     src, dst = np.nonzero(smooth)
     dst = adjacency[src, dst]
 
-    def agreeing(pts, nrm, centroid, normal):  # the members within dist of a plane whose normals agree with it
+    def agreeing(pts, nrm, centroid, normal):
+        """The members within ``dist`` of a plane whose normals agree with its normal."""
         off = (pts - centroid) * normal  # summed in order like the edges, not by BLAS
         cos = nrm * normal
         return ((np.abs(off[:, 0] + off[:, 1] + off[:, 2]) < dist)
