@@ -138,7 +138,7 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
     dst = adjacency[src, dst]
 
     def agreeing(pts, nrm, centroid, normal):
-        """The members within ``dist`` of a plane whose normals agree with its normal."""
+        """Which members lie within ``dist`` of a plane, with normals within the angle of its normal."""
         off = (pts - centroid) * normal  # summed in order like the edges, not by BLAS
         cos = nrm * normal
         return ((np.abs(off[:, 0] + off[:, 1] + off[:, 2]) < dist)
