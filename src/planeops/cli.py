@@ -54,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist-threshold", type=float, help="inlier distance (m), both detectors")
     p.add_argument("--min-inliers", type=int, help="ops: minimum sample support")
     p.add_argument("--probability", type=float, help="ops: RANSAC success probability")
-    p.add_argument("--grouping", choices=("group_first", "detect_first"), help="ops strategy")
     p.add_argument("--r1", type=float, help="fspf: hypothesis sphere radius (m)")
     p.add_argument("--r2", type=float, help="fspf: verification sphere radius (m)")
     p.add_argument("--n-loc", type=int, help="fspf: local samples per iteration")
@@ -104,7 +103,7 @@ def _detect_config(args) -> RunConfig:
     top = {"detector": args.detector, "seed": args.seed, "orientation_tol_degrees": args.orientation_tol}
     ops = {
         "sampling_rate": args.sampling_rate, "k": args.knn, "dist_threshold": args.dist_threshold,
-        "min_inliers": args.min_inliers, "probability": args.probability, "grouping": args.grouping,
+        "min_inliers": args.min_inliers, "probability": args.probability,
     }
     fspf = {
         "r1": args.r1, "r2": args.r2, "local_samples": args.n_loc,

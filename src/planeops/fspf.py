@@ -61,7 +61,7 @@ class FspfParams:
         self.local_samples = as_integer(self.local_samples, "local_samples", minimum=3)
         self.max_iterations = as_integer(self.max_iterations, "max_iterations", minimum=0)
         if self.max_inlier_points is not None:
-            self.max_inlier_points = as_integer(self.max_inlier_points, "max_inlier_points")
+            self.max_inlier_points = as_integer(self.max_inlier_points, "max_inlier_points", minimum=1)
         for name in ("min_inlier_fraction", "dist_threshold", "r1", "r2"):
             setattr(self, name, as_float(getattr(self, name), name))
         if not 0.0 < self.min_inlier_fraction <= 1.0:

@@ -2,11 +2,13 @@
 
 Supported inputs: PLY (ascii or binary little-endian, vertex x/y/z stored as
 32- or 64-bit floats) and whitespace-separated XYZ text. Coordinates are
-meters end to end. Labeled output is a colored PLY plus a plain-text sidecar
-with one ``planeId orientationChar`` line per point.
+meters end to end. Labeled output is a colored binary PLY plus a plain-text
+sidecar with one ``planeId orientationChar`` line per point.
 """
 
 import logging
+import warnings
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -68,24 +70,16 @@ def _drop_nonfinite(points: np.ndarray, path) -> np.ndarray:
     return points[finite]
 
 
-def load_cloud(path, fmt: str | None = None) -> np.ndarray:
+def load_cloud(path) -> np.ndarray:
     """Read a point cloud; returns a float64 (N, 3) array in meters.
 
-    The format is sniffed from the content when ``fmt`` is None: files
-    starting with a ``ply`` magic line parse as PLY, anything else as XYZ
-    text. Non-finite vertices are dropped with a logged warning; point order
-    is otherwise preserved.
+    The format is sniffed from the content: files starting with a ``ply``
+    magic line parse as PLY, anything else as XYZ text. Non-finite vertices
+    are dropped with a logged warning; point order is otherwise preserved.
     """
     path = Path(path)
     data = path.read_bytes()
-    if fmt is None:
-        fmt = "ply" if data[:4].rstrip() == b"ply" else "xyz"
-    if fmt == "ply":
-        points = _parse_ply(data, path)
-    elif fmt == "xyz":
-        points = _parse_xyz(data, path)
-    else:
-        raise UnsupportedFormat(f"unknown format {fmt!r}", path=path)
+    points = _parse_ply(data, path) if data[:4].rstrip() == b"ply" else _parse_xyz(data, path)
     return _drop_nonfinite(points, path)
 
 
@@ -214,11 +208,10 @@ def segment_color(plane_id: int) -> tuple:
     return int(r), int(g), int(b)
 
 
-def _ply_header(n: int, binary: bool) -> bytes:
-    fmt = "binary_little_endian" if binary else "ascii"
+def _ply_header(n: int) -> bytes:
     lines = [
         "ply",
-        f"format {fmt} 1.0",
+        "format binary_little_endian 1.0",
         f"element vertex {n}",
         "property double x",
         "property double y",
@@ -236,10 +229,9 @@ def save_labeled(
     labeling: SegmentLabeling,
     path,
     mode: str = "segment",
-    binary: bool = True,
     sidecar: bool = True,
 ) -> None:
-    """Write a colored PLY and (by default) the labeling sidecar next to it.
+    """Write a colored binary PLY and (by default) the labeling sidecar beside it.
 
     ``mode="orientation"`` colors by orientation class; ``mode="segment"``
     gives each plane id a deterministic pseudo-random color. The sidecar path
@@ -264,19 +256,12 @@ def save_labeled(
     path = Path(path)
     dtype = np.dtype([("x", "<f8"), ("y", "<f8"), ("z", "<f8"),
                       ("red", "u1"), ("green", "u1"), ("blue", "u1")])
+    table = np.empty(n, dtype=dtype)
+    table["x"], table["y"], table["z"] = points[:, 0], points[:, 1], points[:, 2]
+    table["red"], table["green"], table["blue"] = colors[:, 0], colors[:, 1], colors[:, 2]
     with open(path, "wb") as fh:
-        fh.write(_ply_header(n, binary))
-        if binary:
-            table = np.empty(n, dtype=dtype)
-            table["x"], table["y"], table["z"] = points[:, 0], points[:, 1], points[:, 2]
-            table["red"], table["green"], table["blue"] = colors[:, 0], colors[:, 1], colors[:, 2]
-            fh.write(table.view(np.uint8))
-        else:
-            for i in range(n):
-                fh.write(
-                    f"{points[i, 0]:.17g} {points[i, 1]:.17g} {points[i, 2]:.17g} "
-                    f"{colors[i, 0]} {colors[i, 1]} {colors[i, 2]}\n".encode("ascii")
-                )
+        fh.write(_ply_header(n))
+        fh.write(table.view(np.uint8))
     if sidecar:
         save_labeling(labeling, path.with_suffix(".labels.txt"))
 
@@ -298,15 +283,14 @@ def save_labeling(labeling: SegmentLabeling, path) -> None:
         fh.write("".join(lines[per_point].tolist()))
 
 
-# Whitespace and line breaks for the vectorized sidecar parse. Any other
-# separator that str.split or str.splitlines knows lands inside a token,
-# which fails that parse and leaves the file to the line-by-line one.
-_IS_SPACE = np.zeros(256, dtype=bool)
-_IS_SPACE[list(b" \t\r\n")] = True
-_IS_BREAK = np.zeros(256, dtype=bool)
-_IS_BREAK[list(b"\r\n")] = True
-_ORIENTATION_CODE = np.full(256, -1, dtype=np.int8)
-_ORIENTATION_CODE[[ord(o.char) for o in Orientation]] = list(Orientation)
+# The bytes np.loadtxt may read a sidecar from: digits, signs, the class
+# letters, and the separators that numpy, str.split and str.splitlines all
+# treat alike. numpy splits on more bytes than Python does, and not the same
+# way (b"1\x1cH" is two fields to numpy but two lines to Python), and some
+# numpy versions read an integer from a float string, so a file with any
+# other byte goes line by line.
+_TABLE_BYTES = b"0123456789+-HVO \t\r\n"
+_CLASS_CHARS = np.array([o.char for o in Orientation], dtype="S1")
 _MAX_ID = np.iinfo(np.int32).max
 
 
@@ -321,7 +305,7 @@ def load_labeling(path) -> SegmentLabeling:
     """
     path = Path(path)
     data = path.read_bytes()
-    rows = _parse_plain(data)
+    rows = _parse_table(data)
     if rows is None:
         rows = _parse_lines(data, path)
     labeling = SegmentLabeling(*rows)
@@ -332,41 +316,26 @@ def load_labeling(path) -> SegmentLabeling:
     return labeling
 
 
-def _parse_plain(data: bytes):
-    """Ids and class codes of a sidecar in the form save_labeling writes, or None.
+def _parse_table(data: bytes):
+    """Ids and class codes read by np.loadtxt, or None.
 
-    Vectorized over the bytes, without a Python object per line: every
-    nonblank line must hold an id of 1 to 10 decimal digits, with an
-    optional '-', in [-1, 2**31 - 1], and a one-letter class. Anything
-    else, valid or not, is left to :func:`_parse_lines`.
+    None leaves the file to :func:`_parse_lines`: a byte outside
+    ``_TABLE_BYTES``, a line numpy cannot read, a class other than H, V or
+    O, or an id outside [-1, 2**31 - 1].
     """
-    buf = np.frombuffer(b" " + data + b" ", dtype=np.uint8)
-    space = _IS_SPACE[buf]
-    starts = np.flatnonzero(space[:-1] & ~space[1:]) + 1
-    ends = np.flatnonzero(~space[:-1] & space[1:]) + 1
-    line = np.cumsum(_IS_BREAK[buf], dtype=np.int32)[starts]  # line breaks before each token
-    # Two tokens per nonblank line: each pair on one line, the next pair on a later one.
-    if line.size % 2 or (line[0::2] != line[1::2]).any() or (line[2::2] == line[1:-1:2]).any():
+    if data.translate(None, _TABLE_BYTES):
         return None
-    if (ends[1::2] - starts[1::2] != 1).any():
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(StringIO(data.decode("ascii"), newline=None),
+                               dtype=[("id", "i8"), ("c", "S2")], comments=None, ndmin=1)
+    except ValueError:
         return None
-    codes = _ORIENTATION_CODE[buf[starts[1::2]]]
-    negative = buf[starts[0::2]] == ord("-")
-    first = starts[0::2] + negative
-    width = ends[0::2] - first
-    ids = np.empty(first.size, dtype=np.int64)
-    for w in np.unique(width).tolist():
-        if not 1 <= w <= 10:
-            return None
-        rows = np.flatnonzero(width == w)
-        digits = buf[first[rows, None] + np.arange(w)] - ord("0")  # bytes below '0' wrap past 9
-        if (digits > 9).any():
-            return None
-        ids[rows] = digits @ 10 ** np.arange(w - 1, -1, -1)
-    ids[negative] *= -1
-    if (codes < 0).any() or (ids < -1).any() or (ids > _MAX_ID).any():
+    ids, match = table["id"], table["c"][:, None] == _CLASS_CHARS
+    if not match.any(axis=1).all() or (ids < -1).any() or (ids > _MAX_ID).any():
         return None
-    return ids, codes
+    return ids, match.argmax(axis=1).astype(np.int8)
 
 
 def _parse_lines(data: bytes, path):

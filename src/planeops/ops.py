@@ -3,10 +3,10 @@
 A single point with a normal already determines a plane, so one oriented
 sample per hypothesis is enough; the inlier ratio then drives an adaptive
 iteration budget. Multi-plane extraction is greedy: detect, claim inliers,
-repeat on what is left. By default detection runs per orientation group
-(horizontal / vertical / other) over a shared index of the points still
-unclaimed, and each verification measures only those; the oriented samples
-themselves come from :func:`planeops.pipeline.run_detect`.
+repeat on what is left. Detection runs per orientation group (horizontal /
+vertical / other) over a shared index of the points still unclaimed, and each
+verification measures only those; the oriented samples themselves come from
+:func:`planeops.pipeline.run_detect`.
 """
 
 import math
@@ -65,7 +65,6 @@ class OpsParams:
     probability: float = 0.99
     dist_threshold: float = 0.05
     min_inliers: int = 20
-    grouping: str = "group_first"  # or "detect_first"
 
     def __post_init__(self):
         self.k = as_integer(self.k, "k", minimum=3)
@@ -78,8 +77,6 @@ class OpsParams:
             raise ValueError("probability must be in (0, 1)")
         if not 0.0 < self.dist_threshold < np.inf:  # NaN fails too
             raise ValueError("dist_threshold must be finite and positive")
-        if self.grouping not in ("group_first", "detect_first"):
-            raise ValueError(f"unknown grouping {self.grouping!r}")
 
 
 @dataclass
@@ -234,20 +231,15 @@ def detect_grouped(
 ) -> list[PlaneModel]:
     """Extract every plane the oriented samples support, in detection order.
 
-    With ``grouping="group_first"`` the samples are partitioned into
-    horizontal / vertical / other by their estimated normals
-    (:func:`planeops.geometry.classify_orientations` with ``up`` and
-    ``tol_degrees``) and detection runs per group, in that fixed
-    order. With ``grouping="detect_first"`` every sample is in one group.
-    Either way the groups share one sample pool and one index of unclaimed
+    The samples are partitioned into horizontal / vertical / other by their
+    estimated normals (:func:`planeops.geometry.classify_orientations` with
+    ``up`` and ``tol_degrees``) and detection runs per group, in that fixed
+    order. The groups share one sample pool and one index of unclaimed
     points, so the planes have pairwise-disjoint inlier sets of at least
     ``min_inliers`` points each.
     """
-    if params.grouping == "detect_first":
-        groups = [np.ones(len(samples), dtype=bool)]
-    else:
-        codes = classify_orientations(samples.normals, up, tol_degrees)
-        groups = [codes == int(orient) for orient in GROUP_ORDER]
+    codes = classify_orientations(samples.normals, up, tol_degrees)
+    groups = [codes == int(orient) for orient in GROUP_ORDER]
     alive = np.ones(len(samples), dtype=bool)
     live = np.arange(points.shape[0], dtype=np.int64)  # unclaimed points, ascending
     claimed = np.zeros(points.shape[0], dtype=bool)

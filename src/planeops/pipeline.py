@@ -280,25 +280,23 @@ class BenchRow:
         return dataclasses.asdict(self)
 
 
-def run_bench(dataset_dir, configs: list[RunConfig], gt_dir=None, generate_gt: bool = False,
-              gt_params: GtParams | None = None) -> list[BenchRow]:
+def run_bench(dataset_dir, configs: list[RunConfig], gt_dir=None, generate_gt: bool = False) -> list[BenchRow]:
     """Score each config over every readable cloud in a directory.
 
     Reference labelings come from ``<stem>.labels.txt`` sidecars in
-    ``gt_dir`` (or next to the clouds), or are generated on the fly with
-    ``generate_gt=True``. Unreadable clouds are skipped and counted; the run
-    fails only when no cloud could be processed.
+    ``gt_dir`` (or next to the clouds), or are generated on the fly with the
+    default :class:`GtParams` when ``generate_gt=True``. Unreadable clouds
+    are skipped and counted; the run fails only when no cloud could be
+    processed.
     """
     dataset_dir = Path(dataset_dir)
     paths = sorted(p for p in dataset_dir.iterdir() if p.suffix.lower() in (".ply", ".xyz"))
-    if gt_params is None:
-        gt_params = GtParams()
     per_config: list[list] = [[] for _ in configs]
     skipped = 0
     for path in paths:
         try:
             points = load_cloud(path)
-            truth = _truth_for(path, points, gt_dir, generate_gt, gt_params)
+            truth = _truth_for(path, points, gt_dir, generate_gt)
             cloud_results = []
             for config in configs:
                 report = run_detect(points, config)
@@ -340,7 +338,7 @@ def run_bench(dataset_dir, configs: list[RunConfig], gt_dir=None, generate_gt: b
     return rows
 
 
-def _truth_for(path: Path, points, gt_dir, generate_gt, gt_params) -> SegmentLabeling:
+def _truth_for(path: Path, points, gt_dir, generate_gt) -> SegmentLabeling:
     candidates = []
     if gt_dir is not None:
         candidates.append(Path(gt_dir) / (path.stem + ".labels.txt"))
@@ -352,7 +350,7 @@ def _truth_for(path: Path, points, gt_dir, generate_gt, gt_params) -> SegmentLab
                 raise ValueError(f"labeling {cand} has {len(truth)} entries for {points.shape[0]} points")
             return truth
     if generate_gt:
-        return generate_ground_truth(points, gt_params)
+        return generate_ground_truth(points, GtParams())
     raise FileNotFoundError(f"no ground-truth labeling for {path}")
 
 

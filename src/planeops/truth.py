@@ -118,7 +118,7 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
     kd = KdTree(points)
     all_idx = np.arange(n, dtype=np.int64)
     nbr_dist, adjacency = kd.knn(points, params.k, exclude_index=all_idx)
-    normals, curvature, valid = normals_from_neighbors(points, all_idx, nbr_dist, adjacency)
+    normals, curvature, _ = normals_from_neighbors(points, all_idx, nbr_dist, adjacency)
 
     # Each dot product is summed component by component, as merge._coplanar_mask
     # spells it out, so an edge gets the same bits in either direction.
@@ -131,9 +131,8 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
         off_i += sep * n_i  # j against the tangent plane of i
         off_j += sep * n_j  # i against the tangent plane of j
     dist, cos_tol = params.dist_threshold, np.cos(np.radians(params.normal_angle_degrees))
-    smooth = (valid[:, None] & valid[adjacency]
-              & (np.abs(cosine) >= cos_tol)
-              & (np.abs(off_i) < dist) & (np.abs(off_j) < dist))
+    # An invalid normal is NaN, so each of its edges fails the cosine test.
+    smooth = (np.abs(cosine) >= cos_tol) & (np.abs(off_i) < dist) & (np.abs(off_j) < dist)
     src, dst = np.nonzero(smooth)
     dst = adjacency[src, dst]
 

@@ -450,11 +450,8 @@ def reference_extract_full_inliers(points, model, dist_threshold, active_mask=No
 def reference_detect_grouped(points, samples, params, rng, up, tol_degrees):
     """Greedy multi-plane detection over a full-cloud claimed-points mask,
     with the reference RANSAC and verification."""
-    if params.grouping == "detect_first":
-        groups = [np.ones(len(samples), dtype=bool)]
-    else:
-        codes = classify_orientations(samples.normals, up, tol_degrees)
-        groups = [codes == int(orient) for orient in GROUP_ORDER]
+    codes = classify_orientations(samples.normals, up, tol_degrees)
+    groups = [codes == int(orient) for orient in GROUP_ORDER]
     alive = np.ones(len(samples), dtype=bool)
     active_mask = np.ones(points.shape[0], dtype=bool)
     planes = []

@@ -260,7 +260,7 @@ def test_09_merge_properties():
 
 
 def test_10_ground_truth_generator_sanity(clean_room):
-    with criterion("10 region-growing ground truth on the room"):
+    with criterion("10 smoothness-graph ground truth on the room"):
         points, truth = clean_room
         labeling = generate_ground_truth(points, GtParams())
         ids = labeling.segment_ids()

@@ -216,6 +216,10 @@ def test_detect_parse_error_exit_code(tmp_path):
     ("detect", [], {"detector": "fspf", "fspf": {"r1": True}}),
     ("detect", [], {"merge": {"offset": True}}),
     ("detect", [], {"orientation_tol_degrees": True}),
+    ("detect", [], {"ops": {"grouping": "group_first"}}),
+    ("detect", ["--detector", "fspf", "--n-max", "0"], None),
+    ("detect", ["--detector", "fspf", "--n-max", "-5"], None),
+    ("detect", [], {"detector": "fspf", "fspf": {"max_inlier_points": -5}}),
 ], ids=["merge-angle", "dist-threshold", "knn", "sampling-rate", "up-not-unit", "up-not-number", "fspf-r1",
         "unknown-key", "unknown-top-key", "config-merge-angle", "config-not-object", "gt-knn",
         "fspf-cloud-below-n-loc", "orientation-tol", "ops-seed", "fspf-seed", "ops-up", "gt-block",
@@ -224,7 +228,8 @@ def test_detect_parse_error_exit_code(tmp_path):
         "gt-dist-nan", "gt-angle-nan", "gt-angle-over-90", "up-nan", "ops-k-fraction",
         "fspf-local-samples-fraction", "fspf-max-iterations-fraction", "seed-fraction", "seed-bool",
         "config-ops-sigma", "config-fspf-claim-full-sphere", "seed-negative", "config-seed-negative",
-        "config-ops-dist-bool", "config-fspf-r1-bool", "config-merge-offset-bool", "config-orientation-tol-bool"])
+        "config-ops-dist-bool", "config-fspf-r1-bool", "config-merge-offset-bool", "config-orientation-tol-bool",
+        "config-ops-grouping", "fspf-n-max-zero", "fspf-n-max-negative", "config-fspf-n-max-negative"])
 def test_invalid_config_exit_code(tmp_path, capsys, command, flags, config):
     rng = np.random.default_rng(0)
     cloud = tmp_path / "cloud.xyz"
@@ -240,8 +245,9 @@ def test_invalid_config_exit_code(tmp_path, capsys, command, flags, config):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("flags", [["--sigma", "0.1"], ["--detector", "fspf", "--claim-full-sphere"]],
-                         ids=["sigma", "claim-full-sphere"])
+@pytest.mark.parametrize("flags", [["--sigma", "0.1"], ["--detector", "fspf", "--claim-full-sphere"],
+                                   ["--grouping", "detect_first"]],
+                         ids=["sigma", "claim-full-sphere", "grouping"])
 def test_removed_flag_exit_code(tmp_path, capsys, flags):
     with pytest.raises(SystemExit) as exit_info:
         main(["detect", "--input", str(tmp_path / "cloud.xyz"), "--out", str(tmp_path / "o"), *flags])
@@ -262,7 +268,6 @@ DETECT_FLAG_FIELDS = [
     ("--dist-threshold", "0.03", {("ops", "dist_threshold"): 0.03, ("fspf", "dist_threshold"): 0.03}),
     ("--min-inliers", "25", {("ops", "min_inliers"): 25}),
     ("--probability", "0.9", {("ops", "probability"): 0.9}),
-    ("--grouping", "detect_first", {("ops", "grouping"): "detect_first"}),
     ("--r1", "0.05", {("fspf", "r1"): 0.05}),
     ("--r2", "0.2", {("fspf", "r2"): 0.2}),
     ("--n-loc", "60", {("fspf", "local_samples"): 60}),

@@ -17,10 +17,15 @@ region growing to connected components of the k-NN smoothness graph, cut
 into planar segments by a plane that every member's normal agrees with:
 each room still gets 6 segments, and its segmentation accuracy against the
 synthetic truth went from 0.763, 0.764 and 0.756 to 0.761, 0.762 and 0.756.
-The ``ops`` and ``fspf`` report digests last changed when the fixed normal
-falloff (``ops`` ``sigma``) and the whole-sphere claim rule (``fspf``
-``claim_full_sphere``) were removed: the report's ``params`` block no longer
-holds those two keys. Reports of the code before the removal, with the two
+The ``ops`` report digests last changed when ``OpsParams.grouping`` was
+removed (detection always runs per orientation group, as it did by
+default): the report's ``params.ops`` block no longer holds ``grouping``.
+Reports of the code before the removal, with that key deleted, hash to the
+new digests, and every other digest stayed the same.
+Before that, the ``ops`` and ``fspf`` report digests changed when the fixed
+normal falloff (``ops`` ``sigma``) and the whole-sphere claim rule
+(``fspf`` ``claim_full_sphere``) were removed: the report's ``params``
+block no longer holds those two keys. Reports of the code before the removal, with the two
 keys deleted, hash to the new digests, and every PLY and label digest stayed
 the same.
 Before that, the ``fspf`` digests changed when merging began to fit a merged plane
@@ -54,7 +59,7 @@ GOLDEN = {
     1: {
         "gt": "baa10ae59651e5137c1f2b48e79c9740c290310154d44bddceb94fd67ba98bbf",
         "eval": "ae542217755cd36850825a1f64efbd6e03b3e9c6b62a60b4264020c71ad86373",
-        "ops": "70117a4e6a04d9af8dde331342c67b68d757258e9ee5bf86c4448851bb8fbf16",
+        "ops": "ba6a7f3a705a067aedaca6ab07577a8efe6c32f97cceb71e89e1bac67ab205b9",
         "ops_ply": "7c06a4c9a5e85a4965acae6b7e6df794d1a6e5fba67634a3c441fe129d781303",
         "ops_labels": "fb63cea6b94595e71f5575392b725ae62d017a2c711e092a2e85b5d13f22d0e5",
         "fspf": "cd1428540c82b625ff710beb4cbd5227f4948201e9e4864a6b92ea2eb0013aba",
@@ -64,7 +69,7 @@ GOLDEN = {
     2: {
         "gt": "ea0b54d9a6953fdfe54b7287b572f3108c54a8ea824e49c7dd3db50bcc7e7811",
         "eval": "7888309e387a8f813b92b5c4b91495615272a3bda1e1e48a16cd0f74cb99200c",
-        "ops": "64e06f724af3c95eb9eef70c4512aaed5bf24cc984739cfdab318467f9c7151c",
+        "ops": "15355d26a29379003e0a87b8b70545ada36d40c80948b5d34d4efb23cd9009fc",
         "ops_ply": "6d11201abea8f3c59fc19039761cf8833cdffbcfbd6acce740a5a276c079cf33",
         "ops_labels": "0740c916bc8e1127d61ffdf305746c63ab201830e85187c75d8ce5feda567b72",
         "fspf": "be8e607a835cea6213bf4f19d296f893c66d13cbc1275cc221de38e543a450df",
@@ -74,7 +79,7 @@ GOLDEN = {
     3: {
         "gt": "0f97631f63c4c40dc0bf725b26bdad491da5d73a393908b7b38eb74c3284c1df",
         "eval": "d319b607636884a740e4aa6a3a338e84edd4ab5042b29b955618525d5c551693",
-        "ops": "c3bc255ac41b26a6b176ad26ffbe8c28c01275bae508cb12b34d46fe7813c167",
+        "ops": "c8599cf1b70193291c815fd6cc0fd0188efef342b1f5e954e052005d12d79b02",
         "ops_ply": "537a40304c699b5cbd1497c418b5b3bdbd8e64fbc81050c6e0aaaeb7b4bf9130",
         "ops_labels": "0dc049f4c8754f8fccb77d8d6ea18a532f2e943e3e3da444226ff2d627e1722c",
         "fspf": "ffc31f93cf5deb131fed3ae6ecd98a1a3d69f6cc6edc50aae38d62e6a2e6455c",
@@ -86,7 +91,7 @@ GOLDEN = {
 
 GOLDEN_OPS_65K_SEED = 4
 GOLDEN_OPS_65K = {
-    "ops": "e213dc2586f2be975c5f82fe14109a53abf4cbacc86875a5310860f91e4ac57f",
+    "ops": "f77162b22c2f2f4bf02578602770aa0bf4a3975759ca9dc8e5303c717321a2ba",
     "ops_ply": "b5b23ff33057c8a691f8e5d216a80257a1912f6d1509e8c7707d5ba7fbb73ac6",
     "ops_labels": "d8bc6e21c79142f74fde0ef2bf156a68570c0c937a6e192b941462e9369b0bdf",
 }

@@ -220,7 +220,7 @@ class TestLabeledOutput:
     def test_ascii_output_parses_back(self, tmp_path, rng):
         points = rng.normal(size=(20, 3))
         path = tmp_path / "out.ply"
-        save_labeled(points, SegmentLabeling.all_other(20), path, binary=False, sidecar=False)
+        path.write_bytes(_ascii_ply(points.tolist(), props=("double x", "double y", "double z")))
         np.testing.assert_array_equal(load_cloud(path), points)
 
     def test_sidecar_round_trip(self, tmp_path):
@@ -276,11 +276,15 @@ class _Warnings(logging.Handler):
 def test_labeled_ply_round_trip_drops_nonfinite_rows(tmp_path_factory, rows, binary):
     # Every finite row comes back with its bits (signed zeros, subnormals and
     # extremes too), in order; each row holding a NaN or an infinity is
-    # dropped, and the count is logged.
+    # dropped, and the count is logged. save_labeled writes the binary side;
+    # the ascii side holds each float's repr.
     points = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
     finite = np.isfinite(points).all(axis=1)
     path = tmp_path_factory.mktemp("ply") / "cloud.ply"
-    save_labeled(points, SegmentLabeling.all_other(len(points)), path, binary=binary, sidecar=False)
+    if binary:
+        save_labeled(points, SegmentLabeling.all_other(len(points)), path, sidecar=False)
+    else:
+        path.write_bytes(_ascii_ply(points.tolist(), props=("double x", "double y", "double z")))
     log, handler = logging.getLogger("planeops.io"), _Warnings()
     log.addHandler(handler)
     try:

@@ -1,6 +1,5 @@
 """One-point RANSAC detector tests."""
 
-import dataclasses
 import math
 from unittest import mock
 
@@ -24,6 +23,7 @@ from planeops import (
     one_point_ransac,
 )
 
+import helpers
 from planeops import ops, plane_distances
 from planeops.geometry import classify_orientations
 from helpers import (
@@ -161,7 +161,7 @@ class TestDetectAllPlanes:
         # 5 m faces keep the unavoidable edge strips (points of one face
         # within dist_threshold of the adjacent face's plane) under 5%.
         points, truth = make_box_room(size=5.0, clutter=0, seed=11)
-        params = OpsParams(sampling_rate=0.05, k=10, min_inliers=20, grouping="detect_first")
+        params = OpsParams(sampling_rate=0.05, k=10, min_inliers=20)
         planes = _detect(points, params, 4)
         assert len(planes) == 6
         for plane in planes:
@@ -172,18 +172,18 @@ class TestDetectAllPlanes:
     def test_single_plane(self, rng):
         scene = {"rects": [{"corner": [0, 0, 0], "edge_u": [2, 0, 0], "edge_v": [0, 2, 0], "count": 2000}]}
         points, _ = gen_synthetic(scene, noise_sigma=0.003, seed=2)
-        planes = _detect(points, OpsParams(sampling_rate=0.1, k=10, grouping="detect_first"), 1)
+        planes = _detect(points, OpsParams(sampling_rate=0.1, k=10), 1)
         assert len(planes) == 1
 
     def test_uniform_noise_yields_little(self, rng):
         points = rng.uniform(0, 1, size=(2000, 3))
-        planes = _detect(points, OpsParams(sampling_rate=0.2, k=10, min_inliers=20, grouping="detect_first"), 9)
+        planes = _detect(points, OpsParams(sampling_rate=0.2, k=10, min_inliers=20), 9)
         for plane in planes:
             assert plane.inlier_count <= 0.3 * 2000
 
     def test_disjoint_inliers_and_threshold(self):
         points, _ = make_box_room(clutter=300, seed=5)
-        params = OpsParams(sampling_rate=0.05, k=10, grouping="detect_first")
+        params = OpsParams(sampling_rate=0.05, k=10)
         planes = _detect(points, params, 5)
         seen = np.zeros(points.shape[0], dtype=bool)
         for plane in planes:
@@ -198,7 +198,7 @@ class TestDetectAllPlanes:
 
     def test_deterministic_given_seed(self):
         points, _ = make_box_room(points_per_face=400, clutter=100, seed=3)
-        params = OpsParams(sampling_rate=0.08, k=10, grouping="detect_first")
+        params = OpsParams(sampling_rate=0.08, k=10)
         a = _detect(points, params, 21)
         b = _detect(points, params, 21)
         assert len(a) == len(b)
@@ -221,27 +221,10 @@ class TestDetectGrouped:
         assert len(planes) == 1
         assert _orientations(planes) == [Orientation.OTHER]
 
-    def test_group_first_matches_detect_first_count(self):
-        points, _ = make_box_room(clutter=0, seed=17)
-        grouped = _detect(points, OpsParams(sampling_rate=0.05, k=10, grouping="group_first"), 6)
-        flat = _detect(points, OpsParams(sampling_rate=0.05, k=10, grouping="detect_first"), 6)
-        assert len(grouped) == len(flat) == 6
-
-    def test_grouping_sets_detection_order(self):
-        # a 3000-point wall and a 1000-point floor: orientation-blind
-        # detection takes the larger plane first, grouped detection the
-        # horizontal one
-        scene = {"rects": [{"corner": [0, 0, 0], "edge_u": [2, 0, 0], "edge_v": [0, 0, 2], "count": 3000},
-                           {"corner": [0, 0.2, 0], "edge_u": [2, 0, 0], "edge_v": [0, 1, 0], "count": 1000}]}
-        points, _ = gen_synthetic(scene, noise_sigma=0.003, seed=4)
-        flat = _detect(points, OpsParams(sampling_rate=0.05, k=10, grouping="detect_first"), 2)
-        grouped = _detect(points, OpsParams(sampling_rate=0.05, k=10, grouping="group_first"), 2)
-        assert _orientations(flat) == [Orientation.VERTICAL, Orientation.HORIZONTAL]
-        assert _orientations(grouped) == [Orientation.HORIZONTAL, Orientation.VERTICAL]
-
     def test_groups_come_from_the_orientation_rule(self):
-        # With the rule patched to call every sample OTHER, grouped detection
-        # is orientation-blind detection: same planes, same random stream.
+        # With the rule patched to call every sample OTHER, detection runs as
+        # one group: the planes and random stream of the reference given the
+        # same codes, which the true groups would take in another order.
         points, _ = make_box_room(points_per_face=600, clutter=100, seed=5)
         params = OpsParams(sampling_rate=0.05, k=10)
         samples = ops_samples(points, params, np.random.default_rng(0))
@@ -252,14 +235,18 @@ class TestDetectGrouped:
             return np.full(len(normals), int(Orientation.OTHER), dtype=np.int8)
 
         assert ops.classify_orientations is classify_orientations
-        rng, flat_rng = np.random.default_rng(1), np.random.default_rng(1)
+        rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
         with mock.patch.object(ops, "classify_orientations", all_other):
-            grouped = detect_grouped(points, samples, params, rng, UP, TOL)
-        flat = detect_grouped(points, samples, dataclasses.replace(params, grouping="detect_first"), flat_rng, UP, TOL)
+            patched = detect_grouped(points, samples, params, rng, UP, TOL)
         assert len(calls) == 1 and calls[0][0] is samples.normals and calls[0][1:] == (UP, TOL)
-        assert len(grouped) >= 4
-        assert [p.inliers.tolist() for p in grouped] == [p.inliers.tolist() for p in flat]
-        assert rng.bit_generator.state == flat_rng.bit_generator.state
+        with mock.patch.object(helpers, "classify_orientations", all_other):
+            expected = reference_detect_grouped(points, samples, params, ref_rng, UP, TOL)
+        grouped = detect_grouped(points, samples, params, np.random.default_rng(1), UP, TOL)
+        assert len(patched) >= 4
+        assert [p.inliers.tolist() for p in patched] == [p.inliers.tolist() for p in expected]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert [p.inliers.tolist() for p in patched] != [p.inliers.tolist() for p in grouped]
+        assert _orientations(grouped) == sorted(_orientations(grouped))  # horizontal, vertical, other
 
     def test_group_counts_roughly_decreasing(self):
         points, _ = make_box_room(clutter=300, seed=19)
@@ -472,11 +459,10 @@ def test_extract_full_inliers_on_live_matches_masked_scan(seed, n, claimed):
     assert got.normal.tobytes() == expected.normal.tobytes()
 
 
-@pytest.mark.parametrize("grouping", ["group_first", "detect_first"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_detect_grouped_matches_masked_reference(grouping, seed):
+def test_detect_grouped_matches_masked_reference(seed):
     points, _ = make_box_room(points_per_face=2000, clutter=3000, seed=seed)
-    params = OpsParams(sampling_rate=0.05, k=10, min_inliers=5, grouping=grouping)
+    params = OpsParams(sampling_rate=0.05, k=10, min_inliers=5)
     samples = ops_samples(points, params, np.random.default_rng(seed))
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     planes = detect_grouped(points, samples, params, rng, UP, TOL)

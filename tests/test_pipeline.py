@@ -161,8 +161,7 @@ class TestRunConfig:
     def test_params_echo_only_read_fields(self):
         d = RunConfig(detector="ops").to_dict()
         assert set(d) == {"detector", "seed", "name", "up", "orientation_tol_degrees", "ops", "merge"}
-        assert set(d["ops"]) == {"sampling_rate", "k", "probability", "dist_threshold", "min_inliers",
-                                 "grouping"}
+        assert set(d["ops"]) == {"sampling_rate", "k", "probability", "dist_threshold", "min_inliers"}
         assert "seed" not in RunConfig(detector="fspf").to_dict()["fspf"]
 
     def test_bad_detector(self):
