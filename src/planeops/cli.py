@@ -11,6 +11,7 @@ import dataclasses
 import json
 import logging
 import sys
+import time
 from pathlib import Path
 
 from .fspf import CloudTooSmall
@@ -140,16 +141,28 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    """Load, detect, write. The report's ``timings_ms`` gains ``load`` and
+    ``write`` (the labeled PLY and the sidecar); ``total`` runs from the
+    start of the load to the end of those writes, and ``other`` takes up the
+    untimed rest. Writing the report itself comes after and is not timed."""
     config = _detect_config(args)
+    start = time.perf_counter()
     points = load_cloud(args.input)
+    loaded = time.perf_counter()
     report = run_detect(points, config)
     args.out.mkdir(parents=True, exist_ok=True)
     stem = args.input.stem
     labeled_ply = args.out / f"{stem}.labeled.ply"
     sidecar = args.out / f"{stem}.labels.txt"
     report_path = args.out / f"{stem}.report.json"
+    writing = time.perf_counter()
     save_labeled(points, report.labeling, labeled_ply, mode=args.color_mode, sidecar=False)
     save_labeling(report.labeling, sidecar)
+    end = time.perf_counter()
+    timings = report.timings_ms
+    timings["load"], timings["write"] = 1000.0 * (loaded - start), 1000.0 * (end - writing)
+    timings["total"] = 1000.0 * (end - start)
+    timings["other"] = timings["total"] - sum(v for k, v in timings.items() if k not in ("other", "total"))
     report_path.write_text(report.to_json() + "\n")
     print(f"{report.detector}: {report.post_merge_count} planes "
           f"({report.pre_merge_count} before merging) on {report.n_points} points "

@@ -28,11 +28,16 @@ __all__ = [
     "plane_normal",
     "point_moments",
     "scatter_normals",
+    "symmetric_eigen3",
 ]
 
 # Two smallest eigenvalues closer than this (relative to the largest) mean the
 # point set is a line, not a plane.
 EIGEN_TIE_RTOL = 1e-12
+# symmetric_eigen3 hands a matrix to LAPACK when its two smallest eigenvalues
+# are closer than this (relative to the largest magnitude): there the closed
+# form's arccos turns a rounding error of eps into one of about sqrt(eps).
+EIGEN_FALLBACK_GAP = 1e-6
 EPS_SQUARED = np.finfo(np.float64).eps ** 2
 # Two roundings of a 3-term dot product differ by far less than this times the
 # sum of its terms' magnitudes; a test so close to its threshold is re-decided.
@@ -188,6 +193,76 @@ def combine_moments(a: Moments, b: Moments) -> Moments:
     return Moments(count, mean, scatter)
 
 
+def _smallest_vector(b00, b11, b22, b10, b20, b21, low):
+    """Unit null vector of ``b - low*I``: its adjugate's largest column.
+
+    The adjugate's columns are the cross products of the matrix's row pairs.
+    """
+    m00, m11, m22 = b00 - low, b11 - low, b22 - low
+    a00, a11, a22 = m11 * m22 - b21 * b21, m00 * m22 - b20 * b20, m00 * m11 - b10 * b10
+    a10, a20, a21 = b20 * b21 - b10 * m22, b10 * b21 - b20 * m11, b10 * b20 - m00 * b21
+    s0 = a00 * a00 + a10 * a10 + a20 * a20
+    s1 = a10 * a10 + a11 * a11 + a21 * a21
+    s2 = a20 * a20 + a21 * a21 + a22 * a22
+    first = (s0 >= s1) & (s0 >= s2)
+    second = ~first & (s1 >= s2)
+    size = np.sqrt(np.where(first, s0, np.where(second, s1, s2)))
+    return (np.where(first, a00, np.where(second, a10, a20)) / size,
+            np.where(first, a10, np.where(second, a11, a21)) / size,
+            np.where(first, a20, np.where(second, a21, a22)) / size)
+
+
+def symmetric_eigen3(a: np.ndarray):
+    """Ascending eigenvalues (m, 3) and the smallest one's unit eigenvector
+    (m, 3) of a stack of symmetric 3x3 matrices, read from the lower triangle
+    as ``np.linalg.eigh`` reads them. The vector's sign is arbitrary.
+
+    The hybrid scheme of Kopp ("Efficient numerical diagonalization of
+    hermitian 3x3 matrices", Int. J. Mod. Phys. C, 2008). Each matrix is
+    scaled by the power of two at or above its largest |entry|, which is
+    exact, so the results do not depend on scale. The smallest eigenvalue
+    starts from the trigonometric closed form (Smith, CACM 1961). The vector
+    is the largest cross product of two rows of ``A - low*I``. Three rounds
+    refine both: each takes the vector for the current ``low`` and its
+    Rayleigh quotient as the next ``low``, which squares the vector's error,
+    down to rounding. The other two eigenvalues are those of ``A`` on the
+    plane normal to the vector: their mean from the trace and their half gap
+    from the Frobenius norm of what is left.
+
+    A matrix whose two smallest eigenvalues lie within ``EIGEN_FALLBACK_GAP``
+    of its largest |eigenvalue| goes to ``np.linalg.eigh``, and so do zero
+    and non-finite matrices (their closed form yields NaN): those rows are
+    eigh's output, bit for bit.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    lower = a[:, [0, 1, 2, 1, 2, 2], [0, 1, 2, 0, 0, 1]].T  # the six entries, each (m,)
+    with np.errstate(all="ignore"):
+        scale = np.ldexp(1.0, np.frexp(np.abs(lower).max(axis=0, initial=0.0))[1])
+        b00, b11, b22, b10, b20, b21 = lower / scale
+        q = (b00 + b11 + b22) / 3.0
+        d0, d1, d2 = b00 - q, b11 - q, b22 - q
+        p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (b10 * b10 + b20 * b20 + b21 * b21)) / 6.0)
+        det = d0 * (d1 * d2 - b21 * b21) - b10 * (b10 * d2 - b21 * b20) + b20 * (b10 * b21 - d1 * b20)
+        phi = np.arccos(np.clip(det / (2.0 * p ** 3), -1.0, 1.0)) / 3.0
+        low = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+        for _ in range(3):
+            x, y, z = vector = _smallest_vector(b00, b11, b22, b10, b20, b21, low)
+            low = b00 * x * x + b11 * y * y + b22 * z * z + 2.0 * (b10 * x * y + b20 * x * z + b21 * y * z)
+        mean = (b00 + b11 + b22 - low) / 2.0
+        c = low - mean  # A - mean*I - c*v*v^T is A on the plane normal to v, less its mean
+        rest = ((b00 - mean - c * x * x) ** 2 + (b11 - mean - c * y * y) ** 2 + (b22 - mean - c * z * z) ** 2
+                + 2.0 * ((b10 - c * x * y) ** 2 + (b20 - c * x * z) ** 2 + (b21 - c * y * z) ** 2))
+        half_gap = np.sqrt(rest / 2.0)
+        eigvals = np.stack([low, mean - half_gap, mean + half_gap], axis=1)
+        fallback = ~(eigvals[:, 1] - eigvals[:, 0] > EIGEN_FALLBACK_GAP * np.abs(eigvals).max(axis=1, initial=0.0))
+        eigvals *= scale[:, None]
+    vector = np.stack(vector, axis=1)
+    if fallback.any():
+        eigvals[fallback], eigvecs = np.linalg.eigh(a[fallback])
+        vector[fallback] = eigvecs[:, :, 0]
+    return eigvals, vector
+
+
 def scatter_normals(moments: Moments):
     """Least-squares plane normals of one point set's moments, or of a stack.
 
@@ -198,19 +273,22 @@ def scatter_normals(moments: Moments):
     plane, so the normal is meaningless: the two smallest eigenvalues tie
     (the points lie on a line), or the largest one is no bigger than
     ``count**3 * eps**2 * |mean|**2``, the most that rounding spreads out
-    coincident points (the points are one spot).
+    coincident points (the points are one spot). One set goes to
+    ``np.linalg.eigh``, which costs less per call than the stacked kernel,
+    and a stack to :func:`symmetric_eigen3`.
     """
-    eigvals, eigvecs = np.linalg.eigh(moments.scatter)
-    if eigvals.ndim == 1:  # one set, as every plane fit and merge has: Python floats cost less here
+    if moments.scatter.ndim == 2:  # one set, as every plane fit and merge has: Python floats cost less here
+        eigvals, eigvecs = np.linalg.eigh(moments.scatter)
         low, mid, high = eigvals.tolist()
         x, y, z = moments.mean.tolist()
         tie = (mid - low <= EIGEN_TIE_RTOL * max(high, 0.0)
                or high <= moments.count ** 3 * EPS_SQUARED * (x * x + y * y + z * z))
-    else:
-        low, mid, high = eigvals[:, 0], eigvals[:, 1], eigvals[:, 2]
-        tie = ((mid - low <= EIGEN_TIE_RTOL * np.maximum(high, 0.0))
-               | (high <= moments.count.astype(np.float64) ** 3 * EPS_SQUARED * (moments.mean ** 2).sum(axis=1)))
-    return canonical_sign(eigvecs[..., :, 0]), tie
+        return canonical_sign(eigvecs[:, 0]), tie
+    eigvals, normals = symmetric_eigen3(moments.scatter)
+    low, mid, high = eigvals[:, 0], eigvals[:, 1], eigvals[:, 2]
+    tie = ((mid - low <= EIGEN_TIE_RTOL * np.maximum(high, 0.0))
+           | (high <= moments.count.astype(np.float64) ** 3 * EPS_SQUARED * (moments.mean ** 2).sum(axis=1)))
+    return canonical_sign(normals), tie
 
 
 def plane_normal(moments: Moments) -> np.ndarray:

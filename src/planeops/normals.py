@@ -8,13 +8,23 @@ and the normal is the eigenvector of M with the smallest eigenvalue. The
 Gaussian weight damps neighbors far from the reference point; its falloff
 sigma is each point's mean neighbor distance, which with the normalized
 connecting vectors keeps the estimate scale-free.
+
+The offsets q_j - p are gathered once and scaled in place by sqrt(w_j) /
+|q_j - p|, so one batched product ``u^T u`` gives every M. The stack goes
+to :func:`planeops.geometry.symmetric_eigen3`, which solves each 3x3 matrix
+in closed form (trigonometric eigenvalues, eigenvector from cross products
+of rows). A matrix whose two smallest eigenvalues are closer than 1e-6
+times the largest (``EIGEN_FALLBACK_GAP``) goes to ``np.linalg.eigh``: near
+such a tie the closed form's arccos turns rounding errors of eps into
+errors of about sqrt(eps), and a neighborhood on a line has exactly such a
+tie. Those rows keep LAPACK's output as it is.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EIGEN_TIE_RTOL, canonical_sign
+from .geometry import EIGEN_TIE_RTOL, canonical_sign, symmetric_eigen3
 from .kdtree import KdTree
 
 __all__ = [
@@ -98,18 +108,18 @@ def normals_from_neighbors(points: np.ndarray, idx: np.ndarray, nbr_dist: np.nda
     ``nbr_dist`` and ``nbr_idx`` are the (m, k) result of ``KdTree.knn`` for
     the reference points ``idx``; returns what :func:`estimate_normals` does.
     """
-    diff = np.take(points, nbr_idx, axis=0) - np.take(points, idx, axis=0)[:, None, :]
+    u = np.take(points, nbr_idx, axis=0)
+    u -= np.take(points, idx, axis=0)[:, None, :]
     usable = nbr_dist > 0.0
-    safe = np.where(usable, nbr_dist, 1.0)
-    u = diff / safe[:, :, None]
     sig = nbr_dist.mean(axis=1)
     sig_ok = sig > 0.0
     sig = np.where(sig_ok, sig, 1.0)
-    w = np.exp(-(nbr_dist**2) / (2.0 * sig[:, None] ** 2)) * usable
+    # sqrt(w) / d per neighbour, applied in place: u^T u is then sum w * u_hat u_hat^T
+    root_w = np.exp(-(nbr_dist**2) / (4.0 * sig[:, None] ** 2)) * usable
+    u *= (root_w / np.where(usable, nbr_dist, 1.0))[:, :, None]
 
-    scatter = np.einsum("nk,nki,nkj->nij", w, u, u)
-    eigvals, eigvecs = np.linalg.eigh(scatter)
-    normals = canonical_sign(eigvecs[:, :, 0])
+    eigvals, smallest = symmetric_eigen3(u.transpose(0, 2, 1) @ u)
+    normals = canonical_sign(smallest)
 
     trace = eigvals.sum(axis=1)
     curvature = np.where(trace > 0.0, eigvals[:, 0] / np.maximum(trace, 1e-300), np.inf)

@@ -13,6 +13,7 @@ import numpy as np
 from planeops import KdTree, Orientation, PlaneModel, SegmentLabeling, fit_plane
 from planeops.fspf import BLOCK_ANCHORS, score_block
 from planeops.geometry import (
+    EIGEN_TIE_RTOL,
     DegenerateInput,
     classify_orientation,
     classify_orientations,
@@ -389,6 +390,24 @@ def reference_ground_truth(points, params):
         if next_id == made:
             break
     return SegmentLabeling(plane_ids=plane_ids, orientations=orientations)
+
+
+def reference_normals_from_neighbors(points, idx, nbr_dist, nbr_idx):
+    """``normals_from_neighbors`` as a three-operand ``einsum`` scatter of
+    unit offsets and Gaussian weights, solved by ``np.linalg.eigh``."""
+    diff = points[nbr_idx] - points[idx][:, None, :]
+    usable = nbr_dist > 0.0
+    u = diff / np.where(usable, nbr_dist, 1.0)[:, :, None]
+    sig = nbr_dist.mean(axis=1)
+    sig_ok = sig > 0.0
+    sig = np.where(sig_ok, sig, 1.0)
+    w = np.exp(-(nbr_dist**2) / (2.0 * sig[:, None] ** 2)) * usable
+    eigvals, eigvecs = np.linalg.eigh(np.einsum("nk,nki,nkj->nij", w, u, u))
+    trace = eigvals.sum(axis=1)
+    curvature = np.where(trace > 0.0, eigvals[:, 0] / np.maximum(trace, 1e-300), np.inf)
+    valid = (sig_ok & (usable.sum(axis=1) >= 3)
+             & (eigvals[:, 1] - eigvals[:, 0] > EIGEN_TIE_RTOL * np.maximum(eigvals[:, 2], 0.0)))
+    return np.where(valid[:, None], eigvecs[:, :, 0], np.nan), curvature, valid
 
 
 def reference_sample_indices(n_points, rate, rng):

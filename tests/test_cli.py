@@ -14,7 +14,7 @@ import pytest
 import planeops
 from planeops import load_cloud, load_labeling
 from planeops.cli import EXIT_EMPTY, EXIT_OK, EXIT_PARSE, _detect_config, build_parser, main
-from planeops.pipeline import RunConfig
+from planeops.pipeline import STAGES, RunConfig
 
 
 @pytest.fixture
@@ -141,6 +141,24 @@ def test_detect_fspf(room_files, tmp_path):
     assert code == EXIT_OK
     report = json.loads((outdir / "room.report.json").read_text())
     assert report["pre_merge_count"] >= report["post_merge_count"]
+
+
+@pytest.mark.parametrize("detector, flags", [
+    ("ops", ["--sampling-rate", "0.08", "--knn", "10"]),
+    ("fspf", ["--r1", "0.07", "--r2", "0.14"]),
+], ids=["ops", "fspf"])
+def test_detect_report_times_load_and_write(room_files, tmp_path, detector, flags):
+    """The report adds the cloud's load and the PLY and sidecar writes to the
+    run's stages; the stages and ``other`` still sum to ``total``."""
+    cloud_path, _ = room_files
+    outdir = tmp_path / detector
+    assert main(["detect", "--input", str(cloud_path), "--out", str(outdir), "--detector", detector,
+                 "--seed", "1", *flags]) == EXIT_OK
+    timings = json.loads((outdir / "room.report.json").read_text())["timings_ms"]
+    stages = (*STAGES, "load", "write")
+    assert set(timings) == {*stages, "other", "total"}
+    assert timings["load"] > 0.0 and timings["write"] > 0.0 and timings["other"] > 0.0
+    assert sum(timings[k] for k in (*stages, "other")) == pytest.approx(timings["total"], rel=1e-9, abs=0.0)
 
 
 def test_detect_config_file_with_flag_override(room_files, tmp_path):

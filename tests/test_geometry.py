@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planeops import DegenerateInput, Orientation, PlaneModel, classify_orientation, fit_plane, plane_distances
-from planeops.geometry import classify_orientations
+from planeops.geometry import EIGEN_FALLBACK_GAP, EIGEN_TIE_RTOL, classify_orientations, symmetric_eigen3
 
 
 def _plane(centroid, normal):
@@ -196,3 +198,86 @@ class TestPlaneModel:
         model = PlaneModel(centroid=(0, 0, 0), normal=(0, 0, 1), inliers=[3, 1, 2])
         assert model.inliers.dtype == np.int64
         assert model.inlier_count == 3
+
+
+# Eigenvalue triples before scaling: a generic spread, exact repeats, rank 1
+# and 2, the zero matrix, the two smallest a relative gap g apart (either side
+# of EIGEN_FALLBACK_GAP), and the two largest within a relative gap g.
+SPECTRA = {
+    "spread": lambda r, g: np.sort(r.uniform(-1.0, 1.0, 3)),
+    "zero-zero-h": lambda r, g: np.array([0.0, 0.0, r.uniform(0.1, 1.0)]),
+    "a-a-a": lambda r, g: np.full(3, r.uniform(-1.0, 1.0)),
+    "rank-1": lambda r, g: np.array([0.0, 0.0, 1.0]) * r.uniform(0.1, 1.0),
+    "rank-2": lambda r, g: np.array([0.0, *np.sort(r.uniform(0.1, 1.0, 2))]),
+    "zero": lambda r, g: np.zeros(3),
+    "low-pair": lambda r, g: np.array([0.0, g, 1.0]) + r.uniform(0.0, 0.5) * np.array([1.0, 1.0, 0.0]),
+    "high-pair": lambda r, g: np.array([r.uniform(0.0, 0.9), 1.0 - g, 1.0]),
+}
+
+
+@st.composite
+def symmetric_stacks(draw):
+    """A stack of A = R diag(lambda) R^T for random rotations R, each scaled
+    by a power of ten from 1e-150 to 1e150."""
+    rows = draw(st.integers(0, 24), label="rows")
+    kinds = draw(st.lists(st.sampled_from(sorted(SPECTRA)), min_size=rows, max_size=rows), label="kinds")
+    gaps = draw(st.lists(st.floats(-12.0, 0.0), min_size=rows, max_size=rows), label="log10_gaps")
+    scales = draw(st.lists(st.integers(-150, 150), min_size=rows, max_size=rows), label="log10_scales")
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    stack = np.empty((rows, 3, 3))
+    for i in range(rows):
+        q, upper = np.linalg.qr(r.standard_normal((3, 3)))
+        q *= np.sign(np.diag(upper))
+        stack[i] = (q * SPECTRA[kinds[i]](r, 10.0 ** gaps[i])) @ q.T * 10.0 ** scales[i]
+    return stack
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(symmetric_stacks())
+def test_symmetric_eigen3_against_eigh(stack):
+    """Every row's eigenvalues are eigh's within 1e-12 of the largest
+    |eigenvalue|, its smallest eigenvector is eigh's within 1e-9 rad where
+    the two smallest are at least 1e-6 of it apart, and it makes the same
+    EIGEN_TIE_RTOL decision; rows clearly inside the fallback band are eigh's
+    output bit for bit."""
+    eigvals, vector = symmetric_eigen3(stack)
+    assert eigvals.shape == vector.shape == (stack.shape[0], 3)
+    want, vectors = np.linalg.eigh(stack)
+    low, mid, high = want.T
+    rho = np.abs(want).max(axis=1, initial=0.0)
+    assert (np.abs(eigvals - want) <= 1e-12 * rho[:, None]).all()
+    separated = mid - low >= EIGEN_FALLBACK_GAP * rho
+    assert (np.linalg.norm(np.cross(vector, vectors[:, :, 0]), axis=1)[separated] <= 1e-9).all()
+    assert (np.abs(np.linalg.norm(vector, axis=1) - 1.0) <= 1e-12).all()
+    tie = eigvals[:, 1] - eigvals[:, 0] > EIGEN_TIE_RTOL * np.maximum(eigvals[:, 2], 0.0)
+    np.testing.assert_array_equal(tie, mid - low > EIGEN_TIE_RTOL * np.maximum(high, 0.0))
+    inside = mid - low <= 0.99 * EIGEN_FALLBACK_GAP * rho
+    np.testing.assert_array_equal(eigvals[inside], want[inside])
+    np.testing.assert_array_equal(vector[inside], vectors[inside, :, 0])
+
+
+def test_symmetric_eigen3_is_exact_under_power_of_two_scaling(rng):
+    """Scaling by a power of two is exact, so the closed form's rows scale
+    bit for bit, from 2**-500 to 2**500."""
+    q = np.linalg.qr(rng.standard_normal((200, 3, 3)))[0]
+    stack = (q * rng.uniform(0.0, 1.0, (200, 1, 3))) @ q.transpose(0, 2, 1)
+    eigvals, vector = symmetric_eigen3(stack)
+    for power in (-500, -37, 1, 500):
+        scaled_vals, scaled_vector = symmetric_eigen3(np.ldexp(stack, power))
+        np.testing.assert_array_equal(scaled_vals, np.ldexp(eigvals, power))
+        np.testing.assert_array_equal(scaled_vector, vector)
+
+
+def test_symmetric_eigen3_hands_zero_and_non_finite_rows_to_eigh():
+    """Zero and non-finite rows are eigh's output bit for bit; the finite rows
+    around them keep their own eigenvalues; an empty stack gives empty arrays."""
+    stack = np.array([np.diag([1.0, 2.0, 4.0]), np.zeros((3, 3)), np.diag([np.nan, 1.0, 1.0]),
+                      np.diag([np.inf, 1.0, 1.0]), np.diag([3.0, 1.0, 2.0])])
+    eigvals, vector = symmetric_eigen3(stack)
+    want, vectors = np.linalg.eigh(stack)
+    np.testing.assert_array_equal(eigvals[1:4], want[1:4])
+    np.testing.assert_array_equal(vector[1:4], vectors[1:4, :, 0])
+    np.testing.assert_allclose(eigvals[[0, 4]], [[1.0, 2.0, 4.0], [1.0, 2.0, 3.0]], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.abs(vector[[0, 4]]), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], rtol=0, atol=1e-15)
+    empty_vals, empty_vector = symmetric_eigen3(np.empty((0, 3, 3)))
+    assert empty_vals.shape == empty_vector.shape == (0, 3)

@@ -12,6 +12,11 @@ One more has 22,750 points and runs ``fspf`` with the ``room_fspf_23k``
 benchmark flags, so merging makes about 280 merges: it pins the greedy merge
 order (its digests were taken before merging moved to chains).
 A change that alters results on purpose updates the digests and says why.
+The ``fspf`` report digests last changed when stacked plane fits
+(``fspf.fit_block``) moved from ``np.linalg.eigh`` to the closed-form 3x3
+kernel ``geometry.symmetric_eigen3``: reported normals moved by at most
+4.2e-15 per component on these rooms, and centroids, plane counts, inlier
+counts and orientations stayed the same, as did every PLY and label digest.
 The ``gt`` and ``eval`` digests last changed when ground truth moved from
 region growing to connected components of the k-NN smoothness graph, cut
 into planar segments by a plane that every member's normal agrees with:
@@ -62,7 +67,7 @@ GOLDEN = {
         "ops": "ba6a7f3a705a067aedaca6ab07577a8efe6c32f97cceb71e89e1bac67ab205b9",
         "ops_ply": "7c06a4c9a5e85a4965acae6b7e6df794d1a6e5fba67634a3c441fe129d781303",
         "ops_labels": "fb63cea6b94595e71f5575392b725ae62d017a2c711e092a2e85b5d13f22d0e5",
-        "fspf": "cd1428540c82b625ff710beb4cbd5227f4948201e9e4864a6b92ea2eb0013aba",
+        "fspf": "fbbe7ee244201f04393e886e1bf9f2eb0ecfefebd7c78bd9250bd17acecc7554",
         "fspf_ply": "059c44c7aaf5086f822c8a385cc000631c0834696fe0bdebac73ba2a34ae906e",
         "fspf_labels": "f2908ab3d5e53fa294b8d992ffeb024055597a562fcea83fc5e84e60c68e87f5",
     },
@@ -72,7 +77,7 @@ GOLDEN = {
         "ops": "15355d26a29379003e0a87b8b70545ada36d40c80948b5d34d4efb23cd9009fc",
         "ops_ply": "6d11201abea8f3c59fc19039761cf8833cdffbcfbd6acce740a5a276c079cf33",
         "ops_labels": "0740c916bc8e1127d61ffdf305746c63ab201830e85187c75d8ce5feda567b72",
-        "fspf": "be8e607a835cea6213bf4f19d296f893c66d13cbc1275cc221de38e543a450df",
+        "fspf": "e4c67fdbf0a1720d5eb8e37d6f89fe148f358d235ef697c8dd85e66703d77888",
         "fspf_ply": "b21c59019c006a00d150afc4273407089273e6bf1170047ebd2455d2aa1c4822",
         "fspf_labels": "5d54a4ca42f6c919d10d6d0f01517929db96cb55b12a06693e10cc229baaa713",
     },
@@ -82,7 +87,7 @@ GOLDEN = {
         "ops": "c8599cf1b70193291c815fd6cc0fd0188efef342b1f5e954e052005d12d79b02",
         "ops_ply": "537a40304c699b5cbd1497c418b5b3bdbd8e64fbc81050c6e0aaaeb7b4bf9130",
         "ops_labels": "0dc049f4c8754f8fccb77d8d6ea18a532f2e943e3e3da444226ff2d627e1722c",
-        "fspf": "ffc31f93cf5deb131fed3ae6ecd98a1a3d69f6cc6edc50aae38d62e6a2e6455c",
+        "fspf": "7e324038022919b3ea03f0bf7d6f14568093ed2307ad52155f2c47869e628f9a",
         "fspf_ply": "42d298f1dbab65752ecb5680a58f223844b9cd85943baba4dedf5caeb249c424",
         "fspf_labels": "8c65d11073c1b53939d835b069c3495a7fc235fa8728efc84ea3eb6a61d84c90",
     },
@@ -98,7 +103,7 @@ GOLDEN_OPS_65K = {
 
 GOLDEN_FSPF_23K_SEED = 1
 GOLDEN_FSPF_23K = {
-    "fspf": "ee51bb2cf72f3d01fc78d688abb14dd2387caeb226ed926da0d4a1d51b8cb0c3",
+    "fspf": "f31c8e06e48376370784fa8d23f8d61742f76af7e25984af1835b7fa4474b7e2",
     "fspf_ply": "bae5dea4ce1f80c6e3aec53b56d4a65eb2dc4352954cb0e1033c87bfcd240343",
     "fspf_labels": "934b05404e8756a844bf0d955fe276c0fad133c26cc5214d4a5c34bfb8f7c2f6",
 }

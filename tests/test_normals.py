@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from planeops import KdTree, OpsParams, estimate_normals, sample_indices
+from planeops import GtParams, KdTree, OpsParams, estimate_normals, make_box_room, sample_indices
+from planeops.normals import normals_from_neighbors
 
-from helpers import ops_samples, reference_sample_indices
+from helpers import ops_samples, reference_normals_from_neighbors, reference_sample_indices
 
 
 def _angle_to(n, reference):
@@ -93,6 +94,39 @@ class TestEstimateNormal:
         n1 = _normal_at(pts, 5, KdTree(pts), k=10)
         n2 = _normal_at(scaled, 5, KdTree(scaled), k=10)
         np.testing.assert_allclose(n1, n2, atol=1e-9)
+
+
+def _collinear_strip():
+    """150 points on a line with 1e-7 m of sideways noise: the two smallest
+    scatter eigenvalues are about 1e-10 of the largest apart."""
+    count = 150
+    return np.column_stack([np.linspace(0.0, 1.5, count), 1e-7 * np.random.default_rng(0).standard_normal(count),
+                            np.zeros(count)])
+
+
+@pytest.mark.parametrize("cloud, k", [
+    pytest.param(lambda: make_box_room(3.5, 1000, clutter=500, noise_sigma=0.005, seed=0)[0], GtParams().k,
+                 id="room-6.5k-gt-k"),
+    pytest.param(lambda: make_box_room(3.5, 1000, clutter=500, noise_sigma=0.005, seed=0)[0], OpsParams().k,
+                 id="room-6.5k-ops-k"),
+    pytest.param(lambda: make_box_room(3.5, 10000, clutter=5000, noise_sigma=0.005, seed=1)[0], GtParams().k,
+                 id="room-65k-gt-k"),
+    pytest.param(_collinear_strip, 3, id="strip-k3"),
+    pytest.param(_collinear_strip, 10, id="strip-k10"),
+])
+def test_normals_match_einsum_eigh_reference(cloud, k):
+    """Every point's neighbourhood, as ground truth takes it: the same valid
+    mask as the einsum-and-eigh formula, normals within 1e-9 rad of it and
+    curvature within 1e-12."""
+    points = cloud()
+    idx = np.arange(points.shape[0], dtype=np.int64)
+    nbr_dist, nbr_idx = KdTree(points).knn(points, k, exclude_index=idx)
+    normals, curvature, valid = normals_from_neighbors(points, idx, nbr_dist, nbr_idx)
+    want_normals, want_curvature, want_valid = reference_normals_from_neighbors(points, idx, nbr_dist, nbr_idx)
+    np.testing.assert_array_equal(valid, want_valid)
+    assert np.isnan(normals[~valid]).all()
+    assert np.linalg.norm(np.cross(normals[valid], want_normals[valid]), axis=1).max(initial=0.0) <= 1e-9
+    np.testing.assert_allclose(curvature, want_curvature, rtol=0.0, atol=1e-12)
 
 
 class TestSampleIndices:
