@@ -1,13 +1,13 @@
 """Command-line interface: synth, detect, gt, eval, bench.
 
 Every parameter is a flag; a JSON config file can pre-fill them and explicit
-flags win. Exit codes: 0 success, 2 bad input (an unparsable file, an
-invalid config or flag value, a cloud without points or too small for the
-local sampler), 3 empty result where a nonempty one was required.
+flags win. Exit codes: 0 success, 2 bad input (a missing, unreadable or
+unparsable file, an invalid config or flag value, a cloud without points or
+too small for the local sampler), 3 empty result where a nonempty one was
+required.
 """
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
@@ -29,6 +29,37 @@ EXIT_EMPTY = 3
 logger = logging.getLogger(__name__)
 
 
+# The flags that set run parameters: each one's (section, field) pairs, where
+# section None names a field of the config itself, and its argparse options.
+DETECT_FLAGS = {
+    "--detector": ([(None, "detector")], {"choices": ("ops", "fspf")}),
+    "--seed": ([(None, "seed")], {"type": int, "help": "seed of the run's one random stream (default 0)"}),
+    "--sampling-rate": ([("ops", "sampling_rate")], {"type": float, "help": "ops: fraction of points to orient"}),
+    "--knn": ([("ops", "k")], {"type": int, "help": "ops: neighbors for normal estimation"}),
+    "--dist-threshold": ([("ops", "dist_threshold"), ("fspf", "dist_threshold")],
+                         {"type": float, "help": "inlier distance (m), both detectors"}),
+    "--min-inliers": ([("ops", "min_inliers")], {"type": int, "help": "ops: minimum sample support"}),
+    "--probability": ([("ops", "probability")], {"type": float, "help": "ops: RANSAC success probability"}),
+    "--r1": ([("fspf", "r1")], {"type": float, "help": "fspf: hypothesis sphere radius (m)"}),
+    "--r2": ([("fspf", "r2")], {"type": float, "help": "fspf: verification sphere radius (m)"}),
+    "--n-loc": ([("fspf", "local_samples")], {"type": int, "help": "fspf: local samples per iteration"}),
+    "--alpha-min": ([("fspf", "min_inlier_fraction")], {"type": float, "help": "fspf: minimum inlier fraction"}),
+    "--k-max": ([("fspf", "max_iterations")], {"type": int, "help": "fspf: iteration cap"}),
+    "--n-max": ([("fspf", "max_inlier_points")], {"type": int, "help": "fspf: inlier-point budget"}),
+    "--merge-angle": ([("merge", "angle_degrees")], {"type": float, "help": "merge: normal angle threshold (deg)"}),
+    "--merge-offset": ([("merge", "offset")], {"type": float, "help": "merge: centroid offset threshold (m)"}),
+    "--orientation-tol": ([(None, "orientation_tol_degrees")],
+                          {"type": float, "help": "degrees for horizontal/vertical grouping and labels, in (0, 45)"}),
+    "--up": ([(None, "up")], {"type": str, "help": "up axis as 'x,y,z' (default 0,0,1)"}),
+}
+GT_FLAGS = {
+    "--gt-dist": ([(None, "dist_threshold")], {"type": float}),
+    "--gt-angle": ([(None, "normal_angle_degrees")], {"type": float}),
+    "--min-plane-size": ([(None, "min_plane_size")], {"type": int}),
+    "--gt-knn": ([(None, "k")], {"type": int}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="planeops", description="Plane detection in unorganized point clouds")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
@@ -47,34 +78,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--config", type=Path, help="RunConfig JSON; flags override")
-    p.add_argument("--detector", choices=("ops", "fspf"))
-    p.add_argument("--seed", type=int, help="seed of the run's one random stream (default 0)")
     p.add_argument("--color-mode", choices=("segment", "orientation"), default="segment")
-    p.add_argument("--sampling-rate", type=float, help="ops: fraction of points to orient")
-    p.add_argument("--knn", type=int, help="ops: neighbors for normal estimation")
-    p.add_argument("--dist-threshold", type=float, help="inlier distance (m), both detectors")
-    p.add_argument("--min-inliers", type=int, help="ops: minimum sample support")
-    p.add_argument("--probability", type=float, help="ops: RANSAC success probability")
-    p.add_argument("--r1", type=float, help="fspf: hypothesis sphere radius (m)")
-    p.add_argument("--r2", type=float, help="fspf: verification sphere radius (m)")
-    p.add_argument("--n-loc", type=int, help="fspf: local samples per iteration")
-    p.add_argument("--alpha-min", type=float, help="fspf: minimum inlier fraction")
-    p.add_argument("--k-max", type=int, help="fspf: iteration cap")
-    p.add_argument("--n-max", type=int, help="fspf: inlier-point budget")
-    p.add_argument("--merge-angle", type=float, help="merge: normal angle threshold (deg)")
-    p.add_argument("--merge-offset", type=float, help="merge: centroid offset threshold (m)")
-    p.add_argument("--orientation-tol", type=float,
-                   help="degrees for horizontal/vertical grouping and labels, in (0, 45)")
-    p.add_argument("--up", type=str, help="up axis as 'x,y,z' (default 0,0,1)")
+    for flag, (_, options) in DETECT_FLAGS.items():
+        p.add_argument(flag, **options)
 
     p = sub.add_parser("gt", help="reference plane labeling for a cloud")
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="labeling sidecar path")
     p.add_argument("--ply", type=Path, help="optional colored PLY output")
-    p.add_argument("--gt-dist", type=float, default=0.05)
-    p.add_argument("--gt-angle", type=float, default=7.0)
-    p.add_argument("--min-plane-size", type=int, default=50)
-    p.add_argument("--gt-knn", type=int, default=10)
+    for flag, (_, options) in GT_FLAGS.items():
+        p.add_argument(flag, **options)
 
     p = sub.add_parser("eval", help="score a predicted labeling against a reference")
     p.add_argument("--pred", type=Path, required=True)
@@ -90,44 +103,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _given(values: dict) -> dict:
-    return {name: value for name, value in values.items() if value is not None}
+def _read_json(path: Path):
+    """The JSON value in ``path``; ParseError naming the file if it holds none."""
+    try:
+        return json.loads(path.read_bytes())
+    except (ValueError, RecursionError) as exc:  # undecodable bytes, malformed or too deeply nested JSON
+        raise ParseError(f"not a JSON file: {exc}", path=path) from exc
+
+
+def _write_flags(d: dict, args, table: dict) -> dict:
+    """Write each flag of ``table`` that ``args`` gives over the fields it sets in ``d``."""
+    for flag, (fields, _) in table.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        if flag == "--up":
+            value = [float(v) for v in value.split(",")]
+        for section, name in fields:
+            if section is None:
+                d[name] = value
+            else:  # a null section holds the defaults, as in from_dict
+                d[section] = {**(d[section] if d.get(section) is not None else {}), name: value}
+    return d
 
 
 def _detect_config(args) -> RunConfig:
-    """The config file's RunConfig (or the default) with the flags applied.
-
-    Every params object is rebuilt, so its validation sees the flag values;
-    an invalid value raises ConfigError.
-    """
-    config = RunConfig.from_dict(json.loads(args.config.read_text())) if args.config else RunConfig()
-    top = {"detector": args.detector, "seed": args.seed, "orientation_tol_degrees": args.orientation_tol}
-    ops = {
-        "sampling_rate": args.sampling_rate, "k": args.knn, "dist_threshold": args.dist_threshold,
-        "min_inliers": args.min_inliers, "probability": args.probability,
-    }
-    fspf = {
-        "r1": args.r1, "r2": args.r2, "local_samples": args.n_loc,
-        "min_inlier_fraction": args.alpha_min, "max_iterations": args.k_max,
-        "max_inlier_points": args.n_max, "dist_threshold": args.dist_threshold,
-    }
-    merge = {"angle_degrees": args.merge_angle, "offset": args.merge_offset}
-    try:
-        if args.up is not None:
-            top["up"] = tuple(float(v) for v in args.up.split(","))
-        return dataclasses.replace(
-            config, **_given(top),
-            ops=dataclasses.replace(config.ops, **_given(ops)),
-            fspf=dataclasses.replace(config.fspf, **_given(fspf)),
-            merge=dataclasses.replace(config.merge, **_given(merge)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid flag value: {exc}") from exc
+    """The config file's dict, or ``{}``, with the given flags written over
+    it and checked once by ``RunConfig.from_dict``; an invalid value raises
+    ConfigError. A value that a flag replaces is never checked."""
+    d = _read_json(args.config) if args.config else {}
+    if isinstance(d, dict):  # from_dict rejects anything else
+        try:
+            _write_flags(d, args, DETECT_FLAGS)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid config: {exc}") from exc
+    return RunConfig.from_dict(d)
 
 
 def _cmd_synth(args) -> int:
     if args.scene:
-        scene = json.loads(args.scene.read_text())
+        scene = _read_json(args.scene)
         noise = scene.get("noise_sigma", args.noise) if isinstance(scene, dict) else args.noise
     else:
         scene = box_room_scene(args.room_size, args.points_per_face, args.clutter)
@@ -177,10 +192,7 @@ def _cmd_detect(args) -> int:
 
 def _cmd_gt(args) -> int:
     try:
-        params = GtParams(
-            dist_threshold=args.gt_dist, normal_angle_degrees=args.gt_angle,
-            min_plane_size=args.min_plane_size, k=args.gt_knn,
-        )
+        params = GtParams(**_write_flags({}, args, GT_FLAGS))
     except ValueError as exc:
         raise ConfigError(f"invalid flag value: {exc}") from exc
     points = load_cloud(args.input)
@@ -211,7 +223,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    raw = json.loads(args.configs.read_text())
+    raw = _read_json(args.configs)
     if not isinstance(raw, list) or not raw:
         raise ParseError("configs file must hold a nonempty JSON list", path=args.configs)
     configs = [RunConfig.from_dict(d) for d in raw]
@@ -241,8 +253,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return COMMANDS[args.command](args)
-    except (ParseError, ConfigError, EmptyCloud, CloudTooSmall, InvalidSpec, json.JSONDecodeError,
-            FileNotFoundError) as exc:
+    except (ParseError, ConfigError, EmptyCloud, CloudTooSmall, InvalidSpec, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

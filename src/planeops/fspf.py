@@ -62,14 +62,9 @@ class FspfParams:
         self.max_iterations = as_integer(self.max_iterations, "max_iterations", minimum=0)
         if self.max_inlier_points is not None:
             self.max_inlier_points = as_integer(self.max_inlier_points, "max_inlier_points", minimum=1)
-        for name in ("min_inlier_fraction", "dist_threshold", "r1", "r2"):
-            setattr(self, name, as_float(getattr(self, name), name))
-        if not 0.0 < self.min_inlier_fraction <= 1.0:
-            raise ValueError("min_inlier_fraction must be in (0, 1]")
-        if not (0.0 < self.r1 < np.inf and 0.0 < self.r2 < np.inf):  # NaN fails too
-            raise ValueError("sphere radii must be finite and positive")
-        if not 0.0 < self.dist_threshold < np.inf:
-            raise ValueError("dist_threshold must be finite and positive")
+        self.min_inlier_fraction = as_float(self.min_inlier_fraction, "min_inlier_fraction", 0.0, 1.0, closed_high=True)
+        for name in ("dist_threshold", "r1", "r2"):
+            setattr(self, name, as_float(getattr(self, name), name, 0.0))
 
 
 class HypothesisBlock(NamedTuple):

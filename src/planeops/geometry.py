@@ -83,11 +83,16 @@ def as_integer(value, what: str, minimum: int | None = None) -> int:
     return number
 
 
-def as_float(value, what: str) -> float:
-    """An int or a float as a float; a bool or a string raises ValueError naming ``what``."""
-    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"{what} must be a number, got {value!r}")
+def as_float(value, what: str, low: float | None = None, high: float = np.inf, closed_high: bool = False) -> float:
+    """An int or a float as a float; a bool or a string raises ValueError naming
+    ``what``, and so does, with ``low`` given, a value outside the open interval
+    ``(low, high)``, or ``(low, high]`` with ``closed_high``. NaN is never inside."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    number = float(value)
+    if low is not None and not (low < number < high or closed_high and number == high):
+        raise ValueError(f"{what} must be in ({low:g}, {high:g}{']' if closed_high else ')'}, got {number!r}")
+    return number
 
 
 def as_points(points) -> np.ndarray:

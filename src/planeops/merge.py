@@ -44,10 +44,8 @@ class MergeParams:
     offset: float = 0.05
 
     def __post_init__(self):
-        self.angle_degrees = as_float(self.angle_degrees, "angle_degrees")
-        self.offset = as_float(self.offset, "offset")
-        if not (0.0 < self.angle_degrees < 90.0 and 0.0 < self.offset < np.inf):  # NaN fails too
-            raise ValueError("merge angle_degrees must be in (0, 90) and offset finite and positive")
+        self.angle_degrees = as_float(self.angle_degrees, "angle_degrees", 0.0, 90.0)
+        self.offset = as_float(self.offset, "offset", 0.0)
 
 
 def _coplanar_mask(normals_a, centroids_a, normals_b, centroids_b, params: MergeParams) -> np.ndarray:

@@ -75,11 +75,8 @@ class RunConfig:
             raise ValueError(f"unknown detector {self.detector!r}")
         self.seed = as_integer(self.seed, "seed", minimum=0)  # numpy's generators take no negative seed
         self.orientation_tol_degrees = as_float(self.orientation_tol_degrees, "orientation_tol_degrees")
+        self.up = tuple(self.up)
         classify_orientations(np.empty((0, 3)), self.up, self.orientation_tol_degrees)  # checks both
-
-    @property
-    def detector_params(self):
-        return self.ops if self.detector == "ops" else self.fspf
 
     def to_dict(self) -> dict:
         return {
@@ -88,7 +85,7 @@ class RunConfig:
             "name": self.name,
             "up": list(self.up),
             "orientation_tol_degrees": self.orientation_tol_degrees,
-            self.detector: dataclasses.asdict(self.detector_params),
+            self.detector: dataclasses.asdict(getattr(self, self.detector)),
             "merge": dataclasses.asdict(self.merge),
         }
 
@@ -101,15 +98,11 @@ class RunConfig:
         unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        sections = {"ops": OpsParams, "fspf": FspfParams, "merge": MergeParams}  # null means the defaults
         try:
-            kwargs = {key: d[key] for key in ("detector", "seed", "name", "orientation_tol_degrees") if key in d}
-            if "up" in d:
-                kwargs["up"] = tuple(d["up"])
-            for key, klass in (("ops", OpsParams), ("fspf", FspfParams), ("merge", MergeParams)):
-                if key in d and d[key] is not None:
-                    kwargs[key] = klass(**dict(d[key]))
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
+            return cls(**{key: sections[key](**value) if key in sections else value
+                          for key, value in d.items() if value is not None or key not in sections})
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int too large for a float
             raise ConfigError(f"invalid config: {exc}") from exc
 
 

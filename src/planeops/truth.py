@@ -82,10 +82,8 @@ class GtParams:
     def __post_init__(self):
         self.min_plane_size = as_integer(self.min_plane_size, "min_plane_size", minimum=3)
         self.k = as_integer(self.k, "k", minimum=3)
-        self.dist_threshold = as_float(self.dist_threshold, "dist_threshold")
-        self.normal_angle_degrees = as_float(self.normal_angle_degrees, "normal_angle_degrees")
-        if not (0.0 < self.dist_threshold < np.inf and 0.0 < self.normal_angle_degrees < 90.0):  # NaN fails too
-            raise ValueError("dist_threshold must be finite and positive, normal_angle_degrees in (0, 90)")
+        self.dist_threshold = as_float(self.dist_threshold, "dist_threshold", 0.0)
+        self.normal_angle_degrees = as_float(self.normal_angle_degrees, "normal_angle_degrees", 0.0, 90.0)
 
 
 def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) -> SegmentLabeling:
@@ -105,17 +103,18 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
     members left out go through further rounds, over their own edges, until
     a round makes no segment, so a curved surface ends up as strips along
     its flattest direction. Ids follow creation order, and within a round
-    each component's lowest point index.
+    each component's lowest point index. A cloud without points raises
+    EmptyCloud; one smaller than ``min_plane_size`` is all other.
     """
     from scipy.sparse import csgraph, csr_matrix
 
     if params is None:
         params = GtParams()
+    kd = KdTree(points)  # raises EmptyCloud, as run_detect's index does
     n = points.shape[0]
     if n < params.min_plane_size:
         return SegmentLabeling.all_other(n)
 
-    kd = KdTree(points)
     all_idx = np.arange(n, dtype=np.int64)
     nbr_dist, adjacency = kd.knn(points, params.k, exclude_index=all_idx)
     normals, curvature, _ = normals_from_neighbors(points, all_idx, nbr_dist, adjacency)

@@ -238,6 +238,9 @@ def test_detect_parse_error_exit_code(tmp_path):
     ("detect", ["--detector", "fspf", "--n-max", "0"], None),
     ("detect", ["--detector", "fspf", "--n-max", "-5"], None),
     ("detect", [], {"detector": "fspf", "fspf": {"max_inlier_points": -5}}),
+    ("detect", ["--knn", "12"], {"ops": [1]}),
+    ("detect", ["--knn", "12"], [1, 2]),
+    ("detect", [], {"ops": {"dist_threshold": 10**400}}),
 ], ids=["merge-angle", "dist-threshold", "knn", "sampling-rate", "up-not-unit", "up-not-number", "fspf-r1",
         "unknown-key", "unknown-top-key", "config-merge-angle", "config-not-object", "gt-knn",
         "fspf-cloud-below-n-loc", "orientation-tol", "ops-seed", "fspf-seed", "ops-up", "gt-block",
@@ -247,7 +250,8 @@ def test_detect_parse_error_exit_code(tmp_path):
         "fspf-local-samples-fraction", "fspf-max-iterations-fraction", "seed-fraction", "seed-bool",
         "config-ops-sigma", "config-fspf-claim-full-sphere", "seed-negative", "config-seed-negative",
         "config-ops-dist-bool", "config-fspf-r1-bool", "config-merge-offset-bool", "config-orientation-tol-bool",
-        "config-ops-grouping", "fspf-n-max-zero", "fspf-n-max-negative", "config-fspf-n-max-negative"])
+        "config-ops-grouping", "fspf-n-max-zero", "fspf-n-max-negative", "config-fspf-n-max-negative",
+        "config-ops-list-with-flag", "config-not-object-with-flag", "config-ops-dist-int-overflow"])
 def test_invalid_config_exit_code(tmp_path, capsys, command, flags, config):
     rng = np.random.default_rng(0)
     cloud = tmp_path / "cloud.xyz"
@@ -260,6 +264,46 @@ def test_invalid_config_exit_code(tmp_path, capsys, command, flags, config):
     assert main(argv) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config", [{"ops": {"k": 2}}, {"ops": None}], ids=["invalid-file-value", "null-section"])
+def test_flag_replaces_config_file_value(room_files, tmp_path, config):
+    """A flag replaces the file's value before it is checked: an invalid k
+    that --knn overrides is never read, and a null section takes the flag."""
+    cloud_path, _ = room_files
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    outdir = tmp_path / "det"
+    assert main(["detect", "--input", str(cloud_path), "--out", str(outdir), "--config", str(config_path),
+                 "--knn", "12", "--sampling-rate", "0.08"]) == EXIT_OK
+    report = json.loads((outdir / "room.report.json").read_text())
+    assert report["params"]["ops"] == {**dataclasses.asdict(RunConfig().ops), "k": 12, "sampling_rate": 0.08}
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "--input", "{dir}", "--out", "{tmp}/o"],
+    ["detect", "--input", "{cloud}", "--out", "{file}"],
+    ["detect", "--input", "{cloud}", "--out", "{tmp}/o", "--config", "{cloud}"],
+    ["detect", "--input", "{cloud}", "--out", "{tmp}/o", "--config", "{deep}"],
+    ["synth", "--scene", "{cloud}", "--out", "{tmp}/o/scene.ply"],
+    ["eval", "--pred", "{truth}", "--truth", "{dir}"],
+    ["bench", "--dataset", "{tmp}", "--configs", "{cloud}"],
+], ids=["detect-input-directory", "detect-out-file", "detect-config-binary-ply", "detect-config-nested-too-deep",
+        "synth-scene-binary", "eval-truth-directory", "bench-configs-binary"])
+def test_bad_path_exit_code(room_files, tmp_path, capsys, argv):
+    """A directory or a file where the other belongs, or a binary file or
+    JSON nested past the parser's depth where JSON belongs, exits 2 with one
+    error line, not a traceback."""
+    cloud_path, truth_path = room_files
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    paths = {"dir": tmp_path / "dir", "file": tmp_path / "file", "deep": tmp_path / "deep.json", "cloud": cloud_path,
+             "truth": truth_path, "tmp": tmp_path}
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
 
@@ -366,6 +410,19 @@ def test_gt_command(room_files, tmp_path):
     assert code == EXIT_OK
     labeling = load_labeling(out)
     assert labeling.segment_ids().size >= 5
+
+
+def test_gt_cloud_without_points_exit_code(tmp_path, capsys):
+    """A cloud without points exits 2, as for detect; a cloud smaller than
+    min_plane_size is all unsegmented."""
+    empty, pair = tmp_path / "empty.xyz", tmp_path / "pair.xyz"
+    empty.write_text("")
+    pair.write_text("0 0 0\n1 0 0\n")
+    assert main(["gt", "--input", str(empty), "--out", str(tmp_path / "empty.labels.txt")]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "empty.labels.txt").exists()
+    assert main(["gt", "--input", str(pair), "--out", str(tmp_path / "pair.labels.txt")]) == EXIT_OK
+    assert (tmp_path / "pair.labels.txt").read_text() == "-1 O\n-1 O\n"
 
 
 def test_bench_command(room_files, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planeops import DegenerateInput, Orientation, PlaneModel, classify_orientation, fit_plane, plane_distances
-from planeops.geometry import EIGEN_FALLBACK_GAP, EIGEN_TIE_RTOL, classify_orientations, symmetric_eigen3
+from planeops.geometry import EIGEN_FALLBACK_GAP, EIGEN_TIE_RTOL, as_float, classify_orientations, symmetric_eigen3
 
 
 def _plane(centroid, normal):
@@ -281,3 +281,54 @@ def test_symmetric_eigen3_hands_zero_and_non_finite_rows_to_eigh():
     np.testing.assert_allclose(np.abs(vector[[0, 4]]), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], rtol=0, atol=1e-15)
     empty_vals, empty_vector = symmetric_eigen3(np.empty((0, 3, 3)))
     assert empty_vals.shape == empty_vector.shape == (0, 3)
+
+
+# (value, as_float's low, high and closed_high, whether the value is inside).
+AS_FLOAT_CASES = [
+    (0.0, (0.0, 1.0, False), False),
+    (np.nextafter(0.0, 1.0), (0.0, 1.0, False), True),
+    (0.5, (0.0, 1.0, False), True),
+    (np.nextafter(1.0, 0.0), (0.0, 1.0, False), True),
+    (1.0, (0.0, 1.0, False), False),
+    (1.0, (0.0, 1.0, True), True),
+    (np.nextafter(1.0, 2.0), (0.0, 1.0, True), False),
+    (-0.5, (0.0, 1.0, True), False),
+    (90.0, (0.0, 90.0, False), False),
+    (1e308, (0.0, np.inf, False), True),
+    (np.inf, (0.0, np.inf, False), False),
+    (-np.inf, (0.0, np.inf, False), False),
+    (np.inf, (0.0, 1.0, True), False),
+    (np.nan, (0.0, 1.0, True), False),
+    (np.nan, (0.0, np.inf, False), False),
+    (1, (0.0, 1.0, True), True),
+    (0, (0.0, 1.0, True), False),
+    (np.float32(0.5), (0.0, 1.0, False), True),
+    (np.float64(1.0), (0.0, 1.0, False), False),
+    (np.int64(1), (0.0, 1.0, True), True),
+    (np.float64(np.nan), (0.0, 1.0, True), False),
+]
+
+
+@pytest.mark.parametrize("value, interval, inside", AS_FLOAT_CASES)
+def test_as_float_interval(value, interval, inside):
+    """Both ends, open and closed; NaN and infinities; Python and numpy scalars."""
+    low, high, closed_high = interval
+    if inside:
+        number = as_float(value, "x", low, high, closed_high=closed_high)
+        assert type(number) is float and number == float(value)
+    else:
+        with pytest.raises(ValueError, match=r"^x must be in \(0, (1|90|inf)[)\]], got "):
+            as_float(value, "x", low, high, closed_high=closed_high)
+
+
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5", None, [0.5]])
+def test_as_float_rejects_non_numbers(value):
+    for interval in ((), (0.0, 1.0)):
+        with pytest.raises(ValueError, match=r"^x must be a number, got "):
+            as_float(value, "x", *interval)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1e308, np.float32(2.5)])
+def test_as_float_without_interval_converts_any_number(value):
+    number = as_float(value, "x")
+    assert type(number) is float and (number == float(value) or math.isnan(number))

@@ -1,6 +1,9 @@
 """End-to-end run and benchmark harness tests."""
 
+import dataclasses
 import json
+import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from planeops import (
     FspfParams,
+    GtParams,
     OpsParams,
     Orientation,
     PlaneModel,
@@ -167,6 +171,27 @@ class TestRunConfig:
     def test_bad_detector(self):
         with pytest.raises(ValueError):
             RunConfig(detector="voxels")
+
+    def test_readme_table_names_every_settable_field(self):
+        """README's "Parameters and defaults" table has one row per settable
+        field, by (stage, name): the run's own fields, each params section's,
+        and gt's; 23 in all, and no field that does not exist."""
+        fields = {("gt", f.name) for f in dataclasses.fields(GtParams)}
+        config = RunConfig()
+        for f in dataclasses.fields(config):
+            value = getattr(config, f.name)
+            if dataclasses.is_dataclass(value):
+                fields |= {(f.name, sub.name) for sub in dataclasses.fields(value)}
+            else:
+                fields.add(("run", f.name))
+        assert len(fields) == 23
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("\n## Parameters and defaults\n", 1)[1].split("\n## ", 1)[0]
+        named = set()
+        for row in re.findall(r"^\| (\w+) \| (.+?) \|", table, flags=re.MULTILINE):
+            named |= {(row[0], name) for name in re.findall(r"`(\w+)`", row[1])}
+        assert named == fields
 
 
 class TestAssignToPlanes:
