@@ -1,8 +1,9 @@
 """Spatial index queries: nearest neighbors and radius search.
 
-Shows that index queries return exactly what a brute-force scan would, and
-how the index pays off once the cloud is large, most of all when many
-queries go in one batched call.
+Shows that index queries return the same distances as a brute-force scan
+(neighbours at exactly equal distance come in cKDTree's order, not by
+index), and how the index pays off once the cloud is large, most of all
+when many queries go in one batched call.
 """
 
 import time
@@ -48,6 +49,6 @@ print(f"200 x knn(10): one at a time {tree_ms:.0f} ms, batched {batch_ms:.1f} ms
 # agreement with the scan on a random query
 q = queries[0]
 d = np.sqrt(((points - q) ** 2).sum(axis=1))
-order = np.lexsort((np.arange(points.shape[0]), d))[:10]
-_, tree_idx = tree.knn(q, k=10)
-print("matches brute force exactly:", np.array_equal(tree_idx, order))
+tree_d, tree_idx = tree.knn(q, k=10)
+print("same distances as brute force:", np.array_equal(tree_d, np.sort(d)[:10]),
+      "and the same neighbours:", np.array_equal(np.sort(tree_idx), np.sort(np.argsort(d)[:10])))

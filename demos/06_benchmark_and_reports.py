@@ -31,7 +31,7 @@ for i in range(4):
     rng = np.random.default_rng(60 + i)
     scene = random_scene(int(rng.integers(3, 7)), rng)
     points, truth = gen_synthetic(scene, noise_sigma=0.004, seed=60 + i)
-    save_labeled(points, truth, workdir / f"scene{i}.ply", mode="segment", sidecar=False)
+    save_labeled(points, truth, workdir / f"scene{i}.ply", mode="segment")
     save_labeling(truth, workdir / f"scene{i}.labels.txt")
     print(f"  scene{i}: {points.shape[0]} points, {truth.segment_ids().size} planes")
 

@@ -8,6 +8,7 @@ required.
 """
 
 import argparse
+import errno
 import json
 import logging
 import sys
@@ -140,6 +141,16 @@ def _detect_config(args) -> RunConfig:
     return RunConfig.from_dict(d)
 
 
+def _check_out(path: Path, directory: bool) -> None:
+    """Raise the OSError that writing ``path`` would raise, if it already
+    exists as the wrong kind, so that a bad output path fails before the
+    work; nothing is created."""
+    if directory and path.exists() and not path.is_dir():
+        raise FileExistsError(errno.EEXIST, "exists and is not a directory", str(path))
+    if not directory and path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, "is a directory", str(path))
+
+
 def _cmd_synth(args) -> int:
     if args.scene:
         scene = _read_json(args.scene)
@@ -150,6 +161,7 @@ def _cmd_synth(args) -> int:
     points, truth = gen_synthetic(scene, noise_sigma=noise, seed=args.seed)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_labeled(points, truth, args.out, mode="segment")
+    save_labeling(truth, args.out.with_suffix(".labels.txt"))
     print(f"wrote {points.shape[0]} points to {args.out} "
           f"({truth.segment_ids().size} segments, sidecar {args.out.with_suffix('.labels.txt')})")
     return EXIT_OK
@@ -161,6 +173,7 @@ def _cmd_detect(args) -> int:
     start of the load to the end of those writes, and ``other`` takes up the
     untimed rest. Writing the report itself comes after and is not timed."""
     config = _detect_config(args)
+    _check_out(args.out, directory=True)
     start = time.perf_counter()
     points = load_cloud(args.input)
     loaded = time.perf_counter()
@@ -171,7 +184,7 @@ def _cmd_detect(args) -> int:
     sidecar = args.out / f"{stem}.labels.txt"
     report_path = args.out / f"{stem}.report.json"
     writing = time.perf_counter()
-    save_labeled(points, report.labeling, labeled_ply, mode=args.color_mode, sidecar=False)
+    save_labeled(points, report.labeling, labeled_ply, mode=args.color_mode)
     save_labeling(report.labeling, sidecar)
     end = time.perf_counter()
     timings = report.timings_ms
@@ -195,12 +208,14 @@ def _cmd_gt(args) -> int:
         params = GtParams(**_write_flags({}, args, GT_FLAGS))
     except ValueError as exc:
         raise ConfigError(f"invalid flag value: {exc}") from exc
+    for path in filter(None, (args.out, args.ply)):
+        _check_out(path, directory=False)
     points = load_cloud(args.input)
     labeling = generate_ground_truth(points, params)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_labeling(labeling, args.out)
     if args.ply:
-        save_labeled(points, labeling, args.ply, mode="segment", sidecar=False)
+        save_labeled(points, labeling, args.ply, mode="segment")
     print(f"{labeling.segment_ids().size} segments over {points.shape[0]} points -> {args.out}")
     return EXIT_OK
 

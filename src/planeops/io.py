@@ -129,6 +129,8 @@ def _parse_ply(data: bytes, path) -> np.ndarray:
                     n_vertices = int(tokens[2])
                 except (IndexError, ValueError):
                     raise ParseError("bad vertex element line", path=path, line=lineno) from None
+                if n_vertices < 0:
+                    raise ParseError(f"negative vertex count {n_vertices}", path=path, line=lineno)
         elif tokens[0] == "property" and in_vertex:
             if tokens[1] == "list":
                 raise UnsupportedFormat("list property in vertex element", path=path, line=lineno)
@@ -159,7 +161,7 @@ def _ply_ascii_vertices(data: bytes, body_start: int, n_vertices: int, names, pa
     header_line_count = data[:body_start].count(b"\n")
     lines = data[body_start:].splitlines()
     cols = (names.index("x"), names.index("y"), names.index("z"))
-    pts = np.empty((n_vertices, 3), dtype=np.float64)
+    pts = np.empty((min(n_vertices, len(lines)), 3), dtype=np.float64)  # a row takes a line
     row = 0
     for offset, raw in enumerate(lines):
         if row == n_vertices:
@@ -229,13 +231,11 @@ def save_labeled(
     labeling: SegmentLabeling,
     path,
     mode: str = "segment",
-    sidecar: bool = True,
 ) -> None:
-    """Write a colored binary PLY and (by default) the labeling sidecar beside it.
+    """Write a colored binary PLY; :func:`save_labeling` writes the sidecar.
 
     ``mode="orientation"`` colors by orientation class; ``mode="segment"``
-    gives each plane id a deterministic pseudo-random color. The sidecar path
-    is the PLY path with its suffix replaced by ``.labels.txt``.
+    gives each plane id a deterministic pseudo-random color.
     """
     n = points.shape[0]
     if len(labeling) != n:
@@ -253,7 +253,6 @@ def save_labeled(
         palette = np.array([segment_color(pid) for pid in ids.tolist()], dtype=np.uint8).reshape(-1, 3)
         colors = palette[np.searchsorted(ids, labeling.plane_ids)]
 
-    path = Path(path)
     dtype = np.dtype([("x", "<f8"), ("y", "<f8"), ("z", "<f8"),
                       ("red", "u1"), ("green", "u1"), ("blue", "u1")])
     table = np.empty(n, dtype=dtype)
@@ -262,8 +261,6 @@ def save_labeled(
     with open(path, "wb") as fh:
         fh.write(_ply_header(n))
         fh.write(table.view(np.uint8))
-    if sidecar:
-        save_labeling(labeling, path.with_suffix(".labels.txt"))
 
 
 def save_labeling(labeling: SegmentLabeling, path) -> None:

@@ -1,18 +1,14 @@
-"""Exact k-NN and radius queries over a point cloud, on scipy's cKDTree.
+"""k-NN and radius queries over a point cloud, on scipy's cKDTree.
 
-cKDTree only proposes candidates. Every returned distance is recomputed as
-``sqrt(((p - q) ** 2).sum())``, so results match a full scan bit for bit, and
-k-NN ties in distance go to the lower point index, so seeded runs reproduce
-bit-for-bit. Radius queries are inclusive (``d**2 <= r**2``) and return
-indices in ascending order.
+Both queries return what cKDTree returns. k-NN rows hold cKDTree's
+distances and indices, sorted by distance; points at exactly equal distance
+come back in cKDTree's order, which is deterministic for a given scipy, so
+seeded runs reproduce bit-for-bit. Radius queries are inclusive
+(``d**2 <= r**2``) and return indices in ascending order.
 
-A k-NN row is settled as cKDTree returns it when its recomputed distances
-are strictly ascending, the excluded point (if any) comes first and its k-th
-distance is clearly below the farthest fetched one: its first k columns are
-the answer. Only other rows are sorted by (distance, index), and re-rank a
-ball query when they tie across the fetch boundary. Rows that are cloud
-points (``exclude_index`` given) are queried in the tree's leaf order, so
-that consecutive queries share nodes, and returned in the caller's order.
+Rows that are cloud points (``exclude_index`` given) are queried in the
+tree's leaf order, so that consecutive queries share nodes, and returned in
+the caller's order.
 
 scipy.spatial is imported when the first index is built, so commands that
 never build one do not pay for loading it.
@@ -25,13 +21,6 @@ import numpy as np
 from .geometry import as_points
 
 __all__ = ["EmptyCloud", "KdTree"]
-
-# cKDTree's own distances may differ from the recomputed ones in the last few
-# ulps; candidate bounds are widened by this relative margin.
-SLACK = 1e-9
-# Neighbours fetched beyond k, so that rows with a few ties at the k-th
-# distance still settle without a ball query.
-EXTRA = 2
 
 
 class EmptyCloud(ValueError):
@@ -55,29 +44,19 @@ class KdTree:
         # Sliding-midpoint splits build about 40% faster than median splits
         # on a 325k-point room (scipy 1.17, one thread) and query no slower;
         # skipping node shrinking and larger leaves save more of the build.
-        # Results do not depend on the tree's shape.
+        # The order of equidistant neighbours depends on the tree's shape, so
+        # changing these settings can change output bytes.
         self._tree = cKDTree(pts, leafsize=32, balanced_tree=False, compact_nodes=False)
-
-    def _distances(self, queries: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Exact distances from each query row to the points ``idx[row]``.
-
-        The same operations in the same order as
-        ``sqrt(((points[idx] - q) ** 2).sum(axis=-1))``, without the (m, k, 3)
-        temporary.
-        """
-        # Gathers use np.take: the same bytes as fancy indexing, 3-4x faster for point rows on numpy 2.4.
-        x, y, z = (np.take(self.points[:, axis], idx) - queries[:, axis, None] for axis in range(3))
-        return np.sqrt(x * x + y * y + z * z)
 
     def knn(self, query, k: int, exclude_index=None):
         """The k nearest points to ``query`` by Euclidean distance.
 
         ``query`` is one point or an (m, 3) array of points. ``exclude_index``
         is None, one point index, or one index per query row; that point is
-        skipped. Returns ``(distances, indices)`` sorted ascending with ties
-        toward the lower index: (k,) arrays for one point, (m, k) for an
-        array. If fewer than k points remain after the exclusion, all of them
-        are returned.
+        skipped. Returns ``(distances, indices)`` as cKDTree's ``query``
+        gives them, sorted ascending: (k,) arrays for one point, (m, k) for
+        an array. Equidistant points keep cKDTree's order. If fewer than k
+        points remain after the exclusion, all of them are returned.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -85,52 +64,30 @@ class KdTree:
         q = np.asarray(query, dtype=np.float64).reshape(-1, 3)
         m, n = q.shape[0], len(self)
         if exclude_index is None:
-            exclude = np.full(m, -1, dtype=np.int64)
-        else:
-            exclude = np.broadcast_to(np.asarray(exclude_index, dtype=np.int64), (m,))
-            if ((exclude < 0) | (exclude >= n)).any():
-                raise ValueError("exclude_index must index the cloud")
+            width = min(k, n)
+            dist, idx = self._tree.query(q, k=width)
+            dist, idx = dist.reshape(m, width), idx.reshape(m, width)
+            return (dist[0], idx[0]) if single else (dist, idx)
+
+        exclude = np.broadcast_to(np.asarray(exclude_index, dtype=np.int64), (m,))
+        if ((exclude < 0) | (exclude >= n)).any():
+            raise ValueError("exclude_index must index the cloud")
         order = None
-        if exclude_index is not None and m > 1:
+        if m > 1:
             rank = np.empty(n, dtype=np.int32)  # of each point in the tree's leaf order
             rank[self._tree.indices] = np.arange(n, dtype=np.int32)
             order = np.argsort(rank[exclude])
             q, exclude = q[order], exclude[order]
-        first = int(exclude_index is not None)  # the column a settled row starts at
-        width = min(k, n - first)
-        fetched = min(n, width + first + EXTRA)
-
-        tree_dist, cand = self._tree.query(q, k=fetched)
-        cand = cand.reshape(m, fetched)
-        dist = self._distances(q, cand)
-        # A row with strictly ascending distances, its excluded point first, is in order.
-        ordered = (dist[:, first + 1:] > dist[:, first:-1]).all(axis=1)
-        if first:
-            ordered &= cand[:, 0] == exclude
-        idx, near = cand[:, first:first + width].copy(), dist[:, first:first + width].copy()
-        rows = np.flatnonzero(~ordered)
-        cand, dist = cand[rows], dist[rows]
-        dist[cand == exclude[rows, None]] = np.inf
-        top = np.lexsort((cand, dist))[:, :width]
-        idx[rows], near[rows] = np.take_along_axis(cand, top, axis=1), np.take_along_axis(dist, top, axis=1)
-
-        # A row is settled when its k-th distance is clearly below the farthest
-        # fetched one: every point cKDTree left out is then strictly farther.
-        # Other rows (ties across the fetch boundary) re-rank a ball query.
-        if fetched < n:
-            unsure = np.flatnonzero(near[:, -1] >= (1.0 - SLACK) * tree_dist.reshape(m, fetched)[:, -1])
-            if unsure.size:
-                balls = self._tree.query_ball_point(q[unsure], near[unsure, -1] * (1.0 + SLACK))
-                for row, ball in zip(unsure.tolist(), balls):
-                    ball = np.asarray(ball, dtype=np.int64)
-                    d = self._distances(q[row:row + 1], ball[None])[0]
-                    d[ball == exclude[row]] = np.inf
-                    best = np.lexsort((ball, d))[:width]
-                    near[row], idx[row] = d[best], ball[best]
-
+        width = min(k, n - 1)
+        dist, idx = self._tree.query(q, k=width + 1)
+        dist, idx = dist.reshape(m, width + 1), idx.reshape(m, width + 1)
+        # Drop the excluded point, or the farthest column of a row that lacks it.
+        drop = idx == exclude[:, None]
+        drop[~drop.any(axis=1), -1] = True
+        dist, idx = dist[~drop].reshape(m, width), idx[~drop].reshape(m, width)
         if order is not None:
-            near[order], idx[order] = near.copy(), idx.copy()
-        return (near[0], idx[0]) if single else (near, idx)
+            dist[order], idx[order] = dist.copy(), idx.copy()
+        return (dist[0], idx[0]) if single else (dist, idx)
 
     def radius_search(self, center, radius: float) -> np.ndarray:
         """Indices of all points with distance <= radius, ascending.
@@ -144,20 +101,13 @@ class KdTree:
             raise ValueError(f"radius must be positive, got {radius}")
         single = np.ndim(center) == 1
         c = np.asarray(center, dtype=np.float64).reshape(-1, 3)
-        m = c.shape[0]
-        balls = self._tree.query_ball_point(c, radius * (1.0 + SLACK), return_sorted=True)
-        lengths = np.fromiter(map(len, balls), dtype=np.int64, count=m)
-        cand = np.fromiter(chain.from_iterable(balls), dtype=np.int64, count=int(lengths.sum()))
-        rows = np.repeat(np.arange(m), lengths)
-        offsets = np.take(self.points, cand, axis=0) - np.take(c, rows, axis=0)
-        keep = (offsets**2).sum(axis=1) <= radius * radius
-        cand, rows = cand[keep], rows[keep]
+        balls = self._tree.query_ball_point(c, radius, return_sorted=True)
+        lengths = np.fromiter(map(len, balls), dtype=np.int64, count=c.shape[0])
+        found = np.fromiter(chain.from_iterable(balls), dtype=np.int64, count=int(lengths.sum()))
         if single:
-            return cand
-        counts = np.bincount(rows, minlength=m)
-        starts = np.cumsum(counts) - counts
-        out = np.full((m, counts.max(initial=0)), -1, dtype=np.int64)
-        out[rows, np.arange(cand.size) - starts[rows]] = cand
+            return found
+        out = np.full((c.shape[0], lengths.max(initial=0)), -1, dtype=np.int64)
+        out[np.arange(out.shape[1]) < lengths[:, None]] = found
         return out
 
     def __len__(self) -> int:

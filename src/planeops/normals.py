@@ -106,7 +106,9 @@ def normals_from_neighbors(points: np.ndarray, idx: np.ndarray, nbr_dist: np.nda
     """Normals (and curvature) from precomputed neighborhoods.
 
     ``nbr_dist`` and ``nbr_idx`` are the (m, k) result of ``KdTree.knn`` for
-    the reference points ``idx``; returns what :func:`estimate_normals` does.
+    the reference points ``idx``: cKDTree's neighbours, so equidistant ones
+    come in cKDTree's order. The weighted scatter sums over them in that
+    order. Returns what :func:`estimate_normals` does.
     """
     u = np.take(points, nbr_idx, axis=0)
     u -= np.take(points, idx, axis=0)[:, None, :]

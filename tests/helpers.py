@@ -129,6 +129,28 @@ def brute_force_knn(points: np.ndarray, query, k: int, exclude_index=None):
     return dists[order], idx[order]
 
 
+def assert_knn_row_matches_brute_force(points: np.ndarray, query, k: int, dist, idx, exclude_index=None):
+    """One k-NN row against ``brute_force_knn``, in any order among equal distances.
+
+    The distances must equal the scan's sorted distances bit for bit, the
+    indices must be distinct and never the excluded point, each index's scan
+    distance must equal its returned distance, and the points strictly nearer
+    than the k-th distance must be exactly the scan's.
+    """
+    want, _ = brute_force_knn(points, query, k, exclude_index=exclude_index)
+    np.testing.assert_array_equal(dist, want)
+    all_dist, all_idx = brute_force_knn(points, query, points.shape[0])
+    scan = np.empty(points.shape[0])
+    scan[all_idx] = all_dist
+    assert np.unique(idx).size == idx.size
+    if exclude_index is not None:
+        assert exclude_index not in idx.tolist()
+        scan[exclude_index] = np.inf
+    np.testing.assert_array_equal(scan[idx], dist)
+    if idx.size:
+        np.testing.assert_array_equal(np.sort(idx[dist < dist[-1]]), np.flatnonzero(scan < dist[-1]))
+
+
 def brute_force_radius(points: np.ndarray, center, radius: float) -> np.ndarray:
     """All indices within radius by full scan, ascending."""
     c = np.asarray(center, dtype=np.float64)

@@ -229,7 +229,7 @@ def test_08_determinism(tmp_path):
                 d.pop("timings_ms")
                 dicts.append(json.dumps(d, sort_keys=True))
                 ply = tmp_path / f"{config.detector}_{run}.ply"
-                save_labeled(points, report.labeling, ply, mode="segment", sidecar=False)
+                save_labeled(points, report.labeling, ply, mode="segment")
                 sidecar = tmp_path / f"{config.detector}_{run}.labels.txt"
                 save_labeling(report.labeling, sidecar)
                 files.append((ply.read_bytes(), sidecar.read_bytes()))

@@ -307,6 +307,41 @@ def test_bad_path_exit_code(room_files, tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["detect", "--input", "{cloud}", "--out", "{file}"],
+    ["gt", "--input", "{cloud}", "--out", "{dir}"],
+    ["gt", "--input", "{cloud}", "--out", "{tmp}/o.labels.txt", "--ply", "{dir}"],
+], ids=["detect-out-file", "gt-out-directory", "gt-ply-directory"])
+def test_bad_out_path_fails_before_the_work(room_files, tmp_path, capsys, monkeypatch, argv):
+    """An output path that exists as the wrong kind exits 2 before the cloud
+    is loaded, and nothing is created."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+
+    for name in ("load_cloud", "run_detect", "generate_ground_truth"):
+        monkeypatch.setattr(planeops.cli, name, no_work)
+    cloud_path, _ = room_files
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    paths = {"dir": tmp_path / "dir", "file": tmp_path / "file", "cloud": cloud_path, "tmp": tmp_path}
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o.labels.txt").exists() and not any((tmp_path / "dir").iterdir())
+
+
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "ascii"])
+def test_negative_vertex_count_exit_code(tmp_path, capsys, binary):
+    fmt, body = ("binary_little_endian", np.zeros(3).tobytes()) if binary else ("ascii", b"0 0 0\n")
+    cloud = tmp_path / "cloud.ply"
+    cloud.write_bytes(f"ply\nformat {fmt} 1.0\nelement vertex -1\nproperty double x\nproperty double y\n"
+                      "property double z\nend_header\n".encode() + body)
+    assert main(["detect", "--input", str(cloud), "--out", str(tmp_path / "o")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 3: negative vertex count" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flags", [["--sigma", "0.1"], ["--detector", "fspf", "--claim-full-sphere"],
                                    ["--grouping", "detect_first"]],
                          ids=["sigma", "claim-full-sphere", "grouping"])

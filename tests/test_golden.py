@@ -57,7 +57,7 @@ import json
 
 import pytest
 
-from planeops import make_box_room, save_labeled
+from planeops import make_box_room, save_labeled, save_labeling
 from planeops.cli import main
 
 GOLDEN = {
@@ -124,6 +124,7 @@ def _room(workdir, points_per_face: int, clutter: int, seed: int):
                                   noise_sigma=0.005, seed=seed)
     cloud = workdir / "room.ply"
     save_labeled(points, truth, cloud)
+    save_labeling(truth, cloud.with_suffix(".labels.txt"))
     return cloud
 
 

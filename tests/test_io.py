@@ -161,6 +161,28 @@ def test_element_before_vertex_unsupported(tmp_path, binary):
         load_cloud(path)
 
 
+@pytest.mark.parametrize("binary", [True, False])
+def test_negative_vertex_count_rejected(tmp_path, binary):
+    vertices = [(1.0, 2.0, 3.0)]
+    if binary:
+        data = _binary_ply(np.array(vertices, dtype=[(c, "<f8") for c in "xyz"]), ("double x", "double y", "double z"))
+    else:
+        data = _ascii_ply(vertices)
+    path = tmp_path / "c.ply"
+    path.write_bytes(data.replace(b"element vertex 1", b"element vertex -1"))
+    with pytest.raises(ParseError, match="negative vertex count -1") as err:
+        load_cloud(path)
+    assert err.value.line == 3
+
+
+def test_ascii_vertex_count_beyond_body_rejected(tmp_path):
+    # The row buffer is bounded by the body's lines, not by the declared count.
+    path = tmp_path / "c.ply"
+    path.write_bytes(_ascii_ply([(1.0, 2.0, 3.0)]).replace(b"element vertex 1", b"element vertex 1000000000000"))
+    with pytest.raises(ParseError, match="file ends after 1"):
+        load_cloud(path)
+
+
 def _room_labeling(n=60):
     ids = np.repeat(np.arange(6), n // 6 - 1).astype(np.int32)
     ids = np.concatenate([ids, np.full(n - ids.size, -1, dtype=np.int32)])
@@ -178,7 +200,7 @@ class TestLabeledOutput:
         loaded = load_cloud(path)
         np.testing.assert_array_equal(loaded, points)
         again = tmp_path / "again.ply"
-        save_labeled(loaded, labeling, again, mode="segment", sidecar=False)
+        save_labeled(loaded, labeling, again, mode="segment")
         assert (tmp_path / "out.ply").read_bytes() == again.read_bytes()
 
     def test_segment_mode_colors(self, tmp_path, rng):
@@ -209,7 +231,7 @@ class TestLabeledOutput:
     def test_all_other_is_uniform_gray(self, tmp_path, rng):
         points = rng.normal(size=(10, 3))
         path = tmp_path / "out.ply"
-        save_labeled(points, SegmentLabeling.all_other(10), path, mode="segment", sidecar=False)
+        save_labeled(points, SegmentLabeling.all_other(10), path, mode="segment")
         raw = path.read_bytes()
         body = raw[raw.find(b"end_header") + len(b"end_header\n"):]
         table = np.frombuffer(body, dtype=[("x", "<f8"), ("y", "<f8"), ("z", "<f8"),
@@ -282,7 +304,7 @@ def test_labeled_ply_round_trip_drops_nonfinite_rows(tmp_path_factory, rows, bin
     finite = np.isfinite(points).all(axis=1)
     path = tmp_path_factory.mktemp("ply") / "cloud.ply"
     if binary:
-        save_labeled(points, SegmentLabeling.all_other(len(points)), path, sidecar=False)
+        save_labeled(points, SegmentLabeling.all_other(len(points)), path)
     else:
         path.write_bytes(_ascii_ply(points.tolist(), props=("double x", "double y", "double z")))
     log, handler = logging.getLogger("planeops.io"), _Warnings()
@@ -326,7 +348,7 @@ def test_sidecar_round_trip_property(tmp_path_factory, labeling):
 @given(labeling=valid_labelings())
 def test_segment_colors_match_per_point_reference(tmp_path_factory, labeling):
     path = tmp_path_factory.mktemp("colors") / "out.ply"
-    save_labeled(np.zeros((len(labeling), 3)), labeling, path, mode="segment", sidecar=False)
+    save_labeled(np.zeros((len(labeling), 3)), labeling, path, mode="segment")
     raw = path.read_bytes()
     table = np.frombuffer(raw[raw.find(b"end_header") + len(b"end_header\n"):],
                           dtype=[("x", "<f8"), ("y", "<f8"), ("z", "<f8"), ("rgb", "u1", 3)])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_knn, brute_force_radius
+from helpers import assert_knn_row_matches_brute_force, brute_force_knn, brute_force_radius
 from planeops import EmptyCloud, KdTree
 
 
@@ -54,12 +54,13 @@ def test_exclude_index():
     assert_batch_matches_singles(tree, tree.points, k=2, exclude=[0, 1, 2])
 
 
-def test_tie_break_by_lower_index():
-    # four points equidistant from the origin
-    pts = [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]]
+def test_equidistant_neighbours():
+    # four points equidistant from the origin: any two of them are an answer
+    pts = np.array([[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], dtype=np.float64)
     tree = KdTree(pts)
-    _, i = tree.knn((0, 0, 0), k=2)
-    assert i.tolist() == [0, 1]
+    d, i = tree.knn((0, 0, 0), k=2)
+    assert d.tolist() == [1.0, 1.0]
+    assert_knn_row_matches_brute_force(pts, (0, 0, 0), 2, d, i)
     assert_batch_matches_singles(tree, [(0, 0, 0), (0, 0, 1), (1, 0, 0)], k=2)
 
 
@@ -91,8 +92,8 @@ grid_points = st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=8, max_size
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(points=grid_points, data=st.data())
 def test_knn_batch_on_integer_grid_matches_brute_force(points, data):
-    # Duplicates and equidistant grid points tie heavily, so some rows settle
-    # from cKDTree's candidates and others need the exact tie re-ranking.
+    # Duplicates and equidistant grid points tie heavily, and a duplicate may
+    # come before the copy a query excludes.
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
     k = data.draw(st.one_of(st.integers(1, 3), st.integers(1, n + 3)), label="k")
@@ -103,18 +104,15 @@ def test_knn_batch_on_integer_grid_matches_brute_force(points, data):
     tree = KdTree(pts)
     d, i = tree.knn(queries, k, exclude_index=exclude)
     for row, (q, e) in enumerate(zip(queries, exclude)):
-        bd, bi = brute_force_knn(pts, q, k, exclude_index=e)
-        np.testing.assert_array_equal(i[row], bi)
-        np.testing.assert_array_equal(d[row], bd)
+        assert_knn_row_matches_brute_force(pts, q, k, d[row], i[row], exclude_index=e)
 
 
 @st.composite
 def mixed_clouds(draw):
     """Generic points plus lattice points, some repeated, in shuffled order.
 
-    Generic points have no ties, so their rows come back from cKDTree already
-    in order; lattice points tie exactly, and a repeat may sit at a lower
-    index than the copy a query excludes.
+    Generic points have no ties; lattice points tie exactly, and a repeat
+    may sit at a lower index than the copy a query excludes.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     lattice = draw(st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=30), label="lattice")
@@ -127,10 +125,9 @@ def mixed_clouds(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(cloud=mixed_clouds(), data=st.data())
 def test_knn_mixed_batch_matches_brute_force(cloud, data):
-    # One batch holds rows that settle as cKDTree returns them and rows that
-    # need the (distance, index) sort or the ball re-rank: exact ties at the
-    # k-th distance, self-queries whose duplicate comes first, and with k
-    # near n, clouds where every point is fetched.
+    # One batch holds rows without ties and rows with exact ties at the k-th
+    # distance, self-queries whose duplicate comes first, and with k near n,
+    # clouds where every point is fetched.
     pts, rng = cloud
     n = pts.shape[0]
     k = data.draw(st.one_of(st.integers(1, 8), st.integers(max(1, n - 3), n + 3)), label="k")
@@ -146,13 +143,11 @@ def test_knn_mixed_batch_matches_brute_force(cloud, data):
         assert d.shape == i.shape == (len(queries), min(k, n - (ex is not None)))
         for row, q in enumerate(queries):
             e = None if ex is None else int(ex[row])
-            bd, bi = brute_force_knn(pts, q, k, exclude_index=e)
-            np.testing.assert_array_equal(i[row], bi)
-            np.testing.assert_array_equal(d[row], bd)
+            assert_knn_row_matches_brute_force(pts, q, k, d[row], i[row], exclude_index=e)
             if row in (0, len(own), len(queries) - 1):  # the one-point form, on each kind of query
                 sd, si = tree.knn(q, k, exclude_index=e)
-                np.testing.assert_array_equal(si, bi)
-                np.testing.assert_array_equal(sd, bd)
+                np.testing.assert_array_equal(si, i[row])
+                np.testing.assert_array_equal(sd, d[row])
 
 
 def test_radius_simple():
@@ -213,10 +208,21 @@ def test_duplicate_points(rng):
     tree = KdTree(pts)
     for q in rng.uniform(0, 1, size=(10, 3)):
         d, i = tree.knn(q, 5)
-        bd, bi = brute_force_knn(pts, q, 5)
-        np.testing.assert_array_equal(i, bi)
+        assert_knn_row_matches_brute_force(pts, q, 5, d, i)
     assert_batch_matches_singles(tree, rng.uniform(0, 1, size=(10, 3)), 5)
     assert_batch_matches_singles(tree, pts, 5, exclude=np.arange(pts.shape[0]))
+
+
+def test_excluded_copy_among_duplicates():
+    # With 5 copies and k = 2, cKDTree's 3 nearest copies may leave out the
+    # excluded one; the row then drops its farthest column instead.
+    pts = np.concatenate([np.repeat([[0.5, 0.5, 0.5]], 5, axis=0), [[0, 0, 0], [1, 1, 1], [0.5, 0.5, 0.6]]])
+    tree = KdTree(pts)
+    for copy in range(5):
+        d, i = tree.knn(pts[copy], 2, exclude_index=copy)
+        assert d.tolist() == [0.0, 0.0]
+        assert_knn_row_matches_brute_force(pts, pts[copy], 2, d, i, exclude_index=copy)
+    assert_batch_matches_singles(tree, pts[:5], 2, exclude=np.arange(5))
 
 
 def test_invalid_arguments():

@@ -262,7 +262,7 @@ class TestRunBench:
         for seed in (1, 2):
             points, truth = _small_scene(seed=seed)
             cloud = tmp_path / f"scene{seed}.ply"
-            save_labeled(points, SegmentLabeling.all_other(points.shape[0]), cloud, sidecar=False)
+            save_labeled(points, SegmentLabeling.all_other(points.shape[0]), cloud)
             save_labeling(truth, tmp_path / f"scene{seed}.labels.txt")
             paths.append(cloud)
         return tmp_path
@@ -309,7 +309,7 @@ class TestRunBench:
     def test_generate_gt_on_the_fly(self, tmp_path):
         points, _ = _small_scene(seed=3)
         cloud = tmp_path / "scene.ply"
-        save_labeled(points, SegmentLabeling.all_other(points.shape[0]), cloud, sidecar=False)
+        save_labeled(points, SegmentLabeling.all_other(points.shape[0]), cloud)
         rows = run_bench(tmp_path, [_ops_config()], generate_gt=True)
         assert rows[0].n_clouds == 1
         assert rows[0].mean_segmentation > 0.5
