@@ -141,17 +141,19 @@ def _detect_config(args) -> RunConfig:
     return RunConfig.from_dict(d)
 
 
-def _check_out(path: Path, directory: bool) -> None:
-    """Raise the OSError that writing ``path`` would raise, if it already
+def _check_out(*paths: Path | None, directory: bool = False) -> None:
+    """Raise the OSError that writing a path would raise, if it already
     exists as the wrong kind, so that a bad output path fails before the
-    work; nothing is created."""
-    if directory and path.exists() and not path.is_dir():
-        raise FileExistsError(errno.EEXIST, "exists and is not a directory", str(path))
-    if not directory and path.is_dir():
-        raise IsADirectoryError(errno.EISDIR, "is a directory", str(path))
+    work; nothing is created. None stands for an output not asked for."""
+    for path in filter(None, paths):
+        if directory and path.exists() and not path.is_dir():
+            raise FileExistsError(errno.EEXIST, "exists and is not a directory", str(path))
+        if not directory and path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "is a directory", str(path))
 
 
 def _cmd_synth(args) -> int:
+    _check_out(args.out, args.out.with_suffix(".labels.txt"))
     if args.scene:
         scene = _read_json(args.scene)
         noise = scene.get("noise_sigma", args.noise) if isinstance(scene, dict) else args.noise
@@ -208,8 +210,7 @@ def _cmd_gt(args) -> int:
         params = GtParams(**_write_flags({}, args, GT_FLAGS))
     except ValueError as exc:
         raise ConfigError(f"invalid flag value: {exc}") from exc
-    for path in filter(None, (args.out, args.ply)):
-        _check_out(path, directory=False)
+    _check_out(args.out, args.ply)
     points = load_cloud(args.input)
     labeling = generate_ground_truth(points, params)
     args.out.parent.mkdir(parents=True, exist_ok=True)
@@ -221,6 +222,7 @@ def _cmd_gt(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_out(args.json)
     pred = load_labeling(args.pred)
     truth = load_labeling(args.truth)
     try:
@@ -242,6 +244,7 @@ def _cmd_bench(args) -> int:
     if not isinstance(raw, list) or not raw:
         raise ParseError("configs file must hold a nonempty JSON list", path=args.configs)
     configs = [RunConfig.from_dict(d) for d in raw]
+    _check_out(args.out)
     try:
         rows = run_bench(args.dataset, configs, gt_dir=args.gt_dir, generate_gt=args.gen_gt)
     except ValueError as exc:

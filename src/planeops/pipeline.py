@@ -1,5 +1,7 @@
 """End-to-end detection runs: detect, merge, label, time, report.
 
+Both detectors label points by one rule: each plane claims the unclaimed
+points near it, and a point carries the id of the plane that claimed it.
 A run is fully determined by (config, seed, input); reports are identical
 across repeats except for the timing fields. The JSON report schema produced
 by :meth:`DetectionReport.to_dict` is the stability contract; the text
@@ -24,7 +26,7 @@ from .kdtree import KdTree
 from .merge import MergeParams, merge_all
 from .metrics import classification_accuracy, segmentation_accuracy
 from .normals import SampleSet, estimate_normals, sample_indices
-from .ops import OpsParams, detect_grouped
+from .ops import OpsParams, detect_grouped, extract_full_inliers
 from .truth import GtParams, SegmentLabeling, generate_ground_truth
 
 __all__ = [
@@ -41,10 +43,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 STAGES = ("index", "sampling", "normals", "detection", "merging", "labeling")
-
-# Points labeled together by assign_to_planes; bounds its (rows, planes)
-# distance table to a few MB at paper scale.
-ASSIGN_BLOCK = 8192
 
 
 class ConfigError(ValueError):
@@ -143,26 +141,24 @@ class DetectionReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def assign_to_planes(points: np.ndarray, planes: list[PlaneModel], dist_threshold: float) -> np.ndarray:
-    """The plane id of every point: its nearest plane's, when within the threshold.
+def assign_to_planes(points: np.ndarray, planes: list[PlaneModel], dist_threshold: float) -> list[PlaneModel]:
+    """Let each plane, in list order, claim the unclaimed points within the threshold.
 
-    Used for detectors whose recorded inliers are sparse samples rather than
-    full verification sets. Plane ids follow list order; a point goes to the
-    plane of smallest distance, the earliest one on a tie, when that distance
-    is below ``dist_threshold``, and gets -1 (unsegmented) otherwise. Points
-    are labeled ``ASSIGN_BLOCK`` at a time, each block by one matrix product.
+    For planes whose recorded inliers are sparse draws: each takes the points
+    not yet claimed at a distance below ``dist_threshold`` and is refit on
+    them (:func:`~planeops.ops.extract_full_inliers`); a plane that claims
+    none is dropped.
     """
-    n = points.shape[0]
-    if not planes:
-        return np.full(n, -1, dtype=np.int32)
-    normals = np.array([plane.normal for plane in planes])
-    offsets = np.array([plane.centroid @ plane.normal for plane in planes])
-    ids = np.empty(n, dtype=np.int32)
-    for start in range(0, n, ASSIGN_BLOCK):
-        dist = np.abs(points[start:start + ASSIGN_BLOCK] @ normals.T - offsets)
-        nearest = dist.argmin(axis=1)
-        ids[start:start + ASSIGN_BLOCK] = np.where(dist.min(axis=1) < dist_threshold, nearest, -1)
-    return ids
+    live = np.arange(points.shape[0], dtype=np.int64)  # unclaimed points, ascending
+    claimed = np.zeros(points.shape[0], dtype=bool)
+    out = []
+    for plane in planes:
+        full = extract_full_inliers(points, plane, dist_threshold, live)
+        if full.inlier_count:
+            claimed[full.inliers] = True
+            live = live[~claimed[live]]
+            out.append(full)
+    return out
 
 
 def labeling_from_inliers(n: int, planes: list[PlaneModel]) -> np.ndarray:
@@ -187,9 +183,10 @@ def run_detect(points, config: RunConfig) -> DetectionReport:
     """Detect planes in a cloud with the configured detector, then merge,
     label each point, and assemble the report.
 
-    Oriented-point runs label points by the planes' verified inlier sets;
-    local-sampling runs assign every point to its nearest merged plane within
-    the distance threshold, since their recorded inliers are sparse draws.
+    Points are labeled by the planes' disjoint inlier sets, so a plane's
+    ``inlier_count`` counts the points labeled with its id. The merged planes
+    of a local-sampling run first claim theirs by :func:`assign_to_planes`,
+    largest first.
 
     ``timings_ms`` holds every stage of ``STAGES`` for both detectors, 0 for
     a stage the detector skips; ``other``, the untimed rest of the call
@@ -222,10 +219,9 @@ def run_detect(points, config: RunConfig) -> DetectionReport:
         merged = merge_all(raw_planes, points, config.merge)
 
     with _stage(timings, "labeling"):
-        if config.detector == "ops":
-            ids = labeling_from_inliers(points.shape[0], merged)
-        else:
-            ids = assign_to_planes(points, merged, config.fspf.dist_threshold)
+        if config.detector == "fspf":
+            merged = assign_to_planes(points, merged, config.fspf.dist_threshold)
+        ids = labeling_from_inliers(points.shape[0], merged)
         classes = classify_orientations([plane.normal for plane in merged], config.up,
                                         config.orientation_tol_degrees)
         labeling = SegmentLabeling.from_planes(ids, classes)

@@ -280,22 +280,6 @@ def reference_merge_on_moments(planes, points, params):
     return sorted(out, key=lambda pl: -pl.inlier_count)
 
 
-def reference_assign_to_planes(points, planes, dist_threshold):
-    """Nearest-plane plane ids by one full-cloud distance pass per plane.
-
-    A plane takes a point only at a distance below the threshold and strictly
-    below the best so far, so ties stay with the earlier plane.
-    """
-    ids = np.full(points.shape[0], -1, dtype=np.int32)
-    best = np.full(points.shape[0], np.inf)
-    for pid, plane in enumerate(planes):
-        d = np.abs((points - plane.centroid) @ plane.normal)
-        better = (d < dist_threshold) & (d < best)
-        ids[better] = pid
-        best[better] = d[better]
-    return ids
-
-
 def reference_validate(labeling):
     """SegmentLabeling.validate as a per-segment loop, O(segments x points)."""
     if not np.all(labeling.orientations[labeling.plane_ids < 0] == int(Orientation.OTHER)):
@@ -486,6 +470,20 @@ def reference_extract_full_inliers(points, model, dist_threshold, active_mask=No
         except DegenerateInput:
             pass
     return PlaneModel(centroid=model.centroid, normal=model.normal, inliers=idx)
+
+
+def reference_claim_planes(points, planes, dist_threshold):
+    """The claim pass as a loop of full-cloud verifications over an active
+    mask: each plane in turn takes the active points within the threshold,
+    and a plane that takes none is dropped."""
+    active_mask = np.ones(points.shape[0], dtype=bool)
+    claimed = []
+    for plane in planes:
+        full = reference_extract_full_inliers(points, plane, dist_threshold, active_mask)
+        if full.inlier_count:
+            active_mask[full.inliers] = False
+            claimed.append(full)
+    return claimed
 
 
 def reference_detect_grouped(points, samples, params, rng, up, tol_degrees):

@@ -275,3 +275,19 @@ def test_10_ground_truth_generator_sanity(clean_room):
             orient_counts[orient] = orient_counts.get(orient, 0) + 1
         assert orient_counts[Orientation.HORIZONTAL] == 2
         assert orient_counts[Orientation.VERTICAL] == 4
+
+
+def test_13_fspf_segmentation_at_paper_scale():
+    with criterion("13 fspf seg at 6.5k / 65k / 325k points (>= 0.85 / 0.9 / 0.9)"):
+        # default parameters, with an inlier budget of the whole cloud
+        failures = []
+        for points_per_face, seeds, bound in ((1000, range(3), 0.85), (10000, range(3), 0.9),
+                                              (50000, range(2), 0.9)):
+            for seed in seeds:
+                points, truth = make_box_room(size=ROOM_SIZE, points_per_face=points_per_face,
+                                              clutter=points_per_face // 2, noise_sigma=0.005, seed=seed)
+                config = RunConfig(detector="fspf", fspf=FspfParams(max_inlier_points=points.shape[0]))
+                seg = segmentation_accuracy(run_detect(points, config).labeling, truth)
+                if seg < bound:
+                    failures.append((points.shape[0], seed, round(seg, 3)))
+        assert failures == [], f"(points, seed, seg) below the bound: {failures}"

@@ -311,23 +311,32 @@ def test_bad_path_exit_code(room_files, tmp_path, capsys, argv):
     ["detect", "--input", "{cloud}", "--out", "{file}"],
     ["gt", "--input", "{cloud}", "--out", "{dir}"],
     ["gt", "--input", "{cloud}", "--out", "{tmp}/o.labels.txt", "--ply", "{dir}"],
-], ids=["detect-out-file", "gt-out-directory", "gt-ply-directory"])
+    ["bench", "--dataset", "{tmp}", "--configs", "{configs}", "--gen-gt", "--out", "{dir}"],
+    ["eval", "--pred", "{labels}", "--truth", "{labels}", "--json", "{dir}"],
+    ["synth", "--out", "{dir}"],
+    ["synth", "--out", "{tmp}/s.ply"],
+], ids=["detect-out-file", "gt-out-directory", "gt-ply-directory", "bench-out-directory", "eval-json-directory",
+        "synth-out-directory", "synth-sidecar-directory"])
 def test_bad_out_path_fails_before_the_work(room_files, tmp_path, capsys, monkeypatch, argv):
-    """An output path that exists as the wrong kind exits 2 before the cloud
-    is loaded, and nothing is created."""
+    """An output path that exists as the wrong kind exits 2 before the input
+    is read or the work starts, and nothing is created."""
     def no_work(*args, **kwargs):
         raise AssertionError("ran before the output path was checked")
 
-    for name in ("load_cloud", "run_detect", "generate_ground_truth"):
+    for name in ("load_cloud", "run_detect", "generate_ground_truth", "run_bench", "load_labeling", "gen_synthetic"):
         monkeypatch.setattr(planeops.cli, name, no_work)
-    cloud_path, _ = room_files
+    cloud_path, labels_path = room_files
     (tmp_path / "dir").mkdir()
+    (tmp_path / "s.labels.txt").mkdir()
     (tmp_path / "file").write_text("")
-    paths = {"dir": tmp_path / "dir", "file": tmp_path / "file", "cloud": cloud_path, "tmp": tmp_path}
+    (tmp_path / "configs.json").write_text('[{"detector": "ops"}]')
+    paths = {"dir": tmp_path / "dir", "file": tmp_path / "file", "cloud": cloud_path, "labels": labels_path,
+             "configs": tmp_path / "configs.json", "tmp": tmp_path}
+    before = sorted(tmp_path.rglob("*"))
     assert main([arg.format(**paths) for arg in argv]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert not (tmp_path / "o.labels.txt").exists() and not any((tmp_path / "dir").iterdir())
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("binary", [True, False], ids=["binary", "ascii"])

@@ -25,9 +25,9 @@ from planeops import (
     save_labeling,
     segmentation_accuracy,
 )
-from helpers import reference_assign_to_planes
+from helpers import reference_claim_planes
 from planeops import pipeline
-from planeops.geometry import classify_orientations
+from planeops.geometry import classify_orientations, fit_plane
 from planeops.pipeline import assign_to_planes, bench_table, labeling_from_inliers, run_bench, run_detect
 
 
@@ -146,11 +146,15 @@ class TestRunDetect:
         assert [p.orientation for p in report.planes] == [Orientation(c).name.lower() for c in tables[0].tolist()]
 
     def test_labeling_matches_plane_summaries(self):
+        # one meaning of inlier_count for both detectors: the points labeled
+        # with the plane's id
         points, _ = _small_scene()
-        report = run_detect(points, _ops_config())
-        for plane in report.planes:
-            members = report.labeling.plane_ids == plane.id
-            assert members.sum() == plane.inlier_count
+        for config in (_ops_config(), _fspf_config()):
+            report = run_detect(points, config)
+            ids = report.labeling.plane_ids
+            assert [p.id for p in report.planes] == list(range(report.post_merge_count))
+            assert np.bincount(ids[ids >= 0], minlength=report.post_merge_count).tolist() == [
+                p.inlier_count for p in report.planes]
 
 
 class TestRunConfig:
@@ -194,27 +198,55 @@ class TestRunConfig:
         assert named == fields
 
 
+def _assert_same_planes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.inliers, b.inliers)
+        np.testing.assert_array_equal(a.centroid, b.centroid)
+        np.testing.assert_array_equal(a.normal, b.normal)
+
+
 class TestAssignToPlanes:
-    def test_nearest_plane_wins(self):
-        points = np.array([[0, 0, 0.01], [0, 0, 0.96], [0, 0, 10.0]])
-        planes = [
-            PlaneModel(centroid=(0, 0, 0), normal=(0, 0, 1)),
-            PlaneModel(centroid=(0, 0, 1), normal=(0, 0, 1)),
-        ]
-        assert assign_to_planes(points, planes, dist_threshold=0.1).tolist() == [0, 1, -1]
+    # a floor (z = 0) and a wall (x = 0), three points each; point 6 is 0.02
+    # from the floor and 0.01 from the wall, point 7 within reach of neither
+    POINTS = np.array([[1, 1, 0], [2, 1, 0], [1, 2, 0], [0, 1, 1], [0, 2, 1], [0, 1, 2],
+                       [0.01, 3, 0.02], [5, 5, 5]], dtype=float)
+    FLOOR = PlaneModel(centroid=(1, 1, 0), normal=(0, 0, 1), inliers=[0])
+    WALL = PlaneModel(centroid=(0, 1, 1), normal=(1, 0, 0), inliers=[3])
+
+    def test_earlier_plane_claims_shared_point(self):
+        for planes, want in (([self.FLOOR, self.WALL], [[0, 1, 2, 6], [3, 4, 5]]),
+                             ([self.WALL, self.FLOOR], [[3, 4, 5, 6], [0, 1, 2]])):
+            claimed = assign_to_planes(self.POINTS, planes, 0.1)
+            assert [p.inliers.tolist() for p in claimed] == want
+            for plane in claimed:  # refit on the claimed points
+                fit = fit_plane(self.POINTS[plane.inliers])
+                np.testing.assert_array_equal(plane.centroid, fit.centroid)
+                np.testing.assert_array_equal(plane.normal, fit.normal)
+            _assert_same_planes(claimed, reference_claim_planes(self.POINTS, planes, 0.1))
+        assert labeling_from_inliers(8, claimed).tolist() == [1, 1, 1, 0, 0, 0, 0, -1]
+
+    def test_plane_claiming_nothing_is_dropped(self):
+        # a copy of the floor finds its points taken; the ceiling reaches none
+        copy = PlaneModel(centroid=(1, 1, 0.01), normal=(0, 0, 1))
+        ceiling = PlaneModel(centroid=(1, 1, 3), normal=(0, 0, 1))
+        planes = [self.FLOOR, copy, ceiling, self.WALL]
+        claimed = assign_to_planes(self.POINTS, planes, 0.1)
+        assert [p.inliers.tolist() for p in claimed] == [[0, 1, 2, 6], [3, 4, 5]]
+        _assert_same_planes(claimed, reference_claim_planes(self.POINTS, planes, 0.1))
 
     def test_no_planes(self):
-        ids = assign_to_planes(np.zeros((4, 3)), [], 0.05)
+        assert assign_to_planes(np.zeros((4, 3)), [], 0.05) == []
+        ids = labeling_from_inliers(4, [])
         assert ids.dtype == np.int32 and (ids == -1).all()
 
-    def test_blocks_match_loop_reference(self, rng):
+    def test_matches_loop_reference(self, rng):
         points = rng.uniform(-2, 2, size=(1000, 3))
         planes = [PlaneModel(centroid=rng.uniform(-1, 1, 3), normal=n / np.linalg.norm(n))
                   for n in rng.normal(size=(7, 3))]
-        want = reference_assign_to_planes(points, planes, 0.3)
-        for block in (1, 97, 1000, 8192):
-            with mock.patch.object(pipeline, "ASSIGN_BLOCK", block):
-                np.testing.assert_array_equal(assign_to_planes(points, planes, 0.3), want)
+        claimed = assign_to_planes(points, planes, 0.3)
+        assert len(claimed) > 1
+        _assert_same_planes(claimed, reference_claim_planes(points, planes, 0.3))
 
 
 GRID = np.array([[x, y, z] for x in range(3) for y in range(3) for z in range(2)], dtype=float)
@@ -225,19 +257,19 @@ GRID = np.array([[x, y, z] for x in range(3) for y in range(3) for z in range(2)
     planes=st.lists(st.tuples(st.integers(0, 2), st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]),
                               st.sampled_from([-1.0, 0.0, 2.5])), min_size=1, max_size=6),
     threshold=st.sampled_from([0.25, 0.5, 1.0, 1.5]),
-    block=st.sampled_from([4, 8192]),
 )
-def test_assign_matches_loop_reference_on_grid(planes, threshold, block):
-    """Grid points and axis planes at half-integer heights: equal distances
-    and distances exactly at the threshold are common. The strict threshold
-    and the earlier plane winning a tie must hold as in the per-plane loop."""
+def test_assign_matches_loop_reference_on_grid(planes, threshold):
+    """Grid points and axis planes at half-integer heights: distances exactly
+    at the threshold are common, later planes often find their points taken,
+    and claims of fewer than three or collinear points keep the plane's
+    geometry. The strict threshold, the claim order, the refits and the
+    dropped planes must match the per-plane loop."""
     models = [PlaneModel(centroid=np.eye(3)[axis] * height + np.eye(3)[(axis + 1) % 3] * slide,
                          normal=np.eye(3)[axis]) for axis, height, slide in planes]
-    with mock.patch.object(pipeline, "ASSIGN_BLOCK", block):
-        ids = assign_to_planes(GRID, models, threshold)
-    want = reference_assign_to_planes(GRID, models, threshold)
-    np.testing.assert_array_equal(ids, want)
-    SegmentLabeling.from_planes(ids, classify_orientations([m.normal for m in models])).validate()
+    claimed = assign_to_planes(GRID, models, threshold)
+    _assert_same_planes(claimed, reference_claim_planes(GRID, models, threshold))
+    ids = labeling_from_inliers(GRID.shape[0], claimed)
+    SegmentLabeling.from_planes(ids, classify_orientations([m.normal for m in claimed])).validate()
 
 
 def test_labeling_from_inliers_orientations():
