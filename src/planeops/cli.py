@@ -142,14 +142,18 @@ def _detect_config(args) -> RunConfig:
 
 
 def _check_out(*paths: Path | None, directory: bool = False) -> None:
-    """Raise the OSError that writing a path would raise, if it already
-    exists as the wrong kind, so that a bad output path fails before the
-    work; nothing is created. None stands for an output not asked for."""
+    """Raise the OSError that writing a path would raise, if it or its
+    nearest existing ancestor exists as the wrong kind, so that a bad output
+    path fails before the work; nothing is created. None stands for an
+    output not asked for."""
     for path in filter(None, paths):
         if directory and path.exists() and not path.is_dir():
             raise FileExistsError(errno.EEXIST, "exists and is not a directory", str(path))
         if not directory and path.is_dir():
             raise IsADirectoryError(errno.EISDIR, "is a directory", str(path))
+        ancestor = next((parent for parent in path.parents if parent.exists()), None)
+        if ancestor is not None and not ancestor.is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, f"{ancestor} is not a directory", str(path))
 
 
 def _cmd_synth(args) -> int:

@@ -137,10 +137,10 @@ class PlaneModel:
     ``inliers`` holds indices into the source cloud, sorted ascending.
     ``centroid`` and ``normal`` are the least-squares plane of the point set
     the plane was fitted on, which is not always its final ``inliers``: a
-    plane keeps its fit when deduplication takes inliers away from it, and a
-    plane whose inliers determine no plane (fewer than 3 points, or all on a
-    line) keeps the fit of the hypothesis it was verified from, or of the
-    larger part it was merged from.
+    plane keeps its fit when deduplication gives some of its inliers to an
+    earlier plane that claimed them too, and a plane whose inliers determine
+    no plane (fewer than 3 points, or all on a line) keeps the fit of the
+    hypothesis it was verified from, or of the larger part it was merged from.
     """
 
     centroid: np.ndarray

@@ -23,7 +23,6 @@ from .geometry import (  # noqa: F401  fit_plane: no caller, kept importable for
     as_float,
     combine_moments,
     fit_plane,
-    plane_distances,
     plane_normal,
     point_moments,
 )
@@ -74,47 +73,39 @@ def coplanar(a: PlaneModel, b: PlaneModel, params: MergeParams) -> bool:
 
 
 def dedupe_inliers(planes: list[PlaneModel], points: np.ndarray) -> list[PlaneModel]:
-    """Give every multiply-claimed point to the plane it is nearest to.
+    """Give every multiply-claimed point to the first plane that claims it.
 
     Detectors with local verification can claim the same point from several
-    planes; metrics need one owner per point. Ties go to the earlier plane.
-    Planes left without inliers are dropped; no point is lost.
+    planes; metrics need one owner per point. Walking the planes in list
+    order, each keeps the points no earlier plane claimed, as greedy
+    extraction does (Schnabel, Wahl & Klein, CGF 2007). A plane that loses
+    no point comes back as the same object; one that loses some keeps its
+    centroid and normal; one left without points is dropped. No point is lost.
     """
-    if not planes:
-        return []
-    claims = np.concatenate([p.inliers for p in planes])
-    if not (np.bincount(claims) > 1).any():
-        return [p for p in planes if p.inlier_count > 0]
-    owner = np.repeat(np.arange(len(planes)), [p.inlier_count for p in planes])
-    dists = np.concatenate(
-        [plane_distances(points[p.inliers], p.centroid, p.normal) for p in planes]
-    )
-    order = np.lexsort((owner, dists, claims))  # by point, then distance, then plane
-    claims, owner = claims[order], owner[order]
-    first = np.ones(claims.size, dtype=bool)
-    first[1:] = claims[1:] != claims[:-1]
-    claims, owner = claims[first], owner[first]
-    by_plane = np.argsort(owner, kind="stable")  # keeps each plane's points ascending
-    buckets = np.split(claims[by_plane], np.cumsum(np.bincount(owner, minlength=len(planes)))[:-1])
-    return [
-        PlaneModel(centroid=plane.centroid, normal=plane.normal, inliers=bucket)
-        for plane, bucket in zip(planes, buckets)
-        if bucket.size
-    ]
+    claimed = np.zeros(points.shape[0], dtype=bool)
+    out = []
+    for plane in planes:
+        kept = plane.inliers[~claimed[plane.inliers]]
+        if kept.size:
+            claimed[kept] = True
+            out.append(plane if kept.size == plane.inlier_count
+                       else PlaneModel(centroid=plane.centroid, normal=plane.normal, inliers=kept))
+    return out
 
 
 def merge_all(planes: list[PlaneModel], points: np.ndarray, params: MergeParams) -> list[PlaneModel]:
     """Merge coplanar planes to a fixpoint.
 
-    Overlapping inlier sets are deduplicated first (nearest plane wins), then
-    the coplanar pair with the largest combined size merges repeatedly into
-    the least-squares plane of the union of their inliers. When the union
-    cannot determine a plane (fewer than 3 points, or collinear), the merged
-    plane keeps the centroid and normal of its larger part (the earlier one
-    on a size tie). Ties between pairs go to the pair earliest in list order,
-    where the merged plane replaces its two parts at the end of the list. The
-    result has no coplanar pair left, preserves the total (deduplicated)
-    inlier count, and is sorted by descending inlier count.
+    Overlapping inlier sets are deduplicated first (the first plane to claim
+    a point keeps it), then the coplanar pair with the largest combined size
+    merges repeatedly into the least-squares plane of the union of their
+    inliers. When the union cannot determine a plane (fewer than 3 points, or
+    collinear), the merged plane keeps the centroid and normal of its larger
+    part (the earlier one on a size tie). Ties between pairs go to the pair
+    earliest in list order, where the merged plane replaces its two parts at
+    the end of the list. The result has no coplanar pair left, preserves the
+    total (deduplicated) inlier count, and is sorted by descending inlier
+    count.
 
     Planes live in slots numbered in list order: the P inputs, then one new
     slot per merge. Merges run in chains. When ``(a, b)`` merges into ``m``,

@@ -194,27 +194,27 @@ def extract_full_inliers(
     points: np.ndarray,
     model: PlaneModel,
     dist_threshold: float,
-    live: np.ndarray | None = None,
-) -> PlaneModel:
+    live: np.ndarray,
+) -> tuple[PlaneModel, np.ndarray]:
     """Verify a sample-born hypothesis against the unclaimed points.
 
-    ``live`` holds the ascending indices of the points still unclaimed
-    (None: the whole cloud), and only those are measured. Claims every live
-    point within ``dist_threshold`` of the plane and refits on them. With
-    fewer than three claimed points the hypothesis geometry is kept and only
-    the inlier list changes.
+    ``live`` holds the ascending indices of the points still unclaimed, and
+    only those are measured. Claims every live point within
+    ``dist_threshold`` of the plane and refits on them; ``rest`` holds the
+    live points the plane leaves, ascending. With fewer than three claimed
+    points the hypothesis geometry is kept and only the inlier list changes.
+    Returns ``(plane, rest)``.
     """
-    if live is None:
-        live = np.arange(points.shape[0], dtype=np.int64)
     offsets = np.take(points, live, axis=0)
     offsets -= model.centroid  # in place: one (live, 3) temporary, the bits of plane_distances
-    idx = live[np.abs(offsets @ model.normal) < dist_threshold]
+    near = np.abs(offsets @ model.normal) < dist_threshold
+    idx, rest = live[near], live[~near]
     if idx.size >= 3:
         try:
-            return fit_plane(np.take(points, idx, axis=0), inliers=idx)
+            return fit_plane(np.take(points, idx, axis=0), inliers=idx), rest
         except DegenerateInput:
             pass
-    return PlaneModel(centroid=model.centroid, normal=model.normal, inliers=idx)
+    return PlaneModel(centroid=model.centroid, normal=model.normal, inliers=idx), rest
 
 
 def detect_grouped(
@@ -238,7 +238,6 @@ def detect_grouped(
     groups = [codes == int(orient) for orient in GROUP_ORDER]
     alive = np.ones(len(samples), dtype=bool)
     live = np.arange(points.shape[0], dtype=np.int64)  # unclaimed points, ascending
-    claimed = np.zeros(points.shape[0], dtype=bool)
     planes = []
     for member in groups:
         while int((alive & member).sum()) > params.min_inliers:
@@ -246,13 +245,12 @@ def detect_grouped(
                 result = one_point_ransac(samples, params, rng, alive=alive & member)
             except NoPlaneFound:
                 break
-            full = extract_full_inliers(points, result.model, params.dist_threshold, live)
+            full, rest = extract_full_inliers(points, result.model, params.dist_threshold, live)
             # Retire spent samples from the shared pool: the winning sample
             # set, plus any sample (in any group) sitting on the claimed plane.
             alive[result.sample_inliers] = False
             alive &= ~(plane_distances(samples.positions, full.centroid, full.normal) < params.dist_threshold)
             if full.inlier_count >= params.min_inliers:
-                claimed[full.inliers] = True
-                live = live[~claimed[live]]
+                live = rest
                 planes.append(full)
     return planes

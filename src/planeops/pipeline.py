@@ -146,17 +146,16 @@ def assign_to_planes(points: np.ndarray, planes: list[PlaneModel], dist_threshol
 
     For planes whose recorded inliers are sparse draws: each takes the points
     not yet claimed at a distance below ``dist_threshold`` and is refit on
-    them (:func:`~planeops.ops.extract_full_inliers`); a plane that claims
-    none is dropped.
+    them (:func:`~planeops.ops.extract_full_inliers`). A plane that claims
+    fewer than 3 points, the fewest that fit a plane, is dropped and leaves
+    them unclaimed.
     """
     live = np.arange(points.shape[0], dtype=np.int64)  # unclaimed points, ascending
-    claimed = np.zeros(points.shape[0], dtype=bool)
     out = []
     for plane in planes:
-        full = extract_full_inliers(points, plane, dist_threshold, live)
-        if full.inlier_count:
-            claimed[full.inliers] = True
-            live = live[~claimed[live]]
+        full, rest = extract_full_inliers(points, plane, dist_threshold, live)
+        if full.inlier_count >= 3:
+            live = rest
             out.append(full)
     return out
 
@@ -184,9 +183,10 @@ def run_detect(points, config: RunConfig) -> DetectionReport:
     label each point, and assemble the report.
 
     Points are labeled by the planes' disjoint inlier sets, so a plane's
-    ``inlier_count`` counts the points labeled with its id. The merged planes
-    of a local-sampling run first claim theirs by :func:`assign_to_planes`,
-    largest first.
+    ``inlier_count`` counts the points labeled with its id. Both detectors
+    settle a contested point the same way: the first plane to claim it keeps
+    it. The merged planes of a local-sampling run first claim theirs by
+    :func:`assign_to_planes`, largest first, and keep at least 3 each.
 
     ``timings_ms`` holds every stage of ``STAGES`` for both detectors, 0 for
     a stage the detector skips; ``other``, the untimed rest of the call

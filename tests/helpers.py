@@ -174,32 +174,20 @@ def exhaustive_assignment_max(matrix: np.ndarray) -> int:
 
 
 def reference_dedupe_inliers(planes, points):
-    """Nearest plane wins each multiply-claimed point, by a per-point dict walk.
+    """The first plane to claim a point keeps it, by a walk over a set of
+    claimed indices.
 
-    Planes are visited in order and a claim only moves on a strictly smaller
-    distance, so ties stay with the earlier plane.
+    Planes are visited in order; each keeps the points no earlier plane
+    claimed, and a plane left with none is dropped.
     """
-    if not planes:
-        return []
-    all_claims = np.concatenate([p.inliers for p in planes])
-    if np.unique(all_claims).size == all_claims.size:
-        return [p for p in planes if p.inlier_count > 0]
-    claimed: dict[int, int] = {}
-    best_dist: dict[int, float] = {}
-    for pi, plane in enumerate(planes):
-        dists = plane_distances(points[plane.inliers], plane.centroid, plane.normal)
-        for idx, d in zip(plane.inliers.tolist(), dists.tolist()):
-            if idx not in claimed or d < best_dist[idx]:
-                claimed[idx] = pi
-                best_dist[idx] = d
-    buckets: list[list[int]] = [[] for _ in planes]
-    for idx, pi in claimed.items():
-        buckets[pi].append(idx)
-    return [
-        PlaneModel(centroid=plane.centroid, normal=plane.normal, inliers=np.sort(np.asarray(bucket, dtype=np.int64)))
-        for plane, bucket in zip(planes, buckets)
-        if bucket
-    ]
+    seen: set[int] = set()
+    out = []
+    for plane in planes:
+        kept = [idx for idx in plane.inliers.tolist() if idx not in seen]
+        seen.update(kept)
+        if kept:
+            out.append(PlaneModel(centroid=plane.centroid, normal=plane.normal, inliers=np.asarray(kept, dtype=np.int64)))
+    return out
 
 
 def reference_merge_all(planes, points, params):
@@ -475,12 +463,12 @@ def reference_extract_full_inliers(points, model, dist_threshold, active_mask=No
 def reference_claim_planes(points, planes, dist_threshold):
     """The claim pass as a loop of full-cloud verifications over an active
     mask: each plane in turn takes the active points within the threshold,
-    and a plane that takes none is dropped."""
+    and a plane that takes fewer than 3 is dropped and leaves them active."""
     active_mask = np.ones(points.shape[0], dtype=bool)
     claimed = []
     for plane in planes:
         full = reference_extract_full_inliers(points, plane, dist_threshold, active_mask)
-        if full.inlier_count:
+        if full.inlier_count >= 3:
             active_mask[full.inliers] = False
             claimed.append(full)
     return claimed

@@ -315,11 +315,19 @@ def test_bad_path_exit_code(room_files, tmp_path, capsys, argv):
     ["eval", "--pred", "{labels}", "--truth", "{labels}", "--json", "{dir}"],
     ["synth", "--out", "{dir}"],
     ["synth", "--out", "{tmp}/s.ply"],
+    ["detect", "--input", "{cloud}", "--out", "{file}/sub"],
+    ["gt", "--input", "{cloud}", "--out", "{file}/x.labels.txt"],
+    ["gt", "--input", "{cloud}", "--out", "{tmp}/o.labels.txt", "--ply", "{file}/a/b.ply"],
+    ["bench", "--dataset", "{tmp}", "--configs", "{configs}", "--gen-gt", "--out", "{file}/rows.json"],
+    ["eval", "--pred", "{labels}", "--truth", "{labels}", "--json", "{file}/scores.json"],
+    ["synth", "--out", "{file}/s.ply"],
 ], ids=["detect-out-file", "gt-out-directory", "gt-ply-directory", "bench-out-directory", "eval-json-directory",
-        "synth-out-directory", "synth-sidecar-directory"])
+        "synth-out-directory", "synth-sidecar-directory", "detect-out-under-file", "gt-out-under-file",
+        "gt-ply-under-file", "bench-out-under-file", "eval-json-under-file", "synth-out-under-file"])
 def test_bad_out_path_fails_before_the_work(room_files, tmp_path, capsys, monkeypatch, argv):
-    """An output path that exists as the wrong kind exits 2 before the input
-    is read or the work starts, and nothing is created."""
+    """An output path that exists as the wrong kind, or lies under a file,
+    exits 2 before the input is read or the work starts, and nothing is
+    created."""
     def no_work(*args, **kwargs):
         raise AssertionError("ran before the output path was checked")
 

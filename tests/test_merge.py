@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,14 +56,14 @@ class TestDedupeInliers:
         np.testing.assert_array_equal(out[0].inliers, a.inliers)
         np.testing.assert_array_equal(out[1].inliers, b.inliers)
 
-    def test_shared_point_goes_to_nearest(self):
+    def test_shared_point_goes_to_first_claimant(self):
+        # the first claimant keeps the point even though the other plane is nearer
         points = np.array([[0, 0, 0.1], [5, 5, 5]])
         near = _plane((0, 0, 0.08), (0, 0, 1), inliers=[0])
         far = _plane((0, 0, 1.0), (0, 0, 1), inliers=[0])
-        out = dedupe_inliers([near, far], points)
-        assert len(out) == 1
-        np.testing.assert_array_equal(out[0].inliers, [0])
-        assert out[0].centroid[2] == pytest.approx(0.08)
+        for first, second in ((far, near), (near, far)):
+            out = dedupe_inliers([first, second], points)
+            assert len(out) == 1 and out[0] is first
 
 
 @st.composite
@@ -309,7 +308,7 @@ claim_sets = st.lists(st.lists(st.integers(0, 11), max_size=12, unique=True), mi
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(claims=claim_sets, data=st.data())
 def test_dedupe_matches_dict_reference(claims, data):
-    """Grid points and axis planes at half-integer heights make equal distances common."""
+    """Up to six planes drawing from twelve grid points make overlapping claims common."""
     points = np.array([[i % 3, (i // 3) % 2, i // 6] for i in range(12)], dtype=float)
     planes = []
     for inliers in claims:
@@ -321,14 +320,35 @@ def test_dedupe_matches_dict_reference(claims, data):
 
 
 def test_dedupe_three_claimants_and_losers():
-    """A point claimed three times at equal distance stays with the first claimant;
-    a plane that loses every point is dropped."""
+    """A point claimed three times stays with the first claimant, nearer
+    planes notwithstanding; a plane that loses some points keeps its fit, and
+    one that loses every point is dropped."""
     points = np.array([[0, 0, 0.5], [0, 0, 2.0], [0, 0, 0.1]])
     low = _plane((0, 0, 0), (0, 0, 1), inliers=[0, 2])
     high = _plane((0, 0, 1), (0, 0, 1), inliers=[0, 1])
     loser = _plane((0, 0, 1), (0, 0, 1), inliers=[0, 2])
     top = _plane((0, 0, 2), (0, 0, 1), inliers=[1])
-    out = dedupe_inliers([low, high, loser, top], points)
-    _assert_same_planes(out, reference_dedupe_inliers([low, high, loser, top], points))
-    assert [p.inliers.tolist() for p in out] == [[0, 2], [1]]
-    assert out[1].centroid[2] == 2.0
+    out = dedupe_inliers([high, low, loser, top], points)
+    _assert_same_planes(out, reference_dedupe_inliers([high, low, loser, top], points))
+    assert [p.inliers.tolist() for p in out] == [[0, 1], [2]]
+    assert out[0] is high
+    assert out[1].centroid.tolist() == [0, 0, 0] and out[1].normal.tolist() == [0, 0, 1]
+
+
+def test_dedupe_returns_untouched_planes_as_themselves():
+    """Disjoint planes come back as the same objects, in order."""
+    points = np.zeros((6, 3))
+    planes = [_plane((0, 0, z), (0, 0, 1), inliers=ids) for z, ids in ((0, [0, 3]), (1, [1, 4, 5]), (2, [2]))]
+    out = dedupe_inliers(planes, points)
+    assert len(out) == 3 and all(a is b for a, b in zip(out, planes))
+
+
+def test_dedupe_drops_empty_plane():
+    """A plane that had no inliers to begin with is dropped, wherever it sits."""
+    points = np.zeros((3, 3))
+    empty = _plane((0, 0, 0), (0, 0, 1))
+    full = _plane((0, 0, 1), (0, 0, 1), inliers=[0, 1, 2])
+    for planes in ([empty, full], [full, empty]):
+        out = dedupe_inliers(planes, points)
+        assert len(out) == 1 and out[0] is full
+    assert dedupe_inliers([empty], points) == []

@@ -131,6 +131,14 @@ class TestOnePointRansac:
         assert (d < 2 * params.dist_threshold).all()  # refit can shift the plane slightly
 
 
+def _assert_split(live, plane, rest):
+    """``rest`` is ascending, disjoint from the plane's inliers, and the two make up ``live``."""
+    assert (np.diff(rest) > 0).all()
+    assert np.intersect1d(plane.inliers, rest).size == 0
+    np.testing.assert_array_equal(np.union1d(plane.inliers, rest), live)
+    assert plane.inlier_count + rest.size == live.size
+
+
 class TestExtractFullInliers:
     def test_recovers_wall_from_sparse_sample(self, rng):
         wall = np.column_stack([
@@ -139,21 +147,27 @@ class TestExtractFullInliers:
             rng.uniform(0, 2, size=10000),
         ]) + rng.normal(scale=0.005, size=(10000, 3))
         hypo = PlaneModel(centroid=wall[:300].mean(axis=0), normal=(0, 1, 0))
-        full = extract_full_inliers(wall, hypo, 0.05)
+        live = np.arange(10000)
+        full, rest = extract_full_inliers(wall, hypo, 0.05, live)
         assert full.inlier_count >= 0.99 * 10000
+        _assert_split(live, full, rest)
 
     def test_respects_live_index(self, rng):
         pts, _ = _plane_samples(rng, 100)
         model = PlaneModel(centroid=(0, 0, 0), normal=(0, 0, 1))
-        full = extract_full_inliers(pts, model, 0.05, live=np.arange(50, 100))
+        live = np.arange(50, 100)
+        full, rest = extract_full_inliers(pts, model, 0.05, live)
         assert full.inliers.min() >= 50
+        _assert_split(live, full, rest)
 
     def test_no_points_in_reach(self, rng):
         pts, _ = _plane_samples(rng, 50, z=5.0)
         model = PlaneModel(centroid=(0, 0, 0), normal=(0, 0, 1))
-        full = extract_full_inliers(pts, model, 0.05)
+        live = np.arange(50)
+        full, rest = extract_full_inliers(pts, model, 0.05, live)
         assert full.inlier_count == 0
         np.testing.assert_array_equal(full.normal, model.normal)
+        np.testing.assert_array_equal(rest, live)
 
 
 class TestDetectAllPlanes:
@@ -452,7 +466,8 @@ def test_extract_full_inliers_on_live_matches_masked_scan(seed, n, claimed):
     # position a live point can take.
     full_dists = plane_distances(points, model.centroid, model.normal)
     assert plane_distances(points[live], model.centroid, model.normal).tobytes() == full_dists[live].tobytes()
-    got = extract_full_inliers(points, model, 0.05, live)
+    got, rest = extract_full_inliers(points, model, 0.05, live)
+    _assert_split(live, got, rest)
     expected = reference_extract_full_inliers(points, model, 0.05, active)
     np.testing.assert_array_equal(got.inliers, expected.inliers)
     assert got.centroid.tobytes() == expected.centroid.tobytes()

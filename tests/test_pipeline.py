@@ -21,6 +21,7 @@ from planeops import (
     SegmentLabeling,
     classification_accuracy,
     gen_synthetic,
+    make_box_room,
     save_labeled,
     save_labeling,
     segmentation_accuracy,
@@ -249,6 +250,24 @@ class TestAssignToPlanes:
         _assert_same_planes(claimed, reference_claim_planes(points, planes, 0.3))
 
 
+
+def test_fspf_planes_hold_at_least_three_points():
+    """FSPF with the benchmark preset on a 22,750-point room: every reported
+    plane claims at least 3 points, the fewest that fit a plane, and is the
+    least-squares plane of the points labeled with its id."""
+    points, _ = make_box_room(points_per_face=3500, clutter=1750, seed=1)
+    config = RunConfig.from_dict({"detector": "fspf", "seed": 1, "fspf": {"max_inlier_points": points.shape[0]},
+                                  "merge": {"angle_degrees": 10, "offset": 0.075}})
+    report = run_detect(points, config)
+    assert len(report.planes) > 6
+    for plane in report.planes:
+        members = np.flatnonzero(report.labeling.plane_ids == plane.id)
+        assert plane.inlier_count == members.size >= 3
+        fit = fit_plane(points[members])
+        np.testing.assert_array_equal(plane.centroid, fit.centroid)
+        np.testing.assert_array_equal(plane.normal, fit.normal)
+
+
 GRID = np.array([[x, y, z] for x in range(3) for y in range(3) for z in range(2)], dtype=float)
 
 
@@ -261,9 +280,9 @@ GRID = np.array([[x, y, z] for x in range(3) for y in range(3) for z in range(2)
 def test_assign_matches_loop_reference_on_grid(planes, threshold):
     """Grid points and axis planes at half-integer heights: distances exactly
     at the threshold are common, later planes often find their points taken,
-    and claims of fewer than three or collinear points keep the plane's
-    geometry. The strict threshold, the claim order, the refits and the
-    dropped planes must match the per-plane loop."""
+    claims of fewer than three points drop the plane and collinear claims
+    keep the plane's geometry. The strict threshold, the claim order, the
+    refits and the dropped planes must match the per-plane loop."""
     models = [PlaneModel(centroid=np.eye(3)[axis] * height + np.eye(3)[(axis + 1) % 3] * slide,
                          normal=np.eye(3)[axis]) for axis, height, slide in planes]
     claimed = assign_to_planes(GRID, models, threshold)
