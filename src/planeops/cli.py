@@ -177,9 +177,12 @@ def _cmd_detect(args) -> int:
     """Load, detect, write. The report's ``timings_ms`` gains ``load`` and
     ``write`` (the labeled PLY and the sidecar); ``total`` runs from the
     start of the load to the end of those writes, and ``other`` takes up the
-    untimed rest. Writing the report itself comes after and is not timed."""
+    untimed rest. Writing the report itself comes after and is not timed.
+    The index's library is loaded before the clock starts, so ``index``
+    times the tree build alone."""
     config = _detect_config(args)
     _check_out(args.out, directory=True)
+    import scipy.spatial  # noqa: F401
     start = time.perf_counter()
     points = load_cloud(args.input)
     loaded = time.perf_counter()

@@ -39,9 +39,6 @@ EIGEN_TIE_RTOL = 1e-12
 # form's arccos turns a rounding error of eps into one of about sqrt(eps).
 EIGEN_FALLBACK_GAP = 1e-6
 EPS_SQUARED = np.finfo(np.float64).eps ** 2
-# Two roundings of a 3-term dot product differ by far less than this times the
-# sum of its terms' magnitudes; a test so close to its threshold is re-decided.
-DOT_SLACK = 1e-14
 # Defaults of the one orientation rule, classify_orientations.
 UP = (0.0, 0.0, 1.0)
 ORIENTATION_TOL_DEGREES = 7.0

@@ -7,6 +7,7 @@ sidecar with one ``planeId orientationChar`` line per point.
 """
 
 import logging
+import re
 import warnings
 from io import StringIO
 from pathlib import Path
@@ -99,10 +100,12 @@ def _parse_xyz(data: bytes, path) -> np.ndarray:
 
 
 def _parse_ply(data: bytes, path) -> np.ndarray:
-    # Header: ascii lines up to end_header. Track byte length to locate the body.
-    end = data.find(b"end_header")
-    if end < 0:
+    # Header: ascii lines up to the first line whose only token is end_header
+    # (a comment may hold those bytes too). Track byte length to locate the body.
+    found = re.search(rb"^[ \t]*end_header[ \t\r]*$", data, re.MULTILINE)
+    if found is None:
         raise ParseError("missing end_header", path=path)
+    end = found.start()
     nl = data.find(b"\n", end)
     if nl < 0:
         raise ParseError("header not terminated", path=path)

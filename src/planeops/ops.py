@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    DOT_SLACK,
     DegenerateInput,
     Orientation,
     PlaneModel,
@@ -122,13 +121,13 @@ def one_point_ransac(
     shrinks as better hypotheses tighten the pool's outlier ratio. The
     winner is refit by least squares on its sample inliers.
 
-    Picks are drawn in blocks of about ``BLOCK_DISTANCES`` sample distances,
-    scored by one matrix product as ``x·n - p·n`` and walked in draw order.
-    A pick with a distance within rounding of ``dist_threshold`` is re-scored
-    by the gemv ``(x - p)·n``, so every decision is the gemv's. If the budget
-    runs out inside a block, the generator is rewound and only the used picks
-    are drawn again, so the result, ``iterations`` and the generator's final
-    state are those of one gemv and one draw per iteration.
+    Picks are drawn in blocks of about ``BLOCK_DISTANCES`` sample distances
+    and walked in draw order. A pick's distances are ``|x·n - p·n|`` from
+    the block's one matrix product, and a sample counts when its distance
+    is below ``dist_threshold``. If the budget runs out inside a block, the
+    generator is rewound and only the used picks are drawn again, so
+    ``iterations`` and the generator's final state are those of one draw
+    per iteration.
 
     Args:
         alive: optional boolean mask restricting the working pool; retired
@@ -147,11 +146,6 @@ def one_point_ransac(
     cap = ITERATION_CAP_FACTOR * m
     budget = min(samples.cloud_size, cap)
     block = max(1, BLOCK_DISTANCES // m)
-    # For unit normals, x·n - p·n and (x - p)·n each round a distance by under
-    # 8·√3·u·M (u = 2**-53, M the largest coordinate magnitude): under
-    # 3.1e-15·M apart, they decide alike on a distance outside thr ± band.
-    thr = params.dist_threshold
-    band = DOT_SLACK * float(np.abs(positions).max())
 
     best_count = 0
     best_mask = None
@@ -162,15 +156,12 @@ def one_point_ransac(
         dists = normals[picks] @ positions.T
         dists -= np.einsum("ij,ij->i", positions[picks], normals[picks])[:, None]
         np.abs(dists, out=dists)
-        counts = np.count_nonzero(dists < thr - band, axis=1)
-        for row in np.flatnonzero(counts != np.count_nonzero(dists < thr + band, axis=1)).tolist():
-            dists[row] = np.abs((positions - positions[picks[row]]) @ normals[picks[row]])
-            counts[row] = np.count_nonzero(dists[row] < thr)
+        inside = dists < params.dist_threshold
         used = 0
-        for count in counts.tolist():
+        for count in np.count_nonzero(inside, axis=1).tolist():
             if count > params.min_inliers and count > best_count:
                 best_count = count
-                best_mask = dists[used] < thr
+                best_mask = inside[used]
                 budget = adaptive_iterations(params.probability, max(1.0 - count / m, 0.0), cap=cap)
             used += 1
             if it + used >= budget:

@@ -100,12 +100,36 @@ def test_import_and_synth_do_not_load_scipy_spatial(tmp_path):
         "assert main(['synth', '--points-per-face', '100', '--clutter', '20', '--out', sys.argv[1]]) == 0\n"
         "print(before + loaded())\n"
     )
+    assert _run_python(script, tmp_path / "room.ply") == str([False] * 4)
+
+
+def test_detect_loads_scipy_spatial_before_reading_its_input(tmp_path):
+    # The report's clock starts at the load, so the index stage times the
+    # tree build and not the library's import.
+    script = (
+        "import sys\n"
+        "from planeops import cli\n"
+        "load_cloud, seen = cli.load_cloud, []\n"
+        "def loading(path):\n"
+        "    seen.append('scipy.spatial' in sys.modules)\n"
+        "    return load_cloud(path)\n"
+        "cli.load_cloud = loading\n"
+        "assert cli.main(['synth', '--points-per-face', '400', '--clutter', '80', '--out', sys.argv[1]]) == 0\n"
+        "assert cli.main(['detect', '--input', sys.argv[1], '--out', sys.argv[2],\n"
+        "                 '--sampling-rate', '0.08', '--knn', '10']) == 0\n"
+        "print(seen)\n"
+    )
+    assert _run_python(script, tmp_path / "room.ply", tmp_path / "det") == str([True])
+
+
+def _run_python(script, *args):
+    """Run ``script`` in a fresh interpreter on this package; return its last stdout line."""
     src = str(Path(planeops.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "room.ply")], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == str([False] * 4)
+    return proc.stdout.splitlines()[-1]
 
 
 def test_detect_eval_round_trip(room_files, tmp_path):

@@ -10,65 +10,9 @@ Three rooms have 6,600 points; one has 65,000, enough that the oriented-point
 detector's set of unclaimed points shrinks to a small share of the cloud.
 One more has 22,750 points and runs ``fspf`` with the ``room_fspf_23k``
 benchmark flags, so merging makes about 280 merges: it pins the greedy merge
-order (its digests were taken before merging moved to chains).
-A change that alters results on purpose updates the digests and says why.
-The ``fspf``, ``fspf_ply`` and ``fspf_labels`` digests last changed for two
-reasons. Merging's deduplication began to give a point claimed by several
-fragments to the first fragment that claims it, the rule the claim pass and
-OPS detection use, instead of the nearest one. That moves the merged planes'
-fits and sizes, which then claim the points; it changed the outputs of room
-1 and the 22,750-point room. And a merged plane now needs at least 3 claimed
-points, the fewest that fit a plane, or it is dropped and leaves its points
-to later planes; this changed rooms 2 and 3 as well. The reported planes
-went 16, 18, 21 to 15, 15, 16 on rooms 1-3 and 15 to 10 on the
-22,750-point room; segmentation accuracy against the synthetic truth went
-0.9539, 0.8789, 0.8877 to 0.9541, 0.8795, 0.8883, and 0.9618 to 0.9633 on
-the 22,750-point room. Before that, they changed when FSPF runs began to
-label points by the rule OPS runs use: the merged planes,
-largest first, claim the unclaimed points within ``dist_threshold`` and are
-refit on them, instead of each point going to its nearest merged plane.
-Points near where two planes meet can change owner, planes that claim no
-point are dropped, and a reported ``inlier_count`` became the number of
-points labeled with the plane's id rather than a count of sparse local
-draws. The set of labeled points stayed the same. On rooms 1-3 the reported
-planes went 20, 22, 25 to 16, 18, 21 and segmentation accuracy against the
-synthetic truth went 0.887, 0.820, 0.749 to 0.954, 0.879, 0.888; on the
-22,750-point room the planes went 22 to 15 and accuracy 0.945 to 0.962.
-Before that, the ``fspf`` report digests changed when stacked plane fits
-(``fspf.fit_block``) moved from ``np.linalg.eigh`` to the closed-form 3x3
-kernel ``geometry.symmetric_eigen3``: reported normals moved by at most
-4.2e-15 per component on these rooms, and centroids, plane counts, inlier
-counts and orientations stayed the same, as did every PLY and label digest.
-The ``gt`` and ``eval`` digests last changed when ground truth moved from
-region growing to connected components of the k-NN smoothness graph, cut
-into planar segments by a plane that every member's normal agrees with:
-each room still gets 6 segments, and its segmentation accuracy against the
-synthetic truth went from 0.763, 0.764 and 0.756 to 0.761, 0.762 and 0.756.
-The ``ops`` report digests last changed when ``OpsParams.grouping`` was
-removed (detection always runs per orientation group, as it did by
-default): the report's ``params.ops`` block no longer holds ``grouping``.
-Reports of the code before the removal, with that key deleted, hash to the
-new digests, and every other digest stayed the same.
-Before that, the ``ops`` and ``fspf`` report digests changed when the fixed
-normal falloff (``ops`` ``sigma``) and the whole-sphere claim rule
-(``fspf`` ``claim_full_sphere``) were removed: the report's ``params``
-block no longer holds those two keys. Reports of the code before the removal, with the two
-keys deleted, hash to the new digests, and every PLY and label digest stayed
-the same.
-Before that, the ``fspf`` digests changed when merging began to fit a merged plane
-from its parts' moments (count, mean, centred scatter) instead of refitting
-the union's points: merged centroids and normals changed in their last bits
-(under 1e-15 on these rooms), and every plane count, inlier count, label and
-other report field stayed the same, so ``fspf_ply`` and ``fspf_labels`` did
-not change. Before that, they changed when the local-sampling detector began
-drawing and testing its hypotheses in blocks, which changed its random
-stream (each hypothesis keeps its distribution). The ``fspf_ply`` and
-``fspf_labels`` digests were added then: the report alone did not pin the
-per-point labels that FSPF runs then got from their nearest merged plane.
-Before that, the ``ops`` digests changed when the report's ``params``
-block stopped echoing settings no run reads (``gt``, the detectors' own
-seeds, and the oriented-point detector's copies of the up axis and the
-orientation tolerance); planes, labels and every other field stayed the same.
+order.
+A change that alters results on purpose updates the digests and says why in
+CHANGES.md, which holds the history of every digest change.
 
 Run as ``python tests/test_golden.py`` to print the digests of the current
 code.

@@ -175,6 +175,20 @@ def test_negative_vertex_count_rejected(tmp_path, binary):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "ascii"])
+@pytest.mark.parametrize("before", [b"element vertex", b"end_header\n"], ids=["before-element", "after-properties"])
+def test_comment_naming_end_header_does_not_end_the_header(tmp_path, binary, before):
+    # The header ends at the first line whose only token is end_header.
+    vertices = [(1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0, 9.0)]
+    if binary:
+        data = _binary_ply(np.array(vertices, dtype=[(c, "<f4") for c in "xyz"]), ("float x", "float y", "float z"))
+    else:
+        data = _ascii_ply(vertices)
+    path = tmp_path / "c.ply"
+    path.write_bytes(data.replace(before, b"comment written up to end_header\n" + before, 1))
+    np.testing.assert_array_equal(load_cloud(path), vertices)
+
+
 def test_ascii_vertex_count_beyond_body_rejected(tmp_path):
     # The row buffer is bounded by the body's lines, not by the declared count.
     path = tmp_path / "c.ply"

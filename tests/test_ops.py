@@ -364,27 +364,10 @@ def test_ransac_count_ties_keep_first():
     assert winners == {0, 1}
 
 
-def test_ransac_threshold_on_a_distance_follows_gemv():
-    # The threshold is one of the first pick's distances as the per-pick
-    # gemv computes them, so a sample sits exactly on it. Any other formula
-    # (einsum, a sum of per-axis products) rounds about a fifth of such
-    # distances below it and claims one sample more.
-    rng = np.random.default_rng(7)
-    for seed in range(40):
-        positions = rng.uniform(-1, 1, size=(60, 3))
-        normals = rng.normal(size=(60, 3))
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        first = int(np.random.default_rng(seed).integers(0, 60))
-        dists = np.sort(np.abs((positions - positions[first]) @ normals[first]))
-        params = OpsParams(dist_threshold=float(dists[10 + seed % 20]), min_inliers=3, probability=0.01)
-        # A cloud of one point and a low success probability keep the budget
-        # at one pick: the first.
-        result = _assert_same_ransac(_sample_set(positions, normals, cloud_size=1), params, seed)
-        assert result.sample_inliers.size == 10 + seed % 20
-    # Several picks in one block, each with a sample exactly on the threshold,
-    # near the origin and about 1e3 m from it, where the block's matrix product
-    # rounds the most.
-    for seed in range(40):
+def test_ransac_threshold_is_strict_on_exact_distances():
+    # Several picks in one block, near the origin and 1e3 m from it, each
+    # with one sample exactly at dist_threshold and one a grid step below.
+    for seed in range(30):
         for shift in (0.0, 1e3):
             _assert_threshold_block(seed, shift)
 
@@ -396,43 +379,46 @@ def _grid(values):
 
 def _assert_threshold_block(seed, shift, block=6, core=8):
     """The first RANSAC block holds ``block`` picks, each heading a cluster
-    of ``core`` samples within 0.02 m of its plane and one sample that the
-    reference gemv puts exactly at ``dist_threshold``. The clusters are
-    exact translates of one another, 1 m apart along their common normal, so
-    every pick sees the same differences and no other cluster's samples.
-    Every pick counts ``core + 1`` samples, and the budget ends at the block's
-    last pick, so counting one threshold sample in changes the result."""
+    of ``core`` samples within 0.02 m of its plane, one sample at exactly
+    ``dist_threshold`` and one 2**-20 m below it. Positions lie on the
+    ``_grid`` and the common normal is a coordinate axis, so every distance
+    formula is exact. The clusters are translates of one another, 1 m apart
+    along the normal, so each pick sees only its own cluster. A pick counts
+    itself, ``core`` and the sample below: ``min_inliers + 1``. The budget
+    ends at the block's last pick, so counting the threshold sample in, or
+    the one below it out, changes the result."""
     rng = np.random.default_rng(seed)
-    m = block * (core + 2)
+    m = block * (core + 3)
     draw_seed = next(s for s in range(seed, seed + 1000)
                      if np.unique(np.random.default_rng(s).integers(0, m, size=block)).size == block)
     picks = np.random.default_rng(draw_seed).integers(0, m, size=block)
-    normal = rng.normal(size=3)
-    normal /= np.linalg.norm(normal)
-    u = np.cross(normal, [1.0, 0.0, 0.0] if abs(normal[0]) < 0.9 else [0.0, 1.0, 0.0])
-    u /= np.linalg.norm(u)
-    v = np.cross(normal, u)
-    spread = rng.uniform(-0.3, 0.3, size=(core + 1, 2)) @ np.vstack([u, v])
-    heights = np.concatenate([[0.05], rng.uniform(-0.02, 0.02, size=core)])
+    axis = seed % 3
+    normal = np.eye(3)[axis]
+    thr = float(_grid(0.05))
+    offsets = np.empty((core + 2, 3))
+    offsets[:, np.arange(3) != axis] = _grid(rng.uniform(-0.3, 0.3, size=(core + 2, 2)))
+    offsets[:, axis] = np.concatenate([[thr, thr - 2**-20], _grid(rng.uniform(-0.02, 0.02, size=core))])
     head = _grid(rng.uniform(-1, 1, size=3))
-    cluster = np.vstack([head, _grid(head + spread + heights[:, None] * normal)])  # head, on, core
-    clusters = [cluster + _grid(i * normal) + shift for i in range(block)]
+    cluster = np.vstack([head, head + offsets])  # head, on, below, core
+    clusters = [cluster + i * normal + shift for i in range(block)]
     others = np.setdiff1d(np.arange(m), picks)
     slots = np.concatenate([picks, rng.permutation(others)])
     positions = np.empty((m, 3))
     positions[slots] = np.vstack([c[:1] for c in clusters] + [c[1:] for c in clusters])
-    on = slots[block + np.arange(block) * (core + 1)]  # each cluster's threshold sample
+    rows = block + np.arange(block) * (core + 2)  # each cluster's threshold sample
+    on, below = slots[rows], slots[rows + 1]
     normals = np.tile(normal, (m, 1))
-    gemv = [np.abs((positions - positions[pick]) @ normal) for pick in picks]
-    thr = float(gemv[0][on[0]])
-    assert all(d[i] == thr for d, i in zip(gemv, on))
-    e = 1.0 - (core + 1) / m
-    params = OpsParams(dist_threshold=thr, min_inliers=core, probability=1.0 - e ** (block - 0.5))
+    for pick, i in zip(picks, on):
+        assert abs(positions[i] - positions[pick])[axis] == thr
+    e = 1.0 - (core + 2) / m
+    params = OpsParams(dist_threshold=thr, min_inliers=core + 1, probability=1.0 - e ** (block - 0.5))
     assert adaptive_iterations(params.probability, e) == block
     with mock.patch.object(ops, "BLOCK_DISTANCES", block * m):
         result = _assert_same_ransac(_sample_set(positions, normals, cloud_size=block), params, draw_seed)
     assert result.iterations == block
-    assert result.sample_inliers.size == core + 1
+    assert result.sample_inliers.size == core + 2
+    assert np.intersect1d(result.sample_inliers, on).size == 0
+    assert np.intersect1d(result.sample_inliers, below).size == 1
 
 
 def test_ransac_no_plane_found_matches():
