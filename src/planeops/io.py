@@ -80,23 +80,40 @@ def load_cloud(path) -> np.ndarray:
     """
     path = Path(path)
     data = path.read_bytes()
-    points = _parse_ply(data, path) if data[:4].rstrip() == b"ply" else _parse_xyz(data, path)
+    points = _parse_ply(data, path) if data[:4].rstrip() == b"ply" else _text_vertices(data, path)
     return _drop_nonfinite(points, path)
 
 
-def _parse_xyz(data: bytes, path) -> np.ndarray:
-    rows = []
-    for lineno, raw in enumerate(data.splitlines(), start=1):
+def _text_vertices(data: bytes, path, first_line: int = 1, cols=(0, 1, 2), width: int = 3,
+                   count: int | None = None) -> np.ndarray:
+    """The (N, 3) float64 rows of whitespace-separated numbers in ``data``.
+
+    Blank lines and lines whose first token starts with ``#`` are skipped.
+    Each row needs at least ``width`` values; x, y and z are its columns
+    ``cols``. With a ``count``, reading stops after that many rows, and a
+    body holding fewer is an error. Errors name a line, counted from
+    ``first_line``.
+    """
+    lines = data.splitlines()
+    pts = np.empty((len(lines) if count is None else min(count, len(lines)), 3), dtype=np.float64)  # a row takes a line
+    x, y, z = cols
+    row = 0
+    for lineno, raw in enumerate(lines, start=first_line):
+        if row == count:
+            break
         tokens = raw.split()
         if not tokens or tokens[0].startswith(b"#"):
             continue
-        if len(tokens) < 3:
-            raise ParseError(f"expected at least 3 columns, got {len(tokens)}", path=path, line=lineno)
+        if len(tokens) < width:
+            raise ParseError(f"expected at least {width} values, got {len(tokens)}", path=path, line=lineno)
         try:
-            rows.append((float(tokens[0]), float(tokens[1]), float(tokens[2])))
+            pts[row] = (float(tokens[x]), float(tokens[y]), float(tokens[z]))
         except ValueError:
             raise ParseError("not a number", path=path, line=lineno) from None
-    return np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+        row += 1
+    if count is not None and row < count:
+        raise ParseError(f"expected {count} vertices, file ends after {row}", path=path)
+    return pts[:row]
 
 
 def _parse_ply(data: bytes, path) -> np.ndarray:
@@ -117,29 +134,29 @@ def _parse_ply(data: bytes, path) -> np.ndarray:
     properties: list[tuple[str, str]] = []  # (type, name) of the vertex element
     in_vertex = False
     for lineno, line in enumerate(header_lines, start=1):
-        tokens = line.split()
-        if not tokens or tokens[0] == "comment":
-            continue
-        if tokens[0] == "format":
-            fmt = tokens[1]
-        elif tokens[0] == "element":
-            in_vertex = tokens[1] == "vertex"
-            if not in_vertex and n_vertices is None:
-                # Its data would precede the vertices and shift them.
-                raise UnsupportedFormat(f"element {tokens[1]!r} before vertex", path=path, line=lineno)
-            if in_vertex:
+        match line.split():
+            case ["format", fmt, *_]:
+                pass
+            case ["element", "vertex", count, *_]:
+                in_vertex = True
                 try:
-                    n_vertices = int(tokens[2])
-                except (IndexError, ValueError):
+                    n_vertices = int(count)
+                except ValueError:
                     raise ParseError("bad vertex element line", path=path, line=lineno) from None
                 if n_vertices < 0:
                     raise ParseError(f"negative vertex count {n_vertices}", path=path, line=lineno)
-        elif tokens[0] == "property" and in_vertex:
-            if tokens[1] == "list":
-                raise UnsupportedFormat("list property in vertex element", path=path, line=lineno)
-            if tokens[1] not in _PLY_NUMPY:
-                raise UnsupportedFormat(f"property type {tokens[1]!r}", path=path, line=lineno)
-            properties.append((tokens[1], tokens[2]))
+            case ["element", kind, *_] if kind != "vertex":
+                in_vertex = False
+                if n_vertices is None:  # its data would precede the vertices and shift them
+                    raise UnsupportedFormat(f"element {kind!r} before vertex", path=path, line=lineno)
+            case ["property", *_] if not in_vertex:
+                pass  # another element's, never read
+            case ["property", ptype, *_] if ptype not in _PLY_NUMPY:  # a list property too
+                raise UnsupportedFormat(f"vertex property type {ptype!r}", path=path, line=lineno)
+            case ["property", ptype, name, *_]:
+                properties.append((ptype, name))
+            case ["format" | "element" | "property" as keyword, *_]:
+                raise ParseError(f"{keyword} line lacks a field", path=path, line=lineno)
 
     if fmt is None:
         raise ParseError("missing format line", path=path)
@@ -156,36 +173,9 @@ def _parse_ply(data: bytes, path) -> np.ndarray:
             raise UnsupportedFormat(f"coordinate {axis} stored as {ptype}", path=path)
 
     if fmt == "ascii":
-        return _ply_ascii_vertices(data, body_start, n_vertices, names, path)
+        return _text_vertices(data[body_start:], path, data[:body_start].count(b"\n") + 1,
+                              tuple(names.index(axis) for axis in "xyz"), len(names), n_vertices)
     return _ply_binary_vertices(data, body_start, n_vertices, properties, names, path)
-
-
-def _ply_ascii_vertices(data: bytes, body_start: int, n_vertices: int, names, path) -> np.ndarray:
-    header_line_count = data[:body_start].count(b"\n")
-    lines = data[body_start:].splitlines()
-    cols = (names.index("x"), names.index("y"), names.index("z"))
-    pts = np.empty((min(n_vertices, len(lines)), 3), dtype=np.float64)  # a row takes a line
-    row = 0
-    for offset, raw in enumerate(lines):
-        if row == n_vertices:
-            break
-        lineno = header_line_count + offset + 1
-        tokens = raw.split()
-        if not tokens:
-            continue
-        if len(tokens) < len(names):
-            raise ParseError(
-                f"vertex row has {len(tokens)} values, header declares {len(names)}",
-                path=path, line=lineno,
-            )
-        try:
-            pts[row] = (float(tokens[cols[0]]), float(tokens[cols[1]]), float(tokens[cols[2]]))
-        except ValueError:
-            raise ParseError("not a number", path=path, line=lineno) from None
-        row += 1
-    if row < n_vertices:
-        raise ParseError(f"expected {n_vertices} vertices, file ends after {row}", path=path)
-    return pts
 
 
 def _ply_binary_vertices(data: bytes, body_start: int, n_vertices: int, properties, names, path) -> np.ndarray:

@@ -71,6 +71,8 @@ class RunConfig:
     def __post_init__(self):
         if self.detector not in ("ops", "fspf"):
             raise ValueError(f"unknown detector {self.detector!r}")
+        if self.name is not None and not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {type(self.name).__name__}")
         self.seed = as_integer(self.seed, "seed", minimum=0)  # numpy's generators take no negative seed
         self.orientation_tol_degrees = as_float(self.orientation_tol_degrees, "orientation_tol_degrees")
         self.up = tuple(self.up)

@@ -27,10 +27,13 @@ def _rect_arrays(rect: dict, index: int):
         count = as_integer(rect["count"], "count", minimum=1)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"rect {index}: {exc}") from exc
-    normal = np.cross(edge_u, edge_v)
-    norm = np.linalg.norm(normal)
+    with np.errstate(all="ignore"):  # huge edges overflow the cross product or its norm
+        normal = np.cross(edge_u, edge_v)
+        norm = np.linalg.norm(normal)
     if norm < 1e-12:
         raise InvalidSpec(f"rect {index}: degenerate edges")
+    if not norm < np.inf:
+        raise InvalidSpec(f"rect {index}: edges give no finite unit normal")
     return corner, edge_u, edge_v, count, canonical_sign(normal / norm)
 
 
@@ -91,8 +94,10 @@ def gen_synthetic(scene: dict, noise_sigma: float = 0.0, seed: int = 0):
             lo, hi = stack.min(axis=0), stack.max(axis=0)
         else:
             raise InvalidSpec("clutter-only scenes need explicit clutter_bounds")
-        if not np.all(hi > lo):
-            raise InvalidSpec("clutter_bounds must span a positive volume")
+        with np.errstate(all="ignore"):
+            extent = hi - lo
+        if not np.all((extent > 0) & (extent < np.inf)):
+            raise InvalidSpec("clutter_bounds must span a positive, finite volume")
         pts = rng.uniform(lo, hi, size=(clutter, 3))
         chunks.append(pts)
         ids.append(np.full(clutter, -1, dtype=np.int32))

@@ -71,16 +71,27 @@ RECT = {"corner": [0, 0, 0], "edge_u": [1, 0, 0], "edge_v": [0, 1, 0], "count": 
     {"rects": [RECT], "clutter": True},
     {"rects": [RECT], "noise_sigma": True},
     {"rects": [RECT], "orientation_tol_degrees": True},
+    {"rects": [{**RECT, "edge_u": [1e200, 0, 0], "edge_v": [0, 1e200, 0]}]},
+    {"rects": [RECT], "clutter": 10, "clutter_bounds": [[0, 0, 0], [float("inf"), 1, 1]]},
 ]] + [({"rects": [RECT]}, ["--seed", "-1"])],
     ids=["list", "rects-number", "rect-number", "clutter-bounds-2d", "clutter-word", "clutter-negative",
          "noise-word", "noise-overflows", "up-not-unit", "up-word", "orientation-tol", "count-fraction",
          "count-bool", "count-string", "clutter-fraction", "clutter-bool", "noise-bool", "orientation-tol-bool",
-         "seed-negative"])
+         "normal-overflows", "clutter-bounds-infinite", "seed-negative"])
 def test_synth_malformed_scene_exit_code(tmp_path, capsys, scene, flags):
     scene_path = tmp_path / "scene.json"
     scene_path.write_text(json.dumps(scene))
     out = tmp_path / "o" / "cloud.ply"
     assert main(["synth", "--scene", str(scene_path), "--out", str(out), *flags]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("size", ["inf", "1e200"])
+def test_synth_nonfinite_room_size_exit_code(tmp_path, capsys, size):
+    out = tmp_path / "o" / "room.ply"
+    assert main(["synth", "--room-size", size, "--out", str(out)]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.parent.exists()
@@ -265,6 +276,7 @@ def test_detect_parse_error_exit_code(tmp_path):
     ("detect", ["--knn", "12"], {"ops": [1]}),
     ("detect", ["--knn", "12"], [1, 2]),
     ("detect", [], {"ops": {"dist_threshold": 10**400}}),
+    ("detect", [], {"name": ["x"]}),
 ], ids=["merge-angle", "dist-threshold", "knn", "sampling-rate", "up-not-unit", "up-not-number", "fspf-r1",
         "unknown-key", "unknown-top-key", "config-merge-angle", "config-not-object", "gt-knn",
         "fspf-cloud-below-n-loc", "orientation-tol", "ops-seed", "fspf-seed", "ops-up", "gt-block",
@@ -275,7 +287,7 @@ def test_detect_parse_error_exit_code(tmp_path):
         "config-ops-sigma", "config-fspf-claim-full-sphere", "seed-negative", "config-seed-negative",
         "config-ops-dist-bool", "config-fspf-r1-bool", "config-merge-offset-bool", "config-orientation-tol-bool",
         "config-ops-grouping", "fspf-n-max-zero", "fspf-n-max-negative", "config-fspf-n-max-negative",
-        "config-ops-list-with-flag", "config-not-object-with-flag", "config-ops-dist-int-overflow"])
+        "config-ops-list-with-flag", "config-not-object-with-flag", "config-ops-dist-int-overflow", "config-name-list"])
 def test_invalid_config_exit_code(tmp_path, capsys, command, flags, config):
     rng = np.random.default_rng(0)
     cloud = tmp_path / "cloud.xyz"
@@ -380,6 +392,20 @@ def test_negative_vertex_count_exit_code(tmp_path, capsys, binary):
     assert main(["detect", "--input", str(cloud), "--out", str(tmp_path / "o")]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "line 3: negative vertex count" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "ascii"])
+@pytest.mark.parametrize("bad", ["format", "element", "property", "property float"],
+                         ids=["format", "element", "property", "property-without-name"])
+def test_header_line_lacking_a_field_exit_code(tmp_path, capsys, binary, bad):
+    fmt, body = ("binary_little_endian", np.zeros(3).tobytes()) if binary else ("ascii", b"0 0 0\n")
+    cloud = tmp_path / "cloud.ply"
+    cloud.write_bytes(f"ply\nformat {fmt} 1.0\nelement vertex 1\nproperty double x\nproperty double y\n"
+                      f"property double z\n{bad}\nend_header\n".encode() + body)
+    assert main(["detect", "--input", str(cloud), "--out", str(tmp_path / "o")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 7: " in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -527,3 +553,15 @@ def test_bench_empty_dataset(tmp_path):
     empty.mkdir()
     code = main(["bench", "--dataset", str(empty), "--configs", str(configs_path)])
     assert code == EXIT_EMPTY
+
+
+def test_bench_config_name_not_a_string_exit_code(room_files, tmp_path, capsys):
+    cloud_path, _ = room_files
+    configs_path = tmp_path / "configs.json"
+    configs_path.write_text(json.dumps([{"name": "ops"}, {"name": ["x"]}]))
+    out = tmp_path / "rows.json"
+    assert main(["bench", "--dataset", str(cloud_path.parent), "--configs", str(configs_path),
+                 "--out", str(out)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "name" in err and "Traceback" not in err
+    assert not out.exists()

@@ -197,6 +197,82 @@ def test_ascii_vertex_count_beyond_body_rejected(tmp_path):
         load_cloud(path)
 
 
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "ascii"])
+@pytest.mark.parametrize("bad, before", [(b"format", b"element vertex"), (b"element", b"element vertex"),
+                                         (b"property", b"end_header"), (b"property float", b"end_header")],
+                         ids=["format", "element", "property", "property-without-name"])
+def test_header_line_lacking_a_field_reports_line(tmp_path, binary, bad, before):
+    vertices = [(1.0, 2.0, 3.0)]
+    if binary:
+        data = _binary_ply(np.array(vertices, dtype=[(c, "<f8") for c in "xyz"]), ("double x", "double y", "double z"))
+    else:
+        data = _ascii_ply(vertices)
+    data = data.replace(before, bad + b"\n" + before, 1)
+    path = tmp_path / "c.ply"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=f"{bad.split()[0].decode()} line lacks a field") as err:
+        load_cloud(path)
+    assert err.value.line == data[:data.index(bad + b"\n")].count(b"\n") + 1
+
+
+def test_ascii_ply_body_comment_line_skipped(tmp_path):
+    # A '#' line in the body is a comment, as in XYZ text; it takes no vertex.
+    path = tmp_path / "c.ply"
+    path.write_bytes(_ascii_ply([(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)]).replace(b"\n4.0", b"\n# second scan\n4.0"))
+    np.testing.assert_array_equal(load_cloud(path), [[1, 2, 3], [4, 5, 6]])
+
+
+@pytest.mark.parametrize("bad_row, message", [("4 oops 6", "not a number"), ("4 5", "expected at least 3 values")])
+def test_bad_row_reports_the_same_line_in_xyz_and_ascii_ply(tmp_path, bad_row, message):
+    body = ["1 2 3", "", "  ", bad_row, "7 8 9"]
+    xyz, ply = tmp_path / "c.xyz", tmp_path / "c.ply"
+    xyz.write_text("\n".join(body) + "\n")
+    header = b"ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\nproperty float z\nend_header\n"
+    ply.write_bytes(header + ("\n".join(body) + "\n").encode())
+    header_lines = header.count(b"\n")
+    for path, offset in ((xyz, 0), (ply, header_lines)):
+        with pytest.raises(ParseError, match=message) as err:
+            load_cloud(path)
+        assert err.value.line == offset + 4
+
+
+TEXT_COORD = st.floats(-1e300, 1e300)
+GAP_LINES = st.lists(st.sampled_from(["", " \t", "# a comment", "#", "  #1 2 3"]), max_size=2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.tuples(TEXT_COORD, TEXT_COORD, TEXT_COORD), max_size=12),
+       spec=st.sampled_from(["{!r}", "{:.6g}", "{:.3e}", "{:.2f}"]),
+       names=st.integers(0, 2).flatmap(lambda extra: st.permutations(["x", "y", "z", "w", "red"][:3 + extra])),
+       gaps=st.lists(GAP_LINES, min_size=13, max_size=13),
+       newline=st.sampled_from(["\n", "\r\n"]))
+def test_xyz_and_ascii_ply_rows_load_alike(tmp_path_factory, rows, spec, names, gaps, newline):
+    # The same rows written as XYZ text and as an ascii PLY body, with
+    # reordered or extra columns, blank and '#' lines and either line end,
+    # load to the same bits: float() of each written token.
+    tokens = [[spec.format(v) for v in row] for row in rows]
+    expected = np.array([[float(t) for t in row] for row in tokens], dtype=np.float64).reshape(-1, 3)
+
+    def body(columns):
+        lines = []
+        for gap, row in zip(gaps, tokens):
+            values = dict(zip("xyz", row), w="-7.5", red="255")
+            lines += gap + [" ".join(values[c] for c in columns)]
+        return lines + gaps[len(tokens)]
+
+    extras = [n for n in names if n not in "xyz"]
+    header = ["ply", "format ascii 1.0", f"element vertex {len(rows)}",
+              *[f"property {'uchar' if n == 'red' else 'double'} {n}" for n in names], "end_header"]
+    directory = tmp_path_factory.mktemp("rows")
+    xyz, ply = directory / "c.xyz", directory / "c.ply"
+    xyz.write_bytes(newline.join(body(["x", "y", "z", *extras]) + [""]).encode())
+    ply.write_bytes(newline.join(header + body(names) + [""]).encode())
+    for path in (xyz, ply):
+        loaded = load_cloud(path)
+        assert loaded.dtype == np.float64 and loaded.shape == expected.shape
+        assert loaded.tobytes() == expected.tobytes()
+
+
 def _room_labeling(n=60):
     ids = np.repeat(np.arange(6), n // 6 - 1).astype(np.int32)
     ids = np.concatenate([ids, np.full(n - ids.size, -1, dtype=np.int32)])
