@@ -7,7 +7,7 @@ else in the package.
 
 import numpy as np
 
-from planeops import classify_orientation, fit_plane, plane_distances
+from planeops import Orientation, classify_orientations, fit_plane, plane_distances
 
 rng = np.random.default_rng(0)
 
@@ -33,12 +33,12 @@ probes = [(0, 0, 0.5), (0, 0, 1.5)]
 for p, d in zip(probes, plane_distances(np.array(probes), model.centroid, model.normal)):
     print(f"distance from {p}: {d:.4f} m")
 
-# Orientation classes, 7 degree tolerance around the up axis
-for normal, label in [
+# Orientation classes, 7 degree tolerance around the up axis, for a stack of normals
+normals, labels = zip(
     ((0, 0, 1), "straight up"),
     ((np.sin(np.radians(5)), 0, np.cos(np.radians(5))), "5 deg off vertical axis"),
     ((1, 0, 0), "sideways"),
     ((np.sin(np.radians(45)), 0, np.cos(np.radians(45))), "45 deg slope"),
-]:
-    orientation = classify_orientation(normal, up=(0, 0, 1), tol_degrees=7.0)
-    print(f"normal {label:>24}: {orientation.name}")
+)
+for label, code in zip(labels, classify_orientations(normals, up=(0, 0, 1), tol_degrees=7.0)):
+    print(f"normal {label:>24}: {Orientation(code).name}")

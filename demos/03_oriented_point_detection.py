@@ -11,9 +11,10 @@ import numpy as np
 from planeops import (
     KdTree,
     OpsParams,
+    Orientation,
     SampleSet,
     adaptive_iterations,
-    classify_orientation,
+    classify_orientations,
     detect_grouped,
     estimate_normals,
     make_box_room,
@@ -40,15 +41,14 @@ samples = SampleSet(indices=idx[valid], positions=points[idx[valid]], normals=no
                     cloud_size=points.shape[0])
 print(f"oriented samples: {len(samples)} ({int((~valid).sum())} degenerate dropped)")
 
-# One RANSAC on a generator of its own, so that the full detection below
-# continues the stream exactly as a run with seed 0 does.
-result = one_point_ransac(samples, params, np.random.default_rng(1))
+# One RANSAC over every sample, on a generator of its own, so that the full
+# detection below continues the stream exactly as a run with seed 0 does.
+result = one_point_ransac(samples, params, np.random.default_rng(1), np.ones(len(samples), dtype=bool))
 print(f"largest plane: {len(result.sample_inliers)} sample inliers "
       f"after {result.iterations} iterations, normal {np.round(result.model.normal, 3)}")
 
 planes = detect_grouped(points, samples, params, rng, up, tol)
 print("\nfull grouped detection (horizontal first, then vertical, then other):")
-for plane in planes:
-    orientation = classify_orientation(plane.normal, up, tol)
-    print(f"  {orientation.name.lower():>10}: {plane.inlier_count:5d} points, "
+for plane, code in zip(planes, classify_orientations([p.normal for p in planes], up, tol)):
+    print(f"  {Orientation(code).name.lower():>10}: {plane.inlier_count:5d} points, "
           f"normal {np.round(plane.normal, 3)}")

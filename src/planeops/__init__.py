@@ -11,7 +11,7 @@ from .geometry import (
     DegenerateInput,
     Orientation,
     PlaneModel,
-    classify_orientation,
+    classify_orientations,
     fit_plane,
     plane_distances,
 )
@@ -64,7 +64,7 @@ __all__ = [
     "adaptive_iterations",
     "box_room_scene",
     "classification_accuracy",
-    "classify_orientation",
+    "classify_orientations",
     "coplanar",
     "detect_grouped",
     "estimate_normals",

@@ -20,7 +20,6 @@ __all__ = [
     "as_integer",
     "as_points",
     "as_unit_vector",
-    "classify_orientation",
     "classify_orientations",
     "combine_moments",
     "fit_plane",
@@ -352,8 +351,3 @@ def classify_orientations(normals, up=UP, tol_degrees: float = ORIENTATION_TOL_D
     codes[angles <= tol_degrees] = int(Orientation.HORIZONTAL)
     codes[90.0 - angles <= tol_degrees] = int(Orientation.VERTICAL)
     return codes
-
-
-def classify_orientation(normal, up=UP, tol_degrees: float = ORIENTATION_TOL_DEGREES) -> Orientation:
-    """The class of one unit normal; :func:`classify_orientations` of one vector."""
-    return Orientation(int(classify_orientations(as_unit_vector(normal), up, tol_degrees)[0]))

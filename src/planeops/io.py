@@ -127,7 +127,7 @@ def _parse_ply(data: bytes, path) -> np.ndarray:
     if nl < 0:
         raise ParseError("header not terminated", path=path)
     body_start = nl + 1
-    header_lines = data[:end].decode("ascii", errors="replace").splitlines()
+    header_lines = data[:end].decode("ascii", errors="replace").split("\n")  # as the body counts its lines
 
     fmt = None
     n_vertices = None
@@ -149,13 +149,16 @@ def _parse_ply(data: bytes, path) -> np.ndarray:
                 in_vertex = False
                 if n_vertices is None:  # its data would precede the vertices and shift them
                     raise UnsupportedFormat(f"element {kind!r} before vertex", path=path, line=lineno)
+            case ["property", *fields] if len(fields) != (want := 4 if fields[:1] == ["list"] else 2):
+                problem = "lacks a field" if len(fields) < want else "has a field too many"
+                raise ParseError(f"property line {problem}", path=path, line=lineno)
             case ["property", *_] if not in_vertex:
                 pass  # another element's, never read
             case ["property", ptype, *_] if ptype not in _PLY_NUMPY:  # a list property too
                 raise UnsupportedFormat(f"vertex property type {ptype!r}", path=path, line=lineno)
-            case ["property", ptype, name, *_]:
+            case ["property", ptype, name]:
                 properties.append((ptype, name))
-            case ["format" | "element" | "property" as keyword, *_]:
+            case ["format" | "element" as keyword, *_]:
                 raise ParseError(f"{keyword} line lacks a field", path=path, line=lineno)
 
     if fmt is None:

@@ -47,7 +47,7 @@ class MergeParams:
         self.offset = as_float(self.offset, "offset", 0.0)
 
 
-def _coplanar_mask(normals_a, centroids_a, normals_b, centroids_b, params: MergeParams) -> np.ndarray:
+def coplanar(normals_a, centroids_a, normals_b, centroids_b, params: MergeParams) -> np.ndarray:
     """Elementwise three-part coplanarity test between broadcast plane arrays.
 
     Arrays hold one component per row of their first axis, shape (3, ...).
@@ -65,11 +65,6 @@ def _coplanar_mask(normals_a, centroids_a, normals_b, centroids_b, params: Merge
         & (np.abs(dot(sep, normals_a)) <= params.offset)  # centroid b against plane a
         & (np.abs(dot(sep, normals_b)) <= params.offset)  # centroid a against plane b
     )
-
-
-def coplanar(a: PlaneModel, b: PlaneModel, params: MergeParams) -> bool:
-    """Three-part test: normal angle plus both centroid-to-plane offsets."""
-    return bool(_coplanar_mask(a.normal, a.centroid, b.normal, b.centroid, params))
 
 
 def dedupe_inliers(planes: list[PlaneModel], points: np.ndarray) -> list[PlaneModel]:
@@ -161,8 +156,8 @@ def merge_all(planes: list[PlaneModel], points: np.ndarray, params: MergeParams)
     step = max(1, PAIR_BLOCK // p)
     for lo in range(0, p, step):
         rows = slice(lo, min(lo + step, p))
-        ok[rows] = _coplanar_mask(normals[:, rows, None], centroids[:, rows, None],
-                                  normals[:, None, :p], centroids[:, None, :p], params)
+        ok[rows] = coplanar(normals[:, rows, None], centroids[:, rows, None],
+                            normals[:, None, :p], centroids[:, None, :p], params)
         np.fill_diagonal(ok[rows, rows], False)
         scan(rows)
 
@@ -184,8 +179,8 @@ def merge_all(planes: list[PlaneModel], points: np.ndarray, params: MergeParams)
                 keep = a if sizes[a] >= sizes[b] else b
                 normals[:, m], centroids[:, m] = normals[:, keep], centroids[:, keep]
             sizes[a] = sizes[b] = -1
-            cand = np.where(_coplanar_mask(normals[:, m, None], centroids[:, m, None], normals[:, :m],
-                                           centroids[:, :m], params), sizes[:m], -1)
+            cand = np.where(coplanar(normals[:, m, None], centroids[:, m, None], normals[:, :m],
+                                     centroids[:, :m], params), sizes[:m], -1)
             x = int(np.argmax(cand))
             sizes[m] = union.count
             m += 1

@@ -98,7 +98,7 @@ def estimate_normals(points: np.ndarray, kd: KdTree, indices, k: int):
             np.full(m, np.inf),
             np.zeros(m, dtype=bool),
         )
-    nbr_dist, nbr_idx = kd.knn(points[idx], k, exclude_index=idx)
+    nbr_dist, nbr_idx = kd.knn(idx, k)
     return normals_from_neighbors(points, idx, nbr_dist, nbr_idx)
 
 

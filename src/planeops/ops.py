@@ -111,7 +111,7 @@ def one_point_ransac(
     samples: SampleSet,
     params: OpsParams,
     rng: np.random.Generator,
-    alive: np.ndarray | None = None,
+    alive: np.ndarray,
 ) -> RansacResult:
     """Find the sample-supported plane with the most inliers.
 
@@ -130,14 +130,14 @@ def one_point_ransac(
     per iteration.
 
     Args:
-        alive: optional boolean mask restricting the working pool; retired
-            samples are neither drawn nor counted.
+        alive: boolean mask over the samples giving the working pool;
+            retired samples are neither drawn nor counted.
 
     Raises:
         NoPlaneFound: no hypothesis collected more than ``min_inliers``
             samples within the budget.
     """
-    pool = np.arange(len(samples), dtype=np.int64) if alive is None else np.flatnonzero(alive)
+    pool = np.flatnonzero(alive)
     m = pool.size
     if m <= params.min_inliers:
         raise NoPlaneFound(f"{m} live samples cannot exceed min_inliers={params.min_inliers}")
@@ -233,7 +233,7 @@ def detect_grouped(
     for member in groups:
         while int((alive & member).sum()) > params.min_inliers:
             try:
-                result = one_point_ransac(samples, params, rng, alive=alive & member)
+                result = one_point_ransac(samples, params, rng, alive & member)
             except NoPlaneFound:
                 break
             full, rest = extract_full_inliers(points, result.model, params.dist_threshold, live)

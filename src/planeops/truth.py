@@ -116,10 +116,10 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
         return SegmentLabeling.all_other(n)
 
     all_idx = np.arange(n, dtype=np.int64)
-    nbr_dist, adjacency = kd.knn(points, params.k, exclude_index=all_idx)
+    nbr_dist, adjacency = kd.knn(all_idx, params.k)
     normals, curvature, _ = normals_from_neighbors(points, all_idx, nbr_dist, adjacency)
 
-    # Each dot product is summed component by component, as merge._coplanar_mask
+    # Each dot product is summed component by component, as merge.coplanar
     # spells it out, so an edge gets the same bits in either direction.
     cosine, off_i, off_j = (np.zeros(adjacency.shape) for _ in range(3))
     for c in range(3):

@@ -15,14 +15,13 @@ from planeops.fspf import BLOCK_ANCHORS, score_block
 from planeops.geometry import (
     EIGEN_TIE_RTOL,
     DegenerateInput,
-    classify_orientation,
     classify_orientations,
     combine_moments,
     plane_distances,
     plane_normal,
     point_moments,
 )
-from planeops.merge import _coplanar_mask
+from planeops.merge import coplanar
 from planeops.normals import SampleSet, estimate_normals, normals_from_neighbors, sample_indices
 from planeops.ops import (
     GROUP_ORDER,
@@ -117,38 +116,46 @@ def random_plane_soup(rng, n_base=4):
     return np.vstack(chunks), planes
 
 
-def brute_force_knn(points: np.ndarray, query, k: int, exclude_index=None):
-    """k nearest by full scan, ties resolved toward the lower index."""
-    q = np.asarray(query, dtype=np.float64)
-    dists = np.sqrt(((points - q) ** 2).sum(axis=1))
-    idx = np.arange(points.shape[0])
-    if exclude_index is not None:
-        keep = idx != exclude_index
-        dists, idx = dists[keep], idx[keep]
-    order = np.lexsort((idx, dists))[:k]
-    return dists[order], idx[order]
+def _scan_distances(points: np.ndarray, index: int) -> np.ndarray:
+    """Distance from cloud point ``index`` to every point, itself at infinity."""
+    dists = np.sqrt(((points - points[index]) ** 2).sum(axis=1))
+    dists[index] = np.inf
+    return dists
 
 
-def assert_knn_row_matches_brute_force(points: np.ndarray, query, k: int, dist, idx, exclude_index=None):
-    """One k-NN row against ``brute_force_knn``, in any order among equal distances.
+def brute_force_knn(points: np.ndarray, index: int, k: int):
+    """The k nearest other points of cloud point ``index`` by full scan, ties
+    resolved toward the lower index."""
+    dists = _scan_distances(points, index)
+    order = np.lexsort((np.arange(points.shape[0]), dists))[:min(k, points.shape[0] - 1)]
+    return dists[order], order
+
+
+def assert_knn_row_matches_brute_force(points: np.ndarray, index: int, k: int, dist, idx):
+    """Cloud point ``index``'s k-NN row against ``brute_force_knn``, in any
+    order among equal distances.
 
     The distances must equal the scan's sorted distances bit for bit, the
-    indices must be distinct and never the excluded point, each index's scan
+    indices must be distinct and never ``index`` itself, each index's scan
     distance must equal its returned distance, and the points strictly nearer
     than the k-th distance must be exactly the scan's.
     """
-    want, _ = brute_force_knn(points, query, k, exclude_index=exclude_index)
+    want, _ = brute_force_knn(points, index, k)
     np.testing.assert_array_equal(dist, want)
-    all_dist, all_idx = brute_force_knn(points, query, points.shape[0])
-    scan = np.empty(points.shape[0])
-    scan[all_idx] = all_dist
+    scan = _scan_distances(points, index)
     assert np.unique(idx).size == idx.size
-    if exclude_index is not None:
-        assert exclude_index not in idx.tolist()
-        scan[exclude_index] = np.inf
+    assert index not in idx.tolist()
     np.testing.assert_array_equal(scan[idx], dist)
     if idx.size:
         np.testing.assert_array_equal(np.sort(idx[dist < dist[-1]]), np.flatnonzero(scan < dist[-1]))
+
+
+def coplanar_pairs(planes, params) -> np.ndarray:
+    """The (i, j) pairs, i < j, of ``planes`` that ``coplanar`` joins."""
+    normals = np.transpose([p.normal for p in planes]).reshape(3, -1)
+    centroids = np.transpose([p.centroid for p in planes]).reshape(3, -1)
+    ok = coplanar(normals[:, :, None], centroids[:, :, None], normals[:, None], centroids[:, None], params)
+    return np.argwhere(np.triu(ok, 1))
 
 
 def brute_force_radius(points: np.ndarray, center, radius: float) -> np.ndarray:
@@ -231,7 +238,7 @@ def reference_merge_all(planes, points, params):
 def reference_merge_on_moments(planes, points, params):
     """Greedy merging on moments that tests every live pair in every round.
 
-    O(P^3): each round tests all live pairs with ``_coplanar_mask`` and
+    O(P^3): each round tests all live pairs with ``coplanar`` and
     merges the coplanar pair of largest combined size, then earliest ``a``,
     then earliest ``b`` in list order. The union's moments combine the
     parts' in ``(a, b)`` order; input planes' moments are taken about the
@@ -249,7 +256,7 @@ def reference_merge_on_moments(planes, points, params):
     while True:
         normals = np.array([e[0] for e in live]).T
         centroids = np.array([e[1] for e in live]).T
-        ok = _coplanar_mask(normals[:, :, None], centroids[:, :, None], normals[:, None], centroids[:, None], params)
+        ok = coplanar(normals[:, :, None], centroids[:, :, None], normals[:, None], centroids[:, None], params)
         pairs = [(-(live[a][2].count + live[b][2].count), a, b)
                  for a, b in zip(*np.nonzero(ok)) if a < b]
         if not pairs:
@@ -318,7 +325,7 @@ def reference_ground_truth(points, params):
         return SegmentLabeling.all_other(n)
     kd = KdTree(points)
     all_idx = np.arange(n, dtype=np.int64)
-    nbr_dist, adjacency = kd.knn(points, params.k, exclude_index=all_idx)
+    nbr_dist, adjacency = kd.knn(all_idx, params.k)
     normals, curvature, valid = normals_from_neighbors(points, all_idx, nbr_dist, adjacency)
 
     cos_tol = float(np.cos(np.radians(params.normal_angle_degrees)))
@@ -379,7 +386,7 @@ def reference_ground_truth(points, params):
             if len(kept) < params.min_plane_size:
                 continue
             plane_ids[kept] = next_id
-            orientations[kept] = int(classify_orientation(final.normal))  # the default up axis and tolerance
+            orientations[kept] = classify_orientations(final.normal)[0]  # the default up axis and tolerance
             next_id += 1
         if next_id == made:
             break
@@ -414,9 +421,9 @@ def reference_sample_indices(n_points, rate, rng):
     return pool[:m]
 
 
-def reference_one_point_ransac(samples, params, rng, alive=None):
+def reference_one_point_ransac(samples, params, rng, alive):
     """One-point RANSAC with one scalar draw and one gemv per iteration."""
-    pool = np.arange(len(samples), dtype=np.int64) if alive is None else np.flatnonzero(alive)
+    pool = np.flatnonzero(alive)
     m = pool.size
     if m <= params.min_inliers:
         raise NoPlaneFound(f"{m} live samples cannot exceed min_inliers={params.min_inliers}")
@@ -485,7 +492,7 @@ def reference_detect_grouped(points, samples, params, rng, up, tol_degrees):
     for member in groups:
         while int((alive & member).sum()) > params.min_inliers:
             try:
-                result = reference_one_point_ransac(samples, params, rng, alive=alive & member)
+                result = reference_one_point_ransac(samples, params, rng, alive & member)
             except NoPlaneFound:
                 break
             full = reference_extract_full_inliers(points, result.model, params.dist_threshold, active_mask)

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from helpers import brute_force_knn, brute_force_radius, exhaustive_assignment_max, random_plane_soup
+from helpers import brute_force_knn, brute_force_radius, coplanar_pairs, exhaustive_assignment_max, random_plane_soup
 from planeops import (
     FspfParams,
     GtParams,
@@ -23,7 +23,6 @@ from planeops import (
     RunConfig,
     adaptive_iterations,
     classification_accuracy,
-    coplanar,
     estimate_normals,
     gen_synthetic,
     generate_ground_truth,
@@ -74,16 +73,19 @@ def test_01_spatial_index_oracle():
     with criterion("01 spatial-index-vs-brute-force"):
         rng = np.random.default_rng(101)
         pts = rng.uniform(0, 1, size=(1000, 3))
-        queries = rng.uniform(0, 1, size=(100, 3))
+        own = rng.choice(1000, size=100, replace=False)
+        centres = rng.uniform(0, 1, size=(100, 3))
         start = time.perf_counter()
         tree = KdTree(pts)
-        for q in queries:
-            for k in (1, 10, 30):
-                d, i = tree.knn(q, k)
-                bd, bi = brute_force_knn(pts, q, k)
-                assert np.array_equal(i, bi) and np.array_equal(d, bd)
-            for r in (0.05, 0.1, 0.3):
-                assert np.array_equal(tree.radius_search(q, r), brute_force_radius(pts, q, r))
+        for k in (1, 10, 30):
+            d, i = tree.knn(own, k)
+            for row, index in enumerate(own):
+                bd, bi = brute_force_knn(pts, index, k)
+                assert np.array_equal(i[row], bi) and np.array_equal(d[row], bd)
+        for r in (0.05, 0.1, 0.3):
+            for row, centre in zip(tree.radius_search(centres, r), centres):
+                ball = brute_force_radius(pts, centre, r)
+                assert np.array_equal(row[:ball.size], ball) and (row[ball.size:] == -1).all()
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"oracle comparison took {elapsed:.2f}s"
 
@@ -246,9 +248,7 @@ def test_09_merge_properties():
             before = len(np.unique(np.concatenate([p.inliers for p in planes])))
             merged = merge_all(planes, points, params)
             # fixpoint
-            for i, a in enumerate(merged):
-                for b in merged[i + 1:]:
-                    assert not coplanar(a, b, params)
+            assert coplanar_pairs(merged, params).size == 0
             # conservation after deduplication
             assert sum(p.inlier_count for p in merged) == before
             assert len(merged) <= len(planes)

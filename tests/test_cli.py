@@ -409,6 +409,18 @@ def test_header_line_lacking_a_field_exit_code(tmp_path, capsys, binary, bad):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "ascii"])
+def test_bare_property_of_another_element_exit_code(tmp_path, capsys, binary):
+    fmt, body = ("binary_little_endian", np.zeros(3).tobytes()) if binary else ("ascii", b"0 0 0\n")
+    cloud = tmp_path / "cloud.ply"
+    cloud.write_bytes(f"ply\nformat {fmt} 1.0\nelement vertex 1\nproperty double x\nproperty double y\n"
+                      "property double z\nelement face 1\nproperty\nend_header\n".encode() + body)
+    assert main(["detect", "--input", str(cloud), "--out", str(tmp_path / "o")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 8: property line lacks a field" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flags", [["--sigma", "0.1"], ["--detector", "fspf", "--claim-full-sphere"],
                                    ["--grouping", "detect_first"]],
                          ids=["sigma", "claim-full-sphere", "grouping"])

@@ -15,7 +15,7 @@ from planeops import (
 )
 from planeops.fspf import BLOCK_ANCHORS, fit_block, score_block
 
-from helpers import replay_fspf
+from helpers import brute_force_radius, replay_fspf
 
 
 def _dense_plane(rng, n=4000, extent=1.0):
@@ -72,12 +72,12 @@ def _mixed_cloud(rng):
     return np.vstack([plane, line, stack, lonely])
 
 
-def _scalar_hypothesis(points, kd, params, anchor, fractions):
-    """One hypothesis recomputed with one-point sphere queries, as a loop
-    over single anchors would: (companions, normal, collinear, draws,
-    inliers), or None when the r1 sphere is too thin."""
+def _scalar_hypothesis(points, params, anchor, fractions):
+    """One hypothesis recomputed from full-scan spheres, as a loop over
+    single anchors would: (companions, normal, collinear, draws, inliers),
+    or None when the r1 sphere is too thin."""
     p0 = points[anchor]
-    near = kd.radius_search(p0, params.r1)
+    near = brute_force_radius(points, p0, params.r1)
     near = near[near != anchor]
     if near.size < 2:
         return None
@@ -86,7 +86,7 @@ def _scalar_hypothesis(points, kd, params, anchor, fractions):
     second += second >= first
     companions = near[[first, second]]
     normal, collinear = three_point_normal(p0, points[companions[0]], points[companions[1]])
-    sphere = kd.radius_search(p0, params.r2)
+    sphere = brute_force_radius(points, p0, params.r2)
     draws = sphere[(fractions[2:] * sphere.size).astype(np.int64)]
     offsets = sum((points[draws, axis] - p0[axis]) * normal[axis] for axis in range(3))
     return companions, normal, bool(collinear), draws, int((np.abs(offsets) < params.dist_threshold).sum())
@@ -106,7 +106,7 @@ class TestScoreBlock:
         block = score_block(points, kd, params, anchors, fractions)
         kinds = set()
         for row in range(m):
-            expected = _scalar_hypothesis(points, kd, params, anchors[row], fractions[row])
+            expected = _scalar_hypothesis(points, params, anchors[row], fractions[row])
             if expected is None:
                 kinds.add("thin")
                 assert block.companions[row].tolist() == [-1, -1]

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planeops import DegenerateInput, Orientation, PlaneModel, classify_orientation, fit_plane, plane_distances
-from planeops.geometry import EIGEN_FALLBACK_GAP, EIGEN_TIE_RTOL, as_float, classify_orientations, symmetric_eigen3
+from planeops import DegenerateInput, Orientation, PlaneModel, classify_orientations, fit_plane, plane_distances
+from planeops.geometry import EIGEN_FALLBACK_GAP, EIGEN_TIE_RTOL, as_float, symmetric_eigen3
 
 
 def _plane(centroid, normal):
@@ -106,32 +106,29 @@ class TestFitPlane:
 
 class TestClassifyOrientation:
     def test_horizontal(self):
-        assert classify_orientation((0, 0, 1), (0, 0, 1), 7.0) is Orientation.HORIZONTAL
+        assert classify_orientations((0, 0, 1), (0, 0, 1), 7.0).tolist() == [Orientation.HORIZONTAL]
 
     def test_vertical(self):
-        assert classify_orientation((1, 0, 0), (0, 0, 1), 7.0) is Orientation.VERTICAL
+        assert classify_orientations((1, 0, 0), (0, 0, 1), 7.0).tolist() == [Orientation.VERTICAL]
 
     def test_forty_five_degrees_is_other(self):
         n = (0.0, math.sin(math.radians(45)), math.cos(math.radians(45)))
-        assert classify_orientation(n, (0, 0, 1), 7.0) is Orientation.OTHER
+        assert classify_orientations(n, (0, 0, 1), 7.0).tolist() == [Orientation.OTHER]
 
     def test_sign_invariance(self, rng):
-        for _ in range(100):
-            n = rng.normal(size=3)
-            n /= np.linalg.norm(n)
-            assert classify_orientation(n) is classify_orientation(-n)
+        n = rng.normal(size=(100, 3))
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        np.testing.assert_array_equal(classify_orientations(n), classify_orientations(-n))
 
     def test_tolerance_bounds(self):
         with pytest.raises(ValueError):
-            classify_orientation((0, 0, 1), (0, 0, 1), 45.0)
+            classify_orientations((0, 0, 1), (0, 0, 1), 45.0)
         with pytest.raises(ValueError):
-            classify_orientation((0, 0, 1), (0, 0, 1), 0.0)
+            classify_orientations((0, 0, 1), (0, 0, 1), 0.0)
 
     def test_boundary_inside_band(self):
-        n = (0.0, math.sin(math.radians(6.9)), math.cos(math.radians(6.9)))
-        assert classify_orientation(n, (0, 0, 1), 7.0) is Orientation.HORIZONTAL
-        n = (0.0, math.sin(math.radians(83.1)), math.cos(math.radians(83.1)))
-        assert classify_orientation(n, (0, 0, 1), 7.0) is Orientation.VERTICAL
+        n = [(0.0, math.sin(math.radians(a)), math.cos(math.radians(a))) for a in (6.9, 83.1)]
+        assert classify_orientations(n, (0, 0, 1), 7.0).tolist() == [Orientation.HORIZONTAL, Orientation.VERTICAL]
 
 
 UP_AXES = [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 0.6, 0.8)]
@@ -156,7 +153,6 @@ def test_orientation_rule_against_analytic_angles(up, tol):
         want = [code for _, code in cases]
         assert classify_orientations(normals, up, tol).tolist() == want
         assert classify_orientations(-normals, up, tol).tolist() == want
-        assert [int(classify_orientation(n, up, tol)) for n in normals] == want
 
 
 @pytest.mark.parametrize("tol", [0.0, 45.0, -3.0, 60.0])

@@ -215,6 +215,50 @@ def test_header_line_lacking_a_field_reports_line(tmp_path, binary, bad, before)
     assert err.value.line == data[:data.index(bad + b"\n")].count(b"\n") + 1
 
 
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "ascii"])
+def test_header_lines_are_numbered_by_newline_alone(tmp_path, binary):
+    # Form feeds and the other separators str.splitlines breaks at are
+    # bytes inside a line, as the body's line count takes them.
+    vertices = [(1.0, 2.0, 3.0)]
+    if binary:
+        data = _binary_ply(np.array(vertices, dtype=[(c, "<f8") for c in "xyz"]), ("double x", "double y", "double z"))
+    else:
+        data = _ascii_ply(vertices)
+    data = data.replace(b"element vertex", b"comment scanned\x0cby\x1chand\x0bagain\nelement vertex", 1)
+    data = data.replace(b"end_header", b"property float\nend_header", 1)
+    path = tmp_path / "c.ply"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match="property line lacks a field") as err:
+        load_cloud(path)
+    assert err.value.line == 8
+
+
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "ascii"])
+@pytest.mark.parametrize("bad, problem", [("property", "lacks a field"), ("property uchar", "lacks a field"),
+                                          ("property list uchar int", "lacks a field"),
+                                          ("property uchar red green", "has a field too many"),
+                                          ("property list uchar int vertex_indices extra", "has a field too many")],
+                         ids=["bare", "no-name", "list-no-name", "scalar-extra", "list-extra"])
+def test_property_line_fields_checked_in_every_element(tmp_path, binary, bad, problem):
+    # A face element's properties are never read, but a malformed one is
+    # still an error naming its line; so is an extra field in the vertex element.
+    vertices = [(1.0, 2.0, 3.0)]
+    if binary:
+        data = _binary_ply(np.array(vertices, dtype=[(c, "<f8") for c in "xyz"]), ("double x", "double y", "double z"))
+    else:
+        data = _ascii_ply(vertices)
+    path = tmp_path / "c.ply"
+    face = data.replace(b"end_header", b"element face 1\nproperty list uchar int vertex_indices\nend_header", 1)
+    path.write_bytes(face)
+    np.testing.assert_array_equal(load_cloud(path), vertices)
+    for text in (face.replace(b"end_header", bad.encode() + b"\nend_header", 1),
+                 data.replace(b"end_header", bad.encode() + b"\nend_header", 1)):
+        path.write_bytes(text)
+        with pytest.raises(ParseError, match=f"property line {problem}") as err:
+            load_cloud(path)
+        assert err.value.line == text[:text.index(bad.encode() + b"\n")].count(b"\n") + 1
+
+
 def test_ascii_ply_body_comment_line_skipped(tmp_path):
     # A '#' line in the body is a comment, as in XYZ text; it takes no vertex.
     path = tmp_path / "c.ply"

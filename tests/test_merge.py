@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_plane_soup, reference_dedupe_inliers, reference_merge_all, reference_merge_on_moments
+from helpers import coplanar_pairs, random_plane_soup, reference_dedupe_inliers, reference_merge_all, reference_merge_on_moments
 from planeops import DegenerateInput, MergeParams, PlaneModel, coplanar, fit_plane, merge_all
 from planeops.merge import dedupe_inliers
 
@@ -22,29 +22,24 @@ def _tilted_normal(degrees):
 
 
 class TestCoplanar:
+    UP, ORIGIN = np.array([0.0, 0.0, 1.0]), np.zeros(3)
+
     def test_identical_planes(self):
-        a = _plane((0, 0, 0), (0, 0, 1))
-        assert coplanar(a, a, MergeParams())
+        assert coplanar(self.UP, self.ORIGIN, self.UP, self.ORIGIN, MergeParams())
 
     def test_in_plane_offset(self):
-        a = _plane((0, 0, 0), (0, 0, 1))
-        b = _plane((1, 1, 0), (0, 0, 1))
-        assert coplanar(a, b, MergeParams())
+        assert coplanar(self.UP, self.ORIGIN, self.UP, np.array([1.0, 1.0, 0.0]), MergeParams())
 
     def test_parallel_but_separated(self):
-        a = _plane((0, 0, 0), (0, 0, 1))
-        b = _plane((0, 0, 0.2), (0, 0, 1))
-        assert not coplanar(a, b, MergeParams(offset=0.05))
+        assert not coplanar(self.UP, self.ORIGIN, self.UP, np.array([0.0, 0.0, 0.2]), MergeParams(offset=0.05))
 
     def test_angle_threshold(self):
-        a = _plane((0, 0, 0), (0, 0, 1))
-        assert coplanar(a, _plane((0, 0, 0), _tilted_normal(6.0)), MergeParams(angle_degrees=7.0))
-        assert not coplanar(a, _plane((0, 0, 0), _tilted_normal(8.0)), MergeParams(angle_degrees=7.0))
+        tilted = np.transpose([_tilted_normal(6.0), _tilted_normal(8.0)])  # one column per plane
+        ok = coplanar(self.UP[:, None], self.ORIGIN[:, None], tilted, np.zeros((3, 2)), MergeParams(angle_degrees=7.0))
+        assert ok.tolist() == [True, False]
 
     def test_flipped_normal_equivalent(self):
-        a = _plane((0, 0, 0), (0, 0, 1))
-        b = _plane((0.5, 0.5, 0), (0, 0, -1))
-        assert coplanar(a, b, MergeParams())
+        assert coplanar(self.UP, self.ORIGIN, -self.UP, np.array([0.5, 0.5, 0.0]), MergeParams())
 
 
 class TestDedupeInliers:
@@ -172,9 +167,7 @@ class TestMergeAll:
         points, planes = random_plane_soup(rng)
         params = MergeParams()
         merged = merge_all(planes, points, params)
-        for i, a in enumerate(merged):
-            for b in merged[i + 1:]:
-                assert not coplanar(a, b, params)
+        assert coplanar_pairs(merged, params).size == 0
         again = merge_all(merged, points, params)
         assert len(again) == len(merged)
         for x, y in zip(again, merged):

@@ -120,7 +120,7 @@ def test_normals_match_einsum_eigh_reference(cloud, k):
     curvature within 1e-12."""
     points = cloud()
     idx = np.arange(points.shape[0], dtype=np.int64)
-    nbr_dist, nbr_idx = KdTree(points).knn(points, k, exclude_index=idx)
+    nbr_dist, nbr_idx = KdTree(points).knn(idx, k)
     normals, curvature, valid = normals_from_neighbors(points, idx, nbr_dist, nbr_idx)
     want_normals, want_curvature, want_valid = reference_normals_from_neighbors(points, idx, nbr_dist, nbr_idx)
     np.testing.assert_array_equal(valid, want_valid)

@@ -15,7 +15,6 @@ from planeops import (
     PlaneModel,
     SampleSet,
     adaptive_iterations,
-    classify_orientation,
     detect_grouped,
     extract_full_inliers,
     gen_synthetic,
@@ -44,7 +43,12 @@ def _detect(points, params, seed):
 
 
 def _orientations(planes):
-    return [classify_orientation(p.normal, UP, TOL) for p in planes]
+    return [Orientation(c) for c in classify_orientations([p.normal for p in planes], UP, TOL).tolist()]
+
+
+def _everyone(samples):
+    """The alive mask of a fresh pool."""
+    return np.ones(len(samples), dtype=bool)
 
 
 def _sample_set(positions, normals, cloud_size=None):
@@ -104,7 +108,8 @@ class TestAdaptiveIterations:
 class TestOnePointRansac:
     def test_pure_plane_terminates_fast(self, rng):
         pts, normals = _plane_samples(rng, 100)
-        result = one_point_ransac(_sample_set(pts, normals), OpsParams(min_inliers=20), rng)
+        samples = _sample_set(pts, normals)
+        result = one_point_ransac(samples, OpsParams(min_inliers=20), rng, _everyone(samples))
         assert result.iterations <= 2
         assert len(result.sample_inliers) == 100
 
@@ -112,7 +117,7 @@ class TestOnePointRansac:
         pts_a, n_a = _plane_samples(rng, 70, z=0.0, jitter=0.002)
         pts_b, n_b = _plane_samples(rng, 30, z=1.0, jitter=0.002)
         samples = _sample_set(np.vstack([pts_a, pts_b]), np.vstack([n_a, n_b]))
-        result = one_point_ransac(samples, OpsParams(min_inliers=20, dist_threshold=0.05), rng)
+        result = one_point_ransac(samples, OpsParams(min_inliers=20, dist_threshold=0.05), rng, _everyone(samples))
         assert set(result.sample_inliers.tolist()) == set(range(70))
         assert abs(result.model.centroid[2]) < 0.01
 
@@ -120,13 +125,15 @@ class TestOnePointRansac:
         pts = rng.uniform(0, 1, size=(10, 3))
         normals = rng.normal(size=(10, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        samples = _sample_set(pts, normals)
         with pytest.raises(NoPlaneFound):
-            one_point_ransac(_sample_set(pts, normals), OpsParams(min_inliers=20), rng)
+            one_point_ransac(samples, OpsParams(min_inliers=20), rng, _everyone(samples))
 
     def test_all_inliers_within_threshold(self, rng):
         pts, normals = _plane_samples(rng, 200, jitter=0.01)
         params = OpsParams(min_inliers=20, dist_threshold=0.05)
-        result = one_point_ransac(_sample_set(pts, normals), params, rng)
+        samples = _sample_set(pts, normals)
+        result = one_point_ransac(samples, params, rng, _everyone(samples))
         d = np.abs((pts[result.sample_inliers] - result.model.centroid) @ result.model.normal)
         assert (d < 2 * params.dist_threshold).all()  # refit can shift the plane slightly
 
@@ -275,17 +282,19 @@ class TestDetectGrouped:
 
 def _assert_same_ransac(samples, params, seed, alive=None):
     """one_point_ransac and the scalar reference agree on everything they
-    return or raise, and leave their generators in the same state."""
+    return or raise, and leave their generators in the same state. Without
+    ``alive``, every sample is in the pool."""
+    alive = _everyone(samples) if alive is None else alive
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     try:
-        expected = reference_one_point_ransac(samples, params, ref_rng, alive=alive)
+        expected = reference_one_point_ransac(samples, params, ref_rng, alive)
     except NoPlaneFound as exc:
         with pytest.raises(NoPlaneFound) as raised:
-            one_point_ransac(samples, params, rng, alive=alive)
+            one_point_ransac(samples, params, rng, alive)
         assert str(raised.value) == str(exc)
         expected = None
     else:
-        got = one_point_ransac(samples, params, rng, alive=alive)
+        got = one_point_ransac(samples, params, rng, alive)
         assert got.iterations == expected.iterations
         np.testing.assert_array_equal(got.sample_inliers, expected.sample_inliers)
         np.testing.assert_array_equal(got.model.inliers, expected.model.inliers)

@@ -262,7 +262,7 @@ def test_half_cylinder_becomes_planar_strips(radius):
         # Members agree with the plane that kept them; its last refit turns it by a little.
         angles = np.degrees(np.arccos(np.minimum(np.abs(normals[inside] @ plane.normal), 1.0)))
         assert angles.max() <= params.normal_angle_degrees + 2.0
-        nbrs = KdTree(members).knn(members, params.k, exclude_index=np.arange(len(members)))[1]
+        nbrs = KdTree(members).knn(np.arange(len(members)), params.k)[1]
         graph = csr_matrix((np.ones(nbrs.size), (np.repeat(np.arange(len(members)), params.k), nbrs.ravel())),
                            shape=(len(members), len(members)))
         assert csgraph.connected_components(graph, connection="weak")[0] == 1
