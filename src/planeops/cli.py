@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--room-size", type=float, default=3.5, help="cubic room edge length (m)")
     p.add_argument("--points-per-face", type=int, default=1000)
     p.add_argument("--clutter", type=int, default=600)
-    p.add_argument("--noise", type=float, default=0.005, help="isotropic noise sigma (m)")
+    p.add_argument("--noise", type=float, help="isotropic noise sigma (m); default the scene's noise_sigma, else 0.005")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, required=True, help="output PLY path")
 
@@ -160,10 +160,11 @@ def _cmd_synth(args) -> int:
     _check_out(args.out, args.out.with_suffix(".labels.txt"))
     if args.scene:
         scene = _read_json(args.scene)
-        noise = scene.get("noise_sigma", args.noise) if isinstance(scene, dict) else args.noise
     else:
         scene = box_room_scene(args.room_size, args.points_per_face, args.clutter)
-        noise = args.noise
+    noise = args.noise
+    if noise is None:  # the flag wins over the scene's noise_sigma
+        noise = scene.get("noise_sigma", 0.005) if isinstance(scene, dict) else 0.005
     points, truth = gen_synthetic(scene, noise_sigma=noise, seed=args.seed)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_labeled(points, truth, args.out, mode="segment")

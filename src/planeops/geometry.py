@@ -336,16 +336,23 @@ def classify_orientations(normals, up=UP, tol_degrees: float = ORIENTATION_TOL_D
 
     A normal (either sign) within ``tol_degrees`` of the unit ``up`` axis is
     horizontal, one within ``tol_degrees`` of perpendicular to it is
-    vertical, and any other is other. ``normals`` is one vector or (m, 3).
-    Detection, labels, ground truth and synthetic scenes all classify here.
+    vertical, and any other is other. ``normals`` is one vector, (m, 3) or
+    an empty sequence. Detection, labels, ground truth and synthetic scenes
+    all classify here.
 
     Raises:
-        ValueError: ``up`` is not a unit vector or ``tol_degrees`` is not in (0, 45).
+        ValueError: ``normals`` has another shape, ``up`` is not a unit
+            vector or ``tol_degrees`` is not in (0, 45).
     """
     if not 0.0 < tol_degrees < 45.0:
         raise ValueError(f"tol_degrees must be in (0, 45), got {tol_degrees}")
     u = as_unit_vector(up)
-    cosines = np.asarray(normals, dtype=np.float64).reshape(-1, 3) @ u
+    stack = np.asarray(normals, dtype=np.float64)
+    if stack.shape in ((0,), (3,)):
+        stack = stack.reshape(-1, 3)
+    if stack.ndim != 2 or stack.shape[1] != 3:
+        raise ValueError(f"normals must be one vector or (m, 3), got shape {stack.shape}")
+    cosines = stack @ u
     angles = np.degrees(np.arccos(np.clip(np.abs(cosines), 0.0, 1.0)))
     codes = np.full(angles.shape, int(Orientation.OTHER), dtype=np.int8)
     codes[angles <= tol_degrees] = int(Orientation.HORIZONTAL)

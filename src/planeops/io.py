@@ -135,9 +135,13 @@ def _parse_ply(data: bytes, path) -> np.ndarray:
     in_vertex = False
     for lineno, line in enumerate(header_lines, start=1):
         match line.split():
-            case ["format", fmt, *_]:
+            case ["format" | "element" | "property" as keyword, *fields] if len(fields) != (
+                    want := 4 if keyword == "property" and fields[:1] == ["list"] else 2):
+                problem = "lacks a field" if len(fields) < want else "has a field too many"
+                raise ParseError(f"{keyword} line {problem}", path=path, line=lineno)
+            case ["format", fmt, _]:
                 pass
-            case ["element", "vertex", count, *_]:
+            case ["element", "vertex", count]:
                 in_vertex = True
                 try:
                     n_vertices = int(count)
@@ -145,21 +149,16 @@ def _parse_ply(data: bytes, path) -> np.ndarray:
                     raise ParseError("bad vertex element line", path=path, line=lineno) from None
                 if n_vertices < 0:
                     raise ParseError(f"negative vertex count {n_vertices}", path=path, line=lineno)
-            case ["element", kind, *_] if kind != "vertex":
+            case ["element", kind, _]:
                 in_vertex = False
                 if n_vertices is None:  # its data would precede the vertices and shift them
                     raise UnsupportedFormat(f"element {kind!r} before vertex", path=path, line=lineno)
-            case ["property", *fields] if len(fields) != (want := 4 if fields[:1] == ["list"] else 2):
-                problem = "lacks a field" if len(fields) < want else "has a field too many"
-                raise ParseError(f"property line {problem}", path=path, line=lineno)
             case ["property", *_] if not in_vertex:
                 pass  # another element's, never read
             case ["property", ptype, *_] if ptype not in _PLY_NUMPY:  # a list property too
                 raise UnsupportedFormat(f"vertex property type {ptype!r}", path=path, line=lineno)
             case ["property", ptype, name]:
                 properties.append((ptype, name))
-            case ["format" | "element" as keyword, *_]:
-                raise ParseError(f"{keyword} line lacks a field", path=path, line=lineno)
 
     if fmt is None:
         raise ParseError("missing format line", path=path)

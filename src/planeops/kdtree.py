@@ -58,7 +58,9 @@ class KdTree:
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+        idx = np.asarray(indices, dtype=np.int64)
+        if idx.ndim != 1:
+            raise ValueError(f"indices must be 1-D, got shape {idx.shape}")
         m, n = idx.size, len(self)
         if ((idx < 0) | (idx >= n)).any():
             raise ValueError("indices must index the cloud")
@@ -79,13 +81,17 @@ class KdTree:
     def radius_search(self, centers, radius: float) -> np.ndarray:
         """Indices of the points within ``radius`` (inclusive) of each centre.
 
-        ``centers`` is an (m, 3) array of positions. Returns an (m, w) int64
-        array: row i holds centre i's indices, ascending, padded with -1 to
-        the largest count w.
+        ``centers`` is an (m, 3) array of positions; an empty sequence holds
+        none. Returns an (m, w) int64 array: row i holds centre i's indices,
+        ascending, padded with -1 to the largest count w.
         """
         if radius <= 0.0:
             raise ValueError(f"radius must be positive, got {radius}")
-        c = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+        c = np.asarray(centers, dtype=np.float64)
+        if c.shape == (0,):
+            c = c.reshape(0, 3)
+        if c.ndim != 2 or c.shape[1] != 3:
+            raise ValueError(f"centers must be (m, 3), got shape {c.shape}")
         balls = self._tree.query_ball_point(c, radius, return_sorted=True)
         lengths = np.fromiter(map(len, balls), dtype=np.int64, count=c.shape[0])
         found = np.fromiter(chain.from_iterable(balls), dtype=np.int64, count=int(lengths.sum()))

@@ -5,14 +5,13 @@ each centroid lies close to the other plane. Merging repeats greedily,
 largest pair first, until no pair passes the test, so the output is a
 fixpoint of the coplanarity relation.
 
-Merges run in greedy chains that test only the newest plane, and a heap
-over the input planes starts each chain. A merged plane is fitted from its
-parts' moments (count, mean, centred scatter) in O(1), following Feng,
-Taguchi & Kamat, "Fast Plane Extraction in Organized Point Clouds Using
-Agglomerative Hierarchical Clustering" (ICRA 2014).
+Merges run in greedy chains that test only the newest plane, and one
+falling bound per input plane picks where each chain starts. A merged plane
+is fitted from its parts' moments (count, mean, centred scatter) in O(1),
+following Feng, Taguchi & Kamat, "Fast Plane Extraction in Organized Point
+Clouds Using Agglomerative Hierarchical Clustering" (ICRA 2014).
 """
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +27,6 @@ from .geometry import (  # noqa: F401  fit_plane: no caller, kept importable for
 )
 
 __all__ = ["MergeParams", "coplanar", "dedupe_inliers", "merge_all"]
-
-# Plane pairs handled together when merge_all builds its pair matrix and
-# first finds each plane's partner; keeps the (rows, P) and (3, rows, P)
-# temporaries small and in cache at thousands of planes.
-PAIR_BLOCK = 2**16
-
 
 @dataclass
 class MergeParams:
@@ -109,10 +102,12 @@ def merge_all(planes: list[PlaneModel], points: np.ndarray, params: MergeParams)
     ``(x, m)`` with ``x`` its largest partner (earliest slot on ties). So a
     merge tests only the new plane against every slot. A chain ends on a
     plane with no partner, which only later chain planes, testing it
-    themselves, can join. So each chain starts from two input planes, picked
-    by a heap of ``(-(size + partner size), row)`` over the input rows.
-    Scores only fall, so a popped row whose cached partner is gone rescans
-    its row of the input pair matrix and goes back on the heap.
+    themselves, can join. So a chain starts from the input of largest score,
+    its size plus its largest live partner's (earliest input on ties), and
+    that partner. Each input keeps a bound on its score, which only falls:
+    at first its size plus the largest input size. The input of largest
+    bound tests its row; if its score is below the bound, the bound falls to
+    it (-1 with no partner), otherwise no input outscores it and it starts.
 
     A merge combines its parts' moments
     (:func:`~planeops.geometry.combine_moments`) and takes one eigen
@@ -134,41 +129,32 @@ def merge_all(planes: list[PlaneModel], points: np.ndarray, params: MergeParams)
     normals[:, :p] = np.transpose([pl.normal for pl in current])
     centroids[:, :p] = np.transpose([pl.centroid for pl in current])
     sizes[:p] = [pl.inlier_count for pl in current]
-    ok = np.empty((p, p), dtype=bool)  # coplanar pairs of input planes
-    best = np.zeros(p, dtype=np.int64)  # each input row's cached partner
-    heap: list = []  # (-(size + partner size), row); a stale key is an upper bound
+    score = np.full(cap, -1, dtype=np.int64)  # an input's bound on its best pair sum; -1 once spent
+    score[:p] = sizes[:p] + sizes[:p].max()
     origin = current[0].centroid
 
-    def scan(rows: slice):
-        """Cache each row's largest live partner and push the rows that have one."""
-        cand = np.where(ok[rows], sizes[:p], -1)
-        best[rows] = cand.argmax(axis=1)
-        size = cand[np.arange(cand.shape[0]), best[rows]]
-        for r, s, t in zip(range(p)[rows], sizes[rows].tolist(), size.tolist()):
-            if t >= 0:
-                heapq.heappush(heap, (-(s + t), r))
+    def partners(slot, upto):
+        """Sizes of the live slots below ``upto`` coplanar with ``slot``, -1 elsewhere."""
+        cand = np.where(coplanar(normals[:, slot, None], centroids[:, slot, None], normals[:, :upto],
+                                 centroids[:, :upto], params), sizes[:upto], -1)
+        cand[slot:slot + 1] = -1  # a plane is not its own partner
+        return cand
 
     def slot_moments(slot):
         if moments[slot] is None:
             moments[slot] = point_moments(points[current[slot].inliers] - origin)
         return moments[slot]
 
-    step = max(1, PAIR_BLOCK // p)
-    for lo in range(0, p, step):
-        rows = slice(lo, min(lo + step, p))
-        ok[rows] = coplanar(normals[:, rows, None], centroids[:, rows, None],
-                            normals[:, None, :p], centroids[:, None, :p], params)
-        np.fill_diagonal(ok[rows, rows], False)
-        scan(rows)
-
     m = p
-    while heap:
-        a = heapq.heappop(heap)[1]  # largest score, earliest row on ties; its partner comes later
-        b = int(best[a])
-        if sizes[a] < 0:
-            continue
-        if sizes[b] < 0:
-            scan(slice(a, a + 1))
+    while True:
+        a = int(score.argmax())  # largest bound, earliest input on ties
+        if score[a] < 0:
+            break
+        cand = partners(a, p)
+        b = int(cand.argmax())
+        pair = sizes[a] + cand[b] if cand[b] >= 0 else -1
+        if pair < score[a]:  # the bound was loose: tighten it and look again
+            score[a] = pair
             continue
         while True:  # one chain: merge (a, b) into m, then m with its largest partner
             union = moments[m] = combine_moments(slot_moments(a), slot_moments(b))
@@ -178,9 +164,8 @@ def merge_all(planes: list[PlaneModel], points: np.ndarray, params: MergeParams)
             except DegenerateInput:
                 keep = a if sizes[a] >= sizes[b] else b
                 normals[:, m], centroids[:, m] = normals[:, keep], centroids[:, keep]
-            sizes[a] = sizes[b] = -1
-            cand = np.where(coplanar(normals[:, m, None], centroids[:, m, None], normals[:, :m],
-                                     centroids[:, :m], params), sizes[:m], -1)
+            sizes[a] = sizes[b] = score[a] = score[b] = -1
+            cand = partners(m, m)
             x = int(np.argmax(cand))
             sizes[m] = union.count
             m += 1

@@ -52,6 +52,19 @@ def test_synth_from_scene_file(tmp_path):
 RECT = {"corner": [0, 0, 0], "edge_u": [1, 0, 0], "edge_v": [0, 1, 0], "count": 50}
 
 
+def test_synth_noise_flag_wins_over_scene(tmp_path):
+    # The rect lies in z = 0: only noise moves a point off it.
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps({"rects": [RECT], "noise_sigma": 0.0}))
+
+    def z_spread(*flags):
+        out = tmp_path / "cloud.ply"
+        assert main(["synth", "--scene", str(scene_path), "--out", str(out), *flags]) == EXIT_OK
+        return np.abs(load_cloud(out)[:, 2]).max()
+
+    assert z_spread() == 0.0 and z_spread("--noise", "0.2") > 0.05
+
+
 @pytest.mark.parametrize("scene, flags", [(scene, []) for scene in [
     [RECT],
     {"rects": 5},

@@ -130,6 +130,13 @@ class TestClassifyOrientation:
         n = [(0.0, math.sin(math.radians(a)), math.cos(math.radians(a))) for a in (6.9, 83.1)]
         assert classify_orientations(n, (0, 0, 1), 7.0).tolist() == [Orientation.HORIZONTAL, Orientation.VERTICAL]
 
+    def test_shapes(self):
+        # One vector, a stack or nothing; six numbers are not two normals.
+        assert classify_orientations([]).shape == classify_orientations(np.empty((0, 3))).shape == (0,)
+        for bad in (np.array([[0.0, 0, 1, 1, 0, 0]]), np.array([0.0, 0, 1, 1, 0, 0]), np.zeros((2, 3, 1))):
+            with pytest.raises(ValueError, match="one vector or"):
+                classify_orientations(bad)
+
 
 UP_AXES = [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 0.6, 0.8)]
 

@@ -259,6 +259,28 @@ def test_property_line_fields_checked_in_every_element(tmp_path, binary, bad, pr
         assert err.value.line == text[:text.index(bad.encode() + b"\n")].count(b"\n") + 1
 
 
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "ascii"])
+@pytest.mark.parametrize("good, bad, problem", [("format {fmt} 1.0", "format {fmt}", "format line lacks a field"),
+                                                ("format {fmt} 1.0", "format {fmt} 1.0 junk", "format line has a field too many"),
+                                                ("element vertex 1", "element vertex 1 junk", "element line has a field too many"),
+                                                ("element face 0", "element face 0 junk", "element line has a field too many")],
+                         ids=["no-version", "format-extra", "vertex-extra", "face-extra"])
+def test_format_and_element_lines_take_three_fields(tmp_path, binary, good, bad, problem):
+    vertices = [(1.0, 2.0, 3.0)]
+    if binary:
+        data = _binary_ply(np.array(vertices, dtype=[(c, "<f8") for c in "xyz"]), ("double x", "double y", "double z"))
+    else:
+        data = _ascii_ply(vertices)
+    data = data.replace(b"end_header", b"element face 0\nend_header", 1)
+    fmt = "binary_little_endian" if binary else "ascii"
+    good, bad = good.format(fmt=fmt).encode(), bad.format(fmt=fmt).encode()
+    path = tmp_path / "c.ply"
+    path.write_bytes(data.replace(good, bad, 1))
+    with pytest.raises(ParseError, match=problem) as err:
+        load_cloud(path)
+    assert err.value.line == data[:data.index(good)].count(b"\n") + 1
+
+
 def test_ascii_ply_body_comment_line_skipped(tmp_path):
     # A '#' line in the body is a comment, as in XYZ text; it takes no vertex.
     path = tmp_path / "c.ply"

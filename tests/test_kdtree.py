@@ -84,6 +84,14 @@ def test_knn_prefix_property(rng):
     np.testing.assert_array_equal(i_small, i_big[:, :7])
 
 
+def test_knn_takes_only_a_flat_index_array():
+    tree = KdTree([[0, 0, 0], [1, 1, 1], [2, 2, 2]])
+    for bad in (np.array([[0, 1]]), np.array([[0], [1]]), 0):
+        with pytest.raises(ValueError, match="1-D"):
+            tree.knn(bad, k=1)
+    assert tree.knn([], k=1)[1].shape == (0, 1)
+
+
 def test_knn_rejects_index_outside_cloud():
     # numpy would read index -1 as the last point
     tree = KdTree([[0, 0, 0], [1, 1, 1], [2, 2, 2]])
@@ -165,8 +173,17 @@ def test_radius_boundary_inclusive():
 
 def test_radius_without_centres():
     tree = KdTree([[0, 0, 0], [1, 1, 1]])
-    rows = tree.radius_search(np.empty((0, 3)), 0.5)
-    assert rows.shape == (0, 0) and rows.dtype == np.int64
+    for none in (np.empty((0, 3)), []):
+        rows = tree.radius_search(none, 0.5)
+        assert rows.shape == (0, 0) and rows.dtype == np.int64
+
+
+def test_radius_takes_only_rows_of_three():
+    # Six numbers are not two centres, nor is an (m, 6) array 2m of them.
+    tree = KdTree(np.eye(3))
+    for bad in (np.array([1.0, 0, 0, 0, 1, 0]), np.zeros((2, 6)), np.zeros(3), np.zeros((1, 1, 3))):
+        with pytest.raises(ValueError, match=r"\(m, 3\)"):
+            tree.radius_search(bad, 0.1)
 
 
 def test_radius_matches_brute_force(rng):

@@ -286,11 +286,34 @@ def test_merge_all_matches_reference_on_size_ties():
     assert len(merge_all(planes, points, MergeParams())) == 1
 
 
+def test_chain_start_whose_only_partner_was_consumed():
+    """Patches through the origin tilted 0, 6 and 12 degrees, of 10, 9 and 8
+    points, under a 7 degree merge angle. The 10 and the 9 merge first; the
+    8's only partner was the 9, and the merged plane, about 3 degrees, is too
+    far from it, so the 8 must be left with no pair to start."""
+    params = MergeParams(angle_degrees=7.0)
+    chunks, planes, start = [], [], 0
+    for degrees, (rows, cols) in ((0.0, (2, 5)), (6.0, (3, 3)), (12.0, (2, 4))):
+        a = math.radians(degrees)
+        s, t = np.meshgrid(np.linspace(-0.3, 0.3, rows), np.linspace(-0.3, 0.3, cols))
+        pts = s.reshape(-1, 1) * (math.cos(a), 0.0, -math.sin(a)) + t.reshape(-1, 1) * (0.0, 1.0, 0.0)
+        chunks.append(pts)
+        planes.append(fit_plane(pts, inliers=np.arange(start, start + rows * cols)))
+        start += rows * cols
+    points = np.vstack(chunks)
+    assert coplanar_pairs(planes, params).tolist() == [[0, 1], [1, 2]]
+    merged = merge_all(planes, points, params)
+    _assert_same_planes(merged, reference_merge_on_moments(planes, points, params))
+    assert [pl.inlier_count for pl in merged] == [19, 8]
+    np.testing.assert_array_equal(merged[0].inliers, np.arange(19))
+    assert 2.0 < math.degrees(math.acos(abs(merged[0].normal[2]))) < 4.0
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(case=fragment_sets())
 def test_merge_all_matches_moments_reference_bit_for_bit(case):
-    """The chains and the heap give the merge order, moments and fallbacks of
-    the O(P^3) greedy loop, to the last bit."""
+    """The greedy chains and their starts give the merge order, moments and
+    fallbacks of the O(P^3) greedy loop, to the last bit."""
     points, planes, params = case
     _assert_same_planes(merge_all(planes, points, params), reference_merge_on_moments(planes, points, params))
 
