@@ -112,8 +112,7 @@ def test_synth_nonfinite_room_size_exit_code(tmp_path, capsys, size):
 
 def test_import_and_synth_do_not_load_scipy_spatial(tmp_path):
     # Only commands that build a spatial index load scipy.spatial, and only
-    # gt loads scipy.sparse.csgraph. (eval loads scipy.spatial through
-    # scipy.optimize, which imports it itself.)
+    # gt and scoring (eval, bench) load scipy.sparse.csgraph.
     script = (
         "import sys\n"
         "import planeops, planeops.metrics\n"
@@ -125,6 +124,19 @@ def test_import_and_synth_do_not_load_scipy_spatial(tmp_path):
         "print(before + loaded())\n"
     )
     assert _run_python(script, tmp_path / "room.ply") == str([False] * 4)
+
+
+def test_eval_loads_neither_scipy_optimize_nor_scipy_spatial(tmp_path):
+    # Scoring solves its assignment on scipy.sparse.csgraph alone.
+    script = (
+        "import sys\n"
+        "from planeops.cli import main\n"
+        "assert main(['synth', '--points-per-face', '100', '--clutter', '20', '--out', sys.argv[1]]) == 0\n"
+        "truth = sys.argv[1][:-len('.ply')] + '.labels.txt'\n"
+        "assert main(['eval', '--pred', truth, '--truth', truth]) == 0\n"
+        "print([name in sys.modules for name in ('scipy.optimize', 'scipy.spatial', 'scipy.sparse.csgraph')])\n"
+    )
+    assert _run_python(script, tmp_path / "room.ply") == str([False, False, True])
 
 
 def test_detect_loads_scipy_spatial_before_reading_its_input(tmp_path):
@@ -223,6 +235,19 @@ def test_detect_config_file_with_flag_override(room_files, tmp_path):
     report = json.loads((outdir / "room.report.json").read_text())
     assert report["params"]["ops"]["sampling_rate"] == 0.08  # flag wins
     assert report["params"]["seed"] == 9  # config survives
+
+
+def test_flags_of_one_call_do_not_reach_the_next(room_files, tmp_path):
+    # Every main call parses with the same parser.
+    cloud_path, _ = room_files
+    seeds = []
+    for i, flags in enumerate([["--seed", "5"], []]):
+        outdir = tmp_path / f"det{i}"
+        assert main(["detect", "--input", str(cloud_path), "--out", str(outdir),
+                     "--sampling-rate", "0.08", "--knn", "10", *flags]) == EXIT_OK
+        seeds.append(json.loads((outdir / "room.report.json").read_text())["params"]["seed"])
+    assert seeds == [5, 0]
+    assert build_parser() is build_parser()
 
 
 def test_detect_parse_error_exit_code(tmp_path):

@@ -54,20 +54,32 @@ class TestHungarianMatch:
         assert total == 21
 
     def test_matches_exhaustive_oracle(self, rng):
-        for _ in range(60):
-            shape = tuple(rng.integers(1, 7, size=2))
-            m = rng.integers(0, 30, size=shape)
-            _, _, total = hungarian_match(m)
-            assert total == exhaustive_assignment_max(m)
-            assert len(_) <= min(shape)
+        # tall, wide, 1xN, Mx1 and square, then random shapes; each with
+        # random, all-zero and tied (two distinct values) entries
+        shapes = [(6, 3), (3, 6), (1, 5), (5, 1), (4, 4)] + [tuple(rng.integers(1, 7, size=2)) for _ in range(60)]
+        for shape in shapes:
+            for m in (rng.integers(0, 30, size=shape), np.zeros(shape, dtype=np.int64),
+                      rng.integers(0, 2, size=shape) * 4):
+                rows, cols, total = hungarian_match(m)
+                assert rows.dtype == cols.dtype == np.int64
+                assert len(rows) == len(cols) == min(shape)
+                assert np.all(np.diff(rows) > 0) and len(set(cols.tolist())) == len(cols)
+                assert total == int(m[rows, cols].sum()) == exhaustive_assignment_max(m)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             hungarian_match(np.array([[1, -1], [0, 2]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite(self, bad):
+        # scipy's own check would name the sparse matrix, not the overlaps
+        with pytest.raises(ValueError, match="overlap counts must be finite"):
+            hungarian_match(np.array([[1.0, bad], [0.0, 2.0]]))
+
     def test_empty(self):
-        rows, cols, total = hungarian_match(np.empty((0, 0)))
-        assert total == 0 and len(rows) == 0
+        for shape in [(0, 0), (0, 3), (3, 0)]:
+            rows, cols, total = hungarian_match(np.empty(shape))
+            assert total == 0 and rows.shape == cols.shape == (0,)
 
 
 class TestSegmentationAccuracy:
