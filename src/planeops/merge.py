@@ -6,7 +6,10 @@ largest pair first, until no pair passes the test, so the output is a
 fixpoint of the coplanarity relation.
 
 Merges run in greedy chains that test only the newest plane, and one
-falling bound per input plane picks where each chain starts. A merged plane
+falling bound per input plane picks where each chain starts. Consumed planes
+stay in their slots until they outnumber the live ones, and are then
+squeezed out in one order-preserving gather, so a pair test spans at most
+twice the live planes at O(1) amortized cost per merge. A merged plane
 is fitted from its parts' moments (count, mean, centred scatter) in O(1),
 following Feng, Taguchi & Kamat, "Fast Plane Extraction in Organized Point
 Clouds Using Agglomerative Hierarchical Clustering" (ICRA 2014).
@@ -44,19 +47,26 @@ def coplanar(normals_a, centroids_a, normals_b, centroids_b, params: MergeParams
     """Elementwise three-part coplanarity test between broadcast plane arrays.
 
     Arrays hold one component per row of their first axis, shape (3, ...).
-    The dot products are spelled out per component, so a pair gets the same
-    bits whichever batch it is tested in, and the test is symmetric.
+    Each dot product is one broadcast product summed component by component,
+    ``u[0]*v[0] + u[1]*v[1] + u[2]*v[2]``, so a pair gets the same bits
+    whichever batch it is tested in, and the test is symmetric.
     """
+    return _coplanar(normals_a, centroids_a, normals_b, centroids_b, np.cos(np.radians(params.angle_degrees)),
+                     params.offset)
+
+
+def _coplanar(normals_a, centroids_a, normals_b, centroids_b, cos_tol, offset):
+    """:func:`coplanar` with the angle already turned into its cosine."""
 
     def dot(u, v):
-        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+        prod = u * v
+        return prod[0] + prod[1] + prod[2]
 
-    cos_tol = np.cos(np.radians(params.angle_degrees))
     sep = centroids_b - centroids_a
     return (
         (np.abs(dot(normals_a, normals_b)) >= cos_tol)
-        & (np.abs(dot(sep, normals_a)) <= params.offset)  # centroid b against plane a
-        & (np.abs(dot(sep, normals_b)) <= params.offset)  # centroid a against plane b
+        & (np.abs(dot(sep, normals_a)) <= offset)  # centroid b against plane a
+        & (np.abs(dot(sep, normals_b)) <= offset)  # centroid a against plane b
     )
 
 
@@ -109,6 +119,16 @@ def merge_all(planes: list[PlaneModel], points: np.ndarray, params: MergeParams)
     bound tests its row; if its score is below the bound, the bound falls to
     it (-1 with no partner), otherwise no input outscores it and it starts.
 
+    A consumed slot stays in place, marked by size -1, until consumed slots
+    outnumber live ones among the slots in use. Then one order-preserving
+    gather squeezes them out of every per-slot array and list. Ties go to
+    the earliest slot and the inputs stay first, so the renumbering changes
+    no choice, and a row test spans at most twice the live planes. A squeeze
+    costs O(slots in use), and the next one waits until a third of the live
+    planes has merged away, so squeezes cost O(1) per merge. Squeezing out
+    the two parts of every merge (one ``np.delete`` per merge) cost more
+    than the shorter rows saved.
+
     A merge combines its parts' moments
     (:func:`~planeops.geometry.combine_moments`) and takes one eigen
     decomposition. An input plane's moments are taken the first time it
@@ -122,6 +142,7 @@ def merge_all(planes: list[PlaneModel], points: np.ndarray, params: MergeParams)
         return current
 
     cap = 2 * p - 1  # every merge consumes two slots and fills one new one
+    inputs = current + [None] * (p - 1)  # the input plane of each input slot
     moments: list = [None] * cap  # filled on first use for inputs, on creation for merges
     members: list = [[pl.inliers] for pl in current] + [None] * (p - 1)  # inlier arrays, joined at the end
     normals, centroids = np.zeros((2, 3, cap))  # one contiguous row per component
@@ -132,27 +153,40 @@ def merge_all(planes: list[PlaneModel], points: np.ndarray, params: MergeParams)
     score = np.full(cap, -1, dtype=np.int64)  # an input's bound on its best pair sum; -1 once spent
     score[:p] = sizes[:p] + sizes[:p].max()
     origin = current[0].centroid
+    cos_tol = np.cos(np.radians(params.angle_degrees))
 
     def partners(slot, upto):
-        """Sizes of the live slots below ``upto`` coplanar with ``slot``, -1 elsewhere."""
-        cand = np.where(coplanar(normals[:, slot, None], centroids[:, slot, None], normals[:, :upto],
-                                 centroids[:, :upto], params), sizes[:upto], -1)
-        cand[slot:slot + 1] = -1  # a plane is not its own partner
-        return cand
+        """Sizes of the live slots below ``upto`` coplanar with ``slot``, 0 or -1 elsewhere."""
+        return sizes[:upto] * _coplanar(normals[:, slot, None], centroids[:, slot, None], normals[:, :upto],
+                                        centroids[:, :upto], cos_tol, params.offset)
 
     def slot_moments(slot):
         if moments[slot] is None:
-            moments[slot] = point_moments(points[current[slot].inliers] - origin)
+            moments[slot] = point_moments(points[inputs[slot].inliers] - origin)
         return moments[slot]
 
-    m = p
+    def compact(used):
+        """Squeeze the consumed slots out of ``[0, used)``, keeping the live
+        ones in order; return the slots then in use and the inputs among them."""
+        kept = np.flatnonzero(sizes[:used] >= 0)
+        k = kept.size
+        normals[:, :k], centroids[:, :k] = normals[:, kept], centroids[:, kept]
+        for arr in (sizes, score):
+            arr[:k], arr[k:used] = arr[kept], -1
+        order = kept.tolist()
+        for per_slot in (inputs, moments, members):
+            per_slot[:k], per_slot[k:used] = [per_slot[i] for i in order], [None] * (used - k)
+        return k, int(np.searchsorted(kept, p))
+
+    m = live = p  # the next free slot, and the live slots below it
     while True:
-        a = int(score.argmax())  # largest bound, earliest input on ties
+        a = int(score[:m].argmax())  # largest bound, earliest input on ties
         if score[a] < 0:
             break
         cand = partners(a, p)
+        cand[a] = 0  # a plane is not its own partner
         b = int(cand.argmax())
-        pair = sizes[a] + cand[b] if cand[b] >= 0 else -1
+        pair = sizes[a] + cand[b] if cand[b] > 0 else -1
         if pair < score[a]:  # the bound was loose: tighten it and look again
             score[a] = pair
             continue
@@ -165,18 +199,22 @@ def merge_all(planes: list[PlaneModel], points: np.ndarray, params: MergeParams)
                 keep = a if sizes[a] >= sizes[b] else b
                 normals[:, m], centroids[:, m] = normals[:, keep], centroids[:, keep]
             sizes[a] = sizes[b] = score[a] = score[b] = -1
-            cand = partners(m, m)
-            x = int(np.argmax(cand))
             sizes[m] = union.count
-            m += 1
-            if cand[x] < 0:
+            m, live = m + 1, live - 1
+            if m > 2 * live:  # consumed slots outnumber live ones
+                m, p = compact(m)
+            if live == 1:  # the newest plane is all that is left
+                break
+            cand = partners(m - 1, m - 1)
+            x = int(cand.argmax())
+            if cand[x] <= 0:
                 break
             a, b = x, m - 1
 
     survivors = [
-        current[slot] if slot < p else PlaneModel(
+        inputs[slot] if slot < p else PlaneModel(
             centroid=centroids[:, slot].copy(), normal=normals[:, slot].copy(),
             inliers=np.sort(np.concatenate(members[slot])))  # deduped sets are disjoint: the sorted join is the union
-        for slot in np.flatnonzero(sizes >= 0).tolist()
+        for slot in np.flatnonzero(sizes[:m] >= 0).tolist()
     ]
     return sorted(survivors, key=lambda pl: -pl.inlier_count)

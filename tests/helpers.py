@@ -15,6 +15,7 @@ from planeops.fspf import BLOCK_ANCHORS, score_block
 from planeops.geometry import (
     EIGEN_TIE_RTOL,
     DegenerateInput,
+    Moments,
     classify_orientations,
     combine_moments,
     plane_distances,
@@ -156,6 +157,29 @@ def coplanar_pairs(planes, params) -> np.ndarray:
     centroids = np.transpose([p.centroid for p in planes]).reshape(3, -1)
     ok = coplanar(normals[:, :, None], centroids[:, :, None], normals[:, None], centroids[:, None], params)
     return np.argwhere(np.triu(ok, 1))
+
+
+def reference_coplanar(normals_a, centroids_a, normals_b, centroids_b, params):
+    """The pair test with each dot product spelled out per component,
+    ``u[0]*v[0] + u[1]*v[1] + u[2]*v[2]``, on arrays of shape (3, ...)."""
+
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+    cos_tol = np.cos(np.radians(params.angle_degrees))
+    sep = centroids_b - centroids_a
+    return ((np.abs(dot(normals_a, normals_b)) >= cos_tol)
+            & (np.abs(dot(sep, normals_a)) <= params.offset)
+            & (np.abs(dot(sep, normals_b)) <= params.offset))
+
+
+def reference_combine_moments(a, b):
+    """The pairwise moment update of Chan, Golub & LeVeque on numpy arrays."""
+    count = a.count + b.count
+    d = b.mean - a.mean
+    mean = a.mean + d * (b.count / count)
+    scatter = a.scatter + b.scatter + (a.count * b.count / count) * (d[:, None] * d)
+    return Moments(count, mean, scatter)
 
 
 def brute_force_radius(points: np.ndarray, center, radius: float) -> np.ndarray:

@@ -7,8 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_combine_moments
 from planeops import DegenerateInput, Orientation, PlaneModel, classify_orientations, fit_plane, plane_distances
-from planeops.geometry import EIGEN_FALLBACK_GAP, EIGEN_TIE_RTOL, as_float, symmetric_eigen3
+from planeops.geometry import (
+    EIGEN_FALLBACK_GAP,
+    EIGEN_TIE_RTOL,
+    as_float,
+    combine_moments,
+    point_moments,
+    symmetric_eigen3,
+)
 
 
 def _plane(centroid, normal):
@@ -257,6 +265,24 @@ def test_symmetric_eigen3_against_eigh(stack):
     inside = mid - low <= 0.99 * EIGEN_FALLBACK_GAP * rho
     np.testing.assert_array_equal(eigvals[inside], want[inside])
     np.testing.assert_array_equal(vector[inside], vectors[inside, :, 0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), counts=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+       far=st.sampled_from([0.0, 1.0, 1e3, 1e6]))
+def test_combine_moments_matches_numpy_update(seed, counts, far):
+    """The update on Python floats against the same update on numpy arrays,
+    to the last bit: two sets of 1 to 40 points, of any spread, near the
+    origin or far from it, in either order, and a union combined again."""
+    rng = np.random.default_rng(seed)
+    a, b, c = (point_moments(rng.normal(size=(n, 3)) * rng.uniform(0.01, 2.0) + far * rng.normal(size=3))
+               for n in (*counts, 5))
+    for x, y in ((a, b), (b, a), (combine_moments(a, b), c), (c, combine_moments(b, a))):
+        got, want = combine_moments(x, y), reference_combine_moments(x, y)
+        assert got.count == want.count
+        assert got.mean.shape == (3,) and got.scatter.shape == (3, 3)
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert got.scatter.tobytes() == want.scatter.tobytes()
 
 
 def test_symmetric_eigen3_is_exact_under_power_of_two_scaling(rng):

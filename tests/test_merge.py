@@ -3,10 +3,18 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import coplanar_pairs, random_plane_soup, reference_dedupe_inliers, reference_merge_all, reference_merge_on_moments
+from helpers import (
+    coplanar_pairs,
+    random_plane_soup,
+    reference_coplanar,
+    reference_dedupe_inliers,
+    reference_merge_all,
+    reference_merge_on_moments,
+)
 from planeops import DegenerateInput, MergeParams, PlaneModel, coplanar, fit_plane, merge_all
 from planeops.merge import dedupe_inliers
 
@@ -316,6 +324,120 @@ def test_merge_all_matches_moments_reference_bit_for_bit(case):
     fallbacks of the O(P^3) greedy loop, to the last bit."""
     points, planes, params = case
     _assert_same_planes(merge_all(planes, points, params), reference_merge_on_moments(planes, points, params))
+
+
+def _wall_fragments(walls, per_wall, rng):
+    """``per_wall`` equal fragments of 6 points along each of ``walls`` room
+    walls, listed round-robin: wall 0's first fragment, wall 1's first, ...
+
+    Fragments of a wall are coplanar under the default thresholds, walls are
+    orthogonal, and 1e-4 m of noise makes the merged fits depend on the order
+    their parts merge in.
+    """
+    grid = np.array([[s, t] for s in (0.0, 0.2) for t in (0.0, 0.15, 0.3)])
+    chunks, planes = [], []
+    for k in range(per_wall):
+        for w in range(walls):
+            along, up = np.eye(3)[(w + 1) % 3], np.eye(3)[(w + 2) % 3]
+            pts = (0.5 * k + grid[:, :1]) * along + grid[:, 1:] * up + rng.normal(scale=1e-4, size=(6, 3))
+            start = 6 * len(planes)
+            chunks.append(pts)
+            planes.append(fit_plane(pts, inliers=np.arange(start, start + 6)))
+    return np.vstack(chunks), planes
+
+
+def test_merge_all_squeezes_consumed_slots_without_changing_a_bit():
+    """42 equal fragments of three walls, interleaved, so every pair of a
+    wall ties and the earliest slot decides. Each wall merges in one chain
+    of 13 merges. Consumed slots first outnumber live ones at the 15th
+    merge, in the middle of the second wall's chain (57 slots, 27 live), and
+    again at merges 25, 31, 35 and 38, the last in the third wall's chain.
+    The renumbered slots must give the O(P^3) loop's merges to the last bit.
+    """
+    points, planes = _wall_fragments(3, 14, np.random.default_rng(7))
+    params = MergeParams()
+    merged = merge_all(planes, points, params)
+    _assert_same_planes(merged, reference_merge_on_moments(planes, points, params))
+    assert [pl.inlier_count for pl in merged] == [84, 84, 84]
+    for w, plane in enumerate(sorted(merged, key=lambda pl: int(pl.inliers[0]))):
+        np.testing.assert_array_equal(plane.inliers, np.flatnonzero(np.arange(252) // 6 % 3 == w))
+
+
+@pytest.mark.parametrize("fragments", [2, 3, 40])
+def test_merge_all_down_to_one_plane(fragments):
+    """One wall in equal fragments merges to one plane. The last merge leaves
+    one live slot among more than two in use, so a squeeze makes it slot 0,
+    and its row test would span no slot: the chain must end there."""
+    points, planes = _wall_fragments(1, fragments, np.random.default_rng(fragments))
+    params = MergeParams()
+    merged = merge_all(planes, points, params)
+    _assert_same_planes(merged, reference_merge_on_moments(planes, points, params))
+    assert len(merged) == 1
+    np.testing.assert_array_equal(merged[0].inliers, np.arange(6 * fragments))
+
+
+def test_merge_all_returns_untouched_inputs_after_a_squeeze():
+    """Inputs with no partner that sit past squeezed-out slots come back as
+    the same objects."""
+    points, planes = _wall_fragments(1, 20, np.random.default_rng(3))
+    lone = [_plane((0, 0, 10.0 + i), (0, 0, 1), inliers=[120 + i]) for i in range(3)]  # parallel, 1 m apart
+    points = np.vstack([points, [[0, 0, 10.0 + i] for i in range(3)]])
+    mixed = planes[:10] + lone[:1] + planes[10:] + lone[1:]
+    merged = merge_all(mixed, points, MergeParams())
+    _assert_same_planes(merged, reference_merge_on_moments(mixed, points, MergeParams()))
+    assert len(merged) == 4 and all(any(m is pl for m in merged) for pl in lone)
+
+
+@st.composite
+def plane_batches(draw):
+    """64 plane pairs near the merge thresholds, as (3, 64) arrays.
+
+    Each second plane is tilted off the first by a multiple of the merge
+    angle and its centroid moved off the first plane by a multiple of the
+    offset, each multiple from ``NEAR_THRESHOLD`` or exactly 1, with a
+    random sign, so many pairs sit within rounding of a threshold.
+    Centroids lie near the origin or about 10^3 m from it.
+    """
+    angle = draw(st.sampled_from([5.0, 7.0, 10.0]), label="angle")
+    offset = draw(st.sampled_from([0.02, 0.05, 0.075]), label="offset")
+    far = draw(st.sampled_from([1.0, 1e3]), label="far")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    multiples = np.array(NEAR_THRESHOLD + [1.0])
+    n = 64
+    normal_a = rng.normal(size=(n, 3))
+    normal_a /= np.linalg.norm(normal_a, axis=1, keepdims=True)
+    u = np.cross(normal_a, rng.normal(size=(n, 3)))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    tilt = np.radians(angle * rng.choice(multiples, size=(n, 1)) * rng.choice([-1, 1], size=(n, 1)))
+    normal_b = np.cos(tilt) * normal_a + np.sin(tilt) * u
+    centroid_a = rng.uniform(-3, 3, size=(n, 3)) * far
+    shift = offset * rng.choice(multiples, size=(n, 1)) * rng.choice([-1, 1], size=(n, 1))
+    centroid_b = centroid_a + shift * normal_a + rng.uniform(-2, 2, size=(n, 1)) * np.cross(normal_a, u)
+    return normal_a.T, centroid_a.T, normal_b.T, centroid_b.T, MergeParams(angle_degrees=angle, offset=offset)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(batch=plane_batches())
+def test_coplanar_matches_spelled_out_dot_products(batch):
+    """The broadcast-product pair test against the per-component formula:
+    pair by pair, every pair against every other, one plane against the
+    batch as a merge row test runs, with the arguments swapped, and with the
+    offset set to a pair's exact distance, where one bit decides."""
+    na, ca, nb, cb, params = batch
+    want = reference_coplanar(na, ca, nb, cb, params)
+    np.testing.assert_array_equal(coplanar(na, ca, nb, cb, params), want)
+    np.testing.assert_array_equal(coplanar(nb, cb, na, ca, params), want)
+    grid = reference_coplanar(na[:, :, None], ca[:, :, None], nb[:, None], cb[:, None], params)
+    np.testing.assert_array_equal(coplanar(na[:, :, None], ca[:, :, None], nb[:, None], cb[:, None], params), grid)
+    np.testing.assert_array_equal(coplanar(nb[:, None], cb[:, None], na[:, :, None], ca[:, :, None], params), grid)
+    np.testing.assert_array_equal(coplanar(na[:, 5, None], ca[:, 5, None], nb, cb, params), grid[5])
+    assert coplanar(na[:, 5], ca[:, 5], nb[:, 9], cb[:, 9], params) == grid[5, 9]
+    sep = cb - ca
+    distances = np.abs(sep[0] * na[0] + sep[1] * na[1] + sep[2] * na[2])
+    for exact in distances[distances > 0][:4].tolist():
+        for off in (exact, float(np.nextafter(exact, 0.0))):
+            at = MergeParams(angle_degrees=params.angle_degrees, offset=off)
+            np.testing.assert_array_equal(coplanar(na, ca, nb, cb, at), reference_coplanar(na, ca, nb, cb, at))
 
 
 claim_sets = st.lists(st.lists(st.integers(0, 11), max_size=12, unique=True), min_size=1, max_size=6)
