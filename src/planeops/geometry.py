@@ -118,9 +118,8 @@ def canonical_sign(v: np.ndarray) -> np.ndarray:
     Plane geometry is invariant to the normal's sign; a fixed convention makes
     outputs deterministic and diffable.
     """
-    if v.ndim == 1:  # one vector, as every plane fit has: kept free of gathers
-        dominant = int(np.argmax(np.abs(v)))
-        return -v if v[dominant] < 0 else v
+    if v.ndim == 1:  # one vector, as every plane fit has: Python floats; max keeps the first tie, as argmax does
+        return -v if max(v.tolist(), key=abs) < 0 else v
     dominant = np.argmax(np.abs(v), axis=-1)
     flip = np.take_along_axis(v, dominant[..., None], axis=-1) < 0
     return np.where(flip, -v, v)

@@ -221,6 +221,24 @@ def _ply_header(n: int) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+def _packed_rgb(colors) -> np.ndarray:
+    """Each (r, g, b) as one ``<u4`` word whose first three bytes are r, g and b."""
+    return np.array([r | g << 8 | b << 16 for r, g, b in colors], dtype="<u4")
+
+
+def _id_rows(labeling: SegmentLabeling) -> tuple[np.ndarray, np.ndarray]:
+    """A table of plane ids and each point's row in it: point i has id ``ids[rows[i]]``.
+
+    Ids in [-1, N), as in every labeling planeops makes, take row id + 1
+    directly (rows of absent ids go unused); any other id set is compacted
+    once with np.unique.
+    """
+    ids = labeling.plane_ids
+    if ids.min(initial=-1) >= -1 and ids.max(initial=-1) < ids.size:
+        return np.arange(-1, ids.max(initial=-1) + 1), ids + 1
+    return np.unique(ids, return_inverse=True)
+
+
 def save_labeled(
     points: np.ndarray,
     labeling: SegmentLabeling,
@@ -230,49 +248,55 @@ def save_labeled(
     """Write a colored binary PLY; :func:`save_labeling` writes the sidecar.
 
     ``mode="orientation"`` colors by orientation class; ``mode="segment"``
-    gives each plane id a deterministic pseudo-random color.
+    gives each plane id a deterministic pseudo-random color. Either way each
+    point's color is one gather from a small palette, indexed by the class
+    code or by the id's row, and the body is filled in two array passes.
     """
     n = points.shape[0]
     if len(labeling) != n:
         raise ValueError(f"labeling size {len(labeling)} != cloud size {n}")
     if mode not in ("segment", "orientation"):
         raise ValueError(f"unknown color mode {mode!r}")
+    labeling.check_orientations()
     if mode == "orientation":
-        colors = np.empty((n, 3), dtype=np.uint8)
-        for orient in Orientation:
-            colors[labeling.orientations == int(orient)] = ORIENTATION_COLORS[orient]
+        palette, rows = _packed_rgb(ORIENTATION_COLORS[orient] for orient in Orientation), labeling.orientations
     else:
-        # A palette over the distinct ids; searchsorted needs fewer
-        # temporaries than np.unique's return_inverse.
-        ids = np.unique(labeling.plane_ids)
-        palette = np.array([segment_color(pid) for pid in ids.tolist()], dtype=np.uint8).reshape(-1, 3)
-        colors = palette[np.searchsorted(ids, labeling.plane_ids)]
-
-    dtype = np.dtype([("x", "<f8"), ("y", "<f8"), ("z", "<f8"),
-                      ("red", "u1"), ("green", "u1"), ("blue", "u1")])
-    table = np.empty(n, dtype=dtype)
-    table["x"], table["y"], table["z"] = points[:, 0], points[:, 1], points[:, 2]
-    table["red"], table["green"], table["blue"] = colors[:, 0], colors[:, 1], colors[:, 2]
+        ids, rows = _id_rows(labeling)
+        used = np.flatnonzero(np.bincount(rows))
+        palette = np.zeros(ids.size, dtype="<u4")
+        palette[used] = _packed_rgb(segment_color(pid) for pid in ids[used].tolist())
+    # A record is x, y, z as <f8, then red, green, blue: 27 bytes. The colors
+    # go in first, as <u4 words whose fourth byte spills into the next
+    # record's x (the last one into a spare record); the coordinates then
+    # overwrite the spilled bytes.
+    body = np.empty((n + 1) * 27, dtype=np.uint8)
+    np.ndarray(n, "<u4", body, 24, (27,))[:] = palette[rows]
+    np.ndarray(n, "V24", body, 0, (27,))[:] = np.ascontiguousarray(points, dtype="<f8").view("V24").reshape(n)
     with open(path, "wb") as fh:
         fh.write(_ply_header(n))
-        fh.write(table.view(np.uint8))
+        fh.write(body[:n * 27])
 
 
 def save_labeling(labeling: SegmentLabeling, path) -> None:
     """Write the text sidecar: one ``planeId orientationChar`` line per point.
 
-    Each distinct (planeId, orientation) pair is formatted once and the
-    lines are gathered per point.
+    Each distinct (planeId, orientation) line is formatted once, zero-padded
+    to a fixed width (8 bytes holds ids from -9999 to 99999, 16 any int32), and
+    gathered per point; dropping the zero bytes, which no line holds, leaves
+    the text.
     """
+    labeling.check_orientations()
+    ids, rows = _id_rows(labeling)
     n_codes = len(Orientation)
-    codes = labeling.orientations.astype(np.int64)
-    bad = codes[(codes < 0) | (codes >= n_codes)]
-    if bad.size:
-        raise ValueError(f"{int(bad[0])} is not a valid Orientation")
-    keys, per_point = np.unique(labeling.plane_ids.astype(np.int64) * n_codes + codes, return_inverse=True)
-    lines = np.array([f"{key // n_codes} {Orientation(key % n_codes).char}\n" for key in keys.tolist()], dtype=object)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("".join(lines[per_point].tolist()))
+    keys = np.multiply(rows, n_codes, dtype=np.intp)
+    keys += labeling.orientations
+    used = np.flatnonzero(np.bincount(keys))
+    lines = [f"{ids[key // n_codes]} {Orientation(key % n_codes).char}\n".encode("ascii") for key in used.tolist()]
+    width = 8 if all(len(line) <= 8 for line in lines) else 16
+    table = np.zeros(ids.size * n_codes, dtype=f"V{width}")
+    table[used] = np.frombuffer(b"".join(line.ljust(width, b"\0") for line in lines), dtype=table.dtype)
+    body = table[keys].view(np.uint8)
+    Path(path).write_bytes(body[body != 0])
 
 
 # The bytes np.loadtxt may read a sidecar from: digits, signs, the class

@@ -197,7 +197,8 @@ def extract_full_inliers(
     Returns ``(plane, rest)``.
     """
     offsets = np.take(points, live, axis=0)
-    offsets -= model.centroid  # in place: one (live, 3) temporary, the bits of plane_distances
+    for axis in range(3):  # in place, a column at a time: the bits of plane_distances, no length-3 inner loop
+        offsets[:, axis] -= model.centroid[axis]
     near = np.abs(offsets @ model.normal) < dist_threshold
     idx, rest = live[near], live[~near]
     if idx.size >= 3:

@@ -39,8 +39,15 @@ class SegmentLabeling:
     def __len__(self) -> int:
         return int(self.plane_ids.size)
 
+    def check_orientations(self) -> None:
+        """Raise ValueError naming the first class code outside Orientation."""
+        bad = self.orientations[self.orientations.view(np.uint8) >= len(Orientation)]
+        if bad.size:
+            raise ValueError(f"{int(bad[0])} is not a valid Orientation")
+
     def validate(self) -> None:
         """Check the labeling invariants; raises ValueError on violation."""
+        self.check_orientations()
         segmented = self.plane_ids >= 0
         if not np.all(self.orientations[~segmented] == int(Orientation.OTHER)):
             raise ValueError("unsegmented points must be labeled OTHER")

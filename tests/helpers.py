@@ -301,11 +301,50 @@ def reference_merge_on_moments(planes, points, params):
 
 def reference_validate(labeling):
     """SegmentLabeling.validate as a per-segment loop, O(segments x points)."""
+    valid = {int(orient) for orient in Orientation}
+    for code in labeling.orientations.tolist():
+        if code not in valid:
+            raise ValueError(f"{code} is not a valid Orientation")
     if not np.all(labeling.orientations[labeling.plane_ids < 0] == int(Orientation.OTHER)):
         raise ValueError("unsegmented points must be labeled OTHER")
     for pid in np.unique(labeling.plane_ids[labeling.plane_ids >= 0]):
         if np.unique(labeling.orientations[labeling.plane_ids == pid]).size != 1:
             raise ValueError(f"segment {pid} mixes orientation labels")
+
+
+def reference_save_labeled(points, labeling, path, mode="segment"):
+    """The labeled PLY writer as a structured table filled field by field:
+    a palette over np.unique's ids in segment mode, a mask per class in
+    orientation mode."""
+    from planeops.io import ORIENTATION_COLORS, _ply_header, segment_color
+
+    n = points.shape[0]
+    if mode == "orientation":
+        colors = np.empty((n, 3), dtype=np.uint8)
+        for orient in Orientation:
+            colors[labeling.orientations == int(orient)] = ORIENTATION_COLORS[orient]
+    else:
+        ids = np.unique(labeling.plane_ids)
+        palette = np.array([segment_color(pid) for pid in ids.tolist()], dtype=np.uint8).reshape(-1, 3)
+        colors = palette[np.searchsorted(ids, labeling.plane_ids)]
+    table = np.empty(n, dtype=[("x", "<f8"), ("y", "<f8"), ("z", "<f8"),
+                               ("red", "u1"), ("green", "u1"), ("blue", "u1")])
+    table["x"], table["y"], table["z"] = points[:, 0], points[:, 1], points[:, 2]
+    table["red"], table["green"], table["blue"] = colors[:, 0], colors[:, 1], colors[:, 2]
+    with open(path, "wb") as fh:
+        fh.write(_ply_header(n))
+        fh.write(table.view(np.uint8))
+
+
+def reference_save_labeling(labeling, path):
+    """The sidecar writer as a sort of (id, class) keys and a join of one
+    Python string per point."""
+    n_codes = len(Orientation)
+    keys, per_point = np.unique(labeling.plane_ids.astype(np.int64) * n_codes
+                                + labeling.orientations.astype(np.int64), return_inverse=True)
+    lines = np.array([f"{key // n_codes} {Orientation(key % n_codes).char}\n" for key in keys.tolist()], dtype=object)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("".join(lines[per_point].tolist()))
 
 
 def reference_load_labeling(text: str):

@@ -1,5 +1,6 @@
 """Tests for the core geometric primitives."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from planeops.geometry import (
     EIGEN_FALLBACK_GAP,
     EIGEN_TIE_RTOL,
     as_float,
+    canonical_sign,
     combine_moments,
     point_moments,
     symmetric_eigen3,
@@ -361,3 +363,22 @@ def test_as_float_rejects_non_numbers(value):
 def test_as_float_without_interval_converts_any_number(value):
     number = as_float(value, "x")
     assert type(number) is float and (number == float(value) or math.isnan(number))
+
+
+def _tied_and_zero_vectors():
+    """Vectors whose largest magnitude is shared by two or three components,
+    in every sign pattern, and vectors built from signed zeros."""
+    for big, small in ((1.0, 0.5), (0.5, 1.0), (2.0, 0.0)):
+        for pattern in ((big, big, small), (big, small, big), (small, big, big), (big, big, big)):
+            for signs in itertools.product((1.0, -1.0), repeat=3):
+                yield np.array(pattern) * signs
+    for values in itertools.product((0.0, -0.0, 0.25, -0.25), repeat=3):
+        yield np.array(values)
+
+
+def test_canonical_sign_one_vector_matches_stacked_path(rng):
+    vectors = [*rng.normal(size=(500, 3)), *_tied_and_zero_vectors()]
+    for v in vectors:
+        one = canonical_sign(v)
+        assert one.tobytes() == canonical_sign(v[None, :])[0].tobytes(), v
+        assert one.tobytes() == (-v if v[np.argmax(np.abs(v))] < 0 else v).tobytes(), v

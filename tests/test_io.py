@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_load_labeling, reference_validate
+from helpers import reference_load_labeling, reference_save_labeled, reference_save_labeling, reference_validate
 from planeops import (
     Orientation,
     ParseError,
@@ -424,8 +424,16 @@ class TestLabeledOutput:
             assert path.read_bytes() == expected.encode("ascii")
 
     def test_save_labeling_rejects_unknown_orientation(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^3 is not a valid Orientation$"):
             save_labeling(SegmentLabeling([0, 1], [0, 3]), tmp_path / "lab.labels.txt")
+
+    @pytest.mark.parametrize("mode", ["segment", "orientation"])
+    @pytest.mark.parametrize("codes, first_bad", [([5, 5], 5), ([0, -1], -1), ([2, 3], 3)])
+    def test_save_labeled_rejects_unknown_orientation(self, tmp_path, mode, codes, first_bad):
+        path = tmp_path / "x.ply"
+        with pytest.raises(ValueError, match=f"^{first_bad} is not a valid Orientation$"):
+            save_labeled(np.zeros((2, 3)), SegmentLabeling([0, 0], codes), path, mode=mode)
+        assert not path.exists()
 
     def test_size_mismatch_rejected(self, tmp_path, rng):
         with pytest.raises(ValueError):
@@ -510,6 +518,48 @@ def test_segment_colors_match_per_point_reference(tmp_path_factory, labeling):
                           dtype=[("x", "<f8"), ("y", "<f8"), ("z", "<f8"), ("rgb", "u1", 3)])
     expected = [segment_color(pid) for pid in labeling.plane_ids.tolist()]
     assert [tuple(rgb) for rgb in table["rgb"].tolist()] == expected
+
+
+WRITER_SPARSE_IDS = [-2**31, -2, -1, -1, 0, 7, 99_999, 100_000, INT32_MAX - 1, INT32_MAX]
+
+
+@st.composite
+def writer_cases(draw):
+    """A cloud and a labeling for each id layout the writers treat apart:
+    no point, all -1, dense ids in [-1, N) (the table takes id + 1), dense
+    ids reaching below -1 and sparse ids up to the int32 extremes (both
+    compacted), and dense ids of 100000 and over (lines wider than 8
+    bytes). A point's class is drawn on its own, so a segment may mix
+    classes; the writers do not validate."""
+    layout = draw(st.sampled_from(["empty", "unsegmented", "dense", "negative", "sparse", "wide"]), label="layout")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = 0 if layout == "empty" else 100_012 if layout == "wide" else draw(st.integers(1, 60), label="n")
+    codes = rng.integers(0, len(Orientation), size=n)
+    if layout in ("empty", "unsegmented"):
+        ids, codes = np.full(n, -1), np.full(n, int(Orientation.OTHER))
+    elif layout == "dense":
+        ids = rng.integers(-1, n, size=n)
+    elif layout == "negative":
+        ids = rng.integers(-3, n, size=n)
+    elif layout == "sparse":
+        ids = rng.choice(WRITER_SPARSE_IDS, size=n)
+    else:
+        ids = np.where(rng.random(n) < 0.1, -1, rng.integers(99_990, n, size=n))
+    return rng.normal(size=(n, 3)), SegmentLabeling(plane_ids=ids, orientations=codes)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=writer_cases())
+def test_writers_match_reference_bytes(tmp_path_factory, case):
+    points, labeling = case
+    directory = tmp_path_factory.mktemp("writers")
+    save_labeling(labeling, directory / "fast.txt")
+    reference_save_labeling(labeling, directory / "slow.txt")
+    assert (directory / "fast.txt").read_bytes() == (directory / "slow.txt").read_bytes()
+    for mode in ("segment", "orientation"):
+        save_labeled(points, labeling, directory / "fast.ply", mode=mode)
+        reference_save_labeled(points, labeling, directory / "slow.ply", mode=mode)
+        assert (directory / "fast.ply").read_bytes() == (directory / "slow.ply").read_bytes(), mode
 
 
 @pytest.mark.parametrize("text, line", [

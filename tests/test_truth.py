@@ -39,6 +39,12 @@ class TestSegmentLabeling:
         assert lab.plane_ids.dtype == np.int32
         assert lab.plane_ids.tolist() == [2**31 - 1, -(2**31)]
 
+    @pytest.mark.parametrize("codes, first_bad", [([5, 5], 5), ([0, -1], -1), ([2, 3, 4], 3)])
+    def test_validate_rejects_unknown_orientation(self, codes, first_bad):
+        lab = SegmentLabeling(plane_ids=[0] * len(codes), orientations=codes)
+        with pytest.raises(ValueError, match=f"^{first_bad} is not a valid Orientation$"):
+            lab.validate()
+
     def test_all_other(self):
         lab = SegmentLabeling.all_other(5)
         lab.validate()
