@@ -5,6 +5,7 @@ centroid plus a unit normal; the infinite plane through the centroid, not a
 bounded polygon.
 """
 
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple
@@ -106,7 +107,8 @@ def as_points(points) -> np.ndarray:
 def as_unit_vector(v) -> np.ndarray:
     """Coerce to a float64 3-vector and check it has unit length."""
     vec = np.asarray(v, dtype=np.float64).reshape(3)
-    if not abs(np.linalg.norm(vec) - 1.0) <= 1e-9:  # NaN fails too
+    x, y, z = vec.tolist()  # Python floats: cheaper than np.linalg.norm on three numbers
+    if not abs(math.sqrt(x * x + y * y + z * z) - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError(f"not a unit vector: {vec}")
     return vec
 

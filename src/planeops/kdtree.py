@@ -55,6 +55,12 @@ class KdTree:
         queried point itself, sorted ascending. Equidistant points keep
         cKDTree's order; a duplicate of the queried point is a neighbour at
         distance 0.
+
+        When every row's queried point is its own first neighbour, as it is
+        without duplicates, the rest of each row is scattered straight into
+        the outputs. Otherwise each row drops the queried point where it
+        stands, or its farthest column where cKDTree left the queried point
+        out among its duplicates.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -71,12 +77,16 @@ class KdTree:
         width = min(k, n - 1)
         dist, nbr = self._tree.query(self.points[idx], k=width + 1)
         dist, nbr = dist.reshape(m, width + 1), nbr.reshape(m, width + 1)
-        # Drop the queried point, or the farthest column of a row that lacks it.
-        drop = nbr == idx[:, None]
-        drop[~drop.any(axis=1), -1] = True
-        dist, nbr = dist[~drop].reshape(m, width), nbr[~drop].reshape(m, width)
-        dist[order], nbr[order] = dist.copy(), nbr.copy()
-        return dist, nbr
+        keep = np.s_[:, 1:]
+        if not (nbr[:, 0] == idx).all():  # drop the queried point, or the farthest column of a row that lacks it
+            keep = nbr != idx[:, None]
+            keep[keep.all(axis=1), -1] = False
+        out_dist = np.empty((m, width))
+        out_dist[order] = dist[keep].reshape(m, width)
+        del dist  # before the second output is allocated
+        out_nbr = np.empty((m, width), dtype=nbr.dtype)
+        out_nbr[order] = nbr[keep].reshape(m, width)
+        return out_dist, out_nbr
 
     def radius_search(self, centers, radius: float) -> np.ndarray:
         """Indices of the points within ``radius`` (inclusive) of each centre.

@@ -15,6 +15,11 @@ from .normals import estimate_normals, normals_from_neighbors  # noqa: F401
 
 __all__ = ["GtParams", "SegmentLabeling", "generate_ground_truth"]
 
+# Neighbour entries per row block after the k-NN query. At k = 10 a block
+# is 3,276 rows, whose (rows, k, 3) neighbour offsets take 768 KB and stay
+# within a 2 MB L2 cache. Temporaries per neighbour entry never span the cloud.
+GT_ENTRIES = 2**15
+
 
 @dataclass
 class SegmentLabeling:
@@ -112,6 +117,12 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
     its flattest direction. Ids follow creation order, and within a round
     each component's lowest point index. A cloud without points raises
     EmptyCloud; one smaller than ``min_plane_size`` is all other.
+
+    One k-NN query serves every point. Normals and the edge test then walk
+    the rows in blocks of at most ``GT_ENTRIES`` neighbour entries, so no
+    per-entry temporary but the query's (N, k) results spans the cloud.
+    Each row gets the same bits in any block, and the edges come out in row
+    order, so the labels do not depend on the block size.
     """
     from scipy.sparse import csgraph, csr_matrix
 
@@ -124,23 +135,35 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
 
     all_idx = np.arange(n, dtype=np.int64)
     nbr_dist, adjacency = kd.knn(all_idx, params.k)
-    normals, curvature, _ = normals_from_neighbors(points, all_idx, nbr_dist, adjacency)
+    step = max(1, GT_ENTRIES // adjacency.shape[1])
+    blocks = [slice(start, start + step) for start in range(0, n, step)]
+    normals, curvature = np.empty((n, 3)), np.empty(n)
+    for rows in blocks:
+        normals[rows], curvature[rows], _ = normals_from_neighbors(points, all_idx[rows], nbr_dist[rows],
+                                                                   adjacency[rows])
+    del nbr_dist
 
     # Each dot product is summed component by component, as merge.coplanar
     # spells it out, so an edge gets the same bits in either direction.
-    cosine, off_i, off_j = (np.zeros(adjacency.shape) for _ in range(3))
-    for c in range(3):
-        n_i = normals[:, c, None]
-        n_j = np.take(normals[:, c], adjacency)
-        sep = np.take(points[:, c], adjacency) - points[:, c, None]
-        cosine += n_i * n_j
-        off_i += sep * n_i  # j against the tangent plane of i
-        off_j += sep * n_j  # i against the tangent plane of j
     dist, cos_tol = params.dist_threshold, np.cos(np.radians(params.normal_angle_degrees))
-    # An invalid normal is NaN, so each of its edges fails the cosine test.
-    smooth = (np.abs(cosine) >= cos_tol) & (np.abs(off_i) < dist) & (np.abs(off_j) < dist)
-    src, dst = np.nonzero(smooth)
-    dst = adjacency[src, dst]
+    point_cols, normal_cols = points.T.copy(), normals.T.copy()  # gathers from a contiguous column run faster
+    src, dst = [], []  # the passing edges, row by row; int32 holds any point index
+    for rows in blocks:
+        nbr = adjacency[rows]
+        cosine, off_i, off_j = (np.zeros(nbr.shape) for _ in range(3))
+        for c in range(3):
+            n_i = normal_cols[c, rows, None]
+            n_j = np.take(normal_cols[c], nbr)
+            sep = np.take(point_cols[c], nbr) - point_cols[c, rows, None]
+            cosine += n_i * n_j
+            off_i += sep * n_i  # j against the tangent plane of i
+            off_j += sep * n_j  # i against the tangent plane of j
+        # An invalid normal is NaN, so each of its edges fails the cosine test.
+        row, col = np.nonzero((np.abs(cosine) >= cos_tol) & (np.abs(off_i) < dist) & (np.abs(off_j) < dist))
+        src.append((row + rows.start).astype(np.int32))
+        dst.append(nbr[row, col].astype(np.int32))
+    del adjacency
+    src, dst = np.concatenate(src), np.concatenate(dst)
 
     def agreeing(pts, nrm, centroid, normal):
         """Which members lie within ``dist`` of a plane, with normals within the angle of its normal."""
@@ -152,7 +175,12 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
     plane_ids = np.full(n, -1, dtype=np.int32)
     plane_normals = []  # of the segments made, by id
     while src.size:  # a round that makes no segment leaves no member out, and so no edge
-        graph = csr_matrix((np.ones(src.size, dtype=np.int8), (src, dst)), shape=(n, n))
+        # src ascends and no (i, j) pair repeats, so the edges are a CSR graph as
+        # they stand; components are numbered from their lowest point, whatever
+        # the order within a row. float64 data is what connected_components reads.
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        graph = csr_matrix((np.ones(src.size), dst, indptr), shape=(n, n))
         labels = csgraph.connected_components(graph, directed=True, connection="weak")[1]
         big = np.flatnonzero(np.bincount(labels)[labels] >= params.min_plane_size)
         big = big[np.argsort(labels[big], kind="stable")]  # by component, each ascending

@@ -368,6 +368,19 @@ def reference_load_labeling(text: str):
     return np.asarray(ids, dtype=np.int32), np.asarray(codes, dtype=np.int8)
 
 
+def reference_knn(tree, indices, k):
+    """``KdTree.knn`` as one cKDTree query in the caller's order: each row
+    drops its queried point by a mask, or its farthest column when cKDTree
+    left the queried point out among its duplicates."""
+    idx = np.asarray(indices, dtype=np.int64)
+    m, width = idx.size, min(k, len(tree) - 1)
+    dist, nbr = tree._tree.query(tree.points[idx], k=width + 1)
+    dist, nbr = dist.reshape(m, width + 1), nbr.reshape(m, width + 1)
+    drop = nbr == idx[:, None]
+    drop[~drop.any(axis=1), -1] = True
+    return dist[~drop].reshape(m, width), nbr[~drop].reshape(m, width)
+
+
 def reference_ground_truth(points, params):
     """Smoothness-constraint ground truth, edge by edge in plain Python floats.
 
@@ -386,9 +399,8 @@ def reference_ground_truth(points, params):
     n = points.shape[0]
     if n < params.min_plane_size:
         return SegmentLabeling.all_other(n)
-    kd = KdTree(points)
     all_idx = np.arange(n, dtype=np.int64)
-    nbr_dist, adjacency = kd.knn(all_idx, params.k)
+    nbr_dist, adjacency = reference_knn(KdTree(points), all_idx, params.k)
     normals, curvature, valid = normals_from_neighbors(points, all_idx, nbr_dist, adjacency)
 
     cos_tol = float(np.cos(np.radians(params.normal_angle_degrees)))

@@ -14,6 +14,7 @@ from planeops.geometry import (
     EIGEN_FALLBACK_GAP,
     EIGEN_TIE_RTOL,
     as_float,
+    as_unit_vector,
     canonical_sign,
     combine_moments,
     point_moments,
@@ -200,6 +201,35 @@ class TestOrientationChar:
     def test_rejects_all_but_one_class_character(self, c):
         with pytest.raises(ValueError):
             Orientation.from_char(c)
+
+
+_TILTED = np.array([0.36, -0.48, 0.8])  # unit length in exact arithmetic
+
+
+@pytest.mark.parametrize("vec, unit", [
+    ((0, 0, 1), True), ((-1.0, 0.0, 0.0), True), (_TILTED, True), (_TILTED / np.linalg.norm(_TILTED), True),
+    ((1 + 0.5e-9, 0, 0), True), ((0, 1 - 0.5e-9, 0), True), (_TILTED * (1 + 0.5e-9), True),
+    (_TILTED * (1 - 0.5e-9), True),
+    ((1 + 2e-9, 0, 0), False), ((0, 0, 1 - 2e-9), False), (_TILTED * (1 + 2e-9), False), (_TILTED * (1 - 2e-9), False),
+    ((0, 0, 2), False), ((0, 0, 0), False), ((1e200, 0, 0), False), ((1e-200, 0, 0), False),
+    ((np.nan, 0, 1), False), ((0, 0, np.inf), False), ((np.inf, np.nan, 0), False),
+    ([[0, 0, 1]], True), ([[0], [1], [0]], True),
+])
+def test_as_unit_vector_length_check(vec, unit):
+    """Norms within 1e-9 of 1 pass as a float64 3-vector; others, NaN and inf raise."""
+    if unit:
+        got = as_unit_vector(vec)
+        assert got.dtype == np.float64 and got.shape == (3,)
+        np.testing.assert_array_equal(got, np.asarray(vec, dtype=np.float64).reshape(3))
+    else:
+        with pytest.raises(ValueError, match="not a unit vector"):
+            as_unit_vector(vec)
+
+
+@pytest.mark.parametrize("vec", [(1.0, 0.0), (1.0, 0.0, 0.0, 0.0), np.eye(3), (), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
+def test_as_unit_vector_rejects_other_shapes(vec):
+    with pytest.raises(ValueError):
+        as_unit_vector(vec)
 
 
 class TestPlaneModel:
