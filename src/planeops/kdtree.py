@@ -55,12 +55,6 @@ class KdTree:
         queried point itself, sorted ascending. Equidistant points keep
         cKDTree's order; a duplicate of the queried point is a neighbour at
         distance 0.
-
-        When every row's queried point is its own first neighbour, as it is
-        without duplicates, the rest of each row is scattered straight into
-        the outputs. Otherwise each row drops the queried point where it
-        stands, or its farthest column where cKDTree left the queried point
-        out among its duplicates.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -77,10 +71,8 @@ class KdTree:
         width = min(k, n - 1)
         dist, nbr = self._tree.query(self.points[idx], k=width + 1)
         dist, nbr = dist.reshape(m, width + 1), nbr.reshape(m, width + 1)
-        keep = np.s_[:, 1:]
-        if not (nbr[:, 0] == idx).all():  # drop the queried point, or the farthest column of a row that lacks it
-            keep = nbr != idx[:, None]
-            keep[keep.all(axis=1), -1] = False
+        keep = nbr != idx[:, None]  # drop the queried point, or the farthest column of a row that lacks it
+        keep[keep.all(axis=1), -1] = False
         out_dist = np.empty((m, width))
         out_dist[order] = dist[keep].reshape(m, width)
         del dist  # before the second output is allocated

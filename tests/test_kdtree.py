@@ -133,18 +133,27 @@ def mixed_clouds(draw):
     return pts[rng.permutation(pts.shape[0])]
 
 
+def _assert_same_knn(tree, own, k):
+    got, want = tree.knn(own, k), reference_knn(tree, own, k)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.flags.c_contiguous
+        np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))  # the same bits
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(cloud=mixed_clouds(), data=st.data())
 def test_knn_mixed_batch_matches_brute_force(cloud, data):
     # One batch holds rows without ties and rows with exact ties at the k-th
     # distance, queries whose duplicate comes first, and with k near n,
     # clouds where every point is fetched. Each row is also what a batch of
-    # its index alone gives, whatever leaf order the batch is queried in.
+    # its index alone gives, whatever leaf order the batch is queried in, and
+    # the batch, empty or not, has the reference query's bits.
     pts = cloud
     n = pts.shape[0]
     k = data.draw(st.one_of(st.integers(1, 8), st.integers(max(1, n - 3), n + 3)), label="k")
-    own = np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20), label="own"))
+    own = np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=0, max_size=20), label="own"), dtype=np.int64)
     tree = KdTree(pts)
+    _assert_same_knn(tree, own, k)
     d, i = tree.knn(own, k)
     assert d.shape == i.shape == (len(own), min(k, n - 1))
     for row, e in enumerate(own.tolist()):
@@ -155,18 +164,11 @@ def test_knn_mixed_batch_matches_brute_force(cloud, data):
             np.testing.assert_array_equal(sd[0], d[row])
 
 
-def _assert_same_knn(tree, own, k):
-    got, want = tree.knn(own, k), reference_knn(tree, own, k)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.shape == w.shape and g.flags.c_contiguous
-        np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))  # the same bits
-
-
 @pytest.mark.parametrize("copies", [1, 2, 5])
 def test_knn_matches_reference_knn(rng, copies):
     # With one copy of each point, every queried point is its own first
-    # neighbour; with copies, some row has a duplicate first, so both ways
-    # of dropping the queried point are taken.
+    # neighbour; with copies, some row has a duplicate first, so the queried
+    # point is dropped from later columns too.
     pts = np.repeat(rng.uniform(0.0, 1.0, size=(600 // copies, 3)), copies, axis=0)
     pts = pts[rng.permutation(pts.shape[0])]
     tree = KdTree(pts)
@@ -176,15 +178,6 @@ def test_knn_matches_reference_knn(rng, copies):
     for k in (1, 3, 10):
         for own in (all_idx, rng.permutation(all_idx)[:100], np.array([7, 7, 3]), np.empty(0, dtype=np.int64)):
             _assert_same_knn(tree, own, k)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(cloud=mixed_clouds(), data=st.data())
-def test_knn_mixed_batch_matches_reference_knn(cloud, data):
-    n = cloud.shape[0]
-    k = data.draw(st.one_of(st.integers(1, 8), st.integers(max(1, n - 3), n + 3)), label="k")
-    own = np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=0, max_size=40), label="own"), dtype=np.int64)
-    _assert_same_knn(KdTree(cloud), own, k)
 
 
 def test_radius_simple():
