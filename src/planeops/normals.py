@@ -27,6 +27,8 @@ import numpy as np
 from .geometry import EIGEN_TIE_RTOL, canonical_sign, symmetric_eigen3
 from .kdtree import KdTree
 
+NORMAL_ENTRIES = 2**15  # neighbour entries per row block: about 60 bytes each of temporaries, within L2
+
 __all__ = [
     "SampleSet",
     "estimate_normals",
@@ -93,13 +95,8 @@ def estimate_normals(points: np.ndarray, kd: KdTree, indices, k: int):
         raise ValueError(f"k must be >= 3, got {k}")
     m = idx.size
     if points.shape[0] < 2:
-        return (
-            np.full((m, 3), np.nan),
-            np.full(m, np.inf),
-            np.zeros(m, dtype=bool),
-        )
-    nbr_dist, nbr_idx = kd.knn(idx, k)
-    return normals_from_neighbors(points, idx, nbr_dist, nbr_idx)
+        return np.full((m, 3), np.nan), np.full(m, np.inf), np.zeros(m, dtype=bool)
+    return normals_from_neighbors(points, idx, *kd.knn(idx, k))
 
 
 def normals_from_neighbors(points: np.ndarray, idx: np.ndarray, nbr_dist: np.ndarray, nbr_idx: np.ndarray):
@@ -108,8 +105,20 @@ def normals_from_neighbors(points: np.ndarray, idx: np.ndarray, nbr_dist: np.nda
     ``nbr_dist`` and ``nbr_idx`` are the (m, k) result of ``KdTree.knn`` for
     the reference points ``idx``: cKDTree's neighbours, so equidistant ones
     come in cKDTree's order. The weighted scatter sums over them in that
-    order. Returns what :func:`estimate_normals` does.
+    order. Returns what :func:`estimate_normals` does. Rows are walked in
+    blocks of at most ``NORMAL_ENTRIES`` neighbour entries, and each row
+    gets the same bits in any block.
     """
+    m = idx.size
+    normals, curvature, valid = np.empty((m, 3)), np.empty(m), np.empty(m, dtype=bool)
+    step = max(1, NORMAL_ENTRIES // max(1, nbr_idx.shape[1]))
+    for rows in (slice(start, start + step) for start in range(0, m, step)):
+        normals[rows], curvature[rows], valid[rows] = _block_normals(points, idx[rows], nbr_dist[rows], nbr_idx[rows])
+    return normals, curvature, valid
+
+
+def _block_normals(points, idx, nbr_dist, nbr_idx):
+    """:func:`normals_from_neighbors` on one block of rows."""
     u = np.take(points, nbr_idx, axis=0)
     u -= np.take(points, idx, axis=0)[:, None, :]
     usable = nbr_dist > 0.0

@@ -129,6 +129,10 @@ def one_point_ransac(
     ``iterations`` and the generator's final state are those of one draw
     per iteration.
 
+    With no winner after m picks, every pool sample is scored once, below
+    ``dist_threshold + 1e-9`` to over-count any rounding. If none exceeds
+    ``min_inliers``, the rest of the budget is drawn in one call instead.
+
     Args:
         alive: boolean mask over the samples giving the working pool;
             retired samples are neither drawn nor counted.
@@ -153,10 +157,7 @@ def one_point_ransac(
     while it < budget:
         state = rng.bit_generator.state
         picks = rng.integers(0, m, size=min(block, budget - it))
-        dists = normals[picks] @ positions.T
-        dists -= np.einsum("ij,ij->i", positions[picks], normals[picks])[:, None]
-        np.abs(dists, out=dists)
-        inside = dists < params.dist_threshold
+        inside = _near(positions, normals, picks, params.dist_threshold)
         used = 0
         for count in np.count_nonzero(inside, axis=1).tolist():
             if count > params.min_inliers and count > best_count:
@@ -170,6 +171,12 @@ def one_point_ransac(
         if used < picks.size:
             rng.bit_generator.state = state
             rng.integers(0, m, size=used)
+        if best_mask is None and it - used < m <= it < budget:
+            most = max(np.count_nonzero(_near(positions, normals, slice(s, s + block), params.dist_threshold + 1e-9),
+                                        axis=1).max() for s in range(0, m, block))
+            if most <= params.min_inliers:
+                rng.integers(0, m, size=budget - it)  # the picks left, none of which can win
+                it = budget
 
     if best_mask is None:
         raise NoPlaneFound(f"no hypothesis exceeded {params.min_inliers} inliers in {it} iterations")
@@ -179,6 +186,13 @@ def one_point_ransac(
     except DegenerateInput as exc:
         raise NoPlaneFound(f"winning inlier set is degenerate: {exc}") from exc
     return RansacResult(model=model, sample_inliers=winners, iterations=it)
+
+
+def _near(positions: np.ndarray, normals: np.ndarray, picks, threshold: float) -> np.ndarray:
+    """(picks, m): which samples lie within ``threshold`` of each picked sample's plane, by one matrix product."""
+    dists = normals[picks] @ positions.T
+    dists -= np.einsum("ij,ij->i", positions[picks], normals[picks])[:, None]
+    return np.abs(dists, out=dists) < threshold
 
 
 def extract_full_inliers(

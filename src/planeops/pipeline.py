@@ -208,6 +208,7 @@ def run_detect(points, config: RunConfig) -> DetectionReport:
             idx = sample_indices(points.shape[0], p.sampling_rate, rng)
         with _stage(timings, "normals"):
             normals, _, valid = estimate_normals(points, kd, idx, p.k)
+            del kd  # the last query: its ordered copy and tree go before detection
             kept = idx[valid]
             samples = SampleSet(indices=kept, positions=points[kept], normals=normals[valid],
                                 cloud_size=points.shape[0])
@@ -216,6 +217,7 @@ def run_detect(points, config: RunConfig) -> DetectionReport:
     else:
         with _stage(timings, "detection"):
             raw_planes = fspf_detect(points, kd, config.fspf, rng)
+            del kd
 
     with _stage(timings, "merging"):
         merged = merge_all(raw_planes, points, config.merge)

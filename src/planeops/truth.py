@@ -9,15 +9,14 @@ import numpy as np
 
 from .geometry import DegenerateInput, Orientation, as_float, as_integer, classify_orientations, fit_plane
 from .kdtree import KdTree
-# estimate_normals is unused here but stays importable as truth.estimate_normals,
-# a name perfbench/spans.py wraps.
+# estimate_normals stays importable as truth.estimate_normals, a name perfbench/spans.py wraps.
 from .normals import estimate_normals, normals_from_neighbors  # noqa: F401
 
 __all__ = ["GtParams", "SegmentLabeling", "generate_ground_truth"]
 
-# Neighbour entries per row block after the k-NN query. At k = 10 a block
-# is 3,276 rows, whose (rows, k, 3) neighbour offsets take 768 KB and stay
-# within a 2 MB L2 cache. Temporaries per neighbour entry never span the cloud.
+# Neighbour entries per row block of the edge test. At k = 10 a block is
+# 3,276 rows, whose (rows, k) temporaries stay within a 2 MB L2 cache.
+# Temporaries per neighbour entry never span the cloud.
 GT_ENTRIES = 2**15
 
 
@@ -118,11 +117,11 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
     each component's lowest point index. A cloud without points raises
     EmptyCloud; one smaller than ``min_plane_size`` is all other.
 
-    One k-NN query serves every point. Normals and the edge test then walk
-    the rows in blocks of at most ``GT_ENTRIES`` neighbour entries, so no
-    per-entry temporary but the query's (N, k) results spans the cloud.
-    Each row gets the same bits in any block, and the edges come out in row
-    order, so the labels do not depend on the block size.
+    One k-NN query serves every point. Normals and the edge test (in blocks
+    of at most ``GT_ENTRIES`` neighbour entries) then walk the rows in
+    blocks, so no per-entry temporary but the query's (N, k) results spans
+    the cloud. Each row gets the same bits in any block, and the edges come
+    out in row order, so the labels do not depend on the block sizes.
     """
     from scipy.sparse import csgraph, csr_matrix
 
@@ -135,12 +134,8 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
 
     all_idx = np.arange(n, dtype=np.int64)
     nbr_dist, adjacency = kd.knn(all_idx, params.k)
-    step = max(1, GT_ENTRIES // adjacency.shape[1])
-    blocks = [slice(start, start + step) for start in range(0, n, step)]
-    normals, curvature = np.empty((n, 3)), np.empty(n)
-    for rows in blocks:
-        normals[rows], curvature[rows], _ = normals_from_neighbors(points, all_idx[rows], nbr_dist[rows],
-                                                                   adjacency[rows])
+    del kd  # its ordered copy and tree, before the normals' blocks
+    normals, curvature, _ = normals_from_neighbors(points, all_idx, nbr_dist, adjacency)
     del nbr_dist
 
     # Each dot product is summed component by component, as merge.coplanar
@@ -148,7 +143,8 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
     dist, cos_tol = params.dist_threshold, np.cos(np.radians(params.normal_angle_degrees))
     point_cols, normal_cols = points.T.copy(), normals.T.copy()  # gathers from a contiguous column run faster
     src, dst = [], []  # the passing edges, row by row; int32 holds any point index
-    for rows in blocks:
+    step = max(1, GT_ENTRIES // adjacency.shape[1])
+    for rows in (slice(start, start + step) for start in range(0, n, step)):
         nbr = adjacency[rows]
         cosine, off_i, off_j = (np.zeros(nbr.shape) for _ in range(3))
         for c in range(3):

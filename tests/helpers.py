@@ -369,13 +369,16 @@ def reference_load_labeling(text: str):
 
 
 def reference_knn(tree, indices, k):
-    """``KdTree.knn`` as one cKDTree query in the caller's order: each row
-    drops its queried point by a mask, or its farthest column when cKDTree
-    left the queried point out among its duplicates."""
+    """``KdTree.knn`` as one cKDTree query in the caller's order: the tree
+    holds a reordered copy of the cloud, so its rows are mapped back to
+    cloud indices first; each row drops its queried point by a mask, or its
+    farthest column when cKDTree left the queried point out among its
+    duplicates."""
     idx = np.asarray(indices, dtype=np.int64)
     m, width = idx.size, min(k, len(tree) - 1)
+    np.testing.assert_array_equal(tree._tree.data, tree.points[tree._order])  # copy row i is cloud point order[i]
     dist, nbr = tree._tree.query(tree.points[idx], k=width + 1)
-    dist, nbr = dist.reshape(m, width + 1), nbr.reshape(m, width + 1)
+    dist, nbr = dist.reshape(m, width + 1), tree._order.astype(np.int64)[nbr].reshape(m, width + 1)
     drop = nbr == idx[:, None]
     drop[~drop.any(axis=1), -1] = True
     return dist[~drop].reshape(m, width), nbr[~drop].reshape(m, width)

@@ -1,12 +1,17 @@
 """Spatial index tests against full-scan oracles."""
 
+import tracemalloc
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_knn_row_matches_brute_force, brute_force_knn, brute_force_radius, reference_knn
-from planeops import EmptyCloud, KdTree
+from planeops import EmptyCloud, KdTree, make_box_room
+from planeops import kdtree
 
 
 def assert_radius_rows_match_brute_force(tree, centres, radius):
@@ -31,6 +36,22 @@ def test_single_point_cloud():
     d, i = tree.knn([0, 0], k=3)
     assert d.shape == i.shape == (2, 0)
     assert tree.radius_search([(1.0, 2.0, 3.0)], 0.5).tolist() == [[0]]
+
+
+@pytest.mark.parametrize("pts", [
+    pytest.param([[0, 0, 0], [1, 0, 0], [2, 0, 0]], id="flat-axes"),
+    pytest.param([[0, 0, 0], [1e-310, 0, 0], [0, 1, 0], [3e-310, 1e-310, 0]], id="subnormal-span"),
+    pytest.param([[-1e308, 0, 0], [1e308, 1, 0], [0, 2, 1]], id="span-past-float64"),
+])
+def test_zorder_keys_take_any_finite_extent(pts):
+    # Sorting into Z-order cells neither warns nor fails on an axis without
+    # extent, one too narrow to scale, or one wider than float64 holds.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tree = KdTree(pts)
+    assert sorted(tree._order.tolist()) == list(range(len(pts)))
+    if np.abs(pts).max() < 1e300:
+        assert tree.knn([0], k=1)[1].tolist() == [[brute_force_knn(np.asarray(pts, dtype=float), 0, 1)[1][0]]]
 
 
 def test_line_of_points():
@@ -173,11 +194,71 @@ def test_knn_matches_reference_knn(rng, copies):
     pts = pts[rng.permutation(pts.shape[0])]
     tree = KdTree(pts)
     all_idx = np.arange(pts.shape[0])
-    first = tree._tree.query(pts, k=2)[1][:, 0]
+    first = tree._order[tree._tree.query(pts, k=2)[1][:, 0]]
     assert (first == all_idx).all() == (copies == 1)
     for k in (1, 3, 10):
         for own in (all_idx, rng.permutation(all_idx)[:100], np.array([7, 7, 3]), np.empty(0, dtype=np.int64)):
             _assert_same_knn(tree, own, k)
+
+
+def test_permuted_cloud_permutes_answers(rng):
+    # Without ties the geometry alone fixes every answer. The same cloud in
+    # another input order, and so with another ordered copy inside each
+    # Z-order cell, gives the same distances, bit for bit, and the same
+    # points under the permutation.
+    pts = rng.uniform(0.0, 1.0, size=(3000, 3))
+    perm = rng.permutation(pts.shape[0])
+    tree, permuted = KdTree(pts), KdTree(pts[perm])
+    own = rng.permutation(pts.shape[0])[:500]
+    for k in (1, 10, 30):
+        dist, nbr = tree.knn(perm[own], k)
+        p_dist, p_nbr = permuted.knn(own, k)
+        np.testing.assert_array_equal(p_dist.view(np.uint64), dist.view(np.uint64))
+        np.testing.assert_array_equal(perm[p_nbr], nbr)
+    centres = rng.uniform(0.0, 1.0, size=(50, 3))
+    for radius in (0.05, 0.2):
+        rows, p_rows = tree.radius_search(centres, radius), permuted.radius_search(centres, radius)
+        assert rows.shape == p_rows.shape
+        for row, p_row in zip(rows, p_rows):
+            assert sorted(perm[p_row[p_row >= 0]].tolist()) == row[row >= 0].tolist()
+
+
+# KNN_ENTRIES for m queries whose rows hold w neighbours plus the queried
+# point: fewer entries than one row, 7 rows, and about half the queries,
+# which leaves a smaller last block.
+KNN_BLOCKS = {"one-row": lambda m, w: 1, "seven-rows": lambda m, w: 7 * (w + 1),
+              "ragged": lambda m, w: (m // 2 + 1) * (w + 1)}
+
+
+@pytest.mark.parametrize("block", sorted(KNN_BLOCKS))
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(cloud=mixed_clouds(), data=st.data())
+def test_knn_blocks_match_one_query(block, cloud, data):
+    # Blocks of queries give the bits of the reference's single query, ties
+    # and duplicates included.
+    n = cloud.shape[0]
+    k = data.draw(st.integers(1, n + 1), label="k")
+    own = np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=40), label="own"))
+    tree = KdTree(cloud)
+    with mock.patch.object(kdtree, "KNN_ENTRIES", KNN_BLOCKS[block](own.size, min(k, n - 1))):
+        _assert_same_knn(tree, own, k)
+
+
+def test_knn_peak_memory_is_outputs_and_one_block():
+    # All points at k = 10 on a 65k room: the (m, k) outputs, 12 bytes per
+    # query for the queries' Morton keys and their Z-order, and one block of
+    # at most KNN_ENTRIES entries at 48 bytes each. One whole query peaked
+    # at 23.9 MB, 13.5 MB above the outputs.
+    points = make_box_room(3.5, 10000, 5000)[0]
+    tree, all_idx = KdTree(points), np.arange(points.shape[0])
+    tree.knn(all_idx[:10], 10)
+    tracemalloc.start()
+    try:
+        dist, nbr = tree.knn(all_idx, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= dist.nbytes + nbr.nbytes + 12 * all_idx.size + 48 * kdtree.KNN_ENTRIES
 
 
 def test_radius_simple():
@@ -224,6 +305,18 @@ def test_radius_monotone_in_radius(rng):
     centres = rng.uniform(0, 1, size=(10, 3))
     for small, big in zip(tree.radius_search(centres, 0.1), tree.radius_search(centres, 0.25)):
         assert set(small.tolist()) - {-1} <= set(big.tolist())
+
+
+def test_radius_rows_ascend_against_zorder(rng):
+    # The input runs against the Z-order, so the tree's copy holds the cloud
+    # nearly reversed: each row still maps back to ascending cloud indices,
+    # padded with -1.
+    pts = rng.uniform(0.0, 1.0, size=(2000, 3))
+    pts = pts[KdTree(pts)._order[::-1]]
+    tree = KdTree(pts)
+    assert (np.diff(tree._order) < 0).mean() > 0.9
+    for r in (0.05, 0.1, 0.3):
+        assert_radius_rows_match_brute_force(tree, rng.uniform(0, 1, size=(40, 3)), r)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -1,11 +1,14 @@
 """Normal estimation tests: analytic planes, spheres, weighting behavior."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planeops import GtParams, KdTree, OpsParams, estimate_normals, make_box_room, sample_indices
+from planeops import normals
 from planeops.normals import normals_from_neighbors
 
 from helpers import ops_samples, reference_normals_from_neighbors, reference_sample_indices
@@ -127,6 +130,21 @@ def test_normals_match_einsum_eigh_reference(cloud, k):
     assert np.isnan(normals[~valid]).all()
     assert np.linalg.norm(np.cross(normals[valid], want_normals[valid]), axis=1).max(initial=0.0) <= 1e-9
     np.testing.assert_allclose(curvature, want_curvature, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1001])
+def test_normal_blocks_match_one_block(rows):
+    """Rows walked in blocks of 1 and 7 rows, and in a ragged pair, get the
+    bits of one block."""
+    points = make_box_room(3.5, 300, clutter=150, noise_sigma=0.005, seed=0)[0]
+    idx = np.arange(points.shape[0], dtype=np.int64)
+    nbr_dist, nbr_idx = KdTree(points).knn(idx, 30)
+    with mock.patch.object(normals, "NORMAL_ENTRIES", 2**30):
+        whole = normals_from_neighbors(points, idx, nbr_dist, nbr_idx)
+    with mock.patch.object(normals, "NORMAL_ENTRIES", rows * 30):
+        blocked = normals_from_neighbors(points, idx, nbr_dist, nbr_idx)
+    for got, want in zip(blocked, whole):
+        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 class TestSampleIndices:

@@ -484,3 +484,61 @@ def test_detect_grouped_matches_masked_reference(seed):
         assert got.centroid.tobytes() == ref.centroid.tobytes()
         assert got.normal.tobytes() == ref.normal.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+
+def _scattered_samples(rng, m, extent):
+    """m samples with random normals, uniform in a cube of edge ``extent``."""
+    normals = rng.normal(size=(m, 3))
+    return _sample_set(rng.uniform(0.0, extent, size=(m, 3)), normals / np.linalg.norm(normals, axis=1, keepdims=True),
+                       cloud_size=100 * m)
+
+
+def _ransac_thresholds(samples, params, seed):
+    """The threshold of each ``ops._near`` call that one_point_ransac makes."""
+    with mock.patch.object(ops, "_near", wraps=ops._near) as near:
+        try:
+            one_point_ransac(samples, params, np.random.default_rng(seed), _everyone(samples))
+        except NoPlaneFound:
+            pass
+    return [call.args[3] for call in near.call_args_list]
+
+
+@pytest.mark.parametrize("m", [113, 315])
+def test_ransac_hopeless_pool_stops_early(m):
+    # No sample's plane holds more than min_inliers samples: after m picks
+    # the check scores every sample once and the rest of the 10 m budget is
+    # drawn at once, which leaves the generator where the full loop does.
+    params = OpsParams(min_inliers=20)
+    samples = _scattered_samples(np.random.default_rng(m), m, 10.0)
+    counts = [(plane_distances(samples.positions, p, n) < params.dist_threshold).sum()
+              for p, n in zip(samples.positions, samples.normals)]
+    assert max(counts) <= params.min_inliers
+    block, slack = ops.BLOCK_DISTANCES // m, params.dist_threshold + 1e-9
+    for seed in range(3):
+        with pytest.raises(NoPlaneFound, match=f"no hypothesis exceeded 20 inliers in {10 * m} iterations"):
+            one_point_ransac(samples, params, np.random.default_rng(seed), _everyone(samples))
+        _assert_same_ransac(samples, params, seed)
+        blocks = -(-m // block)  # of picks until m are drawn, and of the check's planes
+        assert _ransac_thresholds(samples, params, seed) == [params.dist_threshold] * blocks + [slack] * blocks
+
+
+def test_ransac_late_winner_is_untouched():
+    # Four coplanar samples among scattered ones, min_inliers 3: when the
+    # first m picks miss the plane, the check finds a sample that can win
+    # and the loop goes on to the reference's result.
+    params = OpsParams(min_inliers=3)
+    rng = np.random.default_rng(5)
+    scattered = _scattered_samples(rng, 396, 1000.0)
+    plane, plane_normals = _plane_samples(rng, 4, z=500.0)
+    samples = _sample_set(np.vstack([scattered.positions, plane]), np.vstack([scattered.normals, plane_normals]),
+                          cloud_size=40000)
+    late = 0
+    for seed in range(400):
+        thresholds = _ransac_thresholds(samples, params, seed)
+        if params.dist_threshold + 1e-9 in thresholds:
+            late += 1
+            assert thresholds[-1] == params.dist_threshold  # picks went on after the check
+            result = _assert_same_ransac(samples, params, seed)
+            assert set(result.sample_inliers.tolist()) == {396, 397, 398, 399}
+    assert late >= 3

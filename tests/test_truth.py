@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph, csr_matrix
 
+import planeops.kdtree as kdtree
+import planeops.normals as normals
 import planeops.truth as truth
 from helpers import reference_ground_truth, reference_validate
 from planeops import GtParams, KdTree, Orientation, SegmentLabeling, gen_synthetic, generate_ground_truth, make_box_room
@@ -225,9 +227,10 @@ def test_ground_truth_matches_reference(scene):
     _assert_same_labels(generate_ground_truth(points, params), reference_ground_truth(points, params))
 
 
-# GT_ENTRIES for a cloud of n points whose rows hold w neighbours: fewer
-# entries than one row, 7 rows with a part row to spare, and about half the
-# cloud, which leaves a smaller last block.
+# GT_ENTRIES, and the k-NN query's and the normals' block sizes, for a
+# cloud of n points whose rows hold w neighbours: fewer entries than one
+# row, 7 rows with a part row to spare, and about half the cloud, which
+# leaves a smaller last block.
 BLOCKS = {"one-row": lambda n, w: 1, "seven-rows": lambda n, w: 8 * w - 1, "ragged": lambda n, w: (n // 2 + 1) * w}
 
 
@@ -235,11 +238,14 @@ BLOCKS = {"one-row": lambda n, w: 1, "seven-rows": lambda n, w: 8 * w - 1, "ragg
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(scene=gt_scenes())
 def test_row_blocks_match_reference(block, scene):
-    """Normals and edges computed block by block give the labels of the
-    reference's whole-cloud normals and edge-by-edge test, bit for bit."""
+    """The k-NN query, normals and edges computed block by block give the
+    labels of the reference's single query, whole-cloud normals and
+    edge-by-edge test, bit for bit."""
     points, params = scene
     n = points.shape[0]
-    with mock.patch.object(truth, "GT_ENTRIES", BLOCKS[block](n, min(params.k, n - 1))):
+    entries = BLOCKS[block](n, min(params.k, n - 1))
+    with (mock.patch.object(truth, "GT_ENTRIES", entries), mock.patch.object(normals, "NORMAL_ENTRIES", entries),
+          mock.patch.object(kdtree, "KNN_ENTRIES", entries)):
         labeling = generate_ground_truth(points, params)
     _assert_same_labels(labeling, reference_ground_truth(points, params))
 
