@@ -16,7 +16,7 @@ from .geometry import (
     plane_distances,
 )
 from .io import ParseError, UnsupportedFormat, load_cloud, load_labeling, save_labeled, save_labeling
-from .kdtree import EmptyCloud, KdTree
+from .kdtree import CloudTooWide, EmptyCloud, KdTree
 from .merge import MergeParams, coplanar, merge_all
 from .metrics import (
     SizeMismatch,
@@ -42,6 +42,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CloudTooSmall",
+    "CloudTooWide",
     "DegenerateInput",
     "DetectionReport",
     "EmptyCloud",

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .fspf import CloudTooSmall
 from .io import ParseError, load_cloud, load_labeling, save_labeled, save_labeling
-from .kdtree import EmptyCloud
+from .kdtree import CloudTooWide, EmptyCloud
 from .metrics import SizeMismatch, classification_accuracy, segmentation_accuracy
 from .pipeline import ConfigError, RunConfig, bench_table, run_bench, run_detect
 from .synthetic import InvalidSpec, box_room_scene, gen_synthetic
@@ -282,7 +282,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return COMMANDS[args.command](args)
-    except (ParseError, ConfigError, EmptyCloud, CloudTooSmall, InvalidSpec, OSError) as exc:
+    except (ParseError, ConfigError, EmptyCloud, CloudTooWide, CloudTooSmall, InvalidSpec, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -23,6 +23,7 @@ __all__ = [
     "as_unit_vector",
     "classify_orientations",
     "combine_moments",
+    "dot3",
     "fit_plane",
     "plane_distances",
     "plane_normal",
@@ -154,6 +155,14 @@ class PlaneModel:
         return int(self.inliers.size)
 
 
+def dot3(u, v):
+    """Dot products of broadcast arrays whose first axis holds x, y and z, summed in that order, so a
+    pair gets the same bits in any batch and either argument order. One broadcast product takes
+    fewer numpy calls than three, which counts on merging's short rows."""
+    prod = u * v
+    return prod[0] + prod[1] + prod[2]
+
+
 def plane_distances(points: np.ndarray, centroid: np.ndarray, normal: np.ndarray) -> np.ndarray:
     """Unsigned distances from many points to a plane given as centroid + normal."""
     return np.abs((points - centroid) @ normal)
@@ -187,21 +196,11 @@ def combine_moments(a: Moments, b: Moments) -> Moments:
     products, which lose their digits far from the origin. The two means
     still carry the rounding of the coordinates they average, so callers
     take the moments about a point near the data.
-
-    One merge combines one pair, so the update runs on Python floats, which
-    cost less than numpy calls on 3-vectors; each entry is rounded as
-    ``a.scatter + b.scatter + w * (d[:, None] * d)`` rounds it.
     """
     count = a.count + b.count
-    (ax, ay, az), (bx, by, bz) = a.mean.tolist(), b.mean.tolist()
-    dx, dy, dz = bx - ax, by - ay, bz - az
-    f, w = b.count / count, a.count * b.count / count
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.scatter.tolist()
-    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b.scatter.tolist()
-    mean = np.array([ax + dx * f, ay + dy * f, az + dz * f])
-    scatter = np.array([[a00 + b00 + w * (dx * dx), a01 + b01 + w * (dx * dy), a02 + b02 + w * (dx * dz)],
-                        [a10 + b10 + w * (dy * dx), a11 + b11 + w * (dy * dy), a12 + b12 + w * (dy * dz)],
-                        [a20 + b20 + w * (dz * dx), a21 + b21 + w * (dz * dy), a22 + b22 + w * (dz * dz)]])
+    d = b.mean - a.mean
+    mean = a.mean + d * (b.count / count)
+    scatter = a.scatter + b.scatter + (a.count * b.count / count) * (d[:, None] * d)
     return Moments(count, mean, scatter)
 
 

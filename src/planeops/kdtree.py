@@ -18,14 +18,24 @@ import numpy as np
 
 from .geometry import as_points
 
-__all__ = ["EmptyCloud", "KdTree"]
+__all__ = ["CloudTooWide", "EmptyCloud", "KdTree", "row_blocks"]
 
 ZORDER_CELLS = 32  # per axis: 5 bits each, so a Morton key fits in uint16, whose stable argsort is a radix sort
-KNN_ENTRIES = 2**15  # neighbour entries per k-NN query block: about 40 bytes each of temporaries, within L2
+BLOCK_ENTRIES = 2**15  # per row block of k-NN queries, normals and edge tests: their temporaries stay within L2
+
+
+def row_blocks(m: int, per_row: int):
+    """Slices over ``m`` rows of ``per_row`` entries each: at most ``BLOCK_ENTRIES`` entries, or one row."""
+    step = max(1, BLOCK_ENTRIES // max(1, per_row))
+    return (slice(start, start + step) for start in range(0, m, step))
 
 
 class EmptyCloud(ValueError):
     """Raised when building an index over zero points."""
+
+
+class CloudTooWide(ValueError):
+    """Raised when a cloud's squared bounding-box diagonal, and so its squared distances, can overflow."""
 
 
 class KdTree:
@@ -33,7 +43,8 @@ class KdTree:
 
     ``points`` is the caller's array, never copied or reordered; the tree
     holds its own Z-ordered copy. Queries do not mutate, so a built index is
-    safe to share across threads.
+    safe to share across threads. A cloud without points raises EmptyCloud,
+    and one whose squared bounding-box diagonal overflows raises CloudTooWide.
     """
 
     def __init__(self, points):
@@ -45,11 +56,15 @@ class KdTree:
         self.points = pts
         self._keys = keys = np.zeros(pts.shape[0], dtype=np.uint16)  # Morton key of each point's cell among 32**3
         cell = np.empty(pts.shape[0])
+        diagonal2 = 0.0
         for axis in range(3):  # a column at a time: numpy reduces an (N, 3) array along axis 0 row by row
             col = pts[:, axis]
             lo = float(col.min())
-            span = float(col.max()) - lo  # a Python float overflows to inf without a warning
-            if not 1e-300 < span < np.inf:  # a flat axis, or one too narrow or wide to scale: one cell
+            span = float(col.max()) - lo  # Python floats overflow to inf without a warning
+            diagonal2 += span * span
+            if diagonal2 == np.inf:
+                raise CloudTooWide("cloud too wide to index: its squared bounding-box diagonal overflows float64")
+            if span <= 1e-300:  # a flat axis, or one too narrow to scale: one cell
                 continue
             np.multiply(np.subtract(col, lo, out=cell), (ZORDER_CELLS - 1e-9) / span, out=cell)  # < 32 after rounding
             bits = cell.astype(np.uint16)
@@ -74,7 +89,7 @@ class KdTree:
         queried point itself, sorted ascending. Equidistant points keep
         cKDTree's order over the ordered copy; a duplicate of the queried
         point is a neighbour at distance 0. Queries run in Z-order, in blocks
-        of at most ``KNN_ENTRIES`` entries.
+        of at most ``BLOCK_ENTRIES`` entries.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -86,8 +101,9 @@ class KdTree:
             raise ValueError("indices must index the cloud")
         width = min(k, n - 1)
         out_dist, out_nbr = np.empty((m, width)), np.empty((m, width), dtype=np.intp)
-        step = max(1, KNN_ENTRIES // (width + 1))
-        for block in np.split(np.argsort(self._keys[idx], kind="stable"), range(step, m, step)):
+        order = np.argsort(self._keys[idx], kind="stable")
+        for rows in row_blocks(m, width + 1):
+            block = order[rows]
             own = idx[block]
             dist, nbr = self._tree.query(np.take(self.points, own, axis=0), k=width + 1)
             dist, nbr = dist.reshape(own.size, width + 1), np.take(self._order, nbr).reshape(own.size, width + 1)
@@ -104,7 +120,7 @@ class KdTree:
         none. Returns an (m, w) int64 array: row i holds centre i's indices,
         ascending, padded with -1 to the largest count w.
         """
-        if radius <= 0.0:
+        if not radius > 0.0:  # NaN too
             raise ValueError(f"radius must be positive, got {radius}")
         c = np.asarray(centers, dtype=np.float64)
         if c.shape == (0,):

@@ -24,6 +24,7 @@ from .geometry import (  # noqa: F401  fit_plane: no caller, kept importable for
     PlaneModel,
     as_float,
     combine_moments,
+    dot3,
     fit_plane,
     plane_normal,
     point_moments,
@@ -47,9 +48,8 @@ def coplanar(normals_a, centroids_a, normals_b, centroids_b, params: MergeParams
     """Elementwise three-part coplanarity test between broadcast plane arrays.
 
     Arrays hold one component per row of their first axis, shape (3, ...).
-    Each dot product is one broadcast product summed component by component,
-    ``u[0]*v[0] + u[1]*v[1] + u[2]*v[2]``, so a pair gets the same bits
-    whichever batch it is tested in, and the test is symmetric.
+    Each dot product is :func:`~planeops.geometry.dot3`'s, so a pair gets the
+    same bits whichever batch it is tested in, and the test is symmetric.
     """
     return _coplanar(normals_a, centroids_a, normals_b, centroids_b, np.cos(np.radians(params.angle_degrees)),
                      params.offset)
@@ -57,16 +57,11 @@ def coplanar(normals_a, centroids_a, normals_b, centroids_b, params: MergeParams
 
 def _coplanar(normals_a, centroids_a, normals_b, centroids_b, cos_tol, offset):
     """:func:`coplanar` with the angle already turned into its cosine."""
-
-    def dot(u, v):
-        prod = u * v
-        return prod[0] + prod[1] + prod[2]
-
     sep = centroids_b - centroids_a
     return (
-        (np.abs(dot(normals_a, normals_b)) >= cos_tol)
-        & (np.abs(dot(sep, normals_a)) <= offset)  # centroid b against plane a
-        & (np.abs(dot(sep, normals_b)) <= offset)  # centroid a against plane b
+        (np.abs(dot3(normals_a, normals_b)) >= cos_tol)
+        & (np.abs(dot3(sep, normals_a)) <= offset)  # centroid b against plane a
+        & (np.abs(dot3(sep, normals_b)) <= offset)  # centroid a against plane b
     )
 
 

@@ -25,9 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import EIGEN_TIE_RTOL, canonical_sign, symmetric_eigen3
-from .kdtree import KdTree
-
-NORMAL_ENTRIES = 2**15  # neighbour entries per row block: about 60 bytes each of temporaries, within L2
+from .kdtree import KdTree, row_blocks
 
 __all__ = [
     "SampleSet",
@@ -83,7 +81,7 @@ def estimate_normals(points: np.ndarray, kd: KdTree, indices, k: int):
         points: the full (N, 3) cloud backing ``kd``.
         kd: index over ``points``.
         indices: reference point indices to process.
-        k: neighbor count, >= 3; the cloud must hold at least k+1 points.
+        k: neighbor count, >= 3; each point gets min(k, N - 1) neighbors.
 
     Returns:
         (normals, curvatures, valid): (m, 3) unit normals with NaN rows where
@@ -106,13 +104,12 @@ def normals_from_neighbors(points: np.ndarray, idx: np.ndarray, nbr_dist: np.nda
     the reference points ``idx``: cKDTree's neighbours, so equidistant ones
     come in cKDTree's order. The weighted scatter sums over them in that
     order. Returns what :func:`estimate_normals` does. Rows are walked in
-    blocks of at most ``NORMAL_ENTRIES`` neighbour entries, and each row
-    gets the same bits in any block.
+    :func:`~planeops.kdtree.row_blocks`, and each row gets the same bits in
+    any block.
     """
     m = idx.size
     normals, curvature, valid = np.empty((m, 3)), np.empty(m), np.empty(m, dtype=bool)
-    step = max(1, NORMAL_ENTRIES // max(1, nbr_idx.shape[1]))
-    for rows in (slice(start, start + step) for start in range(0, m, step)):
+    for rows in row_blocks(m, nbr_idx.shape[1]):
         normals[rows], curvature[rows], valid[rows] = _block_normals(points, idx[rows], nbr_dist[rows], nbr_idx[rows])
     return normals, curvature, valid
 

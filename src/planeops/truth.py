@@ -7,17 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DegenerateInput, Orientation, as_float, as_integer, classify_orientations, fit_plane
-from .kdtree import KdTree
+from .geometry import DegenerateInput, Orientation, as_float, as_integer, classify_orientations, dot3, fit_plane
+from .kdtree import KdTree, row_blocks
 # estimate_normals stays importable as truth.estimate_normals, a name perfbench/spans.py wraps.
 from .normals import estimate_normals, normals_from_neighbors  # noqa: F401
 
 __all__ = ["GtParams", "SegmentLabeling", "generate_ground_truth"]
-
-# Neighbour entries per row block of the edge test. At k = 10 a block is
-# 3,276 rows, whose (rows, k) temporaries stay within a 2 MB L2 cache.
-# Temporaries per neighbour entry never span the cloud.
-GT_ENTRIES = 2**15
 
 
 @dataclass
@@ -117,11 +112,11 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
     each component's lowest point index. A cloud without points raises
     EmptyCloud; one smaller than ``min_plane_size`` is all other.
 
-    One k-NN query serves every point. Normals and the edge test (in blocks
-    of at most ``GT_ENTRIES`` neighbour entries) then walk the rows in
-    blocks, so no per-entry temporary but the query's (N, k) results spans
-    the cloud. Each row gets the same bits in any block, and the edges come
-    out in row order, so the labels do not depend on the block sizes.
+    One k-NN query serves every point. Normals and the edge test then walk
+    the rows in :func:`~planeops.kdtree.row_blocks`, so no per-entry
+    temporary but the query's (N, k) results spans the cloud. Each row gets
+    the same bits in any block, and the edges come out in row order, so the
+    labels do not depend on the block sizes.
     """
     from scipy.sparse import csgraph, csr_matrix
 
@@ -138,24 +133,20 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
     normals, curvature, _ = normals_from_neighbors(points, all_idx, nbr_dist, adjacency)
     del nbr_dist
 
-    # Each dot product is summed component by component, as merge.coplanar
-    # spells it out, so an edge gets the same bits in either direction.
+    # Each dot product is dot3's, as merge.coplanar takes it, so an edge gets
+    # the same bits in either direction.
     dist, cos_tol = params.dist_threshold, np.cos(np.radians(params.normal_angle_degrees))
-    point_cols, normal_cols = points.T.copy(), normals.T.copy()  # gathers from a contiguous column run faster
+    cols = np.concatenate([points.T, normals.T])  # x, y, z, then the normal's: gathers from a column run faster
     src, dst = [], []  # the passing edges, row by row; int32 holds any point index
-    step = max(1, GT_ENTRIES // adjacency.shape[1])
-    for rows in (slice(start, start + step) for start in range(0, n, step)):
+    for rows in row_blocks(n, adjacency.shape[1]):
         nbr = adjacency[rows]
-        cosine, off_i, off_j = (np.zeros(nbr.shape) for _ in range(3))
-        for c in range(3):
-            n_i = normal_cols[c, rows, None]
-            n_j = np.take(normal_cols[c], nbr)
-            sep = np.take(point_cols[c], nbr) - point_cols[c, rows, None]
-            cosine += n_i * n_j
-            off_i += sep * n_i  # j against the tangent plane of i
-            off_j += sep * n_j  # i against the tangent plane of j
+        gathered = np.take(cols, nbr, axis=1)  # (6, rows, k)
+        gathered[:3] -= cols[:3, rows, None]  # each neighbour's offset from its row's point, in place
+        sep, n_i, n_j = gathered[:3], cols[3:, rows, None], gathered[3:]
         # An invalid normal is NaN, so each of its edges fails the cosine test.
-        row, col = np.nonzero((np.abs(cosine) >= cos_tol) & (np.abs(off_i) < dist) & (np.abs(off_j) < dist))
+        row, col = np.nonzero((np.abs(dot3(n_i, n_j)) >= cos_tol)
+                              & (np.abs(dot3(sep, n_i)) < dist)  # j against the tangent plane of i
+                              & (np.abs(dot3(sep, n_j)) < dist))  # i against the tangent plane of j
         src.append((row + rows.start).astype(np.int32))
         dst.append(nbr[row, col].astype(np.int32))
     del adjacency
@@ -163,10 +154,8 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
 
     def agreeing(pts, nrm, centroid, normal):
         """Which members lie within ``dist`` of a plane, with normals within the angle of its normal."""
-        off = (pts - centroid) * normal  # summed in order like the edges, not by BLAS
-        cos = nrm * normal
-        return ((np.abs(off[:, 0] + off[:, 1] + off[:, 2]) < dist)
-                & (np.abs(cos[:, 0] + cos[:, 1] + cos[:, 2]) >= cos_tol))
+        normal = normal[:, None]
+        return (np.abs(dot3((pts - centroid).T, normal)) < dist) & (np.abs(dot3(nrm.T, normal)) >= cos_tol)
 
     plane_ids = np.full(n, -1, dtype=np.int32)
     plane_normals = []  # of the segments made, by id

@@ -577,6 +577,29 @@ def test_gt_cloud_without_points_exit_code(tmp_path, capsys):
     assert (tmp_path / "pair.labels.txt").read_text() == "-1 O\n-1 O\n"
 
 
+COMMANDS_ON_A_CLOUD = {"ops": ["detect", "--detector", "ops"], "fspf": ["detect", "--detector", "fspf"], "gt": ["gt"]}
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e200, 1e307])
+@pytest.mark.parametrize("command", sorted(COMMANDS_ON_A_CLOUD))
+def test_too_wide_cloud_exit_code(tmp_path, capsys, command, scale):
+    """A cloud whose squared bounding-box diagonal overflows float64 exits 2
+    with one error line, before any output is written."""
+    cloud, out = tmp_path / "wide.xyz", tmp_path / "out"
+    np.savetxt(cloud, planeops.make_box_room(3.5, 300, 150)[0] * scale, fmt="%.17g")
+    assert main([*COMMANDS_ON_A_CLOUD[command], "--input", str(cloud), "--out", str(out)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "overflows" in err
+    assert not out.exists()
+
+
+def test_gt_wide_cloud_within_float64(tmp_path):
+    """The same room scaled by 1e153 stays within float64's squared distances."""
+    cloud = tmp_path / "wide.xyz"
+    np.savetxt(cloud, planeops.make_box_room(3.5, 300, 150)[0] * 1e153, fmt="%.17g")
+    assert main(["gt", "--input", str(cloud), "--out", str(tmp_path / "wide.labels.txt")]) == EXIT_OK
+
+
 def test_bench_command(room_files, tmp_path):
     cloud_path, truth_path = room_files
     configs = [

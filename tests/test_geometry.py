@@ -17,6 +17,7 @@ from planeops.geometry import (
     as_unit_vector,
     canonical_sign,
     combine_moments,
+    dot3,
     point_moments,
     symmetric_eigen3,
 )
@@ -315,6 +316,34 @@ def test_combine_moments_matches_numpy_update(seed, counts, far):
         assert got.mean.shape == (3,) and got.scatter.shape == (3, 3)
         assert got.mean.tobytes() == want.mean.tobytes()
         assert got.scatter.tobytes() == want.scatter.tobytes()
+
+
+def _special_stack(rng, shape):
+    """Random components with some NaN, +0 and -0 entries."""
+    u = rng.normal(size=shape)
+    u.flat[rng.choice(u.size, size=u.size // 4, replace=False)] = rng.choice([np.nan, 0.0, -0.0], size=u.size // 4)
+    return u
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert ((got.view(np.uint64) == want.view(np.uint64)) | (np.isnan(got) & np.isnan(want))).all()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dot3_sums_x_then_y_then_z(seed):
+    """The bits of u[0]*v[0] + u[1]*v[1] + u[2]*v[2] on Python floats, in
+    either argument order, and for each pair in any broadcast batch."""
+    rng = np.random.default_rng(seed)
+    u, v = _special_stack(rng, (3, 20)), _special_stack(rng, (3, 30))
+    outer = dot3(u[:, :, None], v[:, None, :])
+    want = [[x0 * y0 + x1 * y1 + x2 * y2 for (y0, y1, y2) in v.T.tolist()] for (x0, x1, x2) in u.T.tolist()]
+    _assert_same_bits(outer, np.array(want))
+    _assert_same_bits(dot3(v[:, None, :], u[:, :, None]), outer)
+    for i in range(u.shape[1]):
+        _assert_same_bits(dot3(u[:, i, None], v), outer[i])
+        _assert_same_bits(dot3(u[:, i], v[:, i % v.shape[1]]), outer[i, i % v.shape[1]])
 
 
 def test_symmetric_eigen3_is_exact_under_power_of_two_scaling(rng):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_knn_row_matches_brute_force, brute_force_knn, brute_force_radius, reference_knn
-from planeops import EmptyCloud, KdTree, make_box_room
+from planeops import CloudTooWide, EmptyCloud, KdTree, make_box_room
 from planeops import kdtree
 
 
@@ -30,6 +30,16 @@ def test_empty_cloud_raises():
         KdTree(np.empty((0, 3)))
 
 
+@pytest.mark.parametrize("pts", [
+    pytest.param([[-1e308, 0, 0], [1e308, 1, 0], [0, 2, 1]], id="span-past-float64"),
+    pytest.param([[0, 0, 0], [2e154, 0, 0]], id="square-past-float64"),
+    pytest.param([[0, 0, 0], [1e154, 1e154, 1e154]], id="diagonal-past-float64"),
+])
+def test_too_wide_cloud_raises(pts):
+    with pytest.raises(CloudTooWide):
+        KdTree(pts)
+
+
 def test_single_point_cloud():
     # The only point has no other point: its rows are empty.
     tree = KdTree([[1.0, 2.0, 3.0]])
@@ -41,11 +51,11 @@ def test_single_point_cloud():
 @pytest.mark.parametrize("pts", [
     pytest.param([[0, 0, 0], [1, 0, 0], [2, 0, 0]], id="flat-axes"),
     pytest.param([[0, 0, 0], [1e-310, 0, 0], [0, 1, 0], [3e-310, 1e-310, 0]], id="subnormal-span"),
-    pytest.param([[-1e308, 0, 0], [1e308, 1, 0], [0, 2, 1]], id="span-past-float64"),
+    pytest.param([[-6e153, 0, 0], [6e153, 1, 0], [0, 2, 1]], id="wide-span"),
 ])
 def test_zorder_keys_take_any_finite_extent(pts):
     # Sorting into Z-order cells neither warns nor fails on an axis without
-    # extent, one too narrow to scale, or one wider than float64 holds.
+    # extent, one too narrow to scale, or one whose square nearly overflows.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tree = KdTree(pts)
@@ -223,7 +233,7 @@ def test_permuted_cloud_permutes_answers(rng):
             assert sorted(perm[p_row[p_row >= 0]].tolist()) == row[row >= 0].tolist()
 
 
-# KNN_ENTRIES for m queries whose rows hold w neighbours plus the queried
+# BLOCK_ENTRIES for m queries whose rows hold w neighbours plus the queried
 # point: fewer entries than one row, 7 rows, and about half the queries,
 # which leaves a smaller last block.
 KNN_BLOCKS = {"one-row": lambda m, w: 1, "seven-rows": lambda m, w: 7 * (w + 1),
@@ -240,14 +250,25 @@ def test_knn_blocks_match_one_query(block, cloud, data):
     k = data.draw(st.integers(1, n + 1), label="k")
     own = np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=40), label="own"))
     tree = KdTree(cloud)
-    with mock.patch.object(kdtree, "KNN_ENTRIES", KNN_BLOCKS[block](own.size, min(k, n - 1))):
+    with mock.patch.object(kdtree, "BLOCK_ENTRIES", KNN_BLOCKS[block](own.size, min(k, n - 1))):
         _assert_same_knn(tree, own, k)
+
+
+@pytest.mark.parametrize("m, per_row, sizes", [
+    pytest.param(0, 10, [], id="no-rows"),
+    pytest.param(3, kdtree.BLOCK_ENTRIES + 1, [1, 1, 1], id="row-past-block"),
+    pytest.param(kdtree.BLOCK_ENTRIES // 4, 8, [kdtree.BLOCK_ENTRIES // 8] * 2, id="exact-multiple"),
+])
+def test_row_blocks_cover_rows_in_order(m, per_row, sizes):
+    blocks = [range(m)[rows] for rows in kdtree.row_blocks(m, per_row)]
+    assert [len(b) for b in blocks] == sizes
+    assert [i for b in blocks for i in b] == list(range(m))
 
 
 def test_knn_peak_memory_is_outputs_and_one_block():
     # All points at k = 10 on a 65k room: the (m, k) outputs, 12 bytes per
     # query for the queries' Morton keys and their Z-order, and one block of
-    # at most KNN_ENTRIES entries at 48 bytes each. One whole query peaked
+    # at most BLOCK_ENTRIES entries at 48 bytes each. One whole query peaked
     # at 23.9 MB, 13.5 MB above the outputs.
     points = make_box_room(3.5, 10000, 5000)[0]
     tree, all_idx = KdTree(points), np.arange(points.shape[0])
@@ -258,7 +279,7 @@ def test_knn_peak_memory_is_outputs_and_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= dist.nbytes + nbr.nbytes + 12 * all_idx.size + 48 * kdtree.KNN_ENTRIES
+    assert peak <= dist.nbytes + nbr.nbytes + 12 * all_idx.size + 48 * kdtree.BLOCK_ENTRIES
 
 
 def test_radius_simple():
@@ -356,3 +377,5 @@ def test_invalid_arguments():
         tree.knn([0], k=0)
     with pytest.raises(ValueError):
         tree.radius_search([(0, 0, 0)], 0.0)
+    with pytest.raises(ValueError):
+        tree.radius_search([(0, 0, 0)], float("nan"))

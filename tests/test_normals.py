@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planeops import GtParams, KdTree, OpsParams, estimate_normals, make_box_room, sample_indices
-from planeops import normals
+from planeops import kdtree
 from planeops.normals import normals_from_neighbors
 
 from helpers import ops_samples, reference_normals_from_neighbors, reference_sample_indices
@@ -61,6 +61,13 @@ class TestEstimateNormal:
         normals, _, valid = estimate_normals(pts, KdTree(pts), [0], k=4)
         assert not valid[0]
         assert np.isnan(normals[0]).all()
+
+    def test_fewer_points_than_k(self):
+        # Each of 5 points takes the other 4 as its neighbours at k = 30.
+        pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.4, 0.7, 0]], dtype=float)
+        normals, _, valid = estimate_normals(pts, KdTree(pts), np.arange(5), k=30)
+        assert valid.all()
+        np.testing.assert_array_equal(np.abs(normals), np.tile([0.0, 0.0, 1.0], (5, 1)))
 
     def test_duplicate_reference_neighbor_skipped(self):
         pts = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], dtype=float)
@@ -139,9 +146,9 @@ def test_normal_blocks_match_one_block(rows):
     points = make_box_room(3.5, 300, clutter=150, noise_sigma=0.005, seed=0)[0]
     idx = np.arange(points.shape[0], dtype=np.int64)
     nbr_dist, nbr_idx = KdTree(points).knn(idx, 30)
-    with mock.patch.object(normals, "NORMAL_ENTRIES", 2**30):
+    with mock.patch.object(kdtree, "BLOCK_ENTRIES", 2**30):
         whole = normals_from_neighbors(points, idx, nbr_dist, nbr_idx)
-    with mock.patch.object(normals, "NORMAL_ENTRIES", rows * 30):
+    with mock.patch.object(kdtree, "BLOCK_ENTRIES", rows * 30):
         blocked = normals_from_neighbors(points, idx, nbr_dist, nbr_idx)
     for got, want in zip(blocked, whole):
         np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.sparse import csgraph, csr_matrix
 
 import planeops.kdtree as kdtree
-import planeops.normals as normals
 import planeops.truth as truth
 from helpers import reference_ground_truth, reference_validate
 from planeops import GtParams, KdTree, Orientation, SegmentLabeling, gen_synthetic, generate_ground_truth, make_box_room
@@ -227,8 +226,8 @@ def test_ground_truth_matches_reference(scene):
     _assert_same_labels(generate_ground_truth(points, params), reference_ground_truth(points, params))
 
 
-# GT_ENTRIES, and the k-NN query's and the normals' block sizes, for a
-# cloud of n points whose rows hold w neighbours: fewer entries than one
+# BLOCK_ENTRIES, which sizes the k-NN query's, the normals' and the edge
+# test's blocks, for a cloud of n points whose rows hold w neighbours: fewer entries than one
 # row, 7 rows with a part row to spare, and about half the cloud, which
 # leaves a smaller last block.
 BLOCKS = {"one-row": lambda n, w: 1, "seven-rows": lambda n, w: 8 * w - 1, "ragged": lambda n, w: (n // 2 + 1) * w}
@@ -244,8 +243,7 @@ def test_row_blocks_match_reference(block, scene):
     points, params = scene
     n = points.shape[0]
     entries = BLOCKS[block](n, min(params.k, n - 1))
-    with (mock.patch.object(truth, "GT_ENTRIES", entries), mock.patch.object(normals, "NORMAL_ENTRIES", entries),
-          mock.patch.object(kdtree, "KNN_ENTRIES", entries)):
+    with mock.patch.object(kdtree, "BLOCK_ENTRIES", entries):
         labeling = generate_ground_truth(points, params)
     _assert_same_labels(labeling, reference_ground_truth(points, params))
 
