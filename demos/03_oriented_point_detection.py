@@ -3,7 +3,9 @@
 The detector orients a small fraction of the cloud (here 5%), then uses each
 oriented point as a complete plane hypothesis. The adaptive iteration budget
 collapses as soon as a dominant plane is found, which is why so few
-iterations are needed compared to classic three-point RANSAC.
+iterations are needed compared to classic three-point RANSAC. Detection reads
+only the samples; the planes then claim the cloud, largest first, as a run's
+merged planes do.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from planeops import (
     one_point_ransac,
     sample_indices,
 )
+from planeops.ops import assign_to_planes
 
 print("adaptive budget for p=0.99 as the outlier fraction grows:")
 for e in (0.0, 0.3, 0.5, 0.7, 0.9):
@@ -47,8 +50,14 @@ result = one_point_ransac(samples, params, np.random.default_rng(1), np.ones(len
 print(f"largest plane: {len(result.sample_inliers)} sample inliers "
       f"after {result.iterations} iterations, normal {np.round(result.model.normal, 3)}")
 
-planes = detect_grouped(points, samples, params, rng, up, tol)
-print("\nfull grouped detection (horizontal first, then vertical, then other):")
+planes = detect_grouped(samples, params, rng, up, tol)
+print("\ngrouped detection on the samples (horizontal first, then vertical, then other):")
 for plane, code in zip(planes, classify_orientations([p.normal for p in planes], up, tol)):
+    print(f"  {Orientation(code).name.lower():>10}: {plane.inlier_count:4d} sample inliers, "
+          f"normal {np.round(plane.normal, 3)}")
+
+claimed = assign_to_planes(points, sorted(planes, key=lambda p: -p.inlier_count), params.dist_threshold)
+print("\nthe same planes claiming the cloud, largest first:")
+for plane, code in zip(claimed, classify_orientations([p.normal for p in claimed], up, tol)):
     print(f"  {Orientation(code).name.lower():>10}: {plane.inlier_count:5d} points, "
           f"normal {np.round(plane.normal, 3)}")

@@ -35,7 +35,7 @@ class EmptyCloud(ValueError):
 
 
 class CloudTooWide(ValueError):
-    """Raised when a cloud's squared bounding-box diagonal, and so its squared distances, can overflow."""
+    """Raised when a cloud's squared distances or its scatter about its mean, and so a plane fit's, can overflow."""
 
 
 class KdTree:
@@ -43,8 +43,10 @@ class KdTree:
 
     ``points`` is the caller's array, never copied or reordered; the tree
     holds its own Z-ordered copy. Queries do not mutate, so a built index is
-    safe to share across threads. A cloud without points raises EmptyCloud,
-    and one whose squared bounding-box diagonal overflows raises CloudTooWide.
+    safe to share across threads. A cloud without points raises EmptyCloud.
+    One whose squared bounding-box diagonal overflows raises CloudTooWide, and
+    so does one whose squared offsets from its mean overflow in sum, a bound
+    on the scatter of any plane fit over its points.
     """
 
     def __init__(self, points):
@@ -72,6 +74,11 @@ class KdTree:
                 bits |= bits << shift
                 bits &= mask
             keys |= bits << axis
+        if pts.shape[0] * diagonal2 == np.inf:  # below this the sum is finite: no need to take it
+            offsets = pts - pts.min(axis=0)  # each within the diagonal, so their mean cannot overflow
+            with np.errstate(over="ignore"):
+                if np.square(offsets - offsets.mean(axis=0)).sum() == np.inf:
+                    raise CloudTooWide("cloud too wide to index: its scatter about its mean overflows float64")
         order = np.argsort(keys, kind="stable")  # int64: np.take gathers twice as fast by it as by int32
         # Sliding-midpoint splits build about 40% faster than median splits
         # on a 325k-point room (scipy 1.17, one thread) and query no slower;

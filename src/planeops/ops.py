@@ -2,11 +2,11 @@
 
 A single point with a normal already determines a plane, so one oriented
 sample per hypothesis is enough; the inlier ratio then drives an adaptive
-iteration budget. Multi-plane extraction is greedy: detect, claim inliers,
-repeat on what is left. Detection runs per orientation group (horizontal /
-vertical / other) over a shared index of the points still unclaimed, and each
-verification measures only those; the oriented samples themselves come from
-:func:`planeops.pipeline.run_detect`.
+iteration budget. Detection reads only the samples: it runs per orientation
+group (horizontal / vertical / other), and each winner retires the samples
+on its plane before the next draw. The cloud is claimed once, afterwards,
+by :func:`assign_to_planes`, which serves both detectors. The oriented
+samples themselves come from :func:`planeops.pipeline.run_detect`.
 """
 
 import math
@@ -31,6 +31,7 @@ __all__ = [
     "OpsParams",
     "RansacResult",
     "adaptive_iterations",
+    "assign_to_planes",
     "detect_grouped",
     "extract_full_inliers",
     "one_point_ransac",
@@ -54,10 +55,10 @@ class OpsParams:
 
     The default 3% sampling and 30 neighbors are the preset that the
     README's "Benchmarking on real data" reports on indoor RGB-D clouds; the
-    distance threshold and minimum plane size match the evaluation constants
-    used throughout the package. The seed, the up axis and the orientation
-    tolerance that grouping uses belong to the run, in
-    :class:`planeops.pipeline.RunConfig`.
+    distance threshold is the evaluation constant used throughout the
+    package, and ``min_inliers`` counts samples, not cloud points. The seed,
+    the up axis and the orientation tolerance that grouping uses belong to
+    the run, in :class:`planeops.pipeline.RunConfig`.
     """
 
     sampling_rate: float = 0.03
@@ -201,7 +202,7 @@ def extract_full_inliers(
     dist_threshold: float,
     live: np.ndarray,
 ) -> tuple[PlaneModel, np.ndarray]:
-    """Verify a sample-born hypothesis against the unclaimed points.
+    """Let one plane claim the unclaimed points near it; :func:`assign_to_planes`' step.
 
     ``live`` holds the ascending indices of the points still unclaimed, and
     only those are measured. Claims every live point within
@@ -223,40 +224,46 @@ def extract_full_inliers(
     return PlaneModel(centroid=model.centroid, normal=model.normal, inliers=idx), rest
 
 
-def detect_grouped(
-    points: np.ndarray,
-    samples: SampleSet,
-    params: OpsParams,
-    rng: np.random.Generator,
-    up,
-    tol_degrees: float,
-) -> list[PlaneModel]:
+def assign_to_planes(points: np.ndarray, planes: list[PlaneModel], dist_threshold: float) -> list[PlaneModel]:
+    """Let each plane, in list order, claim the unclaimed points within the threshold.
+
+    Each plane takes the points not yet claimed at a distance below
+    ``dist_threshold`` and is refit on them (:func:`extract_full_inliers`);
+    one that claims fewer than 3 points is dropped and leaves them unclaimed.
+    """
+    live = np.arange(points.shape[0], dtype=np.int64)  # unclaimed points, ascending
+    out = []
+    for plane in planes:
+        full, rest = extract_full_inliers(points, plane, dist_threshold, live)
+        if full.inlier_count >= 3:
+            live = rest
+            out.append(full)
+    return out
+
+
+def detect_grouped(samples: SampleSet, params: OpsParams, rng: np.random.Generator, up,
+                   tol_degrees: float) -> list[PlaneModel]:
     """Extract every plane the oriented samples support, in detection order.
 
     The samples are partitioned into horizontal / vertical / other by their
     estimated normals (:func:`planeops.geometry.classify_orientations` with
-    ``up`` and ``tol_degrees``) and detection runs per group, in that fixed
-    order. The groups share one sample pool and one index of unclaimed
-    points, so the planes have pairwise-disjoint inlier sets of at least
-    ``min_inliers`` points each.
+    ``up`` and ``tol_degrees``), and detection runs per group in that fixed
+    order over one sample pool, reading no cloud point. Each RANSAC winner
+    retires its sample inliers and every sample within ``dist_threshold`` of
+    its model, and the model is returned: its inliers are the cloud indices
+    of its more than ``min_inliers`` samples, disjoint from the others'.
     """
     codes = classify_orientations(samples.normals, up, tol_degrees)
-    groups = [codes == int(orient) for orient in GROUP_ORDER]
     alive = np.ones(len(samples), dtype=bool)
-    live = np.arange(points.shape[0], dtype=np.int64)  # unclaimed points, ascending
     planes = []
-    for member in groups:
+    for member in [codes == int(orient) for orient in GROUP_ORDER]:
         while int((alive & member).sum()) > params.min_inliers:
             try:
                 result = one_point_ransac(samples, params, rng, alive & member)
             except NoPlaneFound:
                 break
-            full, rest = extract_full_inliers(points, result.model, params.dist_threshold, live)
-            # Retire spent samples from the shared pool: the winning sample
-            # set, plus any sample (in any group) sitting on the claimed plane.
+            plane = result.model
             alive[result.sample_inliers] = False
-            alive &= ~(plane_distances(samples.positions, full.centroid, full.normal) < params.dist_threshold)
-            if full.inlier_count >= params.min_inliers:
-                live = rest
-                planes.append(full)
+            alive &= ~(plane_distances(samples.positions, plane.centroid, plane.normal) < params.dist_threshold)
+            planes.append(plane)
     return planes

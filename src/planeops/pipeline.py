@@ -1,7 +1,8 @@
 """End-to-end detection runs: detect, merge, label, time, report.
 
-Both detectors label points by one rule: each plane claims the unclaimed
-points near it, and a point carries the id of the plane that claimed it.
+Both detectors label points by one claim rule, :func:`assign_to_planes`:
+after merging, each plane, largest first, claims the unclaimed points near
+it, and a point carries the id of the plane that claimed it.
 A run is fully determined by (config, seed, input); reports are identical
 across repeats except for the timing fields. The JSON report schema produced
 by :meth:`DetectionReport.to_dict` is the stability contract; the text
@@ -26,7 +27,7 @@ from .kdtree import KdTree
 from .merge import MergeParams, merge_all
 from .metrics import classification_accuracy, segmentation_accuracy
 from .normals import SampleSet, estimate_normals, sample_indices
-from .ops import OpsParams, detect_grouped, extract_full_inliers
+from .ops import OpsParams, assign_to_planes, detect_grouped
 from .truth import GtParams, SegmentLabeling, generate_ground_truth
 
 __all__ = [
@@ -143,25 +144,6 @@ class DetectionReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def assign_to_planes(points: np.ndarray, planes: list[PlaneModel], dist_threshold: float) -> list[PlaneModel]:
-    """Let each plane, in list order, claim the unclaimed points within the threshold.
-
-    For planes whose recorded inliers are sparse draws: each takes the points
-    not yet claimed at a distance below ``dist_threshold`` and is refit on
-    them (:func:`~planeops.ops.extract_full_inliers`). A plane that claims
-    fewer than 3 points, the fewest that fit a plane, is dropped and leaves
-    them unclaimed.
-    """
-    live = np.arange(points.shape[0], dtype=np.int64)  # unclaimed points, ascending
-    out = []
-    for plane in planes:
-        full, rest = extract_full_inliers(points, plane, dist_threshold, live)
-        if full.inlier_count >= 3:
-            live = rest
-            out.append(full)
-    return out
-
-
 def labeling_from_inliers(n: int, planes: list[PlaneModel]) -> np.ndarray:
     """The plane id of each of n points by the planes' disjoint inlier sets; -1 if unclaimed."""
     ids = np.full(n, -1, dtype=np.int32)
@@ -184,11 +166,12 @@ def run_detect(points, config: RunConfig) -> DetectionReport:
     """Detect planes in a cloud with the configured detector, then merge,
     label each point, and assemble the report.
 
-    Points are labeled by the planes' disjoint inlier sets, so a plane's
-    ``inlier_count`` counts the points labeled with its id. Both detectors
-    settle a contested point the same way: the first plane to claim it keeps
-    it. The merged planes of a local-sampling run first claim theirs by
-    :func:`assign_to_planes`, largest first, and keep at least 3 each.
+    Both detectors go through one claim: the merged planes, largest first,
+    claim the unclaimed points within the detector's ``dist_threshold`` by
+    :func:`assign_to_planes` and keep at least 3 each, so a plane's
+    ``inlier_count`` counts the points labeled with its id. OPS detection
+    reads only its samples: the claim is timed under ``labeling``, and an
+    OPS ``pre_merge_count`` counts RANSAC winners.
 
     ``timings_ms`` holds every stage of ``STAGES`` for both detectors, 0 for
     a stage the detector skips; ``other``, the untimed rest of the call
@@ -213,7 +196,7 @@ def run_detect(points, config: RunConfig) -> DetectionReport:
             samples = SampleSet(indices=kept, positions=points[kept], normals=normals[valid],
                                 cloud_size=points.shape[0])
         with _stage(timings, "detection"):
-            raw_planes = detect_grouped(points, samples, p, rng, config.up, config.orientation_tol_degrees)
+            raw_planes = detect_grouped(samples, p, rng, config.up, config.orientation_tol_degrees)
     else:
         with _stage(timings, "detection"):
             raw_planes = fspf_detect(points, kd, config.fspf, rng)
@@ -223,8 +206,7 @@ def run_detect(points, config: RunConfig) -> DetectionReport:
         merged = merge_all(raw_planes, points, config.merge)
 
     with _stage(timings, "labeling"):
-        if config.detector == "fspf":
-            merged = assign_to_planes(points, merged, config.fspf.dist_threshold)
+        merged = assign_to_planes(points, merged, getattr(config, config.detector).dist_threshold)
         ids = labeling_from_inliers(points.shape[0], merged)
         classes = classify_orientations([plane.normal for plane in merged], config.up,
                                         config.orientation_tol_degrees)

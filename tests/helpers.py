@@ -559,13 +559,13 @@ def reference_claim_planes(points, planes, dist_threshold):
     return claimed
 
 
-def reference_detect_grouped(points, samples, params, rng, up, tol_degrees):
-    """Greedy multi-plane detection over a full-cloud claimed-points mask,
-    with the reference RANSAC and verification."""
+def reference_detect_grouped(samples, params, rng, up, tol_degrees):
+    """Greedy multi-plane detection on the samples alone, with the reference
+    RANSAC: each winner retires its sample inliers and every sample within
+    the threshold of its model."""
     codes = classify_orientations(samples.normals, up, tol_degrees)
     groups = [codes == int(orient) for orient in GROUP_ORDER]
     alive = np.ones(len(samples), dtype=bool)
-    active_mask = np.ones(points.shape[0], dtype=bool)
     planes = []
     for member in groups:
         while int((alive & member).sum()) > params.min_inliers:
@@ -573,10 +573,8 @@ def reference_detect_grouped(points, samples, params, rng, up, tol_degrees):
                 result = reference_one_point_ransac(samples, params, rng, alive & member)
             except NoPlaneFound:
                 break
-            full = reference_extract_full_inliers(points, result.model, params.dist_threshold, active_mask)
             alive[result.sample_inliers] = False
-            alive &= ~(plane_distances(samples.positions, full.centroid, full.normal) < params.dist_threshold)
-            if full.inlier_count >= params.min_inliers:
-                active_mask[full.inliers] = False
-                planes.append(full)
+            alive &= ~(plane_distances(samples.positions, result.model.centroid, result.model.normal)
+                       < params.dist_threshold)
+            planes.append(result.model)
     return planes

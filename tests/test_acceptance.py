@@ -196,23 +196,42 @@ def test_06_synthetic_room_fspf():
         )
 
 
+def _ordering_scores(run_seed_offset: int):
+    """OPS and FSPF seg on each of test 07's 20 scenes, with run seed i + offset for scene i."""
+    ops_scores = []
+    fspf_scores = []
+    for i in range(20):
+        rng = np.random.default_rng(700 + i)
+        scene = random_scene(int(rng.integers(3, 9)), rng)
+        points, truth = gen_synthetic(scene, noise_sigma=0.004, seed=700 + i)
+        seed = i + run_seed_offset
+        ops_report = run_detect(points, RunConfig(detector="ops", ops=OPS_PRESET, merge=MERGE_PRESET, seed=seed))
+        fspf_report = run_detect(points, RunConfig(detector="fspf", fspf=fspf_preset(points.shape[0]),
+                                                   merge=MERGE_PRESET, seed=seed))
+        ops_scores.append(segmentation_accuracy(ops_report.labeling, truth))
+        fspf_scores.append(segmentation_accuracy(fspf_report.labeling, truth))
+    return np.array(ops_scores), np.array(fspf_scores)
+
+
 def test_07_method_ordering_at_desk_scale():
     with criterion("07 ops-vs-fspf ordering over 20 scenes"):
-        ops_scores = []
-        fspf_scores = []
-        for i in range(20):
-            rng = np.random.default_rng(700 + i)
-            scene = random_scene(int(rng.integers(3, 9)), rng)
-            points, truth = gen_synthetic(scene, noise_sigma=0.004, seed=700 + i)
-            ops_report = run_detect(points, RunConfig(detector="ops", ops=OPS_PRESET,
-                                                      merge=MERGE_PRESET, seed=i))
-            fspf_report = run_detect(points, RunConfig(detector="fspf", fspf=fspf_preset(points.shape[0]),
-                                                       merge=MERGE_PRESET, seed=i))
-            ops_scores.append(segmentation_accuracy(ops_report.labeling, truth))
-            fspf_scores.append(segmentation_accuracy(fspf_report.labeling, truth))
+        ops_scores, fspf_scores = _ordering_scores(0)
         mean_ops = float(np.mean(ops_scores))
         mean_fspf = float(np.mean(fspf_scores))
         assert mean_ops >= mean_fspf, f"ops {mean_ops:.3f} < fspf {mean_fspf:.3f}"
+
+
+def test_16_method_ordering_over_run_seeds():
+    with criterion("16 ops-vs-fspf ordering over 20 scenes x 4 run-seed offsets (mean, >= 40 of 80 wins)"):
+        # The paper's ordering must not hinge on one set of run seeds.
+        offsets = (0, 1000, 2000, 3000)
+        ops_scores, fspf_scores = map(np.concatenate, zip(*(_ordering_scores(offset) for offset in offsets)))
+        wins = int(np.count_nonzero(ops_scores > fspf_scores))
+        per_offset = [f"+{offset}: ops {o.mean():.4f} fspf {f.mean():.4f}"
+                      for offset, o, f in zip(offsets, np.split(ops_scores, 4), np.split(fspf_scores, 4))]
+        detail = f"ops wins {wins} of 80; " + "; ".join(per_offset)
+        assert float(ops_scores.mean()) >= float(fspf_scores.mean()), detail
+        assert wins >= 40, detail
 
 
 def test_08_determinism(tmp_path):

@@ -593,11 +593,29 @@ def test_too_wide_cloud_exit_code(tmp_path, capsys, command, scale):
     assert not out.exists()
 
 
-def test_gt_wide_cloud_within_float64(tmp_path):
-    """The same room scaled by 1e153 stays within float64's squared distances."""
-    cloud = tmp_path / "wide.xyz"
+def test_gt_cloud_whose_scatter_overflows_exit_code(tmp_path, capsys):
+    """The same room scaled by 1e153 keeps its squared diagonal within
+    float64, but the sum of its squared offsets from its mean, and so a
+    plane fit's scatter, overflows: one error line, no output."""
+    cloud, out = tmp_path / "wide.xyz", tmp_path / "wide.labels.txt"
     np.savetxt(cloud, planeops.make_box_room(3.5, 300, 150)[0] * 1e153, fmt="%.17g")
-    assert main(["gt", "--input", str(cloud), "--out", str(tmp_path / "wide.labels.txt")]) == EXIT_OK
+    assert main(["gt", "--input", str(cloud), "--out", str(out), "--gt-dist", repr(0.05e153)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "overflows" in err
+    assert not out.exists()
+
+
+def test_gt_wide_cloud_within_float64(tmp_path):
+    """Scaled by 1e152, with the distance threshold scaled alike, the room
+    gets the labels of the unscaled room."""
+    points = planeops.make_box_room(3.5, 300, 150)[0]
+    labels = []
+    for scale in (1.0, 1e152):
+        cloud, out = tmp_path / f"room{scale:g}.xyz", tmp_path / f"room{scale:g}.labels.txt"
+        np.savetxt(cloud, points * scale, fmt="%.17g")
+        assert main(["gt", "--input", str(cloud), "--out", str(out), "--gt-dist", repr(0.05 * scale)]) == EXIT_OK
+        labels.append(out.read_text())
+    assert labels[0] == labels[1]
 
 
 def test_bench_command(room_files, tmp_path):

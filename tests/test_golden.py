@@ -6,8 +6,9 @@ sidecar, the ``eval`` JSON (that sidecar scored against the synthetic
 truth), and for each detector the ``detect`` report without ``timings_ms``
 (``ops``, ``fspf``), the labeled PLY (``ops_ply``, ``fspf_ply``) and the
 sidecar (``ops_labels``, ``fspf_labels``).
-Three rooms have 6,600 points; one has 65,000, enough that the oriented-point
-detector's set of unclaimed points shrinks to a small share of the cloud.
+Three rooms have 6,600 points; one has 65,000, enough that the set of
+unclaimed points that ``assign_to_planes`` measures shrinks to a small share
+of the cloud as the planes claim theirs.
 One more has 22,750 points and runs ``fspf`` with the ``room_fspf_23k``
 benchmark flags, so merging makes about 280 merges: it pins the greedy merge
 order.
@@ -30,9 +31,9 @@ GOLDEN = {
     1: {
         "gt": "baa10ae59651e5137c1f2b48e79c9740c290310154d44bddceb94fd67ba98bbf",
         "eval": "ae542217755cd36850825a1f64efbd6e03b3e9c6b62a60b4264020c71ad86373",
-        "ops": "ba6a7f3a705a067aedaca6ab07577a8efe6c32f97cceb71e89e1bac67ab205b9",
-        "ops_ply": "7c06a4c9a5e85a4965acae6b7e6df794d1a6e5fba67634a3c441fe129d781303",
-        "ops_labels": "fb63cea6b94595e71f5575392b725ae62d017a2c711e092a2e85b5d13f22d0e5",
+        "ops": "1bfd4bd47c75d2cb0d145ef1330fe7a5cf26c8a1c720de96c43b53a478ae66e2",
+        "ops_ply": "00f79deb7ea58e9be3f1c5687c9a801ae03b2aa82eec977648075425d0c7c50e",
+        "ops_labels": "6c0026bba08c52ca6f29d572438381c228669c2b27f42aca9b013a26db318670",
         "fspf": "8ac4b82b5a6e8a41665a4b9e71ab0a8e781acf1a314b5c5d3f56b0d6594a8e4e",
         "fspf_ply": "9430e127be2bc2669d40ef6d072ee82250c6c73b9c9acbcc0e9fc0bbda206779",
         "fspf_labels": "f3cb7717261f0983334fc1b64508236600447ffc31f03f8cf0aba71085cbb3e1",
@@ -40,9 +41,9 @@ GOLDEN = {
     2: {
         "gt": "ea0b54d9a6953fdfe54b7287b572f3108c54a8ea824e49c7dd3db50bcc7e7811",
         "eval": "7888309e387a8f813b92b5c4b91495615272a3bda1e1e48a16cd0f74cb99200c",
-        "ops": "15355d26a29379003e0a87b8b70545ada36d40c80948b5d34d4efb23cd9009fc",
-        "ops_ply": "6d11201abea8f3c59fc19039761cf8833cdffbcfbd6acce740a5a276c079cf33",
-        "ops_labels": "0740c916bc8e1127d61ffdf305746c63ab201830e85187c75d8ce5feda567b72",
+        "ops": "4c723fee9b401c2b3fa8513b0f728f7a4e711264c0ac76992f7ccf673a6ce6e2",
+        "ops_ply": "bbdbaf75dc155ba950210716dd961a6f50bb6f16998620568720b739ecbbabb6",
+        "ops_labels": "9f5f358b94a42c2d5db6a152ab3af2edbd069d54278f77f1d6c88ae70d9658d3",
         "fspf": "9bf3443967143176b4c949a8cfdc542d9db465194c6072362c5d8d4406da5315",
         "fspf_ply": "4e6705d8eca0ac1ffeecce0e4ae9cf7432a08b4ee82667d2145019cbc0cc6281",
         "fspf_labels": "2d1452ace32faa7fe9625abed5c93311d94514194270afb0625f8e35346eed65",
@@ -50,9 +51,9 @@ GOLDEN = {
     3: {
         "gt": "0f97631f63c4c40dc0bf725b26bdad491da5d73a393908b7b38eb74c3284c1df",
         "eval": "d319b607636884a740e4aa6a3a338e84edd4ab5042b29b955618525d5c551693",
-        "ops": "c8599cf1b70193291c815fd6cc0fd0188efef342b1f5e954e052005d12d79b02",
-        "ops_ply": "537a40304c699b5cbd1497c418b5b3bdbd8e64fbc81050c6e0aaaeb7b4bf9130",
-        "ops_labels": "0dc049f4c8754f8fccb77d8d6ea18a532f2e943e3e3da444226ff2d627e1722c",
+        "ops": "c5d44289bc359e79e71c3659933c19ee35687d9efca170a31e0311e1cb399fef",
+        "ops_ply": "80bc659722edb05d6120b8f356fbabcc96cdddf717a146f108f6fd8d4d47ceac",
+        "ops_labels": "58e7b9415f5d436eda8bffb9ac956790ab3315774c40e7c3646cf16ffac2fb4a",
         "fspf": "bd244002dce749b6312032d375e363aca2aa7e41731fcc5ba3d2ae4d5a66ac47",
         "fspf_ply": "724105765f6e06d99131fd625f6b14e5a0cd1a20520a44d3cbf528ba2cf48556",
         "fspf_labels": "4921bd25050633360859ec97a608f18d212286e307728a006e3f7d7d0bf1d5e0",
@@ -62,9 +63,9 @@ GOLDEN = {
 
 GOLDEN_OPS_65K_SEED = 4
 GOLDEN_OPS_65K = {
-    "ops": "f77162b22c2f2f4bf02578602770aa0bf4a3975759ca9dc8e5303c717321a2ba",
-    "ops_ply": "b5b23ff33057c8a691f8e5d216a80257a1912f6d1509e8c7707d5ba7fbb73ac6",
-    "ops_labels": "d8bc6e21c79142f74fde0ef2bf156a68570c0c937a6e192b941462e9369b0bdf",
+    "ops": "54f83c310c4e06ebd1f1ba9b6db4d591785514b29640104ac34a08e9aed09459",
+    "ops_ply": "2167a2edddc86056971159e317523a7ad0cf958ea30616d9dbe0950d953f402f",
+    "ops_labels": "31003e1cc638cfd30c01a0f456d32a9562dbca5cc2b9e8f8a52259ad8d83f5ac",
 }
 
 GOLDEN_FSPF_23K_SEED = 1

@@ -39,7 +39,12 @@ TOL = 7.0
 def _detect(points, params, seed):
     """Sample and detect on one generator seeded with ``seed``, as a run does."""
     rng = np.random.default_rng(seed)
-    return detect_grouped(points, ops_samples(points, params, rng), params, rng, UP, TOL)
+    return detect_grouped(ops_samples(points, params, rng), params, rng, UP, TOL)
+
+
+def _claimed(points, params, seed):
+    """The detected planes after they claim the cloud in detection order."""
+    return ops.assign_to_planes(points, _detect(points, params, seed), params.dist_threshold)
 
 
 def _orientations(planes):
@@ -183,7 +188,7 @@ class TestDetectAllPlanes:
         # within dist_threshold of the adjacent face's plane) under 5%.
         points, truth = make_box_room(size=5.0, clutter=0, seed=11)
         params = OpsParams(sampling_rate=0.05, k=10, min_inliers=20)
-        planes = _detect(points, params, 4)
+        planes = _claimed(points, params, 4)
         assert len(planes) == 6
         for plane in planes:
             true_ids = truth.plane_ids[plane.inliers]
@@ -198,7 +203,7 @@ class TestDetectAllPlanes:
 
     def test_uniform_noise_yields_little(self, rng):
         points = rng.uniform(0, 1, size=(2000, 3))
-        planes = _detect(points, OpsParams(sampling_rate=0.2, k=10, min_inliers=20), 9)
+        planes = _claimed(points, OpsParams(sampling_rate=0.2, k=10, min_inliers=20), 9)
         for plane in planes:
             assert plane.inlier_count <= 0.3 * 2000
 
@@ -211,7 +216,7 @@ class TestDetectAllPlanes:
             assert plane.inlier_count >= params.min_inliers
             assert not seen[plane.inliers].any()
             seen[plane.inliers] = True
-            # inliers are claimed within dist_threshold of the pre-refit
+            # sample inliers lie within dist_threshold of the pre-refit
             # hypothesis; refitting can tilt the plane, moving far-edge
             # points by a few extra centimeters at room scale
             d = np.abs((points[plane.inliers] - plane.centroid) @ plane.normal)
@@ -258,11 +263,11 @@ class TestDetectGrouped:
         assert ops.classify_orientations is classify_orientations
         rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
         with mock.patch.object(ops, "classify_orientations", all_other):
-            patched = detect_grouped(points, samples, params, rng, UP, TOL)
+            patched = detect_grouped(samples, params, rng, UP, TOL)
         assert len(calls) == 1 and calls[0][0] is samples.normals and calls[0][1:] == (UP, TOL)
         with mock.patch.object(helpers, "classify_orientations", all_other):
-            expected = reference_detect_grouped(points, samples, params, ref_rng, UP, TOL)
-        grouped = detect_grouped(points, samples, params, np.random.default_rng(1), UP, TOL)
+            expected = reference_detect_grouped(samples, params, ref_rng, UP, TOL)
+        grouped = detect_grouped(samples, params, np.random.default_rng(1), UP, TOL)
         assert len(patched) >= 4
         assert [p.inliers.tolist() for p in patched] == [p.inliers.tolist() for p in expected]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -475,11 +480,12 @@ def test_detect_grouped_matches_masked_reference(seed):
     params = OpsParams(sampling_rate=0.05, k=10, min_inliers=5)
     samples = ops_samples(points, params, np.random.default_rng(seed))
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    planes = detect_grouped(points, samples, params, rng, UP, TOL)
-    expected = reference_detect_grouped(points, samples, params, ref_rng, UP, TOL)
+    planes = detect_grouped(samples, params, rng, UP, TOL)
+    expected = reference_detect_grouped(samples, params, ref_rng, UP, TOL)
     assert len(planes) == len(expected) > 6  # the clutter yields spurious planes too
+    drawn = np.concatenate([plane.inliers for plane in planes])
+    assert np.unique(drawn).size == drawn.size and np.isin(drawn, samples.indices).all()  # disjoint sets of samples
     for got, ref in zip(planes, expected):
-        assert (np.diff(got.inliers) > 0).all()
         np.testing.assert_array_equal(got.inliers, ref.inliers)
         assert got.centroid.tobytes() == ref.centroid.tobytes()
         assert got.normal.tobytes() == ref.normal.tobytes()

@@ -63,10 +63,12 @@ def _errors(recorded):
     (["--detector", "fspf", "--merge-angle", "10", "--merge-offset", "0.075"], "pipeline.fspf_detect"),
 ], ids=["ops", "fspf"])
 def test_traced_detect(spans, room, tmp_path, flags, detector_span):
+    # Both detectors' planes claim the cloud through the one claim path.
     codes, recorded = _traced(spans, ["detect", "--input", str(room), "--out", str(tmp_path), *flags])
     assert codes == [EXIT_OK]
     names = {span["name"] for span in recorded}
-    assert {"cli.run_detect", "cli.save_labeled", "pipeline.merge_all", detector_span} <= names
+    assert {"cli.run_detect", "cli.save_labeled", "pipeline.merge_all", "pipeline.assign_to_planes",
+            "ops.extract_full_inliers", detector_span} <= names
     assert _errors(recorded) == []
     assert spans.check_spans(recorded) == []
 

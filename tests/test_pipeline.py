@@ -20,6 +20,7 @@ from planeops import (
     RunConfig,
     SegmentLabeling,
     classification_accuracy,
+    detect_grouped,
     gen_synthetic,
     make_box_room,
     save_labeled,
@@ -112,19 +113,28 @@ class TestRunDetect:
 
     def test_up_axis_drives_grouping_and_labels(self):
         # a 3000-point wall (y = 0) meeting a 1000-point floor (z = 0): the
-        # group detected first, horizontal under the run's up axis, claims
-        # the strip where the two planes meet
+        # group detected first is horizontal under the run's up axis, and the
+        # larger plane claims first under either, so the wall keeps the strip
+        # of its points that lies in the floor's band
         scene = {"rects": [{"corner": [0, 0, 0], "edge_u": [2, 0, 0], "edge_v": [0, 0, 2], "count": 3000},
                            {"corner": [0, 0.2, 0], "edge_u": [2, 0, 0], "edge_v": [0, 1, 0], "count": 1000}]}
         points, _ = gen_synthetic(scene, noise_sigma=0.003, seed=4)
         ops = OpsParams(sampling_rate=0.05, k=10)
         for up, first in (((0.0, 0.0, 1.0), 2), ((0.0, 1.0, 0.0), 1)):
-            report = run_detect(points, RunConfig(ops=ops, up=up))
+            detected = []
+
+            def spy(*args):
+                detected.append(detect_grouped(*args))
+                return detected[-1]
+
+            with mock.patch.object(pipeline, "detect_grouped", spy):
+                report = run_detect(points, RunConfig(ops=ops, up=up))
+            assert int(np.argmax(np.abs(detected[0][0].normal))) == first
             by_axis = {int(np.argmax(np.abs(p.normal))): p for p in report.planes}
             assert sorted(by_axis) == [1, 2]
             assert by_axis[first].orientation == "horizontal"
             assert by_axis[3 - first].orientation == "vertical"
-            assert by_axis[first].inlier_count >= {1: 3000, 2: 1001}[first]
+            assert (by_axis[1].inlier_count, by_axis[2].inlier_count) == (3000, 1000)
 
     @pytest.mark.parametrize("detector", ["ops", "fspf"])
     def test_labels_and_summaries_share_one_class_table(self, detector):
