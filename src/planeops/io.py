@@ -84,6 +84,12 @@ def load_cloud(path) -> np.ndarray:
     return _drop_nonfinite(points, path)
 
 
+# The bytes np.loadtxt may read vertex rows from: digits, signs, the decimal
+# point, exponents, and the separators that numpy and bytes.split treat
+# alike. Comments, words such as "nan", and any other byte go line by line.
+_FLOAT_BYTES = b"0123456789+-.eE \t\r\n"
+
+
 def _text_vertices(data: bytes, path, first_line: int = 1, cols=(0, 1, 2), width: int = 3,
                    count: int | None = None) -> np.ndarray:
     """The (N, 3) float64 rows of whitespace-separated numbers in ``data``.
@@ -93,7 +99,31 @@ def _text_vertices(data: bytes, path, first_line: int = 1, cols=(0, 1, 2), width
     ``cols``. With a ``count``, reading stops after that many rows, and a
     body holding fewer is an error. Errors name a line, counted from
     ``first_line``.
+
+    np.loadtxt reads the rows when every byte is in ``_FLOAT_BYTES``; it
+    also reads column ``width - 1``, so a short row fails there as it does
+    here. Anything it rejects goes through :func:`_vertex_lines`, which
+    finds and names the first bad line.
     """
+    use = cols if width - 1 in cols else (*cols, width - 1)
+    if not data.translate(None, _FLOAT_BYTES):
+        # numpy allocates max_rows rows up front, so bound a header's count by the lines there are
+        max_rows = None if count is None else min(count, data.count(b"\n") + data.count(b"\r") + 1)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data, or blank lines before max_rows
+                table = np.loadtxt(StringIO(data.decode("ascii"), newline=None), comments=None,
+                                   usecols=use, ndmin=2, max_rows=max_rows).reshape(-1, len(use))
+        except ValueError:
+            pass
+        else:
+            if count is None or table.shape[0] == count:
+                return np.ascontiguousarray(table[:, :3])
+    return _vertex_lines(data, path, first_line, cols, width, count)
+
+
+def _vertex_lines(data: bytes, path, first_line: int, cols, width: int, count: int | None) -> np.ndarray:
+    """:func:`_text_vertices` line by line; raises ParseError at the first bad line."""
     lines = data.splitlines()
     pts = np.empty((len(lines) if count is None else min(count, len(lines)), 3), dtype=np.float64)  # a row takes a line
     x, y, z = cols
@@ -226,19 +256,6 @@ def _packed_rgb(colors) -> np.ndarray:
     return np.array([r | g << 8 | b << 16 for r, g, b in colors], dtype="<u4")
 
 
-def _id_rows(labeling: SegmentLabeling) -> tuple[np.ndarray, np.ndarray]:
-    """A table of plane ids and each point's row in it: point i has id ``ids[rows[i]]``.
-
-    Ids in [-1, N), as in every labeling planeops makes, take row id + 1
-    directly (rows of absent ids go unused); any other id set is compacted
-    once with np.unique.
-    """
-    ids = labeling.plane_ids
-    if ids.min(initial=-1) >= -1 and ids.max(initial=-1) < ids.size:
-        return np.arange(-1, ids.max(initial=-1) + 1), ids + 1
-    return np.unique(ids, return_inverse=True)
-
-
 def save_labeled(
     points: np.ndarray,
     labeling: SegmentLabeling,
@@ -261,7 +278,7 @@ def save_labeled(
     if mode == "orientation":
         palette, rows = _packed_rgb(ORIENTATION_COLORS[orient] for orient in Orientation), labeling.orientations
     else:
-        ids, rows = _id_rows(labeling)
+        ids, rows = labeling.id_rows()
         used = np.flatnonzero(np.bincount(rows))
         palette = np.zeros(ids.size, dtype="<u4")
         palette[used] = _packed_rgb(segment_color(pid) for pid in ids[used].tolist())
@@ -286,7 +303,7 @@ def save_labeling(labeling: SegmentLabeling, path) -> None:
     the text.
     """
     labeling.check_orientations()
-    ids, rows = _id_rows(labeling)
+    ids, rows = labeling.id_rows()
     n_codes = len(Orientation)
     keys = np.multiply(rows, n_codes, dtype=np.intp)
     keys += labeling.orientations
@@ -299,14 +316,13 @@ def save_labeling(labeling: SegmentLabeling, path) -> None:
     Path(path).write_bytes(body[body != 0])
 
 
-# The bytes np.loadtxt may read a sidecar from: digits, signs, the class
-# letters, and the separators that numpy, str.split and str.splitlines all
-# treat alike. numpy splits on more bytes than Python does, and not the same
-# way (b"1\x1cH" is two fields to numpy but two lines to Python), and some
-# numpy versions read an integer from a float string, so a file with any
-# other byte goes line by line.
+# The bytes a sidecar's array reader takes: digits, signs, the class letters,
+# spaces, tabs and line ends. A file with any other byte goes line by line.
 _TABLE_BYTES = b"0123456789+-HVO \t\r\n"
-_CLASS_CHARS = np.array([o.char for o in Orientation], dtype="S1")
+_CR_TO_LF = bytes.maketrans(b"\r", b"\n")
+# Each byte's class code: 0, 1 and 2 for H, V and O, 3 for any other byte.
+_CLASS_CODES = np.full(256, len(Orientation), dtype=np.int8)
+_CLASS_CODES[[ord(o.char) for o in Orientation]] = list(Orientation)
 _MAX_ID = np.iinfo(np.int32).max
 
 
@@ -333,25 +349,51 @@ def load_labeling(path) -> SegmentLabeling:
 
 
 def _parse_table(data: bytes):
-    """Ids and class codes read by np.loadtxt, or None.
+    """Ids (int64) and class codes (int8), read by array passes over the bytes, or None.
 
-    None leaves the file to :func:`_parse_lines`: a byte outside
-    ``_TABLE_BYTES``, a line numpy cannot read, a class other than H, V or
-    O, or an id outside [-1, 2**31 - 1].
+    Each nonblank line must hold two tokens: an id, ``[+-]?[0-9]+`` in
+    [-1, 2**31 - 1], then a class, H, V or O. Spaces and tabs separate and
+    surround them, and LF, CR and CRLF end lines. None leaves any other file
+    to :func:`_parse_lines`, which names its first bad line.
     """
     if data.translate(None, _TABLE_BYTES):
         return None
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(StringIO(data.decode("ascii"), newline=None),
-                               dtype=[("id", "i8"), ("c", "S2")], comments=None, ndmin=1)
-    except ValueError:
+    # Without spaces and tabs, each nonblank line is an id followed by its class, the line's last byte.
+    # Trailing line ends go, so a file whose last line ends holds no blank line to drop.
+    line = np.frombuffer(b"\n" + data.translate(_CR_TO_LF, b" \t").rstrip(b"\n") + b"\n", dtype=np.uint8)
+    breaks = np.flatnonzero(line == 10)
+    last = breaks[1:] - 1  # each line's last byte, its class
+    size = last - breaks[:-1]  # each line's bytes
+    if size.min(initial=1) < 1:
+        nonblank = size > 0
+        last, size = last[nonblank], size[nonblank]
+    codes = _CLASS_CODES[line[last]]
+    # In the file the class letter must be a token of its own, so the id is
+    # one token exactly when the file holds two tokens per line.
+    raw = np.frombuffer(b" " + data, dtype=np.uint8)
+    token = raw > 32
+    if ((codes == len(Orientation)).any() or ((raw[1:] > 57) & token[:-1]).any()  # a letter after a digit or sign
+            or np.count_nonzero(token[1:] > token[:-1]) != 2 * codes.size):
         return None
-    ids, match = table["id"], table["c"][:, None] == _CLASS_CHARS
-    if not match.any(axis=1).all() or (ids < -1).any() or (ids > _MAX_ID).any():
+    lead = line[last - size + 1]  # each id's first byte
+    digits = size - 1
+    digits -= lead < 48  # a sign is the one byte below "0" an id holds
+    if digits.min(initial=1) < 1:
         return None
-    return ids, match.argmax(axis=1).astype(np.int8)
+    ids = np.zeros(codes.size, dtype=np.int64)
+    for place in range(digits.max(initial=0)):  # from the last digit back
+        rows = np.flatnonzero(digits > place) if place else slice(None)
+        digit = line[last[rows] - (place + 1)] - 48  # above 9 for a sign or a letter
+        if (digit > 9).any():
+            return None
+        if place < 10:
+            ids[rows] += digit * np.int64(10**place)
+        elif digit.any():  # 10**10 or more
+            return None
+    np.negative(ids, out=ids, where=lead == ord("-"))
+    if ids.min(initial=0) < -1 or ids.max(initial=0) > _MAX_ID:
+        return None
+    return ids, codes
 
 
 def _parse_lines(data: bytes, path):

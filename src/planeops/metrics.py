@@ -65,22 +65,35 @@ def hungarian_match(overlap: np.ndarray):
     return rows.astype(np.int64), cols.astype(np.int64), int(m[rows, cols].sum())
 
 
+def _segment_index(labeling: SegmentLabeling):
+    """The labeling's segment ids, ascending, and each point's index among
+    them; a point off every segment takes the index one past the last."""
+    ids, rows, segment = labeling.segment_rows()
+    index = np.where(segment, np.cumsum(segment) - 1, np.count_nonzero(segment))  # of each id row
+    return ids[segment], index[rows]
+
+
+def _overlaps(predicted: SegmentLabeling, truth: SegmentLabeling):
+    """:func:`overlap_matrix` with one more row and column, which count the
+    points off every predicted and every reference segment."""
+    _check_sizes(predicted, truth)
+    pred_ids, keys = _segment_index(predicted)
+    truth_ids, truth_index = _segment_index(truth)
+    width = truth_ids.size + 1
+    keys *= width
+    keys += truth_index  # each point's (predicted, reference) cell
+    counts = np.bincount(keys, minlength=(pred_ids.size + 1) * width).reshape(-1, width)
+    return counts, pred_ids, truth_ids
+
+
 def overlap_matrix(predicted: SegmentLabeling, truth: SegmentLabeling):
     """Point-count overlaps between predicted and reference segments.
 
     Returns (matrix, predicted_ids, truth_ids); unsegmented points are not
     part of the matrix.
     """
-    _check_sizes(predicted, truth)
-    pred_ids = predicted.segment_ids()
-    truth_ids = truth.segment_ids()
-    both = (predicted.plane_ids >= 0) & (truth.plane_ids >= 0)
-    pcode = np.searchsorted(pred_ids, predicted.plane_ids[both])
-    tcode = np.searchsorted(truth_ids, truth.plane_ids[both])
-    counts = np.bincount(
-        pcode * truth_ids.size + tcode, minlength=pred_ids.size * truth_ids.size
-    )
-    return counts.reshape(pred_ids.size, truth_ids.size), pred_ids, truth_ids
+    counts, pred_ids, truth_ids = _overlaps(predicted, truth)
+    return counts[:-1, :-1], pred_ids, truth_ids
 
 
 def segmentation_accuracy(predicted: SegmentLabeling, truth: SegmentLabeling) -> float:
@@ -93,7 +106,6 @@ def segmentation_accuracy(predicted: SegmentLabeling, truth: SegmentLabeling) ->
     n = _check_sizes(predicted, truth)
     if n == 0:
         return 1.0
-    overlap, _, _ = overlap_matrix(predicted, truth)
-    _, _, matched = hungarian_match(overlap)
-    both_other = int(np.sum((predicted.plane_ids < 0) & (truth.plane_ids < 0)))
-    return (matched + both_other) / n
+    counts, _, _ = _overlaps(predicted, truth)
+    _, _, matched = hungarian_match(counts[:-1, :-1])
+    return (matched + int(counts[-1, -1])) / n

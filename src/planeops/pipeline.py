@@ -240,7 +240,9 @@ def run_detect(points, config: RunConfig) -> DetectionReport:
 
 @dataclass
 class BenchRow:
-    """Aggregate of one config over a dataset; plain arithmetic means."""
+    """Aggregate of one config over a dataset: plain arithmetic means, and
+    each stage time's median and 95th percentile (linear interpolation)
+    over the clouds."""
 
     config_name: str
     n_clouds: int
@@ -250,6 +252,8 @@ class BenchRow:
     mean_timings_ms: dict
     mean_pre_merge: float
     mean_post_merge: float
+    median_timings_ms: dict
+    p95_timings_ms: dict
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -297,7 +301,7 @@ def run_bench(dataset_dir, configs: list[RunConfig], gt_dir=None, generate_gt: b
     rows = []
     for config, results in zip(configs, per_config):
         name = config.name or f"{config.detector}"
-        timing_keys = results[0][2].keys()
+        timings = {k: [r[2][k] for r in results] for k in results[0][2]}
         rows.append(
             BenchRow(
                 config_name=name,
@@ -305,9 +309,11 @@ def run_bench(dataset_dir, configs: list[RunConfig], gt_dir=None, generate_gt: b
                 n_skipped=skipped,
                 mean_classification=float(np.mean([r[0] for r in results])),
                 mean_segmentation=float(np.mean([r[1] for r in results])),
-                mean_timings_ms={k: float(np.mean([r[2][k] for r in results])) for k in timing_keys},
+                mean_timings_ms={k: float(np.mean(v)) for k, v in timings.items()},
                 mean_pre_merge=float(np.mean([r[3] for r in results])),
                 mean_post_merge=float(np.mean([r[4] for r in results])),
+                median_timings_ms={k: float(np.median(v)) for k, v in timings.items()},
+                p95_timings_ms={k: float(np.percentile(v, 95)) for k, v in timings.items()},
             )
         )
     return rows
@@ -330,14 +336,17 @@ def _truth_for(path: Path, points, gt_dir, generate_gt) -> SegmentLabeling:
 
 
 def bench_table(rows: list[BenchRow]) -> str:
-    """Aligned text rendering of bench results."""
-    header = f"{'config':<18} {'clouds':>6} {'class%':>8} {'segm%':>8} {'detect ms':>10} {'merge ms':>9} {'total ms':>9} {'pre':>7} {'post':>7}"
+    """Aligned text rendering of bench results: mean stage times, then the
+    median and 95th percentile of the total."""
+    header = (f"{'config':<18} {'clouds':>6} {'class%':>8} {'segm%':>8} {'detect ms':>10} {'merge ms':>9} "
+              f"{'total ms':>9} {'p50 ms':>8} {'p95 ms':>8} {'pre':>7} {'post':>7}")
     lines = [header, "-" * len(header)]
     for r in rows:
         lines.append(
             f"{r.config_name:<18} {r.n_clouds:>6} {100 * r.mean_classification:>8.2f} "
             f"{100 * r.mean_segmentation:>8.2f} {r.mean_timings_ms.get('detection', 0.0):>10.1f} "
             f"{r.mean_timings_ms.get('merging', 0.0):>9.1f} {r.mean_timings_ms.get('total', 0.0):>9.1f} "
+            f"{r.median_timings_ms.get('total', 0.0):>8.1f} {r.p95_timings_ms.get('total', 0.0):>8.1f} "
             f"{r.mean_pre_merge:>7.1f} {r.mean_post_merge:>7.1f}"
         )
     return "\n".join(lines)

@@ -44,22 +44,47 @@ class SegmentLabeling:
         if bad.size:
             raise ValueError(f"{int(bad[0])} is not a valid Orientation")
 
+    def id_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """A table of plane ids, ascending, and each point's row in it: point i has id ``ids[rows[i]]``.
+
+        Ids in [-1, N), as in every labeling planeops makes, take row id + 1
+        directly (rows of absent ids go unused), so nothing sorts; any other
+        id set is compacted once with np.unique.
+        """
+        ids = self.plane_ids
+        if ids.min(initial=-1) >= -1 and ids.max(initial=-1) < ids.size:
+            return np.arange(-1, ids.max(initial=-1) + 1, dtype=ids.dtype), ids + 1
+        return np.unique(ids, return_inverse=True)
+
     def validate(self) -> None:
         """Check the labeling invariants; raises ValueError on violation."""
         self.check_orientations()
-        segmented = self.plane_ids >= 0
-        if not np.all(self.orientations[~segmented] == int(Orientation.OTHER)):
+        ids, rows = self.id_rows()
+        n_codes = len(Orientation)
+        keys = np.multiply(rows, n_codes, dtype=np.intp)
+        keys += self.orientations
+        classes = np.zeros((ids.size, n_codes), dtype=bool)  # which classes each id's points hold
+        classes.reshape(-1)[keys] = True
+        unsegmented = classes[ids < 0]
+        unsegmented[:, int(Orientation.OTHER)] = False
+        if unsegmented.any():
             raise ValueError("unsegmented points must be labeled OTHER")
-        # One key per distinct (id, orientation) pair, sorted by id: a segment
-        # that mixes labels shows up as the same id on two neighbouring keys.
-        pair_ids = np.unique(self.plane_ids[segmented].astype(np.int64) * 256
-                             + self.orientations[segmented].view(np.uint8)) >> 8
-        mixed = pair_ids[1:][pair_ids[1:] == pair_ids[:-1]]
+        mixed = ids[np.count_nonzero(classes, axis=1) > 1]
         if mixed.size:
             raise ValueError(f"segment {mixed[0]} mixes orientation labels")
 
+    def segment_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`id_rows`, and which rows of its table are segments: ids of at least 0 that some point has."""
+        ids, rows = self.id_rows()
+        segment = np.zeros(ids.size, dtype=bool)
+        segment[rows] = True
+        segment &= ids >= 0
+        return ids, rows, segment
+
     def segment_ids(self) -> np.ndarray:
-        return np.unique(self.plane_ids[self.plane_ids >= 0])
+        """The ids of the segments present, ascending."""
+        ids, _, segment = self.segment_rows()
+        return ids[segment]
 
     @classmethod
     def from_planes(cls, plane_ids, plane_classes) -> "SegmentLabeling":

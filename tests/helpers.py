@@ -5,10 +5,13 @@ that comparisons stay meaningful.
 """
 
 import itertools
+import warnings
 from collections import deque
+from io import StringIO
 from typing import NamedTuple
 
 import numpy as np
+from hypothesis import strategies as st
 
 from planeops import KdTree, Orientation, PlaneModel, SegmentLabeling, fit_plane
 from planeops.fspf import BLOCK_ANCHORS, score_block
@@ -366,6 +369,71 @@ def reference_load_labeling(text: str):
             return lineno
         ids.append(plane_id)
     return np.asarray(ids, dtype=np.int32), np.asarray(codes, dtype=np.int8)
+
+
+def reference_parse_table(data: bytes):
+    """The sidecar reader's array path as np.loadtxt reads it: int64 ids and
+    int8 class codes, or None for a byte outside the sidecar alphabet, a
+    line numpy cannot read, a class other than H, V or O, or an id outside
+    [-1, 2**31 - 1]."""
+    if data.translate(None, b"0123456789+-HVO \t\r\n"):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(StringIO(data.decode("ascii"), newline=None),
+                               dtype=[("id", "i8"), ("c", "S2")], comments=None, ndmin=1)
+    except ValueError:
+        return None
+    ids, match = table["id"], table["c"][:, None] == np.array([o.char for o in Orientation], dtype="S1")
+    if not match.any(axis=1).all() or (ids < -1).any() or (ids > 2**31 - 1).any():
+        return None
+    return ids, match.argmax(axis=1).astype(np.int8)
+
+
+def reference_segment_ids(labeling):
+    """The segment ids present, by np.unique."""
+    return np.unique(labeling.plane_ids[labeling.plane_ids >= 0])
+
+
+def reference_overlap_matrix(predicted, truth):
+    """Segment overlaps through np.unique's segment ids and searchsorted codes."""
+    pred_ids, truth_ids = reference_segment_ids(predicted), reference_segment_ids(truth)
+    both = (predicted.plane_ids >= 0) & (truth.plane_ids >= 0)
+    pcode = np.searchsorted(pred_ids, predicted.plane_ids[both])
+    tcode = np.searchsorted(truth_ids, truth.plane_ids[both])
+    counts = np.bincount(pcode * truth_ids.size + tcode, minlength=pred_ids.size * truth_ids.size)
+    return counts.reshape(pred_ids.size, truth_ids.size), pred_ids, truth_ids
+
+
+SPARSE_IDS = [-1, -1, 0, 5, 99_999, 100_000, 2**31 - 2, 2**31 - 1]
+
+
+@st.composite
+def id_layout_labelings(draw, size=None):
+    """Labelings over each id layout the per-id table treats apart: no
+    point, all -1, one id for every point, dense ids in [-1, N) (the table
+    takes row id + 1), and ids reaching below -1 or sparse ones from -1 to
+    2**31 - 1 (both compacted). Each id keeps one class, unless some points
+    are drawn to switch class, which may also leave a -1 point not OTHER."""
+    layouts = ["empty", "unsegmented", "single", "dense", "negative", "sparse"]
+    layout = draw(st.sampled_from(layouts if size is None else layouts[1:]), label="layout")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = size if size is not None else 0 if layout == "empty" else draw(st.integers(1, 80), label="n")
+    if layout in ("empty", "unsegmented"):
+        ids = np.full(n, -1)
+    elif layout == "single":
+        ids = np.full(n, draw(st.sampled_from([0, 3, 2**31 - 1]), label="id"))
+    elif layout == "dense":
+        ids = rng.integers(-1, n, size=n)
+    elif layout == "negative":
+        ids = rng.integers(-4, n, size=n)
+    else:
+        ids = rng.choice(SPARSE_IDS, size=n)
+    codes = np.where(ids < 0, int(Orientation.OTHER), ids % len(Orientation))
+    switched = rng.random(n) < draw(st.sampled_from([0.0, 0.0, 0.05, 0.3]), label="switch_rate")
+    codes[switched] = rng.integers(0, len(Orientation), size=np.count_nonzero(switched))
+    return SegmentLabeling(plane_ids=ids, orientations=codes)
 
 
 def reference_knn(tree, indices, k):

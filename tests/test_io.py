@@ -1,24 +1,33 @@
 """Cloud and labeling I/O tests: parsers, round trips, error offsets."""
 
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_load_labeling, reference_save_labeled, reference_save_labeling, reference_validate
+from helpers import (
+    reference_load_labeling,
+    reference_parse_table,
+    reference_save_labeled,
+    reference_save_labeling,
+    reference_validate,
+)
 from planeops import (
     Orientation,
     ParseError,
     SegmentLabeling,
     UnsupportedFormat,
+    box_room_scene,
+    gen_synthetic,
     load_cloud,
     load_labeling,
     save_labeled,
     save_labeling,
 )
-from planeops.io import segment_color
+from planeops.io import _parse_table, _text_vertices, _vertex_lines, segment_color
 
 
 def _ascii_ply(vertices, props=("float x", "float y", "float z"), fmt="ascii"):
@@ -300,6 +309,45 @@ def test_bad_row_reports_the_same_line_in_xyz_and_ascii_ply(tmp_path, bad_row, m
         with pytest.raises(ParseError, match=message) as err:
             load_cloud(path)
         assert err.value.line == offset + 4
+
+
+GOOD_VALUES = ["1", "-0", "+.5", "1e5", "2.5E-3", "7.", "-1e-300", "1e999", "0.1", "-12.75"]
+BAD_VALUES = [".", "e", "1e", "--1", "1.2.3", "+", "1_0", "nan", "#1"]
+
+
+@st.composite
+def vertex_bodies(draw):
+    """Rows over the bytes np.loadtxt may read, and some it may not: short
+    and long rows, bad numbers, blank lines, each line end, and a count."""
+    width = draw(st.integers(3, 5), label="width")
+    cols = tuple(draw(st.permutations(range(width)), label="columns")[:3])
+    values = st.sampled_from(GOOD_VALUES * 6 + BAD_VALUES)
+    lines = []
+    for _ in range(draw(st.integers(0, 8), label="lines")):
+        k = draw(st.sampled_from([0, width, width, width, width + 1, width - 1]), label="values")
+        lines.append(draw(st.sampled_from([" ", "\t", "  ", " \t"])).join(draw(values) for _ in range(k)))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]), label="newline")
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]), label="end")
+    count = draw(st.one_of(st.none(), st.integers(0, 9)), label="count")
+    return text.encode(), cols, width, count
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=vertex_bodies())
+@example((b"#5 1 2 3\n4 5 6 7\n", (1, 2, 3), 4, None)).via("a comment line that reads as a row after its first token")
+def test_vertex_rows_match_line_by_line_reader(case):
+    """np.loadtxt's rows have the line-by-line reader's bits, and a body it
+    rejects raises the reader's ParseError, with the same line."""
+    data, cols, width, count = case
+
+    def outcome(read):
+        try:
+            rows = read(data, "c.xyz", 5, cols, width, count)
+        except ParseError as exc:
+            return str(exc), exc.line
+        return rows.shape, rows.tobytes()
+
+    assert outcome(_text_vertices) == outcome(_vertex_lines)
 
 
 TEXT_COORD = st.floats(-1e300, 1e300)
@@ -644,3 +692,85 @@ def test_sidecar_reader_matches_line_by_line_reference(tmp_path_factory, rows, f
     loaded = load_labeling(path)
     np.testing.assert_array_equal(loaded.plane_ids, labeling.plane_ids)
     np.testing.assert_array_equal(loaded.orientations, labeling.orientations)
+
+
+SIDECAR_FLAWS = {
+    "id": ["", "+", "-", "--1", "+-1", "1-2", "1+", "H", "0H", "1 2", "99999999999999999999"],
+    "class": ["HV", "0", "+", "", "H V", "h"],
+    "glue": [""],  # no separator between id and class
+    "split": [" 7"],  # an id in two tokens, the second glued to the class
+    "byte": ["x", "\x0b", "\x0c", "\x1c", ".", "#", "\xc3"],
+}
+
+
+@st.composite
+def sidecar_tables(draw):
+    """Sidecar text over the array reader's grammar: signs, leading zeros,
+    ids -1 and 2**31 - 1 and their neighbours, 11-digit ids, runs of spaces
+    and tabs, LF, CR and CRLF, blank lines and a missing final newline.
+    Half the files carry one flaw on one line: a bad id or class, a glued
+    or split token, or a stray byte."""
+    n = draw(st.integers(0, 8), label="lines")
+    flawed = draw(st.integers(-n - 1, n - 1), label="flawed_line")  # none when negative
+    lines = []
+    for i in range(n):
+        flaw = draw(st.sampled_from(sorted(SIDECAR_FLAWS)), label="flaw") if i == flawed else None
+        kind = draw(st.sampled_from(["small"] * 16 + ["extreme", "wide"]), label="id_kind")
+        value = draw({"small": st.integers(-1, 40), "extreme": st.sampled_from([-2, 2**31 - 1, 2**31, -2**31]),
+                      "wide": st.integers(10**10, 10**11 - 1)}[kind], label="id")
+        sign = "-" if value < 0 else draw(st.sampled_from(["", "", "+"]), label="sign")
+        pid = sign + "0" * draw(st.sampled_from([0, 0, 0, 1, 2, 12]), label="zeros") + str(abs(value))
+        sep = draw(st.sampled_from([" ", " ", "\t", "  \t"]), label="separator")
+        cls = draw(st.sampled_from(["H", "V", "O"]), label="class")
+        bad = draw(st.sampled_from(SIDECAR_FLAWS[flaw]), label="bad") if flaw else None
+        if flaw == "id":
+            pid = bad
+        elif flaw == "class":
+            cls = bad
+        elif flaw in ("glue", "split"):
+            pid, sep = pid + bad, ""
+        gap = st.sampled_from(["", "", " ", "\t", " \t "])
+        end = draw(st.sampled_from(["\n", "\n", "\r", "\r\n", "\n\n", " \n", "\t\r\n", "\n \t\n"]), label="end")
+        line = f"{draw(gap, label='lead')}{pid}{sep}{cls}{draw(gap, label='trail')}{end}"
+        if flaw == "byte":
+            at = draw(st.integers(0, len(line)), label="at")
+            line = line[:at] + bad + line[at:]
+        lines.append(line)
+    data = "".join(lines).encode("latin-1")
+    if draw(st.booleans(), label="no_final_newline"):
+        data = data.rstrip(b"\r\n")
+    return data
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(data=sidecar_tables())
+@example(b"- H\n").via("a bare sign")
+@example(b"0 O\n+\tV\r\n").via("a bare sign")
+@example(b"1 2H\n").via("a split id glued to its class")
+@example(b"5H\n1 2 V\n").via("one token on a line, three on the next")
+def test_array_reader_matches_loadtxt_reference(data):
+    """The array reader accepts what np.loadtxt's reader accepted, with
+    equal arrays of equal dtype, and leaves every other file to the
+    line-by-line reader."""
+    got, expected = _parse_table(data), reference_parse_table(data)
+    if expected is None:
+        assert got is None
+        return
+    assert got is not None
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_written_sidecars_take_the_array_reader(tmp_path):
+    """What save_labeling writes, at 6.5k points and with ids of 100000 and
+    more, never reaches the line-by-line reader."""
+    _, room = gen_synthetic(box_room_scene(3.5, 1000, 500), seed=0)
+    wide = SegmentLabeling(np.where(room.plane_ids < 0, -1, room.plane_ids + 100_000), room.orientations)
+    assert len(room) == 6500 and room.segment_ids().size == 6
+    path = tmp_path / "lab.labels.txt"
+    for labeling in (room, wide):
+        save_labeling(labeling, path)
+        with mock.patch("planeops.io._parse_lines", side_effect=AssertionError("read line by line")):
+            loaded = load_labeling(path)
+        np.testing.assert_array_equal(loaded.plane_ids, labeling.plane_ids)
+        np.testing.assert_array_equal(loaded.orientations, labeling.orientations)

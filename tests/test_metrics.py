@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import exhaustive_assignment_max
+from helpers import exhaustive_assignment_max, id_layout_labelings, reference_overlap_matrix
 from planeops import (
     Orientation,
     SegmentLabeling,
@@ -12,6 +14,7 @@ from planeops import (
     hungarian_match,
     segmentation_accuracy,
 )
+from planeops.metrics import overlap_matrix
 
 H, V, O = int(Orientation.HORIZONTAL), int(Orientation.VERTICAL), int(Orientation.OTHER)
 
@@ -130,3 +133,19 @@ class TestSegmentationAccuracy:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             segmentation_accuracy(SegmentLabeling.all_other(3), SegmentLabeling.all_other(4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_overlap_matrix_matches_unique_oracle(data):
+    """The same counts and ids as np.unique segment ids with searchsorted
+    codes, on every pairing of id layouts, and the score that follows."""
+    pred = data.draw(id_layout_labelings(), label="pred")
+    truth = data.draw(id_layout_labelings(size=len(pred)), label="truth")
+    got, expected = overlap_matrix(pred, truth), reference_overlap_matrix(pred, truth)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    if len(pred):
+        both_other = np.count_nonzero((pred.plane_ids < 0) & (truth.plane_ids < 0))
+        matched = hungarian_match(expected[0])[2]
+        assert segmentation_accuracy(pred, truth) == (matched + both_other) / len(pred)

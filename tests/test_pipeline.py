@@ -348,6 +348,25 @@ class TestRunBench:
             accs.append(segmentation_accuracy(report.labeling, truth))
         assert rows[0].mean_segmentation == pytest.approx(np.mean(accs), abs=1e-12)
 
+    def test_timings_report_median_and_p95(self, dataset, monkeypatch):
+        """Each stage time gets its median and 95th percentile beside its
+        mean, in the row and in its dict; the table shows the total's."""
+        from planeops import pipeline
+
+        totals, real = iter([10.0, 30.0]), pipeline.run_detect
+
+        def timed(points, config):
+            report = real(points, config)
+            report.timings_ms = {"total": next(totals)}
+            return report
+
+        monkeypatch.setattr("planeops.pipeline.run_detect", timed)
+        row = run_bench(dataset, [_ops_config()])[0]
+        assert row.mean_timings_ms == row.median_timings_ms == {"total": 20.0}
+        assert row.p95_timings_ms == {"total": 29.0}  # 10 + 0.95 * (30 - 10)
+        assert row.to_dict()["p95_timings_ms"] == {"total": 29.0}
+        assert bench_table([row]).splitlines()[-1].split()[6:9] == ["20.0", "20.0", "29.0"]
+
     def test_unreadable_cloud_skipped(self, dataset):
         (dataset / "junk.ply").write_bytes(b"ply\nformat ascii 1.0\nelement vertex 10\nproperty float x\n")
         rows = run_bench(dataset, [_ops_config()])

@@ -11,7 +11,7 @@ from scipy.sparse import csgraph, csr_matrix
 
 import planeops.kdtree as kdtree
 import planeops.truth as truth
-from helpers import reference_ground_truth, reference_validate
+from helpers import id_layout_labelings, reference_ground_truth, reference_segment_ids, reference_validate
 from planeops import GtParams, KdTree, Orientation, SegmentLabeling, gen_synthetic, generate_ground_truth, make_box_room
 from planeops.geometry import DegenerateInput, fit_plane
 from planeops.normals import estimate_normals
@@ -82,6 +82,19 @@ def test_validate_matches_reference(rows, data):
         rows = [(pid, code if pid < 0 else first.setdefault(pid, code)) for pid, code in rows]
     labeling = SegmentLabeling(plane_ids=[r[0] for r in rows], orientations=[r[1] for r in rows])
     assert _outcome(SegmentLabeling.validate, labeling) == _outcome(reference_validate, labeling)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(labeling=id_layout_labelings())
+def test_id_table_matches_unique_oracles(labeling):
+    """validate and segment_ids read the per-id table as the np.unique
+    oracles read the ids, on every id layout; validate names the smallest
+    mixed id."""
+    ids, rows = labeling.id_rows()
+    assert np.all(ids[1:] > ids[:-1]) and np.array_equal(ids[rows], labeling.plane_ids)
+    assert _outcome(SegmentLabeling.validate, labeling) == _outcome(reference_validate, labeling)
+    segments, expected = labeling.segment_ids(), reference_segment_ids(labeling)
+    assert segments.dtype == expected.dtype and np.array_equal(segments, expected)
 
 
 class TestGenerateGroundTruth:
