@@ -86,8 +86,11 @@ def load_cloud(path) -> np.ndarray:
 
 # The bytes np.loadtxt may read vertex rows from: digits, signs, the decimal
 # point, exponents, and the separators that numpy and bytes.split treat
-# alike. Comments, words such as "nan", and any other byte go line by line.
+# alike. Words such as "nan", a "#" outside a blanked comment line, and any
+# other byte go line by line.
 _FLOAT_BYTES = b"0123456789+-.eE \t\r\n"
+# A line feed, then a line whose first token starts with "#" (its comment).
+_COMMENT_LINE = re.compile(rb"\n[ \t]*#[^\r\n]*")
 
 
 def _text_vertices(data: bytes, path, first_line: int = 1, cols=(0, 1, 2), width: int = 3,
@@ -100,19 +103,22 @@ def _text_vertices(data: bytes, path, first_line: int = 1, cols=(0, 1, 2), width
     body holding fewer is an error. Errors name a line, counted from
     ``first_line``.
 
-    np.loadtxt reads the rows when every byte is in ``_FLOAT_BYTES``; it
-    also reads column ``width - 1``, so a short row fails there as it does
-    here. Anything it rejects goes through :func:`_vertex_lines`, which
-    finds and names the first bad line.
+    np.loadtxt reads the rows when, comment lines blanked, every byte is in
+    ``_FLOAT_BYTES``; it also reads column ``width - 1``, so a short row
+    fails there as it does here. Anything it rejects goes through
+    :func:`_vertex_lines`, which reads the original bytes and names the
+    first bad line.
     """
     use = cols if width - 1 in cols else (*cols, width - 1)
-    if not data.translate(None, _FLOAT_BYTES):
+    # Comment lines after a line feed are left blank; after a lone CR they stay, so the body goes line by line.
+    text = _COMMENT_LINE.sub(b"\n", b"\n" + data)[1:] if b"#" in data else data
+    if not text.translate(None, _FLOAT_BYTES):
         # numpy allocates max_rows rows up front, so bound a header's count by the lines there are
-        max_rows = None if count is None else min(count, data.count(b"\n") + data.count(b"\r") + 1)
+        max_rows = None if count is None else min(count, text.count(b"\n") + text.count(b"\r") + 1)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no data, or blank lines before max_rows
-                table = np.loadtxt(StringIO(data.decode("ascii"), newline=None), comments=None,
+                table = np.loadtxt(StringIO(text.decode("ascii"), newline=None), comments=None,
                                    usecols=use, ndmin=2, max_rows=max_rows).reshape(-1, len(use))
         except ValueError:
             pass
@@ -274,12 +280,11 @@ def save_labeled(
         raise ValueError(f"labeling size {len(labeling)} != cloud size {n}")
     if mode not in ("segment", "orientation"):
         raise ValueError(f"unknown color mode {mode!r}")
-    labeling.check_orientations()
+    ids, rows, classes = labeling.table  # raises on a class code outside Orientation
     if mode == "orientation":
         palette, rows = _packed_rgb(ORIENTATION_COLORS[orient] for orient in Orientation), labeling.orientations
     else:
-        ids, rows = labeling.id_rows()
-        used = np.flatnonzero(np.bincount(rows))
+        used = np.flatnonzero(classes.any(axis=1))
         palette = np.zeros(ids.size, dtype="<u4")
         palette[used] = _packed_rgb(segment_color(pid) for pid in ids[used].tolist())
     # A record is x, y, z as <f8, then red, green, blue: 27 bytes. The colors
@@ -302,12 +307,11 @@ def save_labeling(labeling: SegmentLabeling, path) -> None:
     gathered per point; dropping the zero bytes, which no line holds, leaves
     the text.
     """
-    labeling.check_orientations()
-    ids, rows = labeling.id_rows()
+    ids, rows, classes = labeling.table
     n_codes = len(Orientation)
     keys = np.multiply(rows, n_codes, dtype=np.intp)
     keys += labeling.orientations
-    used = np.flatnonzero(np.bincount(keys))
+    used = np.flatnonzero(classes)  # the (row, class) keys that occur
     lines = [f"{ids[key // n_codes]} {Orientation(key % n_codes).char}\n".encode("ascii") for key in used.tolist()]
     width = 8 if all(len(line) <= 8 for line in lines) else 16
     table = np.zeros(ids.size * n_codes, dtype=f"V{width}")
@@ -337,10 +341,7 @@ def load_labeling(path) -> SegmentLabeling:
     """
     path = Path(path)
     data = path.read_bytes()
-    rows = _parse_table(data)
-    if rows is None:
-        rows = _parse_lines(data, path)
-    labeling = SegmentLabeling(*rows)
+    labeling = SegmentLabeling(*(_parse_table(data) or _parse_lines(data, path)))
     try:
         labeling.validate()
     except ValueError as exc:

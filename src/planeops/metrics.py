@@ -68,7 +68,8 @@ def hungarian_match(overlap: np.ndarray):
 def _segment_index(labeling: SegmentLabeling):
     """The labeling's segment ids, ascending, and each point's index among
     them; a point off every segment takes the index one past the last."""
-    ids, rows, segment = labeling.segment_rows()
+    ids, rows, classes = labeling.table
+    segment = classes.any(axis=1) & (ids >= 0)  # the table's rows that are segments
     index = np.where(segment, np.cumsum(segment) - 1, np.count_nonzero(segment))  # of each id row
     return ids[segment], index[rows]
 

@@ -4,6 +4,7 @@ the connected components of the k-NN smoothness graph (see
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -15,12 +16,13 @@ from .normals import estimate_normals, normals_from_neighbors  # noqa: F401
 __all__ = ["GtParams", "SegmentLabeling", "generate_ground_truth"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SegmentLabeling:
     """Per-point segment ids and orientation classes.
 
     ``plane_ids[i] == -1`` marks an unsegmented point, which is always
-    Orientation.OTHER. Points sharing an id share an orientation.
+    Orientation.OTHER. Points sharing an id share an orientation. Both arrays
+    are read-only copies the labeling owns, so its :attr:`table` is built once.
     """
 
     plane_ids: np.ndarray
@@ -30,61 +32,51 @@ class SegmentLabeling:
         ids = np.asarray(self.plane_ids).reshape(-1)
         if ids.dtype != np.int32 and ids.size and (ids.min() < -(2**31) or ids.max() >= 2**31):
             raise ValueError("plane ids must fit in int32")
-        self.plane_ids = ids.astype(np.int32)
-        self.orientations = np.asarray(self.orientations, dtype=np.int8).reshape(-1)
-        if self.plane_ids.shape != self.orientations.shape:
+        ids, codes = ids.astype(np.int32), np.array(self.orientations, dtype=np.int8).reshape(-1)  # both copies
+        if ids.shape != codes.shape:
             raise ValueError("plane_ids and orientations must have the same length")
+        for name, array in (("plane_ids", ids), ("orientations", codes)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
         return int(self.plane_ids.size)
 
-    def check_orientations(self) -> None:
-        """Raise ValueError naming the first class code outside Orientation."""
-        bad = self.orientations[self.orientations.view(np.uint8) >= len(Orientation)]
+    @cached_property
+    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Plane ids, ascending; each point's row, so point i has id ``ids[rows[i]]``;
+        and an (ids, 3) boolean of the classes each row's points hold (none for
+        an absent id). Ids in [-1, N), as planeops makes them, take row id + 1
+        unsorted; any other id set is compacted once with np.unique. Raises
+        ValueError naming the first class code outside Orientation."""
+        codes, ids = self.orientations, self.plane_ids
+        bad = codes[codes.view(np.uint8) >= len(Orientation)]
         if bad.size:
             raise ValueError(f"{int(bad[0])} is not a valid Orientation")
-
-    def id_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """A table of plane ids, ascending, and each point's row in it: point i has id ``ids[rows[i]]``.
-
-        Ids in [-1, N), as in every labeling planeops makes, take row id + 1
-        directly (rows of absent ids go unused), so nothing sorts; any other
-        id set is compacted once with np.unique.
-        """
-        ids = self.plane_ids
         if ids.min(initial=-1) >= -1 and ids.max(initial=-1) < ids.size:
-            return np.arange(-1, ids.max(initial=-1) + 1, dtype=ids.dtype), ids + 1
-        return np.unique(ids, return_inverse=True)
+            ids, rows = np.arange(-1, ids.max(initial=-1) + 1, dtype=ids.dtype), ids + 1
+        else:
+            ids, rows = np.unique(ids, return_inverse=True)
+        keys = np.multiply(rows, len(Orientation), dtype=np.intp)
+        keys += codes  # in place: no second N-length temporary
+        classes = np.zeros((ids.size, len(Orientation)), dtype=bool)
+        classes.reshape(-1)[keys] = True
+        ids.flags.writeable = rows.flags.writeable = classes.flags.writeable = False
+        return ids, rows, classes
 
     def validate(self) -> None:
         """Check the labeling invariants; raises ValueError on violation."""
-        self.check_orientations()
-        ids, rows = self.id_rows()
-        n_codes = len(Orientation)
-        keys = np.multiply(rows, n_codes, dtype=np.intp)
-        keys += self.orientations
-        classes = np.zeros((ids.size, n_codes), dtype=bool)  # which classes each id's points hold
-        classes.reshape(-1)[keys] = True
-        unsegmented = classes[ids < 0]
-        unsegmented[:, int(Orientation.OTHER)] = False
-        if unsegmented.any():
+        ids, _, classes = self.table
+        if classes[ids < 0, :Orientation.OTHER].any():  # H or V, the codes below OTHER
             raise ValueError("unsegmented points must be labeled OTHER")
         mixed = ids[np.count_nonzero(classes, axis=1) > 1]
         if mixed.size:
             raise ValueError(f"segment {mixed[0]} mixes orientation labels")
 
-    def segment_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`id_rows`, and which rows of its table are segments: ids of at least 0 that some point has."""
-        ids, rows = self.id_rows()
-        segment = np.zeros(ids.size, dtype=bool)
-        segment[rows] = True
-        segment &= ids >= 0
-        return ids, rows, segment
-
     def segment_ids(self) -> np.ndarray:
         """The ids of the segments present, ascending."""
-        ids, _, segment = self.segment_rows()
-        return ids[segment]
+        ids, _, classes = self.table
+        return ids[classes.any(axis=1) & (ids >= 0)]
 
     @classmethod
     def from_planes(cls, plane_ids, plane_classes) -> "SegmentLabeling":

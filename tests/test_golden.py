@@ -11,7 +11,8 @@ unclaimed points that ``assign_to_planes`` measures shrinks to a small share
 of the cloud as the planes claim theirs.
 One more has 22,750 points and runs ``fspf`` with the ``room_fspf_23k``
 benchmark flags, so merging makes about 280 merges: it pins the greedy merge
-order.
+order. Room 1's OPS run is also written with ``--color-mode orientation``,
+which pins the labeled PLY's other color branch.
 A change that alters results on purpose updates the digests and says why in
 CHANGES.md, which holds the history of every digest change.
 
@@ -68,6 +69,8 @@ GOLDEN_OPS_65K = {
     "ops_labels": "31003e1cc638cfd30c01a0f456d32a9562dbca5cc2b9e8f8a52259ad8d83f5ac",
 }
 
+GOLDEN_ORIENTATION_PLY = "2192dfe9cfffbfee7869433bf2a23903b017c2fc422bcabc7b481aea6976b1fc"
+
 GOLDEN_FSPF_23K_SEED = 1
 GOLDEN_FSPF_23K = {
     "fspf": "e84d9f4d1085af67b1c1d5412469fb1c4a76711951d6fba569c4684ca9120d14",
@@ -123,6 +126,12 @@ def golden_ops_65k_digests(workdir) -> dict:
     return _detect_digests(_room(workdir, 10000, 5000, GOLDEN_OPS_65K_SEED), workdir, "ops")
 
 
+def golden_orientation_ply_digest(workdir) -> str:
+    """Digest of the labeled PLY of room 1's OPS detect, colored by orientation class."""
+    cloud = _room(workdir, 1000, 600, 1)
+    return _detect_digests(cloud, workdir, "ops", "--color-mode", "orientation")["ops_ply"]
+
+
 def golden_fspf_23k_digests(workdir) -> dict:
     """Digests of the FSPF detect outputs for the 22,750-point room, run with
     the ``room_fspf_23k`` benchmark flags (inlier budget = cloud size, wide
@@ -142,6 +151,10 @@ def test_golden_ops_65k(tmp_path):
     assert golden_ops_65k_digests(tmp_path) == GOLDEN_OPS_65K
 
 
+def test_golden_orientation_ply(tmp_path):
+    assert golden_orientation_ply_digest(tmp_path) == GOLDEN_ORIENTATION_PLY
+
+
 def test_golden_fspf_23k(tmp_path):
     assert golden_fspf_23k_digests(tmp_path) == GOLDEN_FSPF_23K
 
@@ -155,5 +168,7 @@ if __name__ == "__main__":
             print(seed, json.dumps(golden_digests(seed, Path(tmp)), indent=4))
     with tempfile.TemporaryDirectory() as tmp:
         print("ops 65k", json.dumps(golden_ops_65k_digests(Path(tmp)), indent=4))
+    with tempfile.TemporaryDirectory() as tmp:
+        print("orientation ply", golden_orientation_ply_digest(Path(tmp)))
     with tempfile.TemporaryDirectory() as tmp:
         print("fspf 23k", json.dumps(golden_fspf_23k_digests(Path(tmp)), indent=4))

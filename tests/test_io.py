@@ -297,6 +297,26 @@ def test_ascii_ply_body_comment_line_skipped(tmp_path):
     np.testing.assert_array_equal(load_cloud(path), [[1, 2, 3], [4, 5, 6]])
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("ply", [False, True], ids=["xyz", "ascii-ply"])
+def test_comment_lines_keep_the_numpy_read(tmp_path, newline, ply):
+    """A '# x y z' header and a comment among the rows leave the body to
+    np.loadtxt, which reads the line-by-line reader's rows; a '#' after a
+    row's first token is no comment and still sends the body line by line."""
+    body = newline.join(["# x y z", "1 2 3", " \t# second scan", "4.5 -5 6e1", "#7 8 9", ""]).encode()
+    expected = _vertex_lines(body, "c.xyz", 1, (0, 1, 2), 3, None)
+    header = b"ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\nproperty float y\nproperty float z\nend_header\n"
+    path = tmp_path / ("c.ply" if ply else "c.xyz")
+    path.write_bytes(header + body if ply else body)
+    with mock.patch("planeops.io._vertex_lines", side_effect=AssertionError("read line by line")):
+        loaded = load_cloud(path)
+    assert expected.shape == (2, 3) and loaded.tobytes() == expected.tobytes()
+    path.write_bytes(body.replace(b"4.5", b"4.5 # 7", 1) if ply else body.replace(b"1 2", b"1 #2", 1))
+    with mock.patch("planeops.io._vertex_lines", side_effect=AssertionError("read line by line")):
+        with pytest.raises(AssertionError, match="read line by line"):
+            load_cloud(path)
+
+
 @pytest.mark.parametrize("bad_row, message", [("4 oops 6", "not a number"), ("4 5", "expected at least 3 values")])
 def test_bad_row_reports_the_same_line_in_xyz_and_ascii_ply(tmp_path, bad_row, message):
     body = ["1 2 3", "", "  ", bad_row, "7 8 9"]

@@ -1,6 +1,8 @@
 """Ground truth tests: the smoothness constraint over k-NN edges, cut into planar segments."""
 
+import dataclasses
 import tracemalloc
+from functools import cached_property
 from unittest import mock
 
 import numpy as np
@@ -12,7 +14,20 @@ from scipy.sparse import csgraph, csr_matrix
 import planeops.kdtree as kdtree
 import planeops.truth as truth
 from helpers import id_layout_labelings, reference_ground_truth, reference_segment_ids, reference_validate
-from planeops import GtParams, KdTree, Orientation, SegmentLabeling, gen_synthetic, generate_ground_truth, make_box_room
+from planeops import (
+    GtParams,
+    KdTree,
+    Orientation,
+    SegmentLabeling,
+    gen_synthetic,
+    generate_ground_truth,
+    make_box_room,
+    save_labeled,
+    save_labeling,
+    segmentation_accuracy,
+)
+from planeops.cli import EXIT_OK, main
+from planeops.metrics import overlap_matrix
 from planeops.geometry import DegenerateInput, fit_plane
 from planeops.normals import estimate_normals
 
@@ -90,11 +105,85 @@ def test_id_table_matches_unique_oracles(labeling):
     """validate and segment_ids read the per-id table as the np.unique
     oracles read the ids, on every id layout; validate names the smallest
     mixed id."""
-    ids, rows = labeling.id_rows()
+    ids, rows, _ = labeling.table
     assert np.all(ids[1:] > ids[:-1]) and np.array_equal(ids[rows], labeling.plane_ids)
     assert _outcome(SegmentLabeling.validate, labeling) == _outcome(reference_validate, labeling)
     segments, expected = labeling.segment_ids(), reference_segment_ids(labeling)
     assert segments.dtype == expected.dtype and np.array_equal(segments, expected)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The labelings whose per-id table gets built, one entry per build."""
+    builds, build = [], SegmentLabeling.table.func
+
+    def counting(labeling):
+        builds.append(labeling)
+        return build(labeling)
+
+    table = cached_property(counting)
+    table.__set_name__(SegmentLabeling, "table")
+    monkeypatch.setattr(SegmentLabeling, "table", table)
+    return builds
+
+
+def _room_files(directory, seed):
+    """A 6,600-point box room's labeled PLY and sidecar, written by the library."""
+    points, truth = make_box_room(size=3.5, points_per_face=1000, clutter=600, noise_sigma=0.005, seed=seed)
+    cloud = directory / f"room{seed}.ply"
+    save_labeled(points, truth, cloud)
+    save_labeling(truth, cloud.with_suffix(".labels.txt"))
+    return cloud
+
+
+def test_eval_builds_one_table_per_labeling(tmp_path, table_builds):
+    """Validating each loaded sidecar builds its table, and scoring reads
+    both tables as they stand."""
+    pred, truth = (_room_files(tmp_path, seed).with_suffix(".labels.txt") for seed in (0, 1))
+    table_builds.clear()
+    assert main(["eval", "--pred", str(pred), "--truth", str(truth)]) == EXIT_OK
+    assert len(table_builds) == 2 and table_builds[0] is not table_builds[1]
+
+
+@pytest.mark.parametrize("mode", ["segment", "orientation"])
+def test_detect_writes_build_one_table(tmp_path, table_builds, mode):
+    """The labeled PLY and the sidecar of one detect share one table."""
+    cloud = _room_files(tmp_path, 0)
+    table_builds.clear()
+    assert main(["detect", "--input", str(cloud), "--out", str(tmp_path / "out"), "--color-mode", mode]) == EXIT_OK
+    assert len(table_builds) == 1
+
+
+def test_labeling_owns_read_only_arrays():
+    ids, codes = np.array([0, 0, -1], dtype=np.int32), np.array([1, 1, 2], dtype=np.int8)
+    labeling = SegmentLabeling(ids, codes)
+    assert not np.shares_memory(labeling.plane_ids, ids) and not np.shares_memory(labeling.orientations, codes)
+    ids[:], codes[:] = 5, 0
+    assert labeling.plane_ids.tolist() == [0, 0, -1] and labeling.orientations.tolist() == [1, 1, 2]
+    for array in (labeling.plane_ids, labeling.orientations, *labeling.table):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        labeling.plane_ids = ids
+
+
+@pytest.mark.parametrize("codes, first_bad", [([5, 5], 5), ([0, -1], -1), ([2, 3], 3)])
+def test_bad_class_code_raises_one_message_everywhere(tmp_path, codes, first_bad):
+    """validate, both labeled-PLY color modes, the sidecar writer and scoring
+    raise the table's error, each time they are asked."""
+    labeling, good = SegmentLabeling([0, 0], codes), SegmentLabeling([0, 0], [0, 0])
+    checks = [
+        labeling.validate,
+        lambda: save_labeled(np.zeros((2, 3)), labeling, tmp_path / "segment.ply", mode="segment"),
+        lambda: save_labeled(np.zeros((2, 3)), labeling, tmp_path / "orientation.ply", mode="orientation"),
+        lambda: save_labeling(labeling, tmp_path / "lab.labels.txt"),
+        lambda: segmentation_accuracy(labeling, good),
+        lambda: overlap_matrix(good, labeling),
+    ]
+    for check in checks + checks:
+        with pytest.raises(ValueError, match=f"^{first_bad} is not a valid Orientation$"):
+            check()
+    assert not any(tmp_path.iterdir())
 
 
 class TestGenerateGroundTruth:
