@@ -8,17 +8,22 @@ over the copy, which is deterministic for a given scipy, so seeded runs
 reproduce bit-for-bit. Radius queries are inclusive (``d**2 <= r**2``) and
 return indices in ascending order.
 
-scipy.spatial is imported when the first index is built, so commands that
-never build one do not pay for loading it.
+cKDTree is loaded when the first index is built, so commands that never
+build one do not pay for loading it; see :func:`load_ckdtree`.
 """
 
+import sys
+import threading
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import module_from_spec, spec_from_file_location
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
 from .geometry import as_points
 
-__all__ = ["CloudTooWide", "EmptyCloud", "KdTree", "row_blocks"]
+__all__ = ["CloudTooWide", "EmptyCloud", "KdTree", "load_ckdtree", "row_blocks"]
 
 ZORDER_CELLS = 32  # per axis: 5 bits each, so a Morton key fits in uint16, whose stable argsort is a radix sort
 BLOCK_ENTRIES = 2**15  # per row block of k-NN queries, normals and edge tests: their temporaries stay within L2
@@ -28,6 +33,51 @@ def row_blocks(m: int, per_row: int):
     """Slices over ``m`` rows of ``per_row`` entries each: at most ``BLOCK_ENTRIES`` entries, or one row."""
     step = max(1, BLOCK_ENTRIES // max(1, per_row))
     return (slice(start, start + step) for start in range(0, m, step))
+
+
+CKDTREE_MODULE = "scipy.spatial._ckdtree"  # the extension that defines cKDTree, under scipy's own name
+_ckdtree = None  # the class, once loaded
+_ckdtree_lock = threading.Lock()
+
+
+def load_ckdtree() -> type:
+    """scipy's cKDTree class, loaded once per process.
+
+    ``scipy.spatial``'s package init loads qhull, the distance functions
+    and ``scipy.special``, none of which an index needs. So unless that
+    package or the extension is already imported, the extension
+    ``scipy/spatial/_ckdtree<suffix>`` is loaded from its file alone and
+    registered under its scipy name, where a later ``import scipy.spatial``
+    finds and reuses it, class and all. The file name is scipy's private
+    layout: when no file matches, or loading it fails, the public import is
+    used. Threads that build their first indexes at once load it once.
+    """
+    global _ckdtree
+    with _ckdtree_lock:
+        if _ckdtree is None:
+            _ckdtree = _find_ckdtree()
+        return _ckdtree
+
+
+def _find_ckdtree() -> type:
+    if CKDTREE_MODULE in sys.modules:  # scipy.spatial imports it
+        return sys.modules[CKDTREE_MODULE].cKDTree
+    import scipy
+
+    folder = Path(scipy.__file__).parent / "spatial"
+    path = next((p for p in (folder / f"_ckdtree{s}" for s in EXTENSION_SUFFIXES) if p.is_file()), None)
+    if path is not None:
+        spec = spec_from_file_location(CKDTREE_MODULE, path)
+        try:
+            module = module_from_spec(spec)
+            sys.modules[CKDTREE_MODULE] = module
+            spec.loader.exec_module(module)
+            return module.cKDTree
+        except (ImportError, AttributeError):
+            sys.modules.pop(CKDTREE_MODULE, None)
+    from scipy.spatial import cKDTree
+
+    return cKDTree
 
 
 class EmptyCloud(ValueError):
@@ -50,8 +100,6 @@ class KdTree:
     """
 
     def __init__(self, points):
-        from scipy.spatial import cKDTree
-
         pts = as_points(points)
         if pts.shape[0] == 0:
             raise EmptyCloud("cannot index an empty cloud")
@@ -85,7 +133,7 @@ class KdTree:
         # skipping node shrinking and larger leaves save more of the build.
         # The order of equidistant neighbours depends on the tree's shape and
         # on the copy's order, so changing either can change output bytes.
-        self._tree = cKDTree(np.take(pts, order, axis=0), leafsize=32, balanced_tree=False, compact_nodes=False)
+        self._tree = load_ckdtree()(np.take(pts, order, axis=0), leafsize=32, balanced_tree=False, compact_nodes=False)
         self._order = order.astype(np.int32)  # cloud index of each copy row
 
     def knn(self, indices, k: int):

@@ -24,8 +24,12 @@ class SizeMismatch(ValueError):
 
 
 def _check_sizes(predicted: SegmentLabeling, truth: SegmentLabeling) -> int:
+    """The labelings' common size; SizeMismatch if they differ, and the
+    ValueError of :attr:`SegmentLabeling.table` on a class code outside H/V/O."""
     if len(predicted) != len(truth):
         raise SizeMismatch(f"labeling sizes differ: {len(predicted)} vs {len(truth)}")
+    for labeling in (predicted, truth):
+        labeling.table  # built once and kept, and both scorers read it: raises before either scores
     return len(predicted)
 
 

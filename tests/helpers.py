@@ -5,14 +5,19 @@ that comparisons stay meaningful.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 import warnings
 from collections import deque
 from io import StringIO
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
 
+import planeops
 from planeops import KdTree, Orientation, PlaneModel, SegmentLabeling, fit_plane
 from planeops.fspf import BLOCK_ANCHORS, score_block
 from planeops.geometry import (
@@ -646,3 +651,13 @@ def reference_detect_grouped(samples, params, rng, up, tol_degrees):
                        < params.dist_threshold)
             planes.append(result.model)
     return planes
+
+
+def run_python(script, *args):
+    """Run ``script`` in a fresh interpreter on this package; return its last stdout line."""
+    src = str(Path(planeops.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]

@@ -3,15 +3,12 @@
 import argparse
 import dataclasses
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import planeops
+from helpers import run_python
 from planeops import load_cloud, load_labeling
 from planeops.cli import EXIT_EMPTY, EXIT_OK, EXIT_PARSE, _detect_config, build_parser, main
 from planeops.pipeline import STAGES, RunConfig
@@ -111,19 +108,20 @@ def test_synth_nonfinite_room_size_exit_code(tmp_path, capsys, size):
 
 
 def test_import_and_synth_do_not_load_scipy_spatial(tmp_path):
-    # Only commands that build a spatial index load scipy.spatial, and only
-    # gt and scoring (eval, bench) load scipy.sparse.csgraph.
+    # Only commands that build a spatial index load cKDTree's extension, and
+    # only gt and scoring (eval, bench) load scipy.sparse.csgraph.
     script = (
         "import sys\n"
         "import planeops, planeops.metrics\n"
         "from planeops.cli import main\n"
         "def loaded():\n"
-        "    return [name in sys.modules for name in ('scipy.spatial', 'scipy.sparse.csgraph')]\n"
+        "    return [name in sys.modules\n"
+        "            for name in ('scipy.spatial', 'scipy.spatial._ckdtree', 'scipy.sparse.csgraph')]\n"
         "before = loaded()\n"
         "assert main(['synth', '--points-per-face', '100', '--clutter', '20', '--out', sys.argv[1]]) == 0\n"
         "print(before + loaded())\n"
     )
-    assert _run_python(script, tmp_path / "room.ply") == str([False] * 4)
+    assert run_python(script, tmp_path / "room.ply") == str([False] * 6)
 
 
 def test_eval_loads_neither_scipy_optimize_nor_scipy_spatial(tmp_path):
@@ -136,18 +134,18 @@ def test_eval_loads_neither_scipy_optimize_nor_scipy_spatial(tmp_path):
         "assert main(['eval', '--pred', truth, '--truth', truth]) == 0\n"
         "print([name in sys.modules for name in ('scipy.optimize', 'scipy.spatial', 'scipy.sparse.csgraph')])\n"
     )
-    assert _run_python(script, tmp_path / "room.ply") == str([False, False, True])
+    assert run_python(script, tmp_path / "room.ply") == str([False, False, True])
 
 
 def test_detect_loads_scipy_spatial_before_reading_its_input(tmp_path):
     # The report's clock starts at the load, so the index stage times the
-    # tree build and not the library's import.
+    # tree build and not the import of cKDTree's extension.
     script = (
         "import sys\n"
         "from planeops import cli\n"
         "load_cloud, seen = cli.load_cloud, []\n"
         "def loading(path):\n"
-        "    seen.append('scipy.spatial' in sys.modules)\n"
+        "    seen.append('scipy.spatial._ckdtree' in sys.modules)\n"
         "    return load_cloud(path)\n"
         "cli.load_cloud = loading\n"
         "assert cli.main(['synth', '--points-per-face', '400', '--clutter', '80', '--out', sys.argv[1]]) == 0\n"
@@ -155,17 +153,56 @@ def test_detect_loads_scipy_spatial_before_reading_its_input(tmp_path):
         "                 '--sampling-rate', '0.08', '--knn', '10']) == 0\n"
         "print(seen)\n"
     )
-    assert _run_python(script, tmp_path / "room.ply", tmp_path / "det") == str([True])
+    assert run_python(script, tmp_path / "room.ply", tmp_path / "det") == str([True])
 
 
-def _run_python(script, *args):
-    """Run ``script`` in a fresh interpreter on this package; return its last stdout line."""
-    src = str(Path(planeops.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
-                          capture_output=True, text=True, timeout=120, check=False)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]
+@pytest.fixture
+def bench_files(tmp_path):
+    """Two small rooms with their reference sidecars, and a one-config list."""
+    dataset = tmp_path / "data"
+    for seed in (1, 2):
+        assert main(["synth", "--points-per-face", "300", "--clutter", "60", "--seed", str(seed),
+                     "--out", str(dataset / f"room{seed}.ply")]) == EXIT_OK
+    configs = tmp_path / "configs.json"
+    configs.write_text(json.dumps([{"detector": "ops", "ops": {"sampling_rate": 0.2}}]))
+    return dataset, configs
+
+
+def test_bench_loads_ckdtree_before_its_first_cloud(bench_files):
+    # Like detect's: no cloud's index stage times the import of cKDTree's
+    # extension, the first one included. The references are sidecars, so
+    # nothing else builds an index before the first detection.
+    dataset, configs = bench_files
+    script = (
+        "import sys\n"
+        "from planeops import cli, pipeline\n"
+        "run_detect, seen = pipeline.run_detect, []\n"
+        "def detecting(points, config):\n"
+        "    seen.append('scipy.spatial._ckdtree' in sys.modules)\n"
+        "    return run_detect(points, config)\n"
+        "pipeline.run_detect = detecting\n"
+        "assert cli.main(['bench', '--dataset', sys.argv[1], '--configs', sys.argv[2]]) == 0\n"
+        "print(seen)\n"
+    )
+    assert run_python(script, dataset, configs) == str([True, True])
+
+
+@pytest.mark.parametrize("command", ["detect", "gt", "bench"])
+def test_index_commands_load_ckdtree_without_scipy_spatial(bench_files, tmp_path, command):
+    # A fresh process loads cKDTree's extension by its file, and with it
+    # neither scipy.spatial's package init nor scipy.special.
+    dataset, configs = bench_files
+    cloud = str(dataset / "room1.ply")
+    argv = {"detect": ["detect", "--input", cloud, "--out", str(tmp_path / "det"), "--sampling-rate", "0.2"],
+            "gt": ["gt", "--input", cloud, "--out", str(tmp_path / "gt.labels.txt")],
+            "bench": ["bench", "--dataset", str(dataset), "--configs", str(configs)]}[command]
+    script = (
+        "import json, sys\n"
+        "from planeops.cli import main\n"
+        "assert main(json.loads(sys.argv[1])) == 0\n"
+        "print([name in sys.modules for name in ('scipy.spatial._ckdtree', 'scipy.spatial', 'scipy.special')])\n"
+    )
+    assert run_python(script, json.dumps(argv)) == str([True, False, False])
 
 
 def test_detect_eval_round_trip(room_files, tmp_path):

@@ -1,15 +1,24 @@
 """Spatial index tests against full-scan oracles."""
 
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_knn_row_matches_brute_force, brute_force_knn, brute_force_radius, reference_knn
+from helpers import (
+    assert_knn_row_matches_brute_force,
+    brute_force_knn,
+    brute_force_radius,
+    reference_knn,
+    run_python,
+)
 from planeops import CloudTooWide, EmptyCloud, KdTree, make_box_room
 from planeops import kdtree
 
@@ -379,3 +388,104 @@ def test_invalid_arguments():
         tree.radius_search([(0, 0, 0)], 0.0)
     with pytest.raises(ValueError):
         tree.radius_search([(0, 0, 0)], float("nan"))
+
+
+# The answers a loader path gives on each cloud of an .npz file, written to
+# another: k-NN at a few k and balls at two radii around every point.
+LOADER_ANSWERS = (
+    "import sys\n"
+    "import numpy as np\n"
+    "from planeops import kdtree\n"
+    "path = sys.argv[1]\n"
+    "if path == 'no-file':\n"
+    "    kdtree.EXTENSION_SUFFIXES = ['.no-such-suffix']\n"
+    "elif path == 'load-fails':\n"
+    "    def failing(spec):\n"
+    "        raise ImportError('cannot load')\n"
+    "    kdtree.module_from_spec = failing\n"
+    "clouds = np.load(sys.argv[2])\n"
+    "answers = {}\n"
+    "for name in clouds.files:\n"
+    "    pts = clouds[name]\n"
+    "    tree, own = kdtree.KdTree(pts), np.arange(pts.shape[0])\n"
+    "    for k in (1, 4, pts.shape[0]):\n"
+    "        answers[f'{name}-knn{k}-d'], answers[f'{name}-knn{k}-i'] = tree.knn(own, k)\n"
+    "    for radius in (0.5, 1.0):\n"
+    "        answers[f'{name}-ball{radius}'] = tree.radius_search(pts, radius)\n"
+    "np.savez(sys.argv[3], **answers)\n"
+    "print(['scipy.spatial' in sys.modules, sys.modules[kdtree.CKDTREE_MODULE].cKDTree is kdtree.load_ckdtree()])\n"
+)
+
+
+@settings(max_examples=1, deadline=None, derandomize=True, database=None, phases=[Phase.generate])  # no shrinking
+@given(clouds=st.lists(mixed_clouds(), min_size=12, max_size=12))
+def test_public_import_fallback_gives_the_fast_paths_bits(tmp_path_factory, clouds):
+    # When no extension file matches, or loading it fails, the public import
+    # is used, and its tree answers with the same bits as the extension
+    # loaded from its file. Each path runs in a fresh interpreter, so one
+    # example of a dozen clouds stands for many: not the minimal one.
+    assume(sum(len(cloud) for cloud in clouds) > 200)
+    work = tmp_path_factory.mktemp("loader")
+    np.savez(work / "clouds.npz", *clouds)
+    answers = {}
+    for path, imports_spatial in (("file", False), ("no-file", True), ("load-fails", True)):
+        out = work / f"{path}.npz"
+        assert run_python(LOADER_ANSWERS, path, work / "clouds.npz", out) == str([imports_spatial, True])
+        with np.load(out) as found:
+            answers[path] = {name: found[name] for name in found.files}
+    fast = answers.pop("file")
+    for other in answers.values():
+        assert other.keys() == fast.keys()
+        for name, want in fast.items():
+            assert other[name].dtype == want.dtype
+            np.testing.assert_array_equal(other[name].view(np.uint8), want.view(np.uint8))
+
+
+@pytest.mark.parametrize("first", ["scipy.spatial", "planeops"])
+def test_loader_and_scipy_spatial_share_one_class(first):
+    # An imported scipy.spatial is used as it is; an extension loaded first
+    # is what a later import of scipy.spatial finds, class and all.
+    script = (
+        "import sys\n"
+        "from planeops import kdtree\n"
+        f"if {first!r} == 'scipy.spatial':\n"
+        "    import scipy.spatial\n"
+        "cls = kdtree.load_ckdtree()\n"
+        "before = 'scipy.spatial' in sys.modules\n"
+        "import scipy.spatial\n"
+        "tree = kdtree.KdTree([[0, 0, 0], [1, 0, 0], [0, 2, 0]])\n"
+        "print([before, cls is scipy.spatial.cKDTree, type(tree._tree) is cls,\n"
+        "       sys.modules[kdtree.CKDTREE_MODULE].cKDTree is cls, tree.knn([0], 1)[1].tolist()])\n"
+    )
+    assert run_python(script) == str([first == "scipy.spatial", True, True, True, [[1]]])
+
+
+def test_loader_loads_once_across_threads():
+    # Threads that build their first indexes at once, more of them than
+    # cores and switching often, run the extension's init once and all get
+    # its class.
+    workers, cls, calls, found = 8, object(), [], []
+    started = threading.Barrier(workers)
+
+    def slow_find():
+        calls.append(cls)
+        time.sleep(0.05)
+        return cls
+
+    def load():
+        started.wait(timeout=10)
+        found.append(kdtree.load_ckdtree())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(kdtree, "_ckdtree", None), mock.patch.object(kdtree, "_find_ckdtree", slow_find):
+            threads = [threading.Thread(target=load) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert calls == [cls] and found == [cls] * workers

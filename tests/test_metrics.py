@@ -135,6 +135,17 @@ class TestSegmentationAccuracy:
             segmentation_accuracy(SegmentLabeling.all_other(3), SegmentLabeling.all_other(4))
 
 
+@pytest.mark.parametrize("scorer", [classification_accuracy, segmentation_accuracy])
+@pytest.mark.parametrize("bad_side", ["predicted", "truth", "both"])
+def test_scorers_reject_class_codes_outside_hvo(scorer, bad_side):
+    # Both scorers raise the labeling table's error, whichever side holds the
+    # code; a labeling scored against itself is no exception.
+    bad, good = _labeling([0, 0], [5, 5]), _labeling([0, 0], [H, H])
+    pred, truth = {"predicted": (bad, good), "truth": (good, bad), "both": (bad, bad)}[bad_side]
+    with pytest.raises(ValueError, match="^5 is not a valid Orientation$"):
+        scorer(pred, truth)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_overlap_matrix_matches_unique_oracle(data):
