@@ -39,7 +39,7 @@ params = OpsParams(sampling_rate=0.05, k=10)
 up, tol = (0.0, 0.0, 1.0), 7.0
 rng = np.random.default_rng(0)
 idx = sample_indices(points.shape[0], params.sampling_rate, rng)
-normals, _, valid = estimate_normals(points, KdTree(points), idx, params.k)
+normals, _, valid = estimate_normals(KdTree(points), idx, params.k)
 samples = SampleSet(indices=idx[valid], positions=points[idx[valid]], normals=normals[valid],
                     cloud_size=points.shape[0])
 print(f"oriented samples: {len(samples)} ({int((~valid).sum())} degenerate dropped)")

@@ -13,11 +13,10 @@ from planeops.pipeline import run_detect
 
 points, truth = make_box_room(size=3.5, points_per_face=1000, clutter=600,
                               noise_sigma=0.005, seed=7)
-kd = KdTree(points)
 
 params = FspfParams(r1=0.07, r2=0.14, local_samples=80, min_inlier_fraction=0.8,
                     max_inlier_points=points.shape[0])
-fragments = fspf_detect(points, kd, params, np.random.default_rng(7))
+fragments = fspf_detect(KdTree(points), params, np.random.default_rng(7))
 sizes = sorted((p.inlier_count for p in fragments), reverse=True)
 print(f"local sampling found {len(fragments)} fragments "
       f"(recorded inliers per fragment: median {int(np.median(sizes))})")

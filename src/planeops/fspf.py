@@ -108,18 +108,17 @@ def three_point_normal(p0, p1, p2):
     return canonical_sign(cross / np.where(collinear, 1.0, norm)[..., None]), collinear
 
 
-def score_block(points: np.ndarray, kd: KdTree, params: FspfParams, anchors: np.ndarray,
-                fractions: np.ndarray) -> HypothesisBlock:
+def score_block(kd: KdTree, params: FspfParams, anchors: np.ndarray, fractions: np.ndarray) -> HypothesisBlock:
     """Build and test the hypotheses of one block from its drawn positions.
 
-    ``anchors`` holds m point indices. ``fractions`` is (m, local_samples - 1)
+    ``anchors`` holds m indices into ``kd.points``. ``fractions`` is (m, local_samples - 1)
     of uniform draws in [0, 1) that pick positions in each anchor's spheres:
     the first two pick two distinct companions from the r1 sphere without the
     anchor, the rest pick the local samples from the r2 sphere, with
     replacement. ``floor(f * k)`` is uniform over k positions up to the 2**-53
     resolution of ``f``, and stays below k in floating point.
     """
-    rows = np.arange(anchors.size)[:, None]
+    rows, points = np.arange(anchors.size)[:, None], kd.points
     p0 = points[anchors]
     near = kd.radius_search(p0, params.r1)
     others = (near >= 0).sum(axis=1) - 1  # the sphere holds its own anchor
@@ -177,13 +176,8 @@ def fit_block(points: np.ndarray, block: HypothesisBlock, rows: np.ndarray) -> B
     return BlockFit(claims, keep, centroids, normals, (counts >= 3) & ~tie)
 
 
-def fspf_detect(
-    points: np.ndarray,
-    kd: KdTree,
-    params: FspfParams,
-    rng: np.random.Generator,
-) -> list[PlaneModel]:
-    """Run the local sampling loop and return the accepted planes.
+def fspf_detect(kd: KdTree, params: FspfParams, rng: np.random.Generator) -> list[PlaneModel]:
+    """Run the local sampling loop over ``kd.points`` and return the accepted planes.
 
     Per iteration: draw an anchor uniformly, two distinct companions from its
     r1 sphere (skipping the iteration when the sphere is too thin or the
@@ -202,7 +196,7 @@ def fspf_detect(
     Raises:
         CloudTooSmall: the cloud holds fewer than ``local_samples`` points.
     """
-    n = points.shape[0]
+    n = len(kd)
     if n < params.local_samples:
         raise CloudTooSmall(f"cloud of {n} points is smaller than local_samples={params.local_samples}")
     n_max = params.max_inlier_points if params.max_inlier_points is not None else n // 2
@@ -215,9 +209,9 @@ def fspf_detect(
         m = min(BLOCK_ANCHORS, params.max_iterations - it)
         it += m
         anchors = rng.integers(0, n, size=m)
-        block = score_block(points, kd, params, anchors, rng.random((m, params.local_samples - 1)))
+        block = score_block(kd, params, anchors, rng.random((m, params.local_samples - 1)))
         passed = np.flatnonzero((block.companions[:, 0] >= 0) & ~block.collinear & (block.inliers > accept_above))
-        fit = fit_block(points, block, passed)
+        fit = fit_block(kd.points, block, passed)
         for i in np.flatnonzero(fit.usable).tolist():
             planes.append(PlaneModel(centroid=fit.centroids[i], normal=fit.normals[i],
                                      inliers=fit.claims[i][fit.keep[i]]))

@@ -91,6 +91,7 @@ def load_cloud(path) -> np.ndarray:
 _FLOAT_BYTES = b"0123456789+-.eE \t\r\n"
 # A line feed, then a line whose first token starts with "#" (its comment).
 _COMMENT_LINE = re.compile(rb"\n[ \t]*#[^\r\n]*")
+_CR_TO_LF = bytes.maketrans(b"\r", b"\n")
 
 
 def _text_vertices(data: bytes, path, first_line: int = 1, cols=(0, 1, 2), width: int = 3,
@@ -110,8 +111,10 @@ def _text_vertices(data: bytes, path, first_line: int = 1, cols=(0, 1, 2), width
     first bad line.
     """
     use = cols if width - 1 in cols else (*cols, width - 1)
-    # Comment lines after a line feed are left blank; after a lone CR they stay, so the body goes line by line.
-    text = _COMMENT_LINE.sub(b"\n", b"\n" + data)[1:] if b"#" in data else data
+    # Comment lines after a line feed are left blank, and a body without line feeds gets them for its CRs first;
+    # a comment after a lone CR in a body that also holds line feeds stays, so that body goes line by line.
+    text = data.translate(_CR_TO_LF) if b"#" in data and b"\n" not in data else data
+    text = _COMMENT_LINE.sub(b"\n", b"\n" + text)[1:] if b"#" in data else text
     if not text.translate(None, _FLOAT_BYTES):
         # numpy allocates max_rows rows up front, so bound a header's count by the lines there are
         max_rows = None if count is None else min(count, text.count(b"\n") + text.count(b"\r") + 1)
@@ -323,7 +326,6 @@ def save_labeling(labeling: SegmentLabeling, path) -> None:
 # The bytes a sidecar's array reader takes: digits, signs, the class letters,
 # spaces, tabs and line ends. A file with any other byte goes line by line.
 _TABLE_BYTES = b"0123456789+-HVO \t\r\n"
-_CR_TO_LF = bytes.maketrans(b"\r", b"\n")
 # Each byte's class code: 0, 1 and 2 for H, V and O, 3 for any other byte.
 _CLASS_CODES = np.full(256, len(Orientation), dtype=np.int8)
 _CLASS_CODES[[ord(o.char) for o in Orientation]] = list(Orientation)

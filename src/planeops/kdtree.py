@@ -51,6 +51,10 @@ def load_ckdtree() -> type:
     finds and reuses it, class and all. The file name is scipy's private
     layout: when no file matches, or loading it fails, the public import is
     used. Threads that build their first indexes at once load it once.
+    After the file load, that later import leaves ``scipy.spatial._ckdtree``
+    unbound as an attribute; ``from scipy.spatial import _ckdtree``,
+    ``scipy.spatial.cKDTree`` and ``KDTree`` still work, and no planeops
+    code reads the attribute.
     """
     global _ckdtree
     with _ckdtree_lock:
@@ -91,7 +95,8 @@ class CloudTooWide(ValueError):
 class KdTree:
     """Static index over an (N, 3) cloud; queries return indices into it.
 
-    ``points`` is the caller's array, never copied or reordered; the tree
+    ``points`` is the checked cloud, never reordered: the caller's own array
+    when that is already float64 (N, 3), else its float64 copy. The tree
     holds its own Z-ordered copy. Queries do not mutate, so a built index is
     safe to share across threads. A cloud without points raises EmptyCloud.
     One whose squared bounding-box diagonal overflows raises CloudTooWide, and

@@ -74,12 +74,11 @@ def sample_indices(n_points: int, rate: float, rng: np.random.Generator) -> np.n
     return np.array(picked, dtype=np.int64)
 
 
-def estimate_normals(points: np.ndarray, kd: KdTree, indices, k: int):
+def estimate_normals(kd: KdTree, indices, k: int):
     """Estimate normals (and curvature) for many reference points at once.
 
     Args:
-        points: the full (N, 3) cloud backing ``kd``.
-        kd: index over ``points``.
+        kd: index over the cloud, whose ``points`` the normals read.
         indices: reference point indices to process.
         k: neighbor count, >= 3; each point gets min(k, N - 1) neighbors.
 
@@ -92,9 +91,9 @@ def estimate_normals(points: np.ndarray, kd: KdTree, indices, k: int):
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     m = idx.size
-    if points.shape[0] < 2:
+    if len(kd) < 2:
         return np.full((m, 3), np.nan), np.full(m, np.inf), np.zeros(m, dtype=bool)
-    return normals_from_neighbors(points, idx, *kd.knn(idx, k))
+    return normals_from_neighbors(kd.points, idx, *kd.knn(idx, k))
 
 
 def normals_from_neighbors(points: np.ndarray, idx: np.ndarray, nbr_dist: np.ndarray, nbr_idx: np.ndarray):

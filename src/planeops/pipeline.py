@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .fspf import FspfParams, fspf_detect
-from .geometry import (ORIENTATION_TOL_DEGREES, UP, Orientation, PlaneModel, as_float, as_integer, as_points,
-                       classify_orientations)
+from .geometry import ORIENTATION_TOL_DEGREES, UP, Orientation, PlaneModel, as_float, as_integer, classify_orientations
 from .io import load_cloud, load_labeling
 from .kdtree import KdTree, load_ckdtree
 from .merge import MergeParams, merge_all
@@ -175,22 +174,23 @@ def run_detect(points, config: RunConfig) -> DetectionReport:
 
     ``timings_ms`` holds every stage of ``STAGES`` for both detectors, 0 for
     a stage the detector skips; ``other``, the untimed rest of the call
-    (``as_points``, the generator, the report); and ``total``, the wall time
-    of the whole call, which the stages and ``other`` sum to.
+    (the generator, the report); and ``total``, the wall time of the whole
+    call, which the stages and ``other`` sum to. The cloud is checked once,
+    by the index, under ``index``.
     """
     start = time.perf_counter()
-    points = as_points(points)
     rng = np.random.default_rng(config.seed)
     timings = dict.fromkeys(STAGES, 0.0)
 
     with _stage(timings, "index"):
         kd = KdTree(points)
+        points = kd.points
     if config.detector == "ops":
         p = config.ops
         with _stage(timings, "sampling"):
             idx = sample_indices(points.shape[0], p.sampling_rate, rng)
         with _stage(timings, "normals"):
-            normals, _, valid = estimate_normals(points, kd, idx, p.k)
+            normals, _, valid = estimate_normals(kd, idx, p.k)
             del kd  # the last query: its ordered copy and tree go before detection
             kept = idx[valid]
             samples = SampleSet(indices=kept, positions=points[kept], normals=normals[valid],
@@ -199,7 +199,7 @@ def run_detect(points, config: RunConfig) -> DetectionReport:
             raw_planes = detect_grouped(samples, p, rng, config.up, config.orientation_tol_degrees)
     else:
         with _stage(timings, "detection"):
-            raw_planes = fspf_detect(points, kd, config.fspf, rng)
+            raw_planes = fspf_detect(kd, config.fspf, rng)
             del kd
 
     with _stage(timings, "merging"):

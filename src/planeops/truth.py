@@ -109,7 +109,7 @@ class GtParams:
         self.normal_angle_degrees = as_float(self.normal_angle_degrees, "normal_angle_degrees", 0.0, 90.0)
 
 
-def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) -> SegmentLabeling:
+def generate_ground_truth(points, params: GtParams | None = None) -> SegmentLabeling:
     """Label a cloud by the smoothness constraint, tested on every k-NN edge at once.
 
     An edge (i, j) passes when both normals are valid, they agree within
@@ -139,8 +139,8 @@ def generate_ground_truth(points: np.ndarray, params: GtParams | None = None) ->
 
     if params is None:
         params = GtParams()
-    kd = KdTree(points)  # raises EmptyCloud, as run_detect's index does
-    n = points.shape[0]
+    kd = KdTree(points)  # checks the cloud and raises EmptyCloud, as run_detect's index does
+    points, n = kd.points, len(kd)
     if n < params.min_plane_size:
         return SegmentLabeling.all_other(n)
 

@@ -44,8 +44,10 @@ from planeops.ops import (
 def ops_samples(points, params, rng):
     """Oriented samples drawn as ``run_detect`` draws them: sample, orient,
     drop the degenerate ones."""
+    kd = KdTree(points)
+    points = kd.points
     idx = sample_indices(points.shape[0], params.sampling_rate, rng)
-    normals, _, valid = estimate_normals(points, KdTree(points), idx, params.k)
+    normals, _, valid = estimate_normals(kd, idx, params.k)
     kept = idx[valid]
     return SampleSet(indices=kept, positions=points[kept], normals=normals[valid], cloud_size=points.shape[0])
 
@@ -61,7 +63,7 @@ class ReplayedPlane(NamedTuple):
     inliers: np.ndarray
 
 
-def replay_fspf(points, kd, params, rng):
+def replay_fspf(kd, params, rng):
     """The hypotheses ``fspf_detect`` accepts, replayed row by row from its draws.
 
     Each block draws its anchors, then its position fractions, and is scored
@@ -70,7 +72,7 @@ def replay_fspf(points, kd, params, rng):
     inlier draws and ``fit_plane`` fits its distinct inlier draws. The loop
     stops at the same iteration and inlier-draw budgets.
     """
-    n = points.shape[0]
+    points, n = kd.points, len(kd)
     n_max = params.max_inlier_points if params.max_inlier_points is not None else n // 2
     accepted = []
     total = it = 0
@@ -78,7 +80,7 @@ def replay_fspf(points, kd, params, rng):
         m = min(BLOCK_ANCHORS, params.max_iterations - it)
         it += m
         anchors = rng.integers(0, n, size=m)
-        block = score_block(points, kd, params, anchors, rng.random((m, params.local_samples - 1)))
+        block = score_block(kd, params, anchors, rng.random((m, params.local_samples - 1)))
         for row in range(m):
             hypothesis = block.companions[row, 0] >= 0 and not block.collinear[row]
             if not hypothesis or block.inliers[row] <= params.min_inlier_fraction * params.local_samples:
@@ -93,6 +95,28 @@ def replay_fspf(points, kd, params, rng):
             if total >= n_max:
                 break
     return accepted
+
+
+# A table top, a cabinet front, four shelves 0.4-0.8 m apart and a 45-degree
+# board, as (corner, edge_u, edge_v): small true planes beside the six faces.
+FURNITURE = (
+    ((1.0, 1.2, 0.75), (1.2, 0, 0), (0, 0.8, 0)),
+    ((0.4, 2.2, 0), (0, 0.9, 0), (0, 0, 0.9)),
+    *(((2.4, 3.2, z), (0.9, 0, 0), (0, 0.3, 0)) for z in (0.3, 1.1, 1.5, 1.9)),
+    ((2.4, 0.6, 1.2), (0.6, 0, 0), (0, 0.297, 0.297)),
+)
+
+
+def furnished_room(points_per_face, seed):
+    """``make_box_room(3.5, P, P // 2)`` with ``FURNITURE`` added: 13 true
+    planes, each sampled at the faces' density of P / 12.25 points per m^2,
+    with noise 0.005. P = 10,000 gives 67,531 points."""
+    scene = planeops.box_room_scene(3.5, points_per_face, points_per_face // 2)
+    for corner, u, v in FURNITURE:
+        area = float(np.linalg.norm(np.cross(u, v)))
+        scene["rects"].append({"corner": list(corner), "edge_u": list(u), "edge_v": list(v),
+                               "count": round(area * points_per_face / 12.25)})
+    return planeops.gen_synthetic(scene, noise_sigma=0.005, seed=seed)
 
 
 def random_plane_soup(rng, n_base=4):

@@ -106,8 +106,7 @@ def test_03_normal_estimation_accuracy():
         # noise-free analytic plane, every normal within 1e-6 rad
         xy = rng.uniform(-2, 2, size=(10000, 2))
         plane = np.column_stack([xy, 0.4 * xy[:, 0] + 0.1 * xy[:, 1] - 0.7])
-        kd = KdTree(plane)
-        normals, _, valid = estimate_normals(plane, kd, np.arange(10000), k=10)
+        normals, _, valid = estimate_normals(KdTree(plane), np.arange(10000), k=10)
         assert valid.all()
         truth = np.array([0.4, 0.1, -1.0])
         truth /= np.linalg.norm(truth)
@@ -117,8 +116,7 @@ def test_03_normal_estimation_accuracy():
         # unit sphere, median radial error under 5 degrees
         v = rng.normal(size=(2000, 3))
         sphere = v / np.linalg.norm(v, axis=1, keepdims=True)
-        kd = KdTree(sphere)
-        normals, _, valid = estimate_normals(sphere, kd, np.arange(2000), k=10)
+        normals, _, valid = estimate_normals(KdTree(sphere), np.arange(2000), k=10)
         assert valid.all()
         radial = np.degrees(np.arccos(np.clip(np.abs(np.sum(normals * sphere, axis=1)), 0, 1)))
         assert np.median(radial) < 5.0, f"median sphere error {np.median(radial):.2f} deg"

@@ -8,14 +8,18 @@ from planeops import (
     DegenerateInput,
     FspfParams,
     KdTree,
+    RunConfig,
     fit_plane,
     fspf_detect,
     gen_synthetic,
+    hungarian_match,
     three_point_normal,
 )
 from planeops.fspf import BLOCK_ANCHORS, fit_block, score_block
+from planeops.metrics import overlap_matrix
+from planeops.pipeline import run_detect
 
-from helpers import brute_force_radius, replay_fspf
+from helpers import brute_force_radius, furnished_room, replay_fspf
 
 
 def _dense_plane(rng, n=4000, extent=1.0):
@@ -103,7 +107,7 @@ class TestScoreBlock:
                                   np.arange(points.shape[0] - 30, points.shape[0])])
         fractions = rng.random((m, params.local_samples - 1))
         fractions[:10] = np.nextafter(1.0, 0.0)  # the largest fraction stays in range
-        block = score_block(points, kd, params, anchors, fractions)
+        block = score_block(kd, params, anchors, fractions)
         kinds = set()
         for row in range(m):
             expected = _scalar_hypothesis(points, params, anchors[row], fractions[row])
@@ -135,7 +139,7 @@ def test_fit_block_matches_fit_plane_per_row(rng):
     params = FspfParams(r1=0.07, r2=0.14, local_samples=30)
     anchors = np.concatenate([rng.integers(0, points.shape[0], size=370),
                               np.arange(points.shape[0] - 70, points.shape[0])])
-    block = score_block(points, kd, params, anchors, rng.random((anchors.size, params.local_samples - 1)))
+    block = score_block(kd, params, anchors, rng.random((anchors.size, params.local_samples - 1)))
     rows = np.flatnonzero(block.companions[:, 0] >= 0)
     fit = fit_block(points, block, rows)
     verdicts = set()
@@ -173,7 +177,7 @@ class TestBlockBoundaries:
         points = _dense_plane(rng, n=2000)
         kd = _CountingTree(points)
         params = FspfParams(r1=0.1, r2=0.14, max_iterations=iterations, max_inlier_points=10**9)
-        planes = fspf_detect(points, kd, params, np.random.default_rng(6))
+        planes = fspf_detect(kd, params, np.random.default_rng(6))
         full, rest = divmod(iterations, BLOCK_ANCHORS)
         blocks = [BLOCK_ANCHORS] * full + [rest] * (rest > 0)
         assert kd.centres == {0.1: blocks, 0.14: blocks}
@@ -182,8 +186,8 @@ class TestBlockBoundaries:
     def test_next_block_extends_the_first(self, rng):
         points = _dense_plane(rng, n=2000)
         kd = KdTree(points)
-        runs = [fspf_detect(points, kd, FspfParams(r1=0.1, r2=0.14, max_iterations=iterations,
-                                                   max_inlier_points=10**9), np.random.default_rng(6))
+        runs = [fspf_detect(kd, FspfParams(r1=0.1, r2=0.14, max_iterations=iterations, max_inlier_points=10**9),
+                            np.random.default_rng(6))
                 for iterations in (BLOCK_ANCHORS, BLOCK_ANCHORS + 1)]
         assert len(runs[1]) - len(runs[0]) in (0, 1)
         for a, b in zip(*runs):
@@ -193,22 +197,22 @@ class TestBlockBoundaries:
         points = _dense_plane(rng, n=2000)
         kd = KdTree(points)
         unlimited = FspfParams(r1=0.1, r2=0.14, max_iterations=BLOCK_ANCHORS, max_inlier_points=10**9)
-        planes, replayed = _detect_and_replay(points, kd, unlimited, 6)
+        planes, replayed = _detect_and_replay(kd, unlimited, 6)
         assert len(planes) > 5
         budget = sum(r.inlier_draws for r in replayed[:3]) - 1
         limited = FspfParams(r1=0.1, r2=0.14, max_iterations=BLOCK_ANCHORS, max_inlier_points=budget)
-        cut, cut_replayed = _detect_and_replay(points, kd, limited, 6)
+        cut, cut_replayed = _detect_and_replay(kd, limited, 6)
         assert len(cut) == 3
         for a, b in zip(cut, planes):
             np.testing.assert_array_equal(a.inliers, b.inliers)
         assert [r.anchor for r in cut_replayed] == [r.anchor for r in replayed[:3]]
 
 
-def _detect_and_replay(points, kd, params, seed):
+def _detect_and_replay(kd, params, seed):
     """``fspf_detect``'s planes and their replayed hypotheses, which must
     claim the same inliers in the same order."""
-    planes = fspf_detect(points, kd, params, np.random.default_rng(seed))
-    replayed = replay_fspf(points, kd, params, np.random.default_rng(seed))
+    planes = fspf_detect(kd, params, np.random.default_rng(seed))
+    replayed = replay_fspf(kd, params, np.random.default_rng(seed))
     assert len(replayed) == len(planes)
     for plane, hypothesis in zip(planes, replayed):
         np.testing.assert_array_equal(plane.inliers, hypothesis.inliers)
@@ -219,7 +223,7 @@ class TestFspfDetect:
     def test_single_dense_plane(self, rng):
         points = _dense_plane(rng)
         params = FspfParams(r1=0.1, r2=0.1, min_inlier_fraction=0.8)
-        planes = fspf_detect(points, KdTree(points), params, np.random.default_rng(3))
+        planes = fspf_detect(KdTree(points), params, np.random.default_rng(3))
         assert len(planes) >= 1
         angles = [np.degrees(np.arccos(np.clip(abs(p.normal[2]), 0, 1))) for p in planes]
         assert min(angles) < 3.0
@@ -234,23 +238,23 @@ class TestFspfDetect:
             r1=0.05, r2=0.1, min_inlier_fraction=0.8, dist_threshold=0.05,
             max_iterations=2000, max_inlier_points=10**9,
         )
-        planes = fspf_detect(points, KdTree(points), params, np.random.default_rng(1))
+        planes = fspf_detect(KdTree(points), params, np.random.default_rng(1))
         assert len(planes) / params.max_iterations < 0.05
 
     def test_zero_iterations(self, rng):
         points = _dense_plane(rng, n=200)
-        planes = fspf_detect(points, KdTree(points), FspfParams(max_iterations=0), np.random.default_rng(0))
+        planes = fspf_detect(KdTree(points), FspfParams(max_iterations=0), np.random.default_rng(0))
         assert planes == []
 
     def test_cloud_smaller_than_local_samples(self):
         points = np.random.default_rng(1).uniform(size=(40, 3))
         with pytest.raises(CloudTooSmall):
-            fspf_detect(points, KdTree(points), FspfParams(local_samples=80), np.random.default_rng(0))
+            fspf_detect(KdTree(points), FspfParams(local_samples=80), np.random.default_rng(0))
 
     def test_inliers_local_and_within_threshold(self, rng):
         points = _dense_plane(rng)
         params = FspfParams(r1=0.07, r2=0.14)
-        planes, replayed = _detect_and_replay(points, KdTree(points), params, 5)
+        planes, replayed = _detect_and_replay(KdTree(points), params, 5)
         assert planes
         for plane, hypothesis in zip(planes, replayed):
             anchor = points[hypothesis.anchor]
@@ -261,7 +265,7 @@ class TestFspfDetect:
     def test_inlier_budget_stops_loop(self, rng):
         points = _dense_plane(rng)
         params = FspfParams(r1=0.1, r2=0.1, max_inlier_points=100)
-        _, replayed = _detect_and_replay(points, KdTree(points), params, 2)
+        _, replayed = _detect_and_replay(KdTree(points), params, 2)
         total = sum(r.inlier_draws for r in replayed)
         assert total >= 100
         assert total <= 100 + params.local_samples
@@ -270,8 +274,8 @@ class TestFspfDetect:
         points = _dense_plane(rng)
         kd = KdTree(points)
         params = FspfParams(r1=0.08, r2=0.16)
-        a = fspf_detect(points, kd, params, np.random.default_rng(11))
-        b = fspf_detect(points, kd, params, np.random.default_rng(11))
+        a = fspf_detect(kd, params, np.random.default_rng(11))
+        b = fspf_detect(kd, params, np.random.default_rng(11))
         assert len(a) == len(b)
         for pa, pb in zip(a, b):
             np.testing.assert_array_equal(pa.inliers, pb.inliers)
@@ -280,5 +284,20 @@ class TestFspfDetect:
     def test_plane_count_bounded_by_iterations(self, rng):
         points = _dense_plane(rng, n=1000)
         params = FspfParams(r1=0.2, r2=0.2, max_iterations=50, max_inlier_points=10**9)
-        planes = fspf_detect(points, KdTree(points), params, np.random.default_rng(4))
+        planes = fspf_detect(KdTree(points), params, np.random.default_rng(4))
         assert len(planes) <= 50
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_furnished_room_planes_all_found(seed):
+    """With a budget of the whole cloud, FSPF finds each of the furnished
+    room's 13 true planes at 67.5k points: its Hungarian-matched plane holds
+    at least half of the true plane's points."""
+    points, truth = furnished_room(10000, seed)
+    config = RunConfig(detector="fspf", fspf=FspfParams(max_inlier_points=points.shape[0]), seed=seed)
+    overlap, _, truth_ids = overlap_matrix(run_detect(points, config).labeling, truth)
+    rows, cols, _ = hungarian_match(overlap)
+    held = dict(zip(cols.tolist(), overlap[rows, cols].tolist()))  # each matched true plane's points in its match
+    sizes = np.bincount(truth.plane_ids[truth.plane_ids >= 0])[truth_ids]
+    found = [c for c in range(truth_ids.size) if 2 * held.get(c, 0) >= sizes[c]]
+    assert truth_ids.size == 13 and len(found) == 13, f"found {len(found)} of {truth_ids.size}"

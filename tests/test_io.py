@@ -297,7 +297,7 @@ def test_ascii_ply_body_comment_line_skipped(tmp_path):
     np.testing.assert_array_equal(load_cloud(path), [[1, 2, 3], [4, 5, 6]])
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 @pytest.mark.parametrize("ply", [False, True], ids=["xyz", "ascii-ply"])
 def test_comment_lines_keep_the_numpy_read(tmp_path, newline, ply):
     """A '# x y z' header and a comment among the rows leave the body to

@@ -20,9 +20,9 @@ def _angle_to(n, reference):
     return np.arccos(np.clip(np.abs(n @ reference), 0.0, 1.0))
 
 
-def _normal_at(pts, index, kd, k):
-    """The one normal at ``index``; it must be valid."""
-    normals, _, valid = estimate_normals(pts, kd, [index], k)
+def _normal_at(kd, index, k):
+    """The one normal at ``index`` of the tree's cloud; it must be valid."""
+    normals, _, valid = estimate_normals(kd, [index], k)
     assert valid[0]
     return normals[0]
 
@@ -35,13 +35,12 @@ def _plane_cloud(rng, n, a=0.3, b=-0.2):
 class TestEstimateNormal:
     def test_cross_neighborhood(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], dtype=float)
-        normal = _normal_at(pts, 0, KdTree(pts), k=4)
+        normal = _normal_at(KdTree(pts), 0, k=4)
         np.testing.assert_allclose(normal, [0, 0, 1], atol=1e-12)
 
     def test_analytic_plane(self, rng):
         pts = _plane_cloud(rng, 2000)
-        kd = KdTree(pts)
-        normals, _, valid = estimate_normals(pts, kd, np.arange(200), k=10)
+        normals, _, valid = estimate_normals(KdTree(pts), np.arange(200), k=10)
         assert valid.all()
         truth = np.array([0.3, -0.2, -1.0])
         angles = np.array([_angle_to(n, truth) for n in normals])
@@ -50,34 +49,32 @@ class TestEstimateNormal:
     def test_sphere_median_error(self, rng):
         v = rng.normal(size=(2000, 3))
         pts = v / np.linalg.norm(v, axis=1, keepdims=True)
-        kd = KdTree(pts)
-        normals, _, valid = estimate_normals(pts, kd, np.arange(2000), k=10)
+        normals, _, valid = estimate_normals(KdTree(pts), np.arange(2000), k=10)
         assert valid.all()
         angles = np.array([_angle_to(n, p) for n, p in zip(normals, pts)])
         assert np.degrees(np.median(angles)) < 5.0
 
     def test_collinear_neighborhood_degenerate(self):
         pts = np.array([[float(i), 0, 0] for i in range(6)])
-        normals, _, valid = estimate_normals(pts, KdTree(pts), [0], k=4)
+        normals, _, valid = estimate_normals(KdTree(pts), [0], k=4)
         assert not valid[0]
         assert np.isnan(normals[0]).all()
 
     def test_fewer_points_than_k(self):
         # Each of 5 points takes the other 4 as its neighbours at k = 30.
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.4, 0.7, 0]], dtype=float)
-        normals, _, valid = estimate_normals(pts, KdTree(pts), np.arange(5), k=30)
+        normals, _, valid = estimate_normals(KdTree(pts), np.arange(5), k=30)
         assert valid.all()
         np.testing.assert_array_equal(np.abs(normals), np.tile([0.0, 0.0, 1.0], (5, 1)))
 
     def test_duplicate_reference_neighbor_skipped(self):
         pts = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], dtype=float)
-        normal = _normal_at(pts, 0, KdTree(pts), k=5)
+        normal = _normal_at(KdTree(pts), 0, k=5)
         np.testing.assert_allclose(normal, [0, 0, 1], atol=1e-12)
 
     def test_coplanar_curvature_zero(self, rng):
         pts = _plane_cloud(rng, 500)
-        kd = KdTree(pts)
-        _, curvature, valid = estimate_normals(pts, kd, np.arange(50), k=10)
+        _, curvature, valid = estimate_normals(KdTree(pts), np.arange(50), k=10)
         assert valid.all()
         assert curvature.max() < 1e-9
 
@@ -89,9 +86,7 @@ class TestEstimateNormal:
         ref = np.zeros(3)
 
         def tilt(outlier):
-            pts = np.vstack([ref, base, outlier])
-            kd = KdTree(pts)
-            n = _normal_at(pts, 0, kd, k=41)
+            n = _normal_at(KdTree(np.vstack([ref, base, outlier])), 0, k=41)
             return _angle_to(n, [0, 0, 1])
 
         near = tilt(np.array([[0.1, 0.0, 0.4]]))
@@ -101,8 +96,8 @@ class TestEstimateNormal:
     def test_scale_invariance_with_adaptive_sigma(self, rng):
         pts = _plane_cloud(rng, 300) + rng.normal(scale=0.005, size=(300, 3))
         scaled = pts * 37.0
-        n1 = _normal_at(pts, 5, KdTree(pts), k=10)
-        n2 = _normal_at(scaled, 5, KdTree(scaled), k=10)
+        n1 = _normal_at(KdTree(pts), 5, k=10)
+        n2 = _normal_at(KdTree(scaled), 5, k=10)
         np.testing.assert_allclose(n1, n2, atol=1e-9)
 
 

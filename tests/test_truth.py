@@ -243,6 +243,11 @@ class TestGenerateGroundTruth:
         generate_ground_truth(clean_room[0], GtParams())
         assert len(calls) == 1
 
+    def test_nested_list_labels_as_its_array(self, clean_room):
+        """The labels read the index's checked cloud, so any input the index takes will do."""
+        points = clean_room[0]
+        _assert_same_labels(generate_ground_truth(points.tolist()), generate_ground_truth(points))
+
 
 @pytest.mark.parametrize("field", ["dist_threshold", "normal_angle_degrees"])
 def test_float_fields_reject_bool_and_accept_int(field):
@@ -401,7 +406,7 @@ def test_half_cylinder_becomes_planar_strips(radius):
     ids = labeling.segment_ids()
     assert ids.size >= 2
     assert np.mean(labeling.plane_ids >= 0) >= 0.5
-    normals = estimate_normals(points, KdTree(points), np.arange(len(points)), params.k)[0]
+    normals = estimate_normals(KdTree(points), np.arange(len(points)), params.k)[0]
     for pid in ids:
         inside = labeling.plane_ids == pid
         members = points[inside]
