@@ -23,6 +23,7 @@ __all__ = [
     "as_unit_vector",
     "classify_orientations",
     "combine_moments",
+    "coplanar_mask",
     "dot3",
     "fit_plane",
     "plane_distances",
@@ -161,6 +162,15 @@ def dot3(u, v):
     fewer numpy calls than three, which counts on merging's short rows."""
     prod = u * v
     return prod[0] + prod[1] + prod[2]
+
+
+def coplanar_mask(normals_a, points_a, normals_b, points_b, cos_tol: float, offset: float):
+    """Which (normal, point) pairs of broadcast (3, ...) arrays are coplanar: normals within the angle of cosine
+    ``cos_tol`` (either sign), each point strictly within ``offset`` of the other's plane, dot products dot3's."""
+    sep = points_b - points_a
+    return ((np.abs(dot3(normals_a, normals_b)) >= cos_tol)
+            & (np.abs(dot3(sep, normals_a)) < offset)  # b against a's plane
+            & (np.abs(dot3(sep, normals_b)) < offset))  # a against b's plane
 
 
 def plane_distances(points: np.ndarray, centroid: np.ndarray, normal: np.ndarray) -> np.ndarray:

@@ -111,10 +111,8 @@ def _text_vertices(data: bytes, path, first_line: int = 1, cols=(0, 1, 2), width
     first bad line.
     """
     use = cols if width - 1 in cols else (*cols, width - 1)
-    # Comment lines after a line feed are left blank, and a body without line feeds gets them for its CRs first;
-    # a comment after a lone CR in a body that also holds line feeds stays, so that body goes line by line.
-    text = data.translate(_CR_TO_LF) if b"#" in data and b"\n" not in data else data
-    text = _COMMENT_LINE.sub(b"\n", b"\n" + text)[1:] if b"#" in data else text
+    # A body holding "#" gets line feeds for its CRs, whatever its line ends, and then its comment lines blanked.
+    text = _COMMENT_LINE.sub(b"\n", b"\n" + data.replace(b"\r", b"\n"))[1:] if b"#" in data else data
     if not text.translate(None, _FLOAT_BYTES):
         # numpy allocates max_rows rows up front, so bound a header's count by the lines there are
         max_rows = None if count is None else min(count, text.count(b"\n") + text.count(b"\r") + 1)

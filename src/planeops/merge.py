@@ -1,7 +1,8 @@
 """Pairwise coplanarity merging of detected planes.
 
-Two planes merge when their normals agree within an angular threshold and
-each centroid lies close to the other plane. Merging repeats greedily,
+Two planes merge when :func:`planeops.geometry.coplanar_mask` joins them:
+their normals agree within an angular threshold and each centroid lies
+strictly within an offset of the other plane. Merging repeats greedily,
 largest pair first, until no pair passes the test, so the output is a
 fixpoint of the coplanarity relation.
 
@@ -24,7 +25,7 @@ from .geometry import (  # noqa: F401  fit_plane: no caller, kept importable for
     PlaneModel,
     as_float,
     combine_moments,
-    dot3,
+    coplanar_mask,
     fit_plane,
     plane_normal,
     point_moments,
@@ -45,24 +46,10 @@ class MergeParams:
 
 
 def coplanar(normals_a, centroids_a, normals_b, centroids_b, params: MergeParams) -> np.ndarray:
-    """Elementwise three-part coplanarity test between broadcast plane arrays.
-
-    Arrays hold one component per row of their first axis, shape (3, ...).
-    Each dot product is :func:`~planeops.geometry.dot3`'s, so a pair gets the
-    same bits whichever batch it is tested in, and the test is symmetric.
-    """
-    return _coplanar(normals_a, centroids_a, normals_b, centroids_b, np.cos(np.radians(params.angle_degrees)),
-                     params.offset)
-
-
-def _coplanar(normals_a, centroids_a, normals_b, centroids_b, cos_tol, offset):
-    """:func:`coplanar` with the angle already turned into its cosine."""
-    sep = centroids_b - centroids_a
-    return (
-        (np.abs(dot3(normals_a, normals_b)) >= cos_tol)
-        & (np.abs(dot3(sep, normals_a)) <= offset)  # centroid b against plane a
-        & (np.abs(dot3(sep, normals_b)) <= offset)  # centroid a against plane b
-    )
+    """Elementwise coplanarity test between broadcast plane arrays of shape (3, ...):
+    :func:`~planeops.geometry.coplanar_mask` with ``params``' angle and offset."""
+    return coplanar_mask(normals_a, centroids_a, normals_b, centroids_b, np.cos(np.radians(params.angle_degrees)),
+                         params.offset)
 
 
 def dedupe_inliers(planes: list[PlaneModel], points: np.ndarray) -> list[PlaneModel]:
@@ -152,8 +139,8 @@ def merge_all(planes: list[PlaneModel], points: np.ndarray, params: MergeParams)
 
     def partners(slot, upto):
         """Sizes of the live slots below ``upto`` coplanar with ``slot``, 0 or -1 elsewhere."""
-        return sizes[:upto] * _coplanar(normals[:, slot, None], centroids[:, slot, None], normals[:, :upto],
-                                        centroids[:, :upto], cos_tol, params.offset)
+        return sizes[:upto] * coplanar_mask(normals[:, slot, None], centroids[:, slot, None], normals[:, :upto],
+                                            centroids[:, :upto], cos_tol, params.offset)
 
     def slot_moments(slot):
         if moments[slot] is None:

@@ -125,22 +125,22 @@ def one_point_ransac(
     Picks are drawn in blocks of about ``BLOCK_DISTANCES`` sample distances
     and walked in draw order. A pick's distances are ``|x·n - p·n|`` from
     the block's one matrix product, and a sample counts when its distance
-    is below ``dist_threshold``. If the budget runs out inside a block, the
-    generator is rewound and only the used picks are drawn again, so
-    ``iterations`` and the generator's final state are those of one draw
-    per iteration.
+    is below ``dist_threshold``. The generator's state is read once on
+    entry; every way out (a winner, :class:`NoPlaneFound`, a degenerate
+    refit) restores it and draws the run's ``iterations`` picks in one call,
+    so the final state is that of one draw per iteration.
 
     With no winner after m picks, every pool sample is scored once, below
     ``dist_threshold + 1e-9`` to over-count any rounding. If none exceeds
-    ``min_inliers``, the rest of the budget is drawn in one call instead.
+    ``min_inliers``, the run ends as if it had drawn the rest of its budget.
 
     Args:
         alive: boolean mask over the samples giving the working pool;
             retired samples are neither drawn nor counted.
 
     Raises:
-        NoPlaneFound: no hypothesis collected more than ``min_inliers``
-            samples within the budget.
+        NoPlaneFound: the pool holds at most ``min_inliers`` samples (before
+            any draw), or no hypothesis collected more within the budget.
     """
     pool = np.flatnonzero(alive)
     m = pool.size
@@ -152,11 +152,11 @@ def one_point_ransac(
     budget = min(samples.cloud_size, cap)
     block = max(1, BLOCK_DISTANCES // m)
 
+    state = rng.bit_generator.state
     best_count = 0
     best_mask = None
     it = 0
     while it < budget:
-        state = rng.bit_generator.state
         picks = rng.integers(0, m, size=min(block, budget - it))
         inside = _near(positions, normals, picks, params.dist_threshold)
         used = 0
@@ -169,15 +169,13 @@ def one_point_ransac(
             if it + used >= budget:
                 break
         it += used
-        if used < picks.size:
-            rng.bit_generator.state = state
-            rng.integers(0, m, size=used)
         if best_mask is None and it - used < m <= it < budget:
             most = max(np.count_nonzero(_near(positions, normals, slice(s, s + block), params.dist_threshold + 1e-9),
                                         axis=1).max() for s in range(0, m, block))
             if most <= params.min_inliers:
-                rng.integers(0, m, size=budget - it)  # the picks left, none of which can win
-                it = budget
+                it = budget  # none of the picks left can win
+    rng.bit_generator.state = state
+    rng.integers(0, m, size=it)
 
     if best_mask is None:
         raise NoPlaneFound(f"no hypothesis exceeded {params.min_inliers} inliers in {it} iterations")
@@ -251,13 +249,14 @@ def detect_grouped(samples: SampleSet, params: OpsParams, rng: np.random.Generat
     order over one sample pool, reading no cloud point. Each RANSAC winner
     retires its sample inliers and every sample within ``dist_threshold`` of
     its model, and the model is returned: its inliers are the cloud indices
-    of its more than ``min_inliers`` samples, disjoint from the others'.
+    of its more than ``min_inliers`` samples, disjoint from the others'. A
+    group ends on its first :class:`NoPlaneFound`.
     """
     codes = classify_orientations(samples.normals, up, tol_degrees)
     alive = np.ones(len(samples), dtype=bool)
     planes = []
     for member in [codes == int(orient) for orient in GROUP_ORDER]:
-        while int((alive & member).sum()) > params.min_inliers:
+        while True:
             try:
                 result = one_point_ransac(samples, params, rng, alive & member)
             except NoPlaneFound:

@@ -8,7 +8,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import DegenerateInput, Orientation, as_float, as_integer, classify_orientations, dot3, fit_plane
+from .geometry import (DegenerateInput, Orientation, as_float, as_integer, classify_orientations, coplanar_mask, dot3,
+                       fit_plane)
 from .kdtree import KdTree, row_blocks
 # estimate_normals stays importable as truth.estimate_normals, a name perfbench/spans.py wraps.
 from .normals import estimate_normals, normals_from_neighbors  # noqa: F401
@@ -112,9 +113,11 @@ class GtParams:
 def generate_ground_truth(points, params: GtParams | None = None) -> SegmentLabeling:
     """Label a cloud by the smoothness constraint, tested on every k-NN edge at once.
 
-    An edge (i, j) passes when both normals are valid, they agree within
-    ``normal_angle_degrees`` (either sign), and each point lies within
-    ``dist_threshold`` of the other's tangent plane (Rabbani, van den Heuvel
+    An edge (i, j) passes merging's coplanarity test,
+    :func:`~planeops.geometry.coplanar_mask`, on its points and normals: both
+    normals are valid, they agree within ``normal_angle_degrees`` (either
+    sign), and each point lies strictly within ``dist_threshold`` of the
+    other's tangent plane (Rabbani, van den Heuvel
     & Vosselman, "Segmentation of Point Clouds Using Smoothness Constraint",
     2006). In each connected component of the passing edges with at least
     ``min_plane_size`` points, a plane starts as the tangent plane of the
@@ -150,20 +153,16 @@ def generate_ground_truth(points, params: GtParams | None = None) -> SegmentLabe
     normals, curvature, _ = normals_from_neighbors(points, all_idx, nbr_dist, adjacency)
     del nbr_dist
 
-    # Each dot product is dot3's, as merge.coplanar takes it, so an edge gets
-    # the same bits in either direction.
+    # The edge test is merging's coplanarity test, so an edge gets the same bits in either direction.
     dist, cos_tol = params.dist_threshold, np.cos(np.radians(params.normal_angle_degrees))
     cols = np.concatenate([points.T, normals.T])  # x, y, z, then the normal's: gathers from a column run faster
     src, dst = [], []  # the passing edges, row by row; int32 holds any point index
     for rows in row_blocks(n, adjacency.shape[1]):
         nbr = adjacency[rows]
         gathered = np.take(cols, nbr, axis=1)  # (6, rows, k)
-        gathered[:3] -= cols[:3, rows, None]  # each neighbour's offset from its row's point, in place
-        sep, n_i, n_j = gathered[:3], cols[3:, rows, None], gathered[3:]
-        # An invalid normal is NaN, so each of its edges fails the cosine test.
-        row, col = np.nonzero((np.abs(dot3(n_i, n_j)) >= cos_tol)
-                              & (np.abs(dot3(sep, n_i)) < dist)  # j against the tangent plane of i
-                              & (np.abs(dot3(sep, n_j)) < dist))  # i against the tangent plane of j
+        # An invalid normal is NaN, so each of its edges fails.
+        row, col = np.nonzero(coplanar_mask(cols[3:, rows, None], cols[:3, rows, None], gathered[3:], gathered[:3],
+                                            cos_tol, dist))
         src.append((row + rows.start).astype(np.int32))
         dst.append(nbr[row, col].astype(np.int32))
     del adjacency

@@ -193,7 +193,8 @@ def coplanar_pairs(planes, params) -> np.ndarray:
 
 def reference_coplanar(normals_a, centroids_a, normals_b, centroids_b, params):
     """The pair test with each dot product spelled out per component,
-    ``u[0]*v[0] + u[1]*v[1] + u[2]*v[2]``, on arrays of shape (3, ...)."""
+    ``u[0]*v[0] + u[1]*v[1] + u[2]*v[2]``, on arrays of shape (3, ...); the
+    offset gate is strict."""
 
     def dot(u, v):
         return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
@@ -201,8 +202,8 @@ def reference_coplanar(normals_a, centroids_a, normals_b, centroids_b, params):
     cos_tol = np.cos(np.radians(params.angle_degrees))
     sep = centroids_b - centroids_a
     return ((np.abs(dot(normals_a, normals_b)) >= cos_tol)
-            & (np.abs(dot(sep, normals_a)) <= params.offset)
-            & (np.abs(dot(sep, normals_b)) <= params.offset))
+            & (np.abs(dot(sep, normals_a)) < params.offset)
+            & (np.abs(dot(sep, normals_b)) < params.offset))
 
 
 def reference_combine_moments(a, b):

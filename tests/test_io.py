@@ -297,13 +297,16 @@ def test_ascii_ply_body_comment_line_skipped(tmp_path):
     np.testing.assert_array_equal(load_cloud(path), [[1, 2, 3], [4, 5, 6]])
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("newlines", [["\n"] * 5, ["\r\n"] * 5, ["\r"] * 5, ["\n", "\r", "\n", "\n", "\n"]],
+                         ids=["lf", "crlf", "cr", "mixed"])
 @pytest.mark.parametrize("ply", [False, True], ids=["xyz", "ascii-ply"])
-def test_comment_lines_keep_the_numpy_read(tmp_path, newline, ply):
+def test_comment_lines_keep_the_numpy_read(tmp_path, newlines, ply):
     """A '# x y z' header and a comment among the rows leave the body to
-    np.loadtxt, which reads the line-by-line reader's rows; a '#' after a
+    np.loadtxt, which reads the line-by-line reader's rows, with any line
+    ends, a comment after a lone CR among line feeds too; a '#' after a
     row's first token is no comment and still sends the body line by line."""
-    body = newline.join(["# x y z", "1 2 3", " \t# second scan", "4.5 -5 6e1", "#7 8 9", ""]).encode()
+    lines = ["# x y z", "1 2 3", " \t# second scan", "4.5 -5 6e1", "#7 8 9", ""]
+    body = (lines[0] + "".join(end + line for end, line in zip(newlines, lines[1:]))).encode()
     expected = _vertex_lines(body, "c.xyz", 1, (0, 1, 2), 3, None)
     header = b"ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\nproperty float y\nproperty float z\nend_header\n"
     path = tmp_path / ("c.ply" if ply else "c.xyz")

@@ -49,6 +49,19 @@ class TestCoplanar:
     def test_flipped_normal_equivalent(self):
         assert coplanar(self.UP, self.ORIGIN, -self.UP, np.array([0.5, 0.5, 0.0]), MergeParams())
 
+    @pytest.mark.parametrize("gap, joined", [(0.0625, False), (0.0625 - 2**-20, True)], ids=["at-offset", "inside"])
+    def test_offset_gate_is_strict(self, gap, joined):
+        """Two planes whose centroids lie exactly ``offset`` apart along their
+        shared normal are not coplanar and do not merge; 2**-20 closer, they
+        are and do. Grid-exact values make every dot product exact."""
+        xy = np.stack(np.meshgrid(np.arange(4) * 0.25, np.arange(4) * 0.25), axis=-1).reshape(-1, 2)
+        points = np.concatenate([np.column_stack([xy, np.zeros(16)]), np.column_stack([xy, np.full(16, gap)])])
+        a = _plane((0.375, 0.375, 0.0), self.UP, inliers=range(16))
+        b = _plane((0.375, 0.375, gap), self.UP, inliers=range(16, 32))
+        params = MergeParams(offset=0.0625)
+        assert bool(coplanar(a.normal, a.centroid, b.normal, b.centroid, params)) is joined
+        assert len(merge_all([a, b], points, params)) == (1 if joined else 2)
+
 
 class TestDedupeInliers:
     def test_disjoint_sets_untouched(self, rng):
@@ -422,7 +435,8 @@ def test_coplanar_matches_spelled_out_dot_products(batch):
     """The broadcast-product pair test against the per-component formula:
     pair by pair, every pair against every other, one plane against the
     batch as a merge row test runs, with the arguments swapped, and with the
-    offset set to a pair's exact distance, where one bit decides."""
+    offset set to a pair's exact distance and one ulp either side of it,
+    where the strict gate turns on one bit."""
     na, ca, nb, cb, params = batch
     want = reference_coplanar(na, ca, nb, cb, params)
     np.testing.assert_array_equal(coplanar(na, ca, nb, cb, params), want)
@@ -435,7 +449,7 @@ def test_coplanar_matches_spelled_out_dot_products(batch):
     sep = cb - ca
     distances = np.abs(sep[0] * na[0] + sep[1] * na[1] + sep[2] * na[2])
     for exact in distances[distances > 0][:4].tolist():
-        for off in (exact, float(np.nextafter(exact, 0.0))):
+        for off in (float(np.nextafter(exact, 0.0)), exact, float(np.nextafter(exact, np.inf))):
             at = MergeParams(angle_degrees=params.angle_degrees, offset=off)
             np.testing.assert_array_equal(coplanar(na, ca, nb, cb, at), reference_coplanar(na, ca, nb, cb, at))
 

@@ -1,5 +1,6 @@
 """The benchmark's span hooks name planeops globals; every name must resolve,
-and a traced run of each benchmarked command must complete.
+a traced run of each benchmarked command must complete, and the benchmark
+command's smoke run of each workload must report every operation correct.
 
 ``perfbench/spans.py`` wraps functions by ``(module, name)`` through
 ``getattr``, so a renamed or removed global makes a traced benchmark run
@@ -9,13 +10,17 @@ wrappers also read attributes of what some functions return (such as
 """
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from planeops.cli import EXIT_OK, main
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +92,15 @@ def test_traced_gt_then_eval(spans, room, tmp_path):
             "cli.classification_accuracy"} <= names
     assert _errors(recorded) == []
     assert spans.check_spans(recorded) == []
+
+
+@pytest.mark.parametrize("workload", ["room_ops_325k", "room_fspf_23k", "room_gt_13k"])
+def test_benchmark_smoke_run_is_correct(workload):
+    """The benchmark command, on its smoke clouds, exits 0 and reports every
+    operation correct: its last stdout line is the result JSON."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds",
+                           "0.5", "--trace", "0", "--smoke"], cwd=ROOT, capture_output=True, text=True, timeout=300,
+                          check=False)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0

@@ -243,6 +243,22 @@ class TestGenerateGroundTruth:
         generate_ground_truth(clean_room[0], GtParams())
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("dist, segments", [(0.0625, 2), (0.0625 + 2**-20, 1)], ids=["at-gap", "above"])
+    def test_edge_at_exactly_dist_threshold_does_not_pass(self, monkeypatch, dist, segments):
+        """Two 10 x 10 grids 0.0625 apart, with exact up normals: each edge
+        across them lies exactly 0.0625 from both tangent planes, so at that
+        ``dist_threshold`` it fails and the grids are two segments; 2**-20
+        above it, they join into one."""
+        xy = np.stack(np.meshgrid(np.arange(10) * 0.125, np.arange(10) * 0.125), axis=-1).reshape(-1, 2)
+        points = np.concatenate([np.column_stack([xy, np.zeros(100)]), np.column_stack([xy, np.full(100, 0.0625)])])
+
+        def exact_normals(pts, idx, *args):
+            return np.tile([0.0, 0.0, 1.0], (idx.size, 1)), np.zeros(idx.size), np.ones(idx.size, dtype=bool)
+
+        monkeypatch.setattr(truth, "normals_from_neighbors", exact_normals)
+        labeling = generate_ground_truth(points, GtParams(dist_threshold=dist))
+        assert labeling.segment_ids().size == segments and (labeling.plane_ids >= 0).all()
+
     def test_nested_list_labels_as_its_array(self, clean_room):
         """The labels read the index's checked cloud, so any input the index takes will do."""
         points = clean_room[0]
