@@ -46,6 +46,11 @@ class FspfParams:
     """Tuning knobs for the local three-point detector.
 
     ``max_inlier_points=None`` resolves to half the cloud size at run time.
+    :func:`planeops.pipeline.run_detect` detects on a working cloud of W
+    of a cloud's N points (W = N up to ``pipeline.WORKING_POINTS``): an
+    explicit budget counts draws on the whole cloud and is scaled to
+    ``max(1, max_inlier_points * W // N)``, the identity when W = N, and
+    the default reads the working cloud, W / 2.
     ``r1`` bounds the hypothesis triple, ``r2`` the verification sphere.
     """
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .geometry import as_points
 
-__all__ = ["CloudTooWide", "EmptyCloud", "KdTree", "load_ckdtree", "row_blocks"]
+__all__ = ["CloudTooWide", "EmptyCloud", "KdTree", "check_cloud", "load_ckdtree", "row_blocks"]
 
 ZORDER_CELLS = 32  # per axis: 5 bits each, so a Morton key fits in uint16, whose stable argsort is a radix sort
 BLOCK_ENTRIES = 2**15  # per row block of k-NN queries, normals and edge tests: their temporaries stay within L2
@@ -92,33 +92,56 @@ class CloudTooWide(ValueError):
     """Raised when a cloud's squared distances or its scatter about its mean, and so a plane fit's, can overflow."""
 
 
+def check_cloud(points) -> np.ndarray:
+    """The float64 (N, 3) array of a cloud that an index can hold.
+
+    Returns the caller's own array when that is already float64 (N, 3),
+    else its float64 copy. Raises ``ValueError`` for another shape or a
+    non-finite coordinate, EmptyCloud for a cloud without points, and
+    CloudTooWide when its squared bounding-box diagonal overflows, or its
+    squared offsets from its mean overflow in sum, a bound on the scatter of
+    any plane fit over its points. Any nonempty subset of a cloud that
+    passes passes too: its box lies inside the cloud's, and its scatter
+    about its own mean is at most the cloud's about the cloud's mean.
+    """
+    pts = as_points(points)
+    if pts.shape[0] == 0:
+        raise EmptyCloud("cannot index an empty cloud")
+    diagonal2 = 0.0
+    for axis in range(3):  # a column at a time: numpy reduces an (N, 3) array along axis 0 row by row
+        col = pts[:, axis]
+        span = float(col.max()) - float(col.min())  # Python floats overflow to inf without a warning
+        diagonal2 += span * span
+        if diagonal2 == np.inf:
+            raise CloudTooWide("cloud too wide to index: its squared bounding-box diagonal overflows float64")
+    if pts.shape[0] * diagonal2 == np.inf:  # below this the sum is finite: no need to take it
+        offsets = pts - pts.min(axis=0)  # each within the diagonal, so their mean cannot overflow
+        with np.errstate(over="ignore"):
+            if np.square(offsets - offsets.mean(axis=0)).sum() == np.inf:
+                raise CloudTooWide("cloud too wide to index: its scatter about its mean overflows float64")
+    return pts
+
+
 class KdTree:
     """Static index over an (N, 3) cloud; queries return indices into it.
 
-    ``points`` is the checked cloud, never reordered: the caller's own array
-    when that is already float64 (N, 3), else its float64 copy. The tree
-    holds its own Z-ordered copy. Queries do not mutate, so a built index is
-    safe to share across threads. A cloud without points raises EmptyCloud.
-    One whose squared bounding-box diagonal overflows raises CloudTooWide, and
-    so does one whose squared offsets from its mean overflow in sum, a bound
-    on the scatter of any plane fit over its points.
+    ``points`` is the checked cloud (see :func:`check_cloud`), never
+    reordered. With ``checked=True`` the caller vouches that ``points``
+    already passed :func:`check_cloud`, or is a nonempty subset of an array
+    that did, and it is indexed as it is. The tree holds its own Z-ordered
+    copy. Queries do not mutate, so a built index is safe to share across
+    threads.
     """
 
-    def __init__(self, points):
-        pts = as_points(points)
-        if pts.shape[0] == 0:
-            raise EmptyCloud("cannot index an empty cloud")
+    def __init__(self, points, checked: bool = False):
+        pts = points if checked else check_cloud(points)
         self.points = pts
         self._keys = keys = np.zeros(pts.shape[0], dtype=np.uint16)  # Morton key of each point's cell among 32**3
         cell = np.empty(pts.shape[0])
-        diagonal2 = 0.0
-        for axis in range(3):  # a column at a time: numpy reduces an (N, 3) array along axis 0 row by row
+        for axis in range(3):
             col = pts[:, axis]
             lo = float(col.min())
-            span = float(col.max()) - lo  # Python floats overflow to inf without a warning
-            diagonal2 += span * span
-            if diagonal2 == np.inf:
-                raise CloudTooWide("cloud too wide to index: its squared bounding-box diagonal overflows float64")
+            span = float(col.max()) - lo
             if span <= 1e-300:  # a flat axis, or one too narrow to scale: one cell
                 continue
             np.multiply(np.subtract(col, lo, out=cell), (ZORDER_CELLS - 1e-9) / span, out=cell)  # < 32 after rounding
@@ -127,11 +150,6 @@ class KdTree:
                 bits |= bits << shift
                 bits &= mask
             keys |= bits << axis
-        if pts.shape[0] * diagonal2 == np.inf:  # below this the sum is finite: no need to take it
-            offsets = pts - pts.min(axis=0)  # each within the diagonal, so their mean cannot overflow
-            with np.errstate(over="ignore"):
-                if np.square(offsets - offsets.mean(axis=0)).sum() == np.inf:
-                    raise CloudTooWide("cloud too wide to index: its scatter about its mean overflows float64")
         order = np.argsort(keys, kind="stable")  # int64: np.take gathers twice as fast by it as by int32
         # Sliding-midpoint splits build about 40% faster than median splits
         # on a 325k-point room (scipy 1.17, one thread) and query no slower;

@@ -1,8 +1,10 @@
 """End-to-end detection runs: detect, merge, label, time, report.
 
-Both detectors label points by one claim rule, :func:`assign_to_planes`:
-after merging, each plane, largest first, claims the unclaimed points near
-it, and a point carries the id of the plane that claimed it.
+Detection and merging read a uniform draw of at most ``WORKING_POINTS``
+points of the cloud. Both detectors then label every point by one claim
+rule, :func:`assign_to_planes`: after merging, each plane, largest first,
+claims the unclaimed points near it, and a point carries the id of the
+plane that claimed it.
 A run is fully determined by (config, seed, input); reports are identical
 across repeats except for the timing fields. The JSON report schema produced
 by :meth:`DetectionReport.to_dict` is the stability contract; the text
@@ -22,7 +24,7 @@ import numpy as np
 from .fspf import FspfParams, fspf_detect
 from .geometry import ORIENTATION_TOL_DEGREES, UP, Orientation, PlaneModel, as_float, as_integer, classify_orientations
 from .io import load_cloud, load_labeling
-from .kdtree import KdTree, load_ckdtree
+from .kdtree import KdTree, check_cloud, load_ckdtree
 from .merge import MergeParams, merge_all
 from .metrics import classification_accuracy, segmentation_accuracy
 from .normals import SampleSet, estimate_normals, sample_indices
@@ -43,6 +45,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 STAGES = ("index", "sampling", "normals", "detection", "merging", "labeling")
+WORKING_POINTS = 100_000  # detection reads a uniform draw of at most this many points; every point is labeled
 
 
 class ConfigError(ValueError):
@@ -153,61 +156,80 @@ def labeling_from_inliers(n: int, planes: list[PlaneModel]) -> np.ndarray:
 
 @contextmanager
 def _stage(timings: dict, name: str):
-    """Record the wall time of the enclosed block as stage ``name``."""
+    """Add the wall time of the enclosed block to stage ``name``."""
     t0 = time.perf_counter()
     try:
         yield
     finally:
-        timings[name] = time.perf_counter() - t0
+        timings[name] += time.perf_counter() - t0
 
 
 def run_detect(points, config: RunConfig) -> DetectionReport:
     """Detect planes in a cloud with the configured detector, then merge,
     label each point, and assemble the report.
 
-    Both detectors go through one claim: the merged planes, largest first,
-    claim the unclaimed points within the detector's ``dist_threshold`` by
-    :func:`assign_to_planes` and keep at least 3 each, so a plane's
-    ``inlier_count`` counts the points labeled with its id. OPS detection
-    reads only its samples: the claim is timed under ``labeling``, and an
-    OPS ``pre_merge_count`` counts RANSAC winners.
+    Detection reads a working cloud of at most ``WORKING_POINTS`` points.
+    A larger cloud of N points is first checked whole, then the run's
+    generator, before any other draw, picks ``WORKING_POINTS`` distinct
+    points uniformly, kept in cloud order; a smaller cloud is its own
+    working cloud and nothing is drawn. The index, OPS's sampling and
+    normals, both detectors and merging read only the working cloud, and an
+    explicit FSPF ``max_inlier_points`` is scaled to it (times W / N,
+    floored, at least 1); the default of half the cloud reads W.
+
+    The merged planes, largest first, then claim the unclaimed points of the
+    whole cloud within the detector's ``dist_threshold`` by
+    :func:`assign_to_planes` and keep at least 3 each: only a plane's
+    centroid and normal cross over from the working cloud, it is refit on
+    its claimed points, and its ``inlier_count`` counts the points labeled
+    with its id. OPS detection reads only its samples, and an OPS
+    ``pre_merge_count`` counts RANSAC winners.
 
     ``timings_ms`` holds every stage of ``STAGES`` for both detectors, 0 for
-    a stage the detector skips; ``other``, the untimed rest of the call
-    (the generator, the report); and ``total``, the wall time of the whole
-    call, which the stages and ``other`` sum to. The cloud is checked once,
-    by the index, under ``index``.
+    a stage the run skips; ``other``, the untimed rest of the call (the
+    generator, the report); and ``total``, the wall time of the whole call,
+    which the stages and ``other`` sum to. The whole cloud is checked once,
+    under ``index``, which also times the index build; the working draw is
+    timed under ``sampling``.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     timings = dict.fromkeys(STAGES, 0.0)
 
     with _stage(timings, "index"):
-        kd = KdTree(points)
-        points = kd.points
+        cloud = check_cloud(points)
+    points, n_cloud = cloud, cloud.shape[0]
+    if n_cloud > WORKING_POINTS:
+        with _stage(timings, "sampling"):
+            points = np.take(cloud, np.sort(rng.choice(n_cloud, WORKING_POINTS, replace=False)), axis=0)
+    n = points.shape[0]
+    with _stage(timings, "index"):
+        kd = KdTree(points, checked=True)
     if config.detector == "ops":
         p = config.ops
         with _stage(timings, "sampling"):
-            idx = sample_indices(points.shape[0], p.sampling_rate, rng)
+            idx = sample_indices(n, p.sampling_rate, rng)
         with _stage(timings, "normals"):
             normals, _, valid = estimate_normals(kd, idx, p.k)
             del kd  # the last query: its ordered copy and tree go before detection
             kept = idx[valid]
-            samples = SampleSet(indices=kept, positions=points[kept], normals=normals[valid],
-                                cloud_size=points.shape[0])
+            samples = SampleSet(indices=kept, positions=points[kept], normals=normals[valid], cloud_size=n)
         with _stage(timings, "detection"):
             raw_planes = detect_grouped(samples, p, rng, config.up, config.orientation_tol_degrees)
     else:
+        p = config.fspf
+        if p.max_inlier_points is not None and n < n_cloud:
+            p = dataclasses.replace(p, max_inlier_points=max(1, p.max_inlier_points * n // n_cloud))
         with _stage(timings, "detection"):
-            raw_planes = fspf_detect(kd, config.fspf, rng)
+            raw_planes = fspf_detect(kd, p, rng)
             del kd
 
     with _stage(timings, "merging"):
         merged = merge_all(raw_planes, points, config.merge)
 
     with _stage(timings, "labeling"):
-        merged = assign_to_planes(points, merged, getattr(config, config.detector).dist_threshold)
-        ids = labeling_from_inliers(points.shape[0], merged)
+        merged = assign_to_planes(cloud, merged, p.dist_threshold)
+        ids = labeling_from_inliers(n_cloud, merged)
         classes = classify_orientations([plane.normal for plane in merged], config.up,
                                         config.orientation_tol_degrees)
         labeling = SegmentLabeling.from_planes(ids, classes)
@@ -228,7 +250,7 @@ def run_detect(points, config: RunConfig) -> DetectionReport:
     timings_ms = {k: 1000.0 * v for k, v in timings.items()}
     return DetectionReport(
         detector=config.detector,
-        n_points=int(points.shape[0]),
+        n_points=n_cloud,
         pre_merge_count=len(raw_planes),
         post_merge_count=len(merged),
         planes=summaries,

@@ -4,6 +4,7 @@ These deliberately avoid the library's spatial index and assignment solver so
 that comparisons stay meaningful.
 """
 
+import functools
 import itertools
 import os
 import subprocess
@@ -18,6 +19,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import planeops
+import planeops.pipeline
 from planeops import KdTree, Orientation, PlaneModel, SegmentLabeling, fit_plane
 from planeops.fspf import BLOCK_ANCHORS, score_block
 from planeops.geometry import (
@@ -117,6 +119,26 @@ def furnished_room(points_per_face, seed):
         scene["rects"].append({"corner": list(corner), "edge_u": list(u), "edge_v": list(v),
                                "count": round(area * points_per_face / 12.25)})
     return planeops.gen_synthetic(scene, noise_sigma=0.005, seed=seed)
+
+
+@functools.cache
+def above_working_cloud():
+    """A read-only box room of 1,000 points more than ``pipeline.WORKING_POINTS``, and its truth."""
+    points, truth = planeops.make_box_room(3.5, 16000, planeops.pipeline.WORKING_POINTS + 1000 - 6 * 16000, seed=0)
+    points.flags.writeable = False
+    return points, truth
+
+
+def working_rows(n, seed):
+    """The rows of an n-point cloud that ``run_detect``'s working draw takes with run seed ``seed``."""
+    return np.sort(np.random.default_rng(seed).choice(n, planeops.pipeline.WORKING_POINTS, replace=False))
+
+
+def row_of_draw(n, seed, drawn: bool) -> int:
+    """A row of an n-point cloud that the working draw of run seed ``seed`` takes, or leaves out."""
+    rows = working_rows(n, seed)
+    pool = rows if drawn else np.setdiff1d(np.arange(n), rows)
+    return int(pool[pool.size // 2])
 
 
 def random_plane_soup(rng, n_base=4):

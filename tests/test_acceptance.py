@@ -9,10 +9,18 @@ import json
 import math
 import time
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 
-from helpers import brute_force_knn, brute_force_radius, coplanar_pairs, exhaustive_assignment_max, random_plane_soup
+from helpers import (
+    brute_force_knn,
+    brute_force_radius,
+    coplanar_pairs,
+    exhaustive_assignment_max,
+    random_plane_soup,
+    reference_claim_planes,
+)
 from planeops import (
     FspfParams,
     GtParams,
@@ -34,8 +42,9 @@ from planeops import (
     save_labeling,
     segmentation_accuracy,
 )
+from planeops import pipeline
 from planeops.metrics import overlap_matrix
-from planeops.pipeline import run_detect
+from planeops.pipeline import labeling_from_inliers, run_detect
 
 ROOM_SIZE = 3.5
 ROOM_FACE_NORMALS = np.array([
@@ -308,3 +317,46 @@ def test_13_fspf_segmentation_at_paper_scale():
                 if seg < bound:
                     failures.append((points.shape[0], seed, round(seg, 3)))
         assert failures == [], f"(points, seed, seg) below the bound: {failures}"
+
+
+def test_18_detectors_at_paper_scale():
+    with criterion("18 paper-scale rooms: ops finds the 6 faces, fspf fragments 10x more, merging consolidates"):
+        # Two 325k-point box rooms with every default: detection reads a
+        # working draw of pipeline.WORKING_POINTS points, and the merged planes
+        # claim all of the cloud.
+        for seed in range(2):
+            points, truth = make_box_room(size=ROOM_SIZE, points_per_face=50000, clutter=25000,
+                                          noise_sigma=0.005, seed=seed)
+            assert points.shape[0] > pipeline.WORKING_POINTS
+            reports = {}
+            for detector in ("ops", "fspf"):
+                config = RunConfig(detector=detector, seed=seed)
+                runs = []
+                for _ in range(2):
+                    with mock.patch.object(pipeline, "assign_to_planes", wraps=pipeline.assign_to_planes) as claim:
+                        report = run_detect(points, config)
+                    runs.append(report)
+                # Each label is -1 or the id of the plane that claimed the
+                # point from within dist_threshold, by a scan of the whole cloud.
+                cloud, claimers, dist_threshold = claim.call_args.args
+                assert cloud.shape[0] == points.shape[0], "the claim must read the whole cloud"
+                claimed = reference_claim_planes(points, claimers, dist_threshold)
+                np.testing.assert_array_equal(report.labeling.plane_ids,
+                                              labeling_from_inliers(points.shape[0], claimed))
+                first, second = (r.to_dict() for r in runs)
+                first.pop("timings_ms")
+                second.pop("timings_ms")
+                assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+                np.testing.assert_array_equal(runs[0].labeling.plane_ids, runs[1].labeling.plane_ids)
+                np.testing.assert_array_equal(runs[0].labeling.orientations, runs[1].labeling.orientations)
+                assert len(report.labeling) == points.shape[0]
+                reports[detector] = report
+            ops, fspf = reports["ops"], reports["fspf"]
+            ops_seg = segmentation_accuracy(ops.labeling, truth)
+            fspf_seg = segmentation_accuracy(fspf.labeling, truth)
+            detail = (f"seed {seed}: ops {ops.pre_merge_count} -> {ops.post_merge_count} planes, seg {ops_seg:.4f}; "
+                      f"fspf {fspf.pre_merge_count} -> {fspf.post_merge_count} planes, seg {fspf_seg:.4f}")
+            assert ops.post_merge_count == 6 and ops_seg >= 0.96, detail
+            assert fspf_seg >= 0.95 and fspf.post_merge_count <= 24, detail
+            assert fspf.pre_merge_count >= 10 * ops.pre_merge_count, detail
+            assert 10 * fspf.post_merge_count <= fspf.pre_merge_count, detail

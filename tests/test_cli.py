@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import planeops
-from helpers import run_python
+from helpers import above_working_cloud, row_of_draw, run_python
 from planeops import load_cloud, load_labeling
 from planeops.cli import EXIT_EMPTY, EXIT_OK, EXIT_PARSE, _detect_config, build_parser, main
 from planeops.pipeline import STAGES, RunConfig
@@ -628,6 +628,34 @@ def test_too_wide_cloud_exit_code(tmp_path, capsys, command, scale):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "overflows" in err
     assert not out.exists()
+
+
+def _double_ply(points) -> bytes:
+    header = (f"ply\nformat binary_little_endian 1.0\nelement vertex {points.shape[0]}\n"
+              "property double x\nproperty double y\nproperty double z\nend_header\n")
+    return header.encode() + np.ascontiguousarray(points, dtype="<f8").tobytes()
+
+
+@pytest.mark.parametrize("drawn", [True, False], ids=["drawn", "left-out"])
+def test_bad_point_above_working_points_exit_code(tmp_path, capsys, caplog, drawn):
+    """Above ``WORKING_POINTS`` the whole cloud is still checked: one 1e200
+    coordinate exits 2 with one error line and no output, whether the run's
+    working draw takes its point or not. A NaN point is dropped on load with
+    a warning, as at any size, and the rest is detected and labeled."""
+    points = above_working_cloud()[0].copy()
+    row = row_of_draw(points.shape[0], 0, drawn)
+    cloud, out = tmp_path / "cloud.ply", tmp_path / "out"
+    points[row, 1] = 1e200
+    cloud.write_bytes(_double_ply(points))
+    assert main(["detect", "--input", str(cloud), "--out", str(out)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "overflows" in err
+    assert not out.exists()
+    points[row, 1] = np.nan
+    cloud.write_bytes(_double_ply(points))
+    assert main(["detect", "--input", str(cloud), "--out", str(out)]) == EXIT_OK
+    assert "dropped 1 non-finite" in caplog.text
+    assert json.loads((out / "cloud.report.json").read_text())["n_points"] == points.shape[0] - 1
 
 
 def test_gt_cloud_whose_scatter_overflows_exit_code(tmp_path, capsys):

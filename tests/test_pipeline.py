@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -12,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planeops import (
+    CloudTooWide,
     FspfParams,
     GtParams,
+    KdTree,
     OpsParams,
     Orientation,
     PlaneModel,
@@ -27,7 +30,7 @@ from planeops import (
     save_labeling,
     segmentation_accuracy,
 )
-from helpers import reference_claim_planes
+from helpers import above_working_cloud, reference_claim_planes, row_of_draw, working_rows
 from planeops import pipeline
 from planeops.geometry import classify_orientations, fit_plane
 from planeops.pipeline import assign_to_planes, bench_table, labeling_from_inliers, run_bench, run_detect
@@ -50,6 +53,17 @@ def _ops_config(seed=0):
 
 def _fspf_config(seed=0):
     return RunConfig(detector="fspf", fspf=FspfParams(r1=0.07, r2=0.14), seed=seed)
+
+
+def _timed(fn, spent: dict, name: str):
+    """``fn``, adding the seconds of each call to ``spent[name]``."""
+    def wrapper(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spent[name] += time.perf_counter() - t0
+    return wrapper
 
 
 class TestRunDetect:
@@ -78,20 +92,74 @@ class TestRunDetect:
         assert segmentation_accuracy(report.labeling, truth) > 0.8
 
     @pytest.mark.parametrize("config", [_ops_config(), _fspf_config()], ids=["ops", "fspf"])
-    def test_stage_timings_add_up(self, config):
-        points, _ = _small_scene()
-        timings = run_detect(points, config).timings_ms
-        stages = ("index", "sampling", "normals", "detection", "merging", "labeling")
-        assert set(timings) == {*stages, "other", "total"}
-        assert all(timings[k] >= 0.0 for k in timings)
-        # The stages and the untimed rest are disjoint parts of the call and
-        # cover it; the tolerance covers the rounding of the millisecond
-        # conversion.
-        assert sum(timings[k] for k in (*stages, "other")) == pytest.approx(timings["total"], rel=1e-9, abs=0.0)
-        assert timings["other"] > 0.0
-        assert timings["index"] > 0.0 and timings["labeling"] > 0.0
-        if config.detector == "fspf":
-            assert timings["sampling"] == 0.0 and timings["normals"] == 0.0
+    def test_stage_timings_add_up(self, config, monkeypatch):
+        # Above WORKING_POINTS the whole-cloud check and the index build both
+        # add to ``index``, and the working draw adds to ``sampling``.
+        spent = {"check_cloud": 0.0, "KdTree": 0.0}
+        for name in spent:
+            monkeypatch.setattr(pipeline, name, _timed(getattr(pipeline, name), spent, name))
+        for points in (_small_scene()[0], above_working_cloud()[0]):
+            spent.update(dict.fromkeys(spent, 0.0))
+            timings = run_detect(points, config).timings_ms
+            stages = ("index", "sampling", "normals", "detection", "merging", "labeling")
+            assert set(timings) == {*stages, "other", "total"}
+            assert all(timings[k] >= 0.0 for k in timings)
+            # The stages and the untimed rest are disjoint parts of the call and
+            # cover it; the tolerance covers the rounding of the millisecond
+            # conversion.
+            assert sum(timings[k] for k in (*stages, "other")) == pytest.approx(timings["total"], rel=1e-9, abs=0.0)
+            assert timings["other"] > 0.0
+            assert timings["index"] > 0.0 and timings["labeling"] > 0.0
+            assert timings["index"] >= 1000.0 * (spent["check_cloud"] + spent["KdTree"])
+            if config.detector == "fspf":
+                assert timings["normals"] == 0.0
+                if points.shape[0] > pipeline.WORKING_POINTS:
+                    assert timings["sampling"] > 0.0
+                else:
+                    assert timings["sampling"] == 0.0
+
+    @pytest.mark.parametrize("config", [_ops_config(seed=3), _fspf_config(seed=3)], ids=["ops", "fspf"])
+    def test_detection_reads_the_runs_first_draw(self, config, monkeypatch):
+        # Above WORKING_POINTS the index holds the sorted draw that the run's
+        # generator makes first; at or below it, the caller's own array.
+        built = []
+        monkeypatch.setattr(pipeline, "KdTree", lambda pts, **kw: built.append(pts) or KdTree(pts, **kw))
+        points, _ = above_working_cloud()
+        report = run_detect(points, config)
+        np.testing.assert_array_equal(built[0], points[working_rows(points.shape[0], 3)])
+        assert report.n_points == len(report.labeling) == points.shape[0]
+        small, _ = _small_scene()
+        run_detect(small, config)
+        assert built[1] is small
+
+    def test_fspf_budget_counts_the_working_cloud(self):
+        # An explicit budget is for the whole cloud: the detector gets W / N
+        # of it, floored, at least 1; at or below WORKING_POINTS it is as set.
+        big, _ = above_working_cloud()
+        small, _ = _small_scene()
+        n, w = big.shape[0], pipeline.WORKING_POINTS
+        for points, budget, expected in ((big, n, w), (big, 3 * n // 4, 3 * n // 4 * w // n), (big, 1, 1),
+                                         (big, None, None), (small, 500, 500), (small, None, None)):
+            config = RunConfig(detector="fspf", fspf=FspfParams(max_inlier_points=budget), seed=2)
+            with mock.patch.object(pipeline, "fspf_detect", wraps=pipeline.fspf_detect) as detect:
+                report = run_detect(points, config)
+            assert detect.call_args.args[1].max_inlier_points == expected
+            assert report.params["fspf"]["max_inlier_points"] == budget
+
+    @pytest.mark.parametrize("drawn", [True, False], ids=["drawn", "left-out"])
+    @pytest.mark.parametrize("bad", [float("nan"), 1e200], ids=["nan", "1e200"])
+    def test_whole_cloud_is_checked_above_working_points(self, bad, drawn):
+        # A bad point raises the error it raises at any size, whether the
+        # working draw takes it or not.
+        points = above_working_cloud()[0].copy()
+        points[row_of_draw(points.shape[0], 0, drawn), 1] = bad
+        for config in (_ops_config(), _fspf_config()):
+            with pytest.raises(ValueError) as info:
+                run_detect(points, config)
+            if bad == 1e200:
+                assert isinstance(info.value, CloudTooWide)
+            else:
+                assert not isinstance(info.value, CloudTooWide) and "finite" in str(info.value)
 
     def test_deterministic_modulo_timings(self):
         points, _ = _small_scene()
